@@ -9,7 +9,6 @@ from .characteristics import (
     ArmsFlow,
     SolutionState,
     SolverConfig,
-    alpha_beta_trajectory,
     alpha_via_gamma,
     beta_infinity,
     ell_smolu,
@@ -84,7 +83,6 @@ __all__ = [
     "SolverConfig",
     "SolverError",
     "UsageError",
-    "alpha_beta_trajectory",
     "alpha_via_gamma",
     "arms_concentrations",
     "asymptotics_report",

@@ -5,9 +5,10 @@ is guaranteed to converge; speed is traded for that robustness.
 """
 from __future__ import annotations
 
-import bisect as _bisect
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, ModelError, SolverError
 from .measures import ArmMeasure, MassMeasure
@@ -19,14 +20,10 @@ INF = math.inf
 class SolverConfig:
     root_tol: float = 1e-12
     max_iter: int = 200
-    ode_dt: float = 1e-4
-    ode_adaptive: bool = False
 
     def __post_init__(self):
         if self.root_tol <= 0.0:
             raise DomainError("root_tol must be positive")
-        if self.ode_dt <= 0.0:
-            raise DomainError("ode_dt must be positive")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -190,51 +187,66 @@ def _h_of_u(measure: ArmMeasure, u: float, config=DEFAULT_CONFIG) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Arms model: alpha/beta integration
+# Arms model: the characteristic flow
+
+#: DOP853 tolerances of the ell flow.  The closed-form concentrations raise
+#: beta to the power m - 1 and 1/alpha to the power a, so ell has to be far
+#: more accurate than the products are asked to be.
+FLOW_RTOL = 1e-13
+FLOW_ATOL = 1e-15
+
 
 class ArmsFlow:
-    """Integrating factors alpha_t, beta_t for the limited-aggregation model.
+    """The characteristic ell_t of the limited-aggregation model with inert gel.
 
-    Pre-gel both are exact closed forms; past the gel time alpha solves
-    d(alpha)/dt = k0(H(1/alpha), 1) and beta accumulates 1/alpha^2, both with
-    a fixed-step classical 4th-order scheme at step config.ode_dt.  Step
-    endpoints are cached so repeated queries stay cheap and monotone grids
-    cost a single sweep.
+    The model's map is phi_t(x) = alpha_t (x - beta_t k0(x, 1)).  Pre-gel
+    ell = 1, alpha = 1 + A0 t and beta = t / (1 + A0 t).  Past the gel time
+    phi_t peaks at ell with value 1, and alpha' = k0(ell), so
+
+        d/dx phi_t(ell) = 0   gives  beta  = 1 / k0'(ell)
+        phi_t(ell) = 1        gives  alpha = 1 / G(ell),  G = x - k0/k0'
+        G' = k0 k0'' / k0'^2  gives  ell'  = -(ell k0'(ell) - k0(ell))^2 / k0''(ell)
+
+    Only ell is integrated, from ell(T_gel) = 1, by one DOP853 stepper per
+    flow.  The stepper has no end time: it steps on until it passes the latest
+    time asked for and keeps every step's dense output, so each stretch of
+    time is integrated once and a state does not depend on the order of the
+    queries.
     """
 
-    def __init__(self, measure: ArmMeasure, config=DEFAULT_CONFIG):
+    def __init__(self, measure: ArmMeasure):
         if math.isinf(measure.A0):
             raise ModelError("arms flow requires A0 < +inf")
         self.measure = measure
-        self.config = config
         self.t_gel = gel_time(measure)
-        self._ts: list[float] = []
-        self._ys: list[tuple[float, float]] = []
-        if math.isfinite(self.t_gel):
-            A0 = measure.A0
-            self._ts.append(self.t_gel)
-            self._ys.append(
-                (1.0 + A0 * self.t_gel, self.t_gel / (1.0 + A0 * self.t_gel))
-            )
+        self._solver = None  # started by the first post-gel query
+        self._step_ends: list[float] = []
+        self._step_dense = []
 
-    def _lam(self, alpha: float) -> float:
-        return self.measure.k0(_h_of_u(self.measure, 1.0 / alpha, self.config), 1.0)
-
-    def _rk4(self, t, y, h):
+    def _rhs(self, t, y):
         del t  # autonomous
-        a, b = y
+        m = self.measure
+        x = min(max(float(y[0]), 0.0), 1.0)  # a stage may land just outside [0, 1]
+        kp = m.k0(x, 1.0, partial="x")
+        return [-((x * kp - m.k0(x, 1.0)) ** 2) / m.k0_xx(x, 1.0)]
 
-        def f(alpha):
-            return self._lam(alpha), alpha**-2
+    def _ell(self, t: float) -> float:
+        if self._solver is None:
+            from scipy.integrate import DOP853
 
-        k1a, k1b = f(a)
-        k2a, k2b = f(a + 0.5 * h * k1a)
-        k3a, k3b = f(a + 0.5 * h * k2a)
-        k4a, k4b = f(a + h * k3a)
-        return (
-            a + h / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
-            b + h / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b),
-        )
+            self._solver = DOP853(
+                self._rhs, self.t_gel, [1.0], math.inf,
+                rtol=FLOW_RTOL, atol=FLOW_ATOL,
+            )
+        solver = self._solver
+        while solver.t < t:
+            message = solver.step()
+            if solver.status == "failed":
+                raise SolverError(f"arms flow failed at t={solver.t}: {message}")
+            self._step_ends.append(solver.t)
+            self._step_dense.append(solver.dense_output())
+        i = int(np.searchsorted(self._step_ends, t))
+        return min(max(float(self._step_dense[i](t)[0]), 0.0), 1.0)
 
     def state(self, t: float) -> SolutionState:
         if t < 0.0:
@@ -244,38 +256,13 @@ class ArmsFlow:
             return SolutionState(
                 t=t, ell=1.0, alpha=1.0 + A0 * t, beta=t / (1.0 + A0 * t)
             )
-        h = self.config.ode_dt
-        if h <= 0.0:
-            raise SolverError("ODE step size underflow")
-        idx = _bisect.bisect_right(self._ts, t) - 1
-        t0, y0 = self._ts[idx], self._ys[idx]
-        # extend the cache with full steps, then take one partial step
-        while t - t0 > h * (1.0 + 1e-12):
-            y0 = self._rk4(t0, y0, h)
-            t0 += h
-            if t0 > self._ts[-1]:
-                self._ts.append(t0)
-                self._ys.append(y0)
-        rem = t - t0
-        if rem > 1e-15:
-            y0 = self._rk4(t0, y0, rem)
-        alpha, beta = y0
-        ell = _h_of_u(self.measure, 1.0 / alpha, self.config)
-        return SolutionState(t=t, ell=ell, alpha=alpha, beta=beta)
+        ell = self._ell(t)
+        kp = self.measure.k0(ell, 1.0, partial="x")
+        alpha = kp / (ell * kp - self.measure.k0(ell, 1.0))
+        return SolutionState(t=t, ell=ell, alpha=alpha, beta=1.0 / kp)
 
     def trajectory(self, times) -> list[SolutionState]:
         return [self.state(t) for t in sorted(times)]
-
-
-def alpha_beta_trajectory(
-    measure: ArmMeasure, t_end: float, config=DEFAULT_CONFIG, times=None
-) -> list[SolutionState]:
-    """States on a time grid up to t_end (grid defaults to 101 equal steps)."""
-    if times is None:
-        n = 101
-        times = [t_end * i / (n - 1) for i in range(n)]
-    flow = ArmsFlow(measure, config)
-    return flow.trajectory([t for t in times if t <= t_end])
 
 
 def alpha_via_gamma(measure: ArmMeasure, t: float, config=DEFAULT_CONFIG) -> float:
@@ -308,27 +295,17 @@ def alpha_via_gamma(measure: ArmMeasure, t: float, config=DEFAULT_CONFIG) -> flo
     )
 
 
-def beta_infinity(
-    measure: ArmMeasure, t_end: float = 200.0, config=DEFAULT_CONFIG
-) -> float:
-    """Long-time limit of beta_t: ODE up to t_end plus the analytic tail.
-
-    The tail int_{t_end}^inf alpha^{-2} dt equals int_0^{1/alpha(t_end)}
-    du / k0(H(u), 1) after substituting u = 1/alpha, which quadrature
-    evaluates to near machine precision.
-    """
-    from scipy.integrate import quad
-
-    if not math.isfinite(gel_time(measure)):
-        # no gelation: normalized arm data has alpha = 1 + t for ever, so
-        # beta -> 1 and the limiting factor is trivial
+def ell_infinity(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
+    """Long-time limit of ell_t: c = H(0), where k0'(c) = k0(c)/c; 1 without gelation."""
+    if math.isinf(gel_time(measure)):
         return 1.0
-    flow = ArmsFlow(measure, config)
-    st = flow.state(t_end)
-    tail, _ = quad(
-        lambda u: 1.0 / measure.k0(_h_of_u(measure, u, config), 1.0),
-        0.0,
-        1.0 / st.alpha,
-        limit=200,
-    )
-    return st.beta + tail
+    return H_map(measure, 0.0, config)
+
+
+def beta_infinity(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
+    """Long-time limit of beta_t = 1/k0'(ell_t), that is c/k0(c) with c = ell_inf.
+
+    Without gelation beta_t = t/(1 + A0 t) tends to 1/A0 = 1/k0(1) as well.
+    """
+    c = ell_infinity(measure, config)
+    return c / measure.k0(c, 1.0)

@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -59,15 +57,6 @@ def emit_csv(header, rows, stream) -> None:
     stream.write(",".join(header) + "\n")
     for row in rows:
         stream.write(",".join(fmt(v) for v in row) + "\n")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("GELSOLVE_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(n, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +106,21 @@ def _model_name(args, cfg) -> str:
 
 
 def _solver_config(args, cfg) -> SolverConfig:
-    solver = dict(cfg.get("solver", {}))
+    solver = cfg.get("solver", {})
+    if not isinstance(solver, dict):
+        raise ConfigError("config 'solver' must be a JSON object")
+    unknown = sorted(set(solver) - {"root_tol", "max_iter"})
+    if unknown:
+        raise ConfigError(
+            f"unknown solver settings {unknown}; known: root_tol, max_iter"
+        )
+    solver = dict(solver)
     if getattr(args, "root_tol", None) is not None:
         solver["root_tol"] = args.root_tol
-    if getattr(args, "ode_dt", None) is not None:
-        solver["ode_dt"] = args.ode_dt
     try:
         return SolverConfig(
             root_tol=float(solver.get("root_tol", DEFAULT_CONFIG.root_tol)),
             max_iter=int(solver.get("max_iter", DEFAULT_CONFIG.max_iter)),
-            ode_dt=float(solver.get("ode_dt", DEFAULT_CONFIG.ode_dt)),
         )
     except (TypeError, ValueError, GelsolveError) as exc:
         raise ConfigError(f"bad solver settings: {exc}") from exc
@@ -170,16 +164,16 @@ def _cmd_moments(args, cfg, out) -> int:
     spec = _measure_spec(args, cfg)
     try:
         measure = mass_measure_from_config(spec)
-    except GelsolveError:
-        measure = None
-    if measure is not None:
+    except GelsolveError as exc:
+        mass_error = exc
+    else:
         mom = measure.moments()
         emit_json({"M0": mom.M0, "K": mom.K, "m0": mom.m0}, out)
         return 0
     try:
         arm = arm_measure_from_config(spec)
     except GelsolveError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{mass_error}; as arm data: {exc}") from exc
     emit_json(
         {"A0": arm.A0, "K": arm.K, "M0": arm.M0, "total": arm.total}, out
     )
@@ -198,15 +192,7 @@ def _cmd_trajectory(args, cfg, out) -> int:
     measure = _build_measure(args, cfg, name)
     times = _time_grid(args, cfg)
     model = make_model(name, measure, config)
-    if name in ARMS_MODELS:
-        rows = [_trajectory_row(model, t) for t in times]  # sequential ODE
-    else:
-        workers = _thread_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(lambda t: _trajectory_row(model, t), times))
-        else:
-            rows = [_trajectory_row(model, t) for t in times]
+    rows = [_trajectory_row(model, t) for t in times]
     emit_csv(
         ("t", "M", "A", "ell", "alpha", "beta", "second_moment"), rows, out
     )
@@ -220,13 +206,18 @@ def _cmd_concentrations(args, cfg, out) -> int:
     t = args.t if args.t is not None else cfg.get("t")
     if t is None:
         raise ConfigError("no time given (--t or config 't')")
-    t = float(t)
+    try:
+        t = float(t)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad time: {exc}") from exc
+    if not t >= 0.0:
+        raise ConfigError(f"time must be >= 0, got {t}")
     gel = name.startswith("flory")
     if name in ARMS_MODELS:
         a_max = int(args.amax or cfg.get("a_max", 40))
         m_max = int(args.mmax or cfg.get("m_max", 40))
         conc = arms_concentrations(
-            measure, t, a_max, m_max, gel_interacting=gel, config=config
+            measure, t, a_max, m_max, gel_interacting=gel
         )
         rows = [
             (a, m, conc.values[a, m])
@@ -327,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--measure", help="initial measure as inline JSON")
         p.add_argument("--output", help="write to this file instead of stdout")
         p.add_argument("--root-tol", type=float, dest="root_tol")
-        p.add_argument("--ode-dt", type=float, dest="ode_dt")
 
     p = sub.add_parser("moments", help="moments of the initial measure")
     common(p)

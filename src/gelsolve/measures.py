@@ -8,12 +8,13 @@ function k0(x, y) = sum_a,m a c0(a,m) x^(a-1) y^m.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, GelsolveError
 
 INF = math.inf
 
@@ -256,6 +257,16 @@ class ArmMeasure:
             )
         raise DomainError(f"partial must be None or 'x', got {partial!r}")
 
+    def k0_mass(self, x: float) -> float:
+        """K0(x) = sum mu(a) x^a, whose derivative is k0(x, 1); nan unless monodisperse.
+
+        K0(1) = M0, and K0(ell_t) is the sol mass of the arms models.
+        """
+        if not self.is_monodisperse:
+            return math.nan
+        _check_unit_interval(x, "x")
+        return sum(w * x**a for (a, _), w in self.weights.items())
+
     def k0_xx(self, x: float, y: float = 1.0) -> float:
         """Second x-derivative; identically zero iff every particle has <= 2 arms."""
         _check_unit_interval(x, "x")
@@ -321,6 +332,17 @@ def conv_power(nu: NuMeasure, m: int, max_index: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Config-file loading
 
+@contextmanager
+def _malformed_spec(spec):
+    """Report a missing key or a value of the wrong shape as a DomainError."""
+    try:
+        yield
+    except GelsolveError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DomainError(f"bad measure spec {spec!r}: {exc!r}") from exc
+
+
 def mass_measure_from_config(spec) -> MassMeasure:
     """Build a MassMeasure from a config object.
 
@@ -333,14 +355,15 @@ def mass_measure_from_config(spec) -> MassMeasure:
     if not isinstance(spec, dict) or "type" not in spec:
         raise DomainError(f"bad measure spec: {spec!r}")
     kind = spec["type"]
-    if kind == "monodisperse":
-        return Monodisperse()
-    if kind == "exponential":
-        return ExponentialDensity()
-    if kind == "powerlaw":
-        return PowerLawDensity(spec["p"])
-    if kind == "discrete":
-        return Discrete([(m, w) for m, w in spec["atoms"]])
+    with _malformed_spec(spec):
+        if kind == "monodisperse":
+            return Monodisperse()
+        if kind == "exponential":
+            return ExponentialDensity()
+        if kind == "powerlaw":
+            return PowerLawDensity(spec["p"])
+        if kind == "discrete":
+            return Discrete([(m, w) for m, w in spec["atoms"]])
     raise DomainError(f"unknown mass-measure type {kind!r}")
 
 
@@ -354,9 +377,10 @@ def arm_measure_from_config(spec) -> ArmMeasure:
     if not isinstance(spec, dict) or "type" not in spec:
         raise DomainError(f"bad measure spec: {spec!r}")
     kind = spec["type"]
-    if kind == "arms":
-        return ArmMeasure({(a, m): w for a, m, w in spec["triples"]})
-    if kind == "arm-law":
-        mu = {int(a): float(w) for a, w in spec["mu"].items()}
-        return ArmMeasure.monodisperse(mu)
+    with _malformed_spec(spec):
+        if kind == "arms":
+            return ArmMeasure({(a, m): w for a, m, w in spec["triples"]})
+        if kind == "arm-law":
+            mu = {int(a): float(w) for a, w in spec["mu"].items()}
+            return ArmMeasure.monodisperse(mu)
     raise DomainError(f"unknown arm-measure type {kind!r}")

@@ -208,6 +208,11 @@ class _Arms(Model):
     def h_inverse(self, t: float, x: float, y: float = 1.0) -> float:
         if not 0.0 <= x <= 1.0:
             raise DomainError(f"x={x} outside [0, 1]")
+        if x == 1.0 and y == 1.0:
+            # h_t(1) = ell_t by definition; past the gel time of the gel-inert
+            # model 1 is the flat peak of phi, where bisection would lose half
+            # the digits to rounding
+            return self.ell(t)
         top = self._x_top(t, y)
         if x >= self.phi(t, top, y):
             return top
@@ -220,17 +225,12 @@ class _Arms(Model):
             max_iter=self.config.max_iter,
         )
 
-    def mass(self, t: float) -> float:
-        from .series import arms_mass
+    def ell(self, t: float) -> float:
+        raise NotImplementedError
 
-        if not self.measure.is_monodisperse:
-            return math.nan  # no closed form for general arm data
-        return arms_mass(
-            self.measure,
-            t,
-            gel_interacting=self.name == "flory-arms",
-            config=self.config,
-        )
+    def mass(self, t: float) -> float:
+        # nan on general arm data, which has no closed form
+        return self.measure.k0_mass(self.ell(t))
 
 
 class SmoluchowskiArms(_Arms):
@@ -240,13 +240,15 @@ class SmoluchowskiArms(_Arms):
 
     def __init__(self, measure: ArmMeasure, config=DEFAULT_CONFIG):
         super().__init__(measure, config)
-        self.flow = ArmsFlow(measure, config)
+        self.flow = ArmsFlow(measure)
+
+    def ell(self, t: float) -> float:
+        return self.flow.state(t).ell
 
     def state(self, t: float) -> SolutionState:
         st = self.flow.state(t)
         st.A = self.measure.k0(st.ell, 1.0) / st.alpha
-        if self.measure.is_monodisperse:
-            st.M = self.mass(t)
+        st.M = self.measure.k0_mass(st.ell)
         return st
 
     def arms_count(self, t: float) -> float:
@@ -305,8 +307,7 @@ class FloryArms(_Arms):
             beta=t / (1.0 + A0 * t),
         )
         st.A = self.measure.k0(st.ell, 1.0) / (1.0 + A0 * t)
-        if self.measure.is_monodisperse:
-            st.M = self.mass(t)
+        st.M = self.measure.k0_mass(st.ell)
         return st
 
     def arms_count(self, t: float) -> float:

@@ -16,8 +16,9 @@ from scipy.special import gammaln
 from .characteristics import (
     DEFAULT_CONFIG,
     ArmsFlow,
-    _h_of_u,
+    beta_infinity,
     bisect_increasing,
+    ell_infinity,
     ell_smolu,
     gel_time,
 )
@@ -204,7 +205,6 @@ def arms_concentrations(
     m_max: int,
     *,
     gel_interacting: bool = False,
-    config=DEFAULT_CONFIG,
 ) -> ArmsConcentrations:
     """Closed-form c_t(a, m) on monodisperse arm data, m >= 2."""
     if not measure.is_monodisperse:
@@ -223,8 +223,7 @@ def arms_concentrations(
         ratio_m = t / (1.0 + t * measure.A0)  # multiplies per unit mass
         ratio_a = 1.0 / (1.0 + t * measure.A0)
     else:
-        flow = ArmsFlow(measure, config)
-        st = flow.state(t)
+        st = ArmsFlow(measure).state(t)
         ratio_m = st.beta
         ratio_a = 1.0 / st.alpha
     a_idx = np.arange(a_max + 1)
@@ -253,7 +252,6 @@ def arms_mass(
     *,
     gel_interacting: bool = False,
     m_max: int = 150,
-    config=DEFAULT_CONFIG,
 ) -> float:
     """Total mass sum m c_t(a, m), truncated at m_max (monodisperse data only).
 
@@ -266,14 +264,12 @@ def arms_mass(
         a_max=_arms_amax(measure, m_max),
         m_max=m_max,
         gel_interacting=gel_interacting,
-        config=config,
     )
-    mu = measure.arm_law()
     if gel_interacting:
         r = 1.0 / (1.0 + t * measure.A0)
     else:
-        r = 1.0 / ArmsFlow(measure, config).state(t).alpha
-    total = sum(w * r**a for a, w in mu.items())
+        r = 1.0 / ArmsFlow(measure).state(t).alpha
+    total = measure.k0_mass(r)
     masses = np.arange(conc.values.shape[1])
     total += float((conc.values[:, 2:] * masses[2:]).sum())
     return total
@@ -361,15 +357,10 @@ def limiting_concentrations(
     if gel_interacting:
         p = _p_nu(measure, config)
         beta_inf = 1.0
-        point = p
     else:
-        if math.isinf(gel_time(measure)):
-            point = 1.0
-        else:
-            point = _h_of_u(measure, 0.0, config)  # k0'(c) = k0(c)/c
-        beta_inf = point / measure.k0(point, 1.0)
-        p = point
-    M_inf = sum(w * point**a for a, w in mu.items())
+        p = ell_infinity(measure, config)
+        beta_inf = beta_infinity(measure, config)
+    M_inf = measure.k0_mass(p)
     for m in range(2, m_max + 1):
         pw = conv_power(nu, m, m - 2)
         c_inf[m] = beta_inf ** (m - 1) * pw[m - 2] / (m * (m - 1))

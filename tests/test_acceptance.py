@@ -38,7 +38,6 @@ from gelsolve.series import (
 
 MU = {0: 0.5, 1: 0.25, 3: 0.25}
 ARM = ArmMeasure.monodisperse(MU)
-FAST = SolverConfig(ode_dt=0.01)
 
 
 @pytest.fixture
@@ -128,7 +127,7 @@ def test_criterion_07_arms_closed_form_limits(report):
     assert abs(flory.p_or_c - 1.0 / 3.0) <= 1e-10
     assert abs(flory.M_inf - 16.0 / 27.0) <= 1e-10
     assert abs(smolu.p_or_c - 3.0**-0.5) <= 1e-10
-    b_inf = beta_infinity(ARM, 200.0, SolverConfig(ode_dt=0.05))
+    b_inf = beta_infinity(ARM)
     assert abs(b_inf - 2.0 * 3.0**-0.5) <= 1e-8
     m_inf_ref = 0.5 + 0.25 * 3.0**-0.5 + 0.25 * 3.0**-1.5
     assert abs(m_inf_ref - 0.692450) < 1e-6  # hand value sanity
@@ -138,7 +137,7 @@ def test_criterion_07_arms_closed_form_limits(report):
 
 
 def test_criterion_08_arms_pre_gel_exactness(report):
-    smolu = SmoluchowskiArms(ARM, FAST)
+    smolu = SmoluchowskiArms(ARM)
     flory = FloryArms(ARM)
     for t in np.linspace(0.0, 1.99, 40):
         assert abs(smolu.flow.state(t).alpha - (1.0 + t)) <= 1e-9
@@ -207,12 +206,12 @@ def test_criterion_11_infinite_initial_mass(report):
 
 def test_criterion_12_property_suites(report):
     # characteristic round-trip within 10 * root_tol
-    tol = 10 * FAST.root_tol
+    tol = 10 * SolverConfig().root_tol
     models = (
         Smoluchowski(Monodisperse()),
         Flory(Monodisperse()),
-        SmoluchowskiArms(ARM, FAST),
-        FloryArms(ARM, FAST),
+        SmoluchowskiArms(ARM),
+        FloryArms(ARM),
     )
     for model in models:
         for t in (0.5, 3.0):

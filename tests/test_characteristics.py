@@ -8,7 +8,6 @@ from gelsolve.characteristics import (
     G_map,
     H_map,
     SolverConfig,
-    alpha_beta_trajectory,
     alpha_via_gamma,
     beta_infinity,
     bisect_increasing,
@@ -27,14 +26,11 @@ from gelsolve.measures import (
 
 MU = {0: 0.5, 1: 0.25, 3: 0.25}
 ARM = ArmMeasure.monodisperse(MU)
-FAST = SolverConfig(ode_dt=0.01)
 
 
 def test_solver_config_validation():
     with pytest.raises(DomainError):
         SolverConfig(root_tol=0.0)
-    with pytest.raises(DomainError):
-        SolverConfig(ode_dt=-1.0)
 
 
 class TestBisection:
@@ -167,18 +163,18 @@ class TestGH:
 
 class TestArmsFlow:
     def test_initial_state(self):
-        st = ArmsFlow(ARM, FAST).state(0.0)
+        st = ArmsFlow(ARM).state(0.0)
         assert (st.alpha, st.beta, st.ell) == (1.0, 0.0, 1.0)
 
     def test_pre_gel_closed_form(self):
-        flow = ArmsFlow(ARM, FAST)
+        flow = ArmsFlow(ARM)
         for t in (0.5, 1.0, 1.7, 2.0):
             st = flow.state(t)
             assert st.alpha == pytest.approx(1.0 + t, abs=1e-12)
             assert st.beta == pytest.approx(t / (1.0 + t), abs=1e-12)
 
     def test_alpha_beta_monotone(self):
-        states = alpha_beta_trajectory(ARM, 6.0, FAST)
+        states = ArmsFlow(ARM).trajectory(np.linspace(0.0, 6.0, 101))
         alphas = [s.alpha for s in states]
         betas = [s.beta for s in states]
         assert all(a <= b + 1e-12 for a, b in zip(alphas, alphas[1:]))
@@ -186,7 +182,7 @@ class TestArmsFlow:
 
     def test_alpha_ode_slope(self):
         # d(alpha)/dt should equal k0(ell_t, 1)
-        flow = ArmsFlow(ARM, FAST)
+        flow = ArmsFlow(ARM)
         h = 1e-3
         for t in (2.5, 3.0, 4.0):
             fd = (flow.state(t + h).alpha - flow.state(t - h).alpha) / (2 * h)
@@ -195,41 +191,48 @@ class TestArmsFlow:
 
     def test_arm_count_bound(self):
         # k0(ell_t, 1)/alpha_t <= A0/(1 + t A0)
-        flow = ArmsFlow(ARM, FAST)
+        flow = ArmsFlow(ARM)
         for t in np.linspace(0.0, 6.0, 25):
             st = flow.state(t)
             a_t = ARM.k0(st.ell, 1.0) / st.alpha
             assert a_t <= 1.0 / (1.0 + t) + 1e-9
 
     def test_continuity_at_gel_time(self):
-        flow = ArmsFlow(ARM, FAST)
+        flow = ArmsFlow(ARM)
         below = flow.state(2.0)
         above = flow.state(2.0 + 1e-6)
         assert above.alpha == pytest.approx(below.alpha, abs=1e-5)
         assert above.ell == pytest.approx(1.0, abs=1e-2)
 
     def test_out_of_order_queries_consistent(self):
-        a = ArmsFlow(ARM, FAST)
+        a = ArmsFlow(ARM)
         v1 = a.state(4.0).alpha
         v2 = a.state(3.0).alpha
-        b = ArmsFlow(ARM, FAST)
+        b = ArmsFlow(ARM)
         assert b.state(3.0).alpha == pytest.approx(v2, abs=1e-12)
         assert b.state(4.0).alpha == pytest.approx(v1, abs=1e-12)
 
 
 def test_alpha_gamma_cross_check():
-    ode = ArmsFlow(ARM, FAST).state(4.0).alpha
-    quad = alpha_via_gamma(ARM, 4.0, FAST)
+    ode = ArmsFlow(ARM).state(4.0).alpha
+    quad = alpha_via_gamma(ARM, 4.0)
     assert quad == pytest.approx(ode, abs=1e-9)
+
+
+@pytest.mark.parametrize("t", [2.5, 4.0, 6.0, 50.0, 200.0])
+def test_closed_form_alpha_matches_gamma_quadrature(t):
+    assert ArmsFlow(ARM).state(t).alpha == pytest.approx(
+        alpha_via_gamma(ARM, t), rel=1e-10
+    )
 
 
 def test_beta_infinity():
     # analytic limit c/k0(c) with c = 1/sqrt(3)
-    assert beta_infinity(ARM, 200.0, SolverConfig(ode_dt=0.05)) == pytest.approx(
+    assert beta_infinity(ARM) == pytest.approx(
         2.0 / math.sqrt(3.0), abs=1e-8
     )
 
 
 def test_beta_infinity_no_gelation():
     sub = ArmMeasure.monodisperse({1: 1.0})
-    assert beta_infinity(sub, 10.0, FAST) == 1.0
+    assert beta_infinity(sub) == 1.0

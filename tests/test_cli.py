@@ -213,6 +213,37 @@ class TestConfigHandling:
         code, _ = run(capsys, "trajectory", "--config", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("moments", "--measure", '{"type":"powerlaw"}'),
+            ("moments", "--measure", '{"type":"discrete","atoms":[["x",1]]}'),
+            ("trajectory", "--model", "smoluchowski", "--t-end", "1",
+             "--measure", '{"type":"discrete","atoms":[["x",1]]}'),
+            ("concentrations", "--model", "smoluchowski", "--measure", MONO,
+             "--t", "-1"),
+        ],
+        ids=["powerlaw-without-p", "moments-non-numeric-atom",
+             "trajectory-non-numeric-atom", "negative-time"],
+    )
+    def test_malformed_input_is_a_config_error(self, capsys, argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("solver", [{"ode_dt": 0.5}, {"root_tl": 1e-9}, [1]])
+    def test_unknown_solver_setting_is_a_config_error(self, capsys, tmp_path, solver):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"solver": solver}))
+        code = main(["trajectory", "--config", str(path), "--model", "smoluchowski",
+                     "--measure", MONO, "--t-end", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_geometric_spacing(self, capsys):
         code, out = run(
             capsys,

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from gelsolve.characteristics import SolverConfig
 from gelsolve.errors import DomainError, ModelError
 from gelsolve.measures import (
     ArmMeasure,
@@ -25,7 +24,6 @@ from gelsolve.models import (
 
 MU = {0: 0.5, 1: 0.25, 3: 0.25}
 ARM = ArmMeasure.monodisperse(MU)
-FAST = SolverConfig(ode_dt=0.01)
 
 
 class TestMass:
@@ -78,7 +76,7 @@ class TestCharacteristicRoundTrip:
 
     @pytest.mark.parametrize("t", [0.5, 3.0])
     def test_arms(self, t):
-        for model in (SmoluchowskiArms(ARM, FAST), FloryArms(ARM, FAST)):
+        for model in (SmoluchowskiArms(ARM), FloryArms(ARM)):
             for x in (0.25, 0.5, 0.75, 1.0):
                 h = model.h_inverse(t, x, 1.0)
                 assert model.phi(t, h, 1.0) == pytest.approx(x, abs=1e-10)
@@ -144,7 +142,7 @@ class TestSecondMoment:
         assert val == pytest.approx(l / (1.0 - 2.0 * l), abs=1e-9)
 
     def test_arms_pre_gel(self):
-        model = SmoluchowskiArms(ARM, FAST)
+        model = SmoluchowskiArms(ARM)
         t = 1.0
         alpha = 1.0 + t
         beta = t / (1.0 + t)
@@ -160,7 +158,7 @@ class TestSecondMoment:
 
 class TestArmsModels:
     def test_pre_gel_arm_count(self):
-        for model in (SmoluchowskiArms(ARM, FAST), FloryArms(ARM)):
+        for model in (SmoluchowskiArms(ARM), FloryArms(ARM)):
             for t in (0.0, 0.5, 1.0, 1.9):
                 assert model.arms_count(t) == pytest.approx(
                     1.0 / (1.0 + t), abs=1e-9
@@ -185,7 +183,7 @@ class TestArmsModels:
         )
 
     def test_gen_fun_at_corner_is_arm_count(self):
-        model = SmoluchowskiArms(ARM, FAST)
+        model = SmoluchowskiArms(ARM)
         for t in (1.0, 3.0):
             assert model.gen_fun(t, 1.0, 1.0) == pytest.approx(
                 model.arms_count(t), abs=1e-9
@@ -202,6 +200,26 @@ class TestArmsModels:
         model = FloryArms(ARM)
         assert model.mass(1.0) == pytest.approx(1.0, abs=1e-4)
         assert model.mass(3.0) < model.mass(2.5) < 1.0
+
+    def test_flory_arms_sol_mass_closed_form(self):
+        # K0(2/3) = 1/2 + (1/4)(2/3) + (1/4)(2/3)^3
+        assert FloryArms(ARM).mass(4.0) == pytest.approx(20.0 / 27.0, rel=1e-12)
+
+    def test_smoluchowski_arms_sol_mass(self):
+        model = SmoluchowskiArms(ARM)
+        for t in np.linspace(0.0, 2.0, 9):
+            assert model.mass(t) == 1.0  # M0 up to T_gel
+        assert model.mass(2.0 + 1e-9) == pytest.approx(1.0, abs=1e-8)
+        assert model.mass(4.0) == pytest.approx(0.84865, abs=5e-6)
+        assert model.state(4.0).M == model.mass(4.0)
+
+    @pytest.mark.parametrize("t", [2.5, 4.0, 6.0, 20.0])
+    def test_post_gel_state_is_the_peak_of_phi(self, t):
+        # the gel-inert state puts phi_t's maximum, of value 1, at ell
+        model = SmoluchowskiArms(ARM)
+        ell = model.state(t).ell
+        assert abs(model.phi(t, ell, 1.0) - 1.0) <= 1e-12
+        assert abs(model._phi_x(t, ell, 1.0)) <= 1e-12
 
 
 class TestModelDispatch:

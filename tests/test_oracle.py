@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gelsolve.characteristics import SolverConfig
 from gelsolve.errors import DomainError, UsageError
 from gelsolve.measures import ArmMeasure, Discrete, Monodisperse
 from gelsolve.models import Flory, FloryArms, Smoluchowski, SmoluchowskiArms
@@ -9,7 +8,6 @@ from gelsolve.oracle import compare, initial_arms, initial_classic, integrate
 
 MU = {0: 0.5, 1: 0.25, 3: 0.25}
 ARM = ArmMeasure.monodisperse(MU)
-FAST = SolverConfig(ode_dt=0.01)
 
 
 class TestInitialStates:
@@ -84,7 +82,7 @@ class TestIntegrate:
 
 class TestArmsIntegrate:
     def test_arm_count_matches_analytic_pre_gel(self):
-        model = SmoluchowskiArms(ARM, FAST)
+        model = SmoluchowskiArms(ARM)
         times = [0.5, 1.0, 1.5]
         traj = integrate(initial_arms(ARM, 120, 120), times, 5e-3)
         for t, st in zip(times, traj):

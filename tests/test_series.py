@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gelsolve.characteristics import SolverConfig
 from gelsolve.errors import DomainError
 from gelsolve.measures import ArmMeasure, Discrete, ExponentialDensity, Monodisperse
+from gelsolve.models import FloryArms
 from gelsolve.series import (
     PowerSeries,
     arms_concentrations,
@@ -20,7 +20,6 @@ from gelsolve.series import (
 
 MU = {0: 0.5, 1: 0.25, 3: 0.25}
 ARM = ArmMeasure.monodisperse(MU)
-FAST = SolverConfig(ode_dt=0.01)
 
 
 class TestPowerSeriesOps:
@@ -144,13 +143,13 @@ class TestArmsConcentrations:
 
     def test_gel_inert_variant_pre_gel(self):
         # pre-gel beta_t = t/(1+t) and alpha_t = 1+t, so the two variants agree
-        a = arms_concentrations(ARM, 1.5, 6, 6, config=FAST)
+        a = arms_concentrations(ARM, 1.5, 6, 6)
         b = arms_concentrations(ARM, 1.5, 6, 6, gel_interacting=True)
         assert np.allclose(a.values, b.values, atol=1e-10)
 
     def test_nonnegative(self):
         for gel in (False, True):
-            out = arms_concentrations(ARM, 4.0, 10, 10, gel_interacting=gel, config=FAST)
+            out = arms_concentrations(ARM, 4.0, 10, 10, gel_interacting=gel)
             assert (out.values >= 0.0).all()
 
 
@@ -162,6 +161,14 @@ class TestArmsMass:
 
     def test_post_gel_loss(self):
         assert arms_mass(ARM, 5.0, gel_interacting=True) < 1.0
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 6.0, 10.0])
+    def test_truncated_sum_matches_sol_mass(self, t):
+        # away from T_gel = 2 the terms decay geometrically in m
+        model = FloryArms(ARM)
+        assert arms_mass(ARM, t, gel_interacting=True, m_max=300) == pytest.approx(
+            model.mass(t), rel=1e-9
+        )
 
 
 class TestLimits:
