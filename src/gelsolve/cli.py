@@ -8,6 +8,7 @@ since the format has no such numbers).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -157,6 +158,36 @@ def _time_grid(args, cfg):
     raise ConfigError(f"unknown spacing {spacing!r}")
 
 
+def _setting(args, cfg, flag, key, default):
+    """The flag's value if given, else the config file's, else the default."""
+    value = getattr(args, flag, None)
+    return value if value is not None else cfg.get(key, default)
+
+
+def _size(args, cfg, flag, key, default, least):
+    value = _setting(args, cfg, flag, key, default)
+    try:
+        if int(value) != float(value):
+            raise ValueError(f"{value!r} is not a whole number")
+        value = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
+    if value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
+    return value
+
+
+def _positive(args, cfg, flag, key, default):
+    value = _setting(args, cfg, flag, key, default)
+    try:
+        value = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{key} must be finite and > 0, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -203,7 +234,7 @@ def _cmd_concentrations(args, cfg, out) -> int:
     name = _model_name(args, cfg)
     config = _solver_config(args, cfg)
     measure = _build_measure(args, cfg, name)
-    t = args.t if args.t is not None else cfg.get("t")
+    t = _setting(args, cfg, "t", "t", None)
     if t is None:
         raise ConfigError("no time given (--t or config 't')")
     try:
@@ -214,8 +245,8 @@ def _cmd_concentrations(args, cfg, out) -> int:
         raise ConfigError(f"time must be >= 0, got {t}")
     gel = name.startswith("flory")
     if name in ARMS_MODELS:
-        a_max = int(args.amax or cfg.get("a_max", 40))
-        m_max = int(args.mmax or cfg.get("m_max", 40))
+        a_max = _size(args, cfg, "amax", "a_max", 40, 0)
+        m_max = _size(args, cfg, "mmax", "m_max", 40, 1)
         conc = arms_concentrations(
             measure, t, a_max, m_max, gel_interacting=gel
         )
@@ -226,7 +257,7 @@ def _cmd_concentrations(args, cfg, out) -> int:
         ]
         emit_csv(("a", "m", "c"), rows, out)
         return 0
-    order = int(args.order or cfg.get("order", 64))
+    order = _size(args, cfg, "order", "order", 64, 1)
     c = concentrations(measure, t, order, gel_interacting=gel, config=config)
     emit_csv(("m", "c"), [(m, c[m]) for m in range(1, order + 1)], out)
     return 0
@@ -238,7 +269,7 @@ def _cmd_limits(args, cfg, out) -> int:
         raise ConfigError("limits are defined for the arms models only")
     config = _solver_config(args, cfg)
     measure = _build_measure(args, cfg, name)
-    m_max = int(args.mmax or cfg.get("m_max", 20))
+    m_max = _size(args, cfg, "mmax", "m_max", 20, 1)
     gel = name == "flory-arms"
     lim = limiting_concentrations(
         measure, m_max, gel_interacting=gel, config=config
@@ -266,14 +297,14 @@ def _cmd_validate(args, cfg, out) -> int:
     )
     if flavor not in FLAVORS:
         raise ConfigError(f"flavor must be one of {FLAVORS}")
-    t_end = float(args.t_end if args.t_end is not None else cfg.get("t_end", 1.0))
-    dt = float(args.dt or cfg.get("dt", 1e-3))
-    tol = float(args.tol or cfg.get("tol", 1e-3))
-    m_max = int(args.mmax or cfg.get("m_max", 200))
+    t_end = _positive(args, cfg, "t_end", "t_end", 1.0)
+    dt = _positive(args, cfg, "dt", "dt", 1e-3)
+    tol = _positive(args, cfg, "tol", "tol", 1e-3)
+    m_max = _size(args, cfg, "mmax", "m_max", 200, 1)
     times = list(np.linspace(0.0, t_end, 11))
     model = make_model(name, measure, config)
     if name in ARMS_MODELS:
-        a_max = int(args.amax or cfg.get("a_max", 120))
+        a_max = _size(args, cfg, "amax", "a_max", 120, 0)
         init = initial_arms(measure, a_max, m_max)
         traj = integrate(init, times, dt, flavor=flavor)
         oracle_vals = [st.arm_count for st in traj]
@@ -352,9 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built at the first call, not at import; parse_args keeps no state
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config_file(args.config) if args.config else {}
         out = open(args.output, "w") if args.output else sys.stdout

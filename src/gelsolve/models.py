@@ -73,7 +73,8 @@ class _Classic(Model):
     def mass(self, t: float) -> float:
         return self.measure.g0(self.ell(t))
 
-    def _phi_deriv(self, t: float, x: float) -> float:
+    def _branch(self, t: float, ell: float):
+        """phi_t and its slope d/dx phi_t as functions of x, given ell_t."""
         raise NotImplementedError
 
     def h_inverse(self, t: float, x: float, y: float = 1.0) -> float:
@@ -84,8 +85,9 @@ class _Classic(Model):
         ell = self.ell(t)
         if x == 1.0:
             return ell
+        phi, slope = self._branch(t, ell)
         root = bisect_increasing(
-            lambda z: self.phi(t, z),
+            phi,
             0.0,
             ell,
             x,
@@ -95,10 +97,10 @@ class _Classic(Model):
         # Newton polish: bisection controls the error in z, but steep phi
         # amplifies it in phi(z); skip where the map flattens out
         for _ in range(3):
-            slope = self._phi_deriv(t, root)
-            if not math.isfinite(slope) or abs(slope) < 1e-8:
+            d = slope(root)
+            if not math.isfinite(d) or abs(d) < 1e-8:
                 break
-            nxt = root - (self.phi(t, root) - x) / slope
+            nxt = root - (phi(root) - x) / d
             if not 0.0 <= nxt <= ell:
                 break
             root = nxt
@@ -121,19 +123,22 @@ class Smoluchowski(_Classic):
         return ell_smolu(t, self.measure, self.config)
 
     def phi(self, t: float, x: float, y: float = 1.0) -> float:
-        # normalized so phi(ell) = 1 without integrating the mass history
-        if x == 0.0:
-            return 0.0
-        ell = self.ell(t)
-        return (x / ell) * math.exp(t * (self.measure.g0(ell) - self.measure.g0(x)))
+        return self._branch(t, self.ell(t))[0](x)
 
-    def _phi_deriv(self, t: float, x: float) -> float:
-        ell = self.ell(t)
-        return (
-            math.exp(t * (self.measure.g0(ell) - self.measure.g0(x)))
-            / ell
-            * (1.0 - t * x * self.measure.g0(x, 1))
-        )
+    def _branch(self, t: float, ell: float):
+        g0 = self.measure.g0
+        g0_ell = g0(ell)
+
+        def phi(x):
+            # normalized so phi(ell) = 1 without integrating the mass history
+            if x == 0.0:
+                return 0.0
+            return (x / ell) * math.exp(t * (g0_ell - g0(x)))
+
+        def slope(x):
+            return math.exp(t * (g0_ell - g0(x))) / ell * (1.0 - t * x * g0(x, 1))
+
+        return phi, slope
 
     def second_moment(self, t: float) -> float:
         K = self.measure.moments().K
@@ -158,16 +163,22 @@ class Flory(_Classic):
         return l_flory(t, self.measure, self.config)
 
     def phi(self, t: float, x: float, y: float = 1.0) -> float:
-        if x == 0.0:
-            return 0.0
-        M0 = self.measure.moments().M0
-        return x * math.exp(t * (M0 - self.measure.g0(x)))
+        return self._branch(t)[0](x)
 
-    def _phi_deriv(self, t: float, x: float) -> float:
+    def _branch(self, t: float, ell: float = math.nan):
+        # the gel-interacting map does not depend on ell
+        g0 = self.measure.g0
         M0 = self.measure.moments().M0
-        return math.exp(t * (M0 - self.measure.g0(x))) * (
-            1.0 - t * x * self.measure.g0(x, 1)
-        )
+
+        def phi(x):
+            if x == 0.0:
+                return 0.0
+            return x * math.exp(t * (M0 - g0(x)))
+
+        def slope(x):
+            return math.exp(t * (M0 - g0(x))) * (1.0 - t * x * g0(x, 1))
+
+        return phi, slope
 
     def second_moment(self, t: float) -> float:
         K = self.measure.moments().K
@@ -176,7 +187,8 @@ class Flory(_Classic):
         if t == self.t_gel:
             return INF
         l = self.ell(t)
-        return self.measure.g0(l, 1) / self._phi_deriv(t, l)
+        _, slope = self._branch(t)
+        return self.measure.g0(l, 1) / slope(l)
 
 
 class _Arms(Model):

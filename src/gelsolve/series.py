@@ -1,7 +1,8 @@
 """Truncated power-series engine and coefficient-level solution formulas.
 
 Concentrations c_t(m) are Taylor coefficients of the solved generating
-function, extracted by reverting the characteristic map as a formal series.
+function g0(h_t(x)), read off the characteristic map phi_t by one
+Lagrange-Buermann pass, without forming h_t.
 The arms variants have closed forms in terms of convolution powers of the
 size-biased arm law, evaluated directly.
 """
@@ -70,14 +71,12 @@ def ps_exp(a: PowerSeries) -> PowerSeries:
     n = a.order
     if not math.isfinite(a.coeffs[0]):
         raise DomainError("constant term must be finite for ps_exp")
+    ja = np.arange(n + 1) * a.coeffs
     out = np.zeros(n + 1)
     out[0] = math.exp(a.coeffs[0])
     for k in range(1, n + 1):
         # k * out[k] = sum_{j=1..k} j * a[j] * out[k-j]
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += j * a.coeffs[j] * out[k - j]
-        out[k] = acc / k
+        out[k] = np.dot(ja[1 : k + 1], out[k - 1 :: -1]) / k
     return PowerSeries(out)
 
 
@@ -93,6 +92,17 @@ def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     return acc
 
 
+#: Coefficients of smaller magnitude are set to 0 in the Lagrange-Buermann
+#: pass: at order 1024 most monodisperse coefficients are subnormal, and
+#: subnormal operands make the power loop several times slower.
+TINY = 1e-290
+
+
+def _flush(a: np.ndarray) -> np.ndarray:
+    a[np.abs(a) < TINY] = 0.0
+    return a
+
+
 def _ps_reciprocal(coeffs: np.ndarray) -> np.ndarray:
     if coeffs[0] == 0.0:
         raise DomainError("cannot invert a series with zero constant term")
@@ -101,6 +111,27 @@ def _ps_reciprocal(coeffs: np.ndarray) -> np.ndarray:
     out[0] = 1.0 / coeffs[0]
     for k in range(1, n + 1):
         out[k] = -np.dot(coeffs[1 : k + 1], out[k - 1 :: -1]) / coeffs[0]
+    return out
+
+
+def _lagrange_burmann(recip: np.ndarray, gprime: np.ndarray) -> np.ndarray:
+    """[x^k] G(h(x)) for k = 1..n (entry 0 is 0), h the inverse of x / recip(x).
+
+    recip holds the n coefficients of x/phi(x) and gprime those of G'.  By
+    Lagrange-Buermann [x^k] G(h(x)) = (1/k) [w^{k-1}] G'(w) (w/phi(w))^k, so
+    each power of w/phi costs one convolution and one dot product.
+    """
+    n = recip.size
+    # trailing zeros would only add zero products to every convolution
+    recip = np.trim_zeros(_flush(recip.copy()), "b")
+    out = np.zeros(n + 1)
+    if recip.size == 0:  # x/phi underflowed entirely, and so does every power
+        return out
+    power = np.ones(1)  # (w/phi)^0; its length grows to n as k does
+    for k in range(1, n + 1):
+        power = _flush(np.convolve(power, recip)[:n])
+        m = min(k, power.size)  # [w^j] power is 0 for j >= power.size
+        out[k] = np.dot(gprime[k - m : k], power[m - 1 :: -1]) / k
     return out
 
 
@@ -115,27 +146,20 @@ def ps_revert(phi: PowerSeries) -> PowerSeries:
         raise DomainError("series to revert must have zero constant term")
     if n < 1 or phi.coeffs[1] == 0.0:
         raise DomainError("series to revert must have nonzero linear term")
-    recip = _ps_reciprocal(phi.coeffs[1:])  # series of x/phi(x), order n-1
-    out = np.zeros(n + 1)
-    power = np.zeros(n)
-    power[0] = 1.0  # (x/phi)^0
-    for k in range(1, n + 1):
-        power = np.convolve(power, recip)[:n]
-        out[k] = power[k - 1] / k
-    return PowerSeries(out)
+    one = np.zeros(n)
+    one[0] = 1.0  # G(w) = w
+    return PowerSeries(_lagrange_burmann(_ps_reciprocal(phi.coeffs[1:]), one))
 
 
 # ---------------------------------------------------------------------------
-# Classic-model concentrations by series reversion
+# Classic-model concentrations by Lagrange-Buermann
 
-def _g0_series(measure: MassMeasure, n: int) -> PowerSeries:
+def _g0_series(measure: MassMeasure, n: int) -> np.ndarray:
     if not measure.is_lattice:
         raise DomainError(
             "series extraction needs an integer-lattice initial measure"
         )
-    w = measure.lattice_weights(n)
-    coeffs = w * np.arange(n + 1)  # [x^m] g0 = m * mu0({m})
-    return PowerSeries(coeffs)
+    return measure.lattice_weights(n) * np.arange(n + 1)  # [x^m] g0 = m mu0({m})
 
 
 def concentrations(
@@ -150,28 +174,30 @@ def concentrations(
 
     gel_interacting selects the variant whose post-gel characteristic map
     keeps the full initial mass in the exponent; pre-gel both coincide.
+    Series coefficients below TINY are dropped, so values much below 1e-280
+    come back as 0 or with few correct digits.
     """
     if t < 0.0:
         raise DomainError("time must be >= 0")
+    if n < 1:
+        raise DomainError("series order must be >= 1")
     g0s = _g0_series(measure, n)
     mom = measure.moments()
+    # phi(x) = x e^{log_amp - t g0(x)}
     if gel_interacting or t <= gel_time(measure):
         if not math.isfinite(mom.M0):
             raise ModelError("gel-interacting series needs finite initial mass")
-        amp = math.exp(t * mom.M0)
+        log_amp = t * mom.M0
     else:
         ell = ell_smolu(t, measure, config)
-        amp = math.exp(t * measure.g0(ell)) / ell
-    expo = ps_exp(PowerSeries(-t * g0s.coeffs))
-    phi = np.zeros(n + 1)
-    phi[1:] = amp * expo.coeffs[:-1]  # phi(x) = amp * x * e^{-t g0(x)}
-    h = ps_revert(PowerSeries(phi))
-    gt = ps_compose(g0s, h)
-    c = np.zeros(n + 1)
-    c[1:] = gt.coeffs[1:] / np.arange(1, n + 1)
-    # coefficients are nonnegative in exact arithmetic; forgive roundoff dust
-    tiny = (c < 0.0) & (c > -1e-12)
-    c[tiny] = 0.0
+        log_amp = t * measure.g0(ell) - math.log(ell)
+    # x/phi(x) = e^{t g0(x) - log_amp}, and G = g0 in Lagrange-Buermann
+    a = t * g0s[:n]
+    a[0] = -log_amp
+    recip = ps_exp(PowerSeries(a)).coeffs
+    g0_prime = g0s[1:] * np.arange(1, n + 1)
+    c = _lagrange_burmann(recip, g0_prime)
+    c[1:] /= np.arange(1, n + 1)  # c_t(m) = [x^m] g0(h(x)) / m
     return c
 
 

@@ -255,3 +255,93 @@ class TestConfigHandling:
         ts = [float(l.split(",")[0]) for l in out.strip().splitlines()[1:]]
         ratios = [b / a for a, b in zip(ts, ts[1:])]
         assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
+
+
+def assert_config_error(capsys, argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+class TestSizes:
+    def test_zero_amax_is_taken_literally(self, capsys):
+        code, out = run(
+            capsys,
+            "concentrations", "--model", "flory-arms",
+            "--measure", ARMS, "--t", "1", "--amax", "0", "--mmax", "3",
+        )
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["0", "1"], ["0", "2"], ["0", "3"]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("concentrations", "--model", "smoluchowski", "--measure", MONO,
+             "--t", "0.5", "--order", "0"),
+            ("concentrations", "--model", "smoluchowski", "--measure", MONO,
+             "--t", "0.5", "--order", "-3"),
+            ("concentrations", "--model", "smoluchowski-arms", "--measure", ARMS,
+             "--t", "1", "--amax", "-2"),
+            ("concentrations", "--model", "flory-arms", "--measure", ARMS,
+             "--t", "1", "--mmax", "0"),
+            ("limits", "--model", "flory-arms", "--measure", ARMS, "--mmax", "-3"),
+            ("validate", "--model", "flory", "--measure", MONO, "--mmax", "0"),
+        ],
+        ids=["order-0", "order-negative", "amax-negative", "mmax-0",
+             "limits-mmax-negative", "validate-mmax-0"],
+    )
+    def test_bad_size_is_a_config_error(self, capsys, argv):
+        assert_config_error(capsys, argv)
+
+    def test_fractional_size_in_config_is_a_config_error(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"order": 2.7}))
+        assert_config_error(capsys, (
+            "concentrations", "--config", str(path), "--model", "flory",
+            "--measure", MONO, "--t", "0.5",
+        ))
+
+
+class TestValidateFlags:
+    @pytest.mark.parametrize(
+        "flag, value", [("--dt", "-0.1"), ("--tol", "0"), ("--t-end", "nan")]
+    )
+    def test_bad_value_is_a_config_error(self, capsys, flag, value):
+        assert_config_error(
+            capsys, ("validate", "--model", "flory", "--measure", MONO, flag, value)
+        )
+
+
+class TestRepeatedMain:
+    def test_calls_in_a_row_match_fresh_interpreters(self, capsys):
+        # the parser is built once per process; no flag may leak into the
+        # next call (the second call relies on the default order of 64)
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import gelsolve
+
+        calls = [
+            ("concentrations", "--model", "flory", "--measure", MONO,
+             "--t", "0.5", "--order", "5"),
+            ("concentrations", "--model", "smoluchowski", "--measure", MONO,
+             "--t", "2"),
+            ("moments", "--measure", '{"type":"exponential"}'),
+            ("validate", "--model", "flory", "--measure", MONO, "--dt", "0"),
+            ("trajectory", "--model", "flory", "--measure", MONO, "--t-end", "3",
+             "--count", "4"),
+        ]
+        in_process = [run(capsys, *argv) for argv in calls]
+        env = dict(os.environ, PYTHONPATH=str(Path(gelsolve.__file__).parents[1]))
+        for argv, (code, out) in zip(calls, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "gelsolve.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (code, out) == (fresh.returncode, fresh.stdout)
+        assert len(in_process[1][1].splitlines()) == 65

@@ -120,7 +120,26 @@ class TestPhiShape:
         slope = (s.phi(t, ell + h) - s.phi(t, ell - h)) / (2 * h)
         assert abs(slope) < 1e-8
         f = Flory(Monodisperse())
-        assert f._phi_deriv(t, f.ell(t)) > 0.1
+        _, slope = f._branch(t)
+        assert slope(f.ell(t)) > 0.1
+
+
+class TestSolveOnce:
+    @pytest.mark.parametrize("method", ["gen_fun", "h_inverse"])
+    def test_post_gel_query_solves_ell_once(self, monkeypatch, method):
+        import gelsolve.models
+
+        calls = []
+        real = gelsolve.models.ell_smolu
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gelsolve.models, "ell_smolu", counted)
+        model = Smoluchowski(Discrete([(1, 0.5), (2, 0.25)]))
+        getattr(model, method)(2.0, 0.4)
+        assert len(calls) == 1
 
 
 class TestSecondMoment:

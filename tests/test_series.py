@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -106,9 +107,84 @@ class TestConcentrations:
         c = concentrations(mix, 0.0, 5)
         assert c[1] == pytest.approx(0.5) and c[2] == pytest.approx(0.25)
 
+    def test_underflow_at_large_time(self):
+        # c_800(m) < e^{-800}, below the smallest double: all underflow to 0
+        c = concentrations(Monodisperse(), 800.0, 16, gel_interacting=True)
+        assert not c.any()
+
     def test_non_lattice_rejected(self):
         with pytest.raises(DomainError):
             concentrations(ExponentialDensity(), 0.5, 10)
+
+
+def _borel(t, n):
+    """Monodisperse c_t(k) = k^(k-2) t^(k-1) e^(-k t) / k!, for k = 0..n."""
+    out = np.zeros(n + 1)
+    for k in range(1, n + 1):
+        out[k] = math.exp(
+            (k - 2) * math.log(k) + (k - 1) * math.log(t) - k * t - math.lgamma(k + 1)
+        )
+    return out
+
+
+LATTICE = Discrete([(1, 0.4), (2, 0.2), (4, 0.05), (7, 0.01)])  # T_gel = 1/2.49
+
+
+def _lagrange_mp(atoms, t, m, gel_interacting):
+    """c_t(m) = A^-m / m^2 [w^(m-1)] g0'(w) e^(m t g0(w)) in 40-digit arithmetic,
+    with phi(x) = A x e^(-t g0(x))."""
+    with mp.workdps(40):
+        t = mp.mpf(t)
+        w = {int(a): mp.mpf(b) for a, b in atoms}
+
+        def g0(x, order=0):
+            if order == 0:
+                return sum(b * a * x**a for a, b in w.items())
+            return sum(b * a * a * x ** (a - 1) for a, b in w.items())
+
+        if gel_interacting or t * sum(b * a * a for a, b in w.items()) <= 1:
+            log_amp = t * g0(mp.mpf(1))
+        else:
+            ell = mp.findroot(lambda x: x * g0(x, 1) - 1 / t, (mp.mpf(0), mp.mpf(1)),
+                              solver="bisect")
+            log_amp = t * g0(ell) - mp.log(ell)
+        a = [m * t * j * w.get(j, 0) for j in range(m)]  # m t g0(w)
+        e = [mp.mpf(1)] + [mp.mpf(0)] * (m - 1)
+        for k in range(1, m):
+            e[k] = sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k
+        gp = [(j + 1) ** 2 * w.get(j + 1, 0) for j in range(m)]
+        coeff = sum(gp[j] * e[m - 1 - j] for j in range(m))
+        return float(mp.exp(-m * log_amp) * coeff / m**2)
+
+
+class TestHighOrder:
+    @pytest.mark.parametrize(
+        "t, gel", [(0.5, True), (3.0, True), (0.5, False)],
+        ids=["flory-0.5", "flory-3", "smoluchowski-0.5"],
+    )
+    def test_monodisperse_order_1024_is_borel(self, t, gel):
+        c = concentrations(Monodisperse(), t, 1024, gel_interacting=gel)
+        ref = _borel(t, 1024)
+        big = ref >= 1e-280
+        assert big[1:].sum() > 500
+        assert np.all(np.abs(c[big] - ref[big]) <= 1e-9 * ref[big])
+        assert np.all(np.abs(c[~big]) <= 1e-280)
+
+    @pytest.mark.parametrize(
+        "t, gel", [(0.2, False), (1.0, False), (1.0, True)],
+        ids=["pre-gel", "smoluchowski-post-gel", "flory-post-gel"],
+    )
+    def test_lattice_law_matches_mpmath_lagrange(self, t, gel):
+        c = concentrations(LATTICE, t, 64, gel_interacting=gel)
+        for m in (1, 7, 32, 64):
+            ref = _lagrange_mp(LATTICE.atoms, t, m, gel)
+            assert c[m] == pytest.approx(ref, rel=1e-10)
+
+    def test_tiny_coefficients_are_zero(self):
+        # c_3(1024) is about 1e-409; nothing comes back subnormal
+        c = concentrations(Monodisperse(), 3.0, 1024, gel_interacting=True)
+        assert c[1024] == 0.0
+        assert ((c == 0.0) | (c >= np.finfo(float).tiny)).all()
 
 
 class TestArmsConcentrations:
