@@ -14,7 +14,6 @@ from .characteristics import (
     ell_smolu,
     gel_time,
     l_flory,
-    m_crit,
 )
 from .errors import (
     ConfigError,
@@ -30,10 +29,8 @@ from .measures import (
     ExponentialDensity,
     MassMeasure,
     Monodisperse,
-    NuMeasure,
     PowerLawDensity,
     conv_power,
-    nu_from_mu,
 )
 from .models import (
     Flory,
@@ -74,7 +71,6 @@ __all__ = [
     "Model",
     "ModelError",
     "Monodisperse",
-    "NuMeasure",
     "PowerLawDensity",
     "PowerSeries",
     "Smoluchowski",
@@ -93,10 +89,8 @@ __all__ = [
     "gel_time",
     "l_flory",
     "limiting_concentrations",
-    "m_crit",
     "make_model",
     "mass_right_derivative_at_gel",
-    "nu_from_mu",
     "ps_compose",
     "ps_exp",
     "ps_mul",

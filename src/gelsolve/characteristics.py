@@ -97,13 +97,6 @@ def ell_smolu(t, measure: MassMeasure, config=DEFAULT_CONFIG):
     )
 
 
-def m_crit(t, measure: MassMeasure, config=DEFAULT_CONFIG):
-    """Unique maximizer of the characteristic map, defined only past the gel time."""
-    if t <= gel_time(measure):
-        raise DomainError(f"m_crit requires t > T_gel = {gel_time(measure)}")
-    return ell_smolu(t, measure, config)
-
-
 def l_flory(t, measure: MassMeasure, config=DEFAULT_CONFIG):
     """Smallest root of x = e^{-t (M0 - g0(x))}; equals 1 pre-gel."""
     mom = measure.moments()
@@ -113,8 +106,8 @@ def l_flory(t, measure: MassMeasure, config=DEFAULT_CONFIG):
         raise DomainError("time must be >= 0")
     if t <= gel_time(measure):
         return 1.0
-    hi = m_crit(t, measure, config)
-    # phi(x) = x e^{t(M0 - g0(x))} increases from 0 to phi(m_t) > 1 on [0, m_t]
+    hi = ell_smolu(t, measure, config)
+    # phi(x) = x e^{t(M0 - g0(x))} increases from 0 to its peak phi(hi) > 1 on [0, hi]
     root = bisect_increasing(
         lambda x: x * math.exp(t * (mom.M0 - measure.g0(x))),
         0.0,
@@ -249,8 +242,8 @@ class ArmsFlow:
         return min(max(float(self._step_dense[i](t)[0]), 0.0), 1.0)
 
     def state(self, t: float) -> SolutionState:
-        if t < 0.0:
-            raise DomainError("time must be >= 0")
+        if not 0.0 <= t < INF:
+            raise DomainError(f"time must be finite and >= 0, got {t}")
         A0 = self.measure.A0
         if t <= self.t_gel:
             return SolutionState(

@@ -147,8 +147,8 @@ def _time_grid(args, cfg):
         raise ConfigError(f"bad time grid: {exc}") from exc
     if count < 2:
         raise ConfigError("time grid needs count >= 2")
-    if not end > start >= 0.0:
-        raise ConfigError("time grid needs end > start >= 0")
+    if not (math.isfinite(end) and end > start >= 0.0):
+        raise ConfigError("time grid needs finite end > start >= 0")
     if spacing == "linear":
         return list(np.linspace(start, end, count))
     if spacing == "geometric":
@@ -241,8 +241,8 @@ def _cmd_concentrations(args, cfg, out) -> int:
         t = float(t)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad time: {exc}") from exc
-    if not t >= 0.0:
-        raise ConfigError(f"time must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ConfigError(f"time must be finite and >= 0, got {t}")
     gel = name.startswith("flory")
     if name in ARMS_MODELS:
         a_max = _size(args, cfg, "amax", "a_max", 40, 0)

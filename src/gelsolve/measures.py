@@ -267,6 +267,19 @@ class ArmMeasure:
         _check_unit_interval(x, "x")
         return sum(w * x**a for (a, _), w in self.weights.items())
 
+    def nu(self) -> np.ndarray:
+        """Size-biased offspring law nu(k) = (k+1) mu(k+1), k = 0..amax-1.
+
+        Its total is A0.  nu(0) = 0, no particle with exactly one arm, is the
+        degenerate case of the closed-form concentrations in `series`.
+        """
+        mu = self.arm_law()
+        out = np.zeros(max(max(mu), 1))
+        for a, w in mu.items():
+            if a >= 1:
+                out[a - 1] = a * w
+        return out
+
     def k0_xx(self, x: float, y: float = 1.0) -> float:
         """Second x-derivative; identically zero iff every particle has <= 2 arms."""
         _check_unit_interval(x, "x")
@@ -278,55 +291,20 @@ class ArmMeasure:
         )
 
 
-class NuMeasure:
-    """Size-biased offspring measure nu(m) = (m+1) mu(m+1) on {0, 1, ...}."""
+def conv_power(nu, m: int, max_index: int) -> np.ndarray:
+    """Rows nu^{*1}, ..., nu^{*m} on 0..max_index of the weights nu.
 
-    def __init__(self, values: Sequence[float]):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DomainError("nu must be a non-empty 1-D array of weights")
-        if (arr < 0.0).any():
-            raise DomainError("nu weights must be >= 0")
-        self.values = arr
-
-    def __repr__(self):
-        return f"NuMeasure({self.values.tolist()!r})"
-
-    @classmethod
-    def from_arm_law(cls, mu: Mapping[int, float]) -> "NuMeasure":
-        amax = max(mu) if mu else 0
-        vals = np.zeros(max(amax, 1))
-        for a, w in mu.items():
-            if a >= 1:
-                vals[a - 1] = a * w
-        return cls(vals)
-
-    @property
-    def degenerate(self) -> bool:
-        """nu(0) = 0: no limiting concentrations can form (all vanish)."""
-        return self.values[0] == 0.0
-
-    @property
-    def mass(self) -> float:
-        return float(self.values.sum())
-
-
-def nu_from_mu(mu: Mapping[int, float]) -> NuMeasure:
-    return NuMeasure.from_arm_law(mu)
-
-
-def conv_power(nu: NuMeasure, m: int, max_index: int) -> np.ndarray:
-    """nu^{*m}(0..max_index) by iterated discrete convolution; nu^{*1} = nu."""
+    nu is truncated to the window first, and each row is one convolution of
+    the row before it with nu.
+    """
     if m < 1:
         raise DomainError(f"convolution power m={m} must be >= 1")
-    base = nu.values
-    out = base.copy()
-    for _ in range(m - 1):
-        out = np.convolve(out, base)[: max_index + 1]
-    result = np.zeros(max_index + 1)
-    n = min(out.size, max_index + 1)
-    result[:n] = out[:n]
-    return result
+    base = np.asarray(nu, dtype=float)[: max_index + 1]
+    out = np.zeros((m, max_index + 1))
+    out[0, : base.size] = base
+    for j in range(1, m):
+        out[j] = np.convolve(out[j - 1], base)[: max_index + 1]
+    return out
 
 
 # ---------------------------------------------------------------------------

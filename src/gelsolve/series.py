@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .characteristics import (
     DEFAULT_CONFIG,
@@ -24,7 +23,7 @@ from .characteristics import (
     gel_time,
 )
 from .errors import DomainError, ModelError
-from .measures import ArmMeasure, MassMeasure, NuMeasure, conv_power, nu_from_mu
+from .measures import ArmMeasure, MassMeasure, conv_power
 
 
 class PowerSeries:
@@ -183,15 +182,19 @@ def concentrations(
         raise DomainError("series order must be >= 1")
     g0s = _g0_series(measure, n)
     mom = measure.moments()
-    # phi(x) = x e^{log_amp - t g0(x)}
+    # In w = ell u the characteristic map is psi(u) = phi_t(ell u) =
+    # u e^{log_amp - t g0(ell u)}, with ell = 1 pre-gel and for Flory.
     if gel_interacting or t <= gel_time(measure):
         if not math.isfinite(mom.M0):
             raise ModelError("gel-interacting series needs finite initial mass")
-        log_amp = t * mom.M0
+        ell, log_amp = 1.0, t * mom.M0
     else:
         ell = ell_smolu(t, measure, config)
-        log_amp = t * measure.g0(ell) - math.log(ell)
-    # x/phi(x) = e^{t g0(x) - log_amp}, and G = g0 in Lagrange-Buermann
+        log_amp = t * measure.g0(ell)
+    # Lagrange-Buermann on psi with G(u) = g0(ell u) gives g0(h_t(x)).  The
+    # coefficients of u/psi(u) = e^{t g0(ell u) - log_amp} sum to 1, so no
+    # power of it overflows however small ell is.
+    g0s *= ell ** np.arange(n + 1)  # [u^j] g0(ell u)
     a = t * g0s[:n]
     a[0] = -log_amp
     recip = ps_exp(PowerSeries(a)).coeffs
@@ -204,23 +207,46 @@ def concentrations(
 # ---------------------------------------------------------------------------
 # Arms-model concentrations (closed forms)
 
-def _binom_factor(a: int, m: int) -> float:
-    """(a+m-2)! / (a! m!), exact integers for small arguments."""
-    if a + m <= 20:
-        return math.factorial(a + m - 2) / (math.factorial(a) * math.factorial(m))
-    return math.exp(
-        math.lgamma(a + m - 1) - math.lgamma(a + 1) - math.lgamma(m + 1)
-    )
+def _closed_form(nu, r_m, r_a, a_max, m_max) -> np.ndarray:
+    """(a+m-2)!/(a! m!) r_m^(m-1) r_a^a nu^{*m}(a+m-2) at rows a <= a_max, columns m.
+
+    Columns 0 and 1 are 0.  The powers are taken of nu/A0, which sums to 1,
+    and A0^m joins the factorials and ratios in the exponent, so no factor
+    overflows on its way to a representable product.
+    """
+    out = np.zeros((a_max + 1, m_max + 1))
+    if m_max < 2:
+        return out
+    A0 = nu.sum()
+    n = a_max + m_max
+    # log j! by lgamma: a cumulative sum of log j drifts to 5e-12 at j = 600,
+    # and that absolute error is the relative error of every product
+    log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
+    a = np.arange(a_max + 1)[:, None]
+    m = np.arange(2, m_max + 1)
+    k = a + m - 2
+    powers = conv_power(nu / A0, m_max, n - 2)  # row m-1: nu^{*m} / A0^m
+    with np.errstate(divide="ignore"):  # log 0 = -inf, and e^-inf = 0
+        log_c = (
+            log_fact[k] - log_fact[a] - log_fact[m]
+            + (m - 1) * np.log(r_m * A0) + np.log(A0)
+            + a * np.log(r_a)
+            + np.log(powers[m - 1, k])
+        )
+    out[:, 2:] = np.exp(log_c)
+    return out
 
 
 @dataclass
 class ArmsConcentrations:
-    """c_t(a, m) matrix (rows a, columns m) plus interpretation flags."""
+    """c_t(a, m) matrix (rows a, columns m).
+
+    The m = 1 column holds the initial data c0(a, 1) = mu(a) untouched; the
+    solved formulas only apply from m = 2 on.  degenerate marks nu(0) = 0,
+    for which the m >= 2 columns are left at 0.
+    """
 
     values: np.ndarray
-    #: the m = 1 column holds the initial data c0(a, 1) = mu(a) untouched;
-    #: the solved formulas only apply from m = 2 on.
-    m1_is_initial: bool = True
     degenerate: bool = False
 
 
@@ -237,39 +263,22 @@ def arms_concentrations(
         raise DomainError("closed-form concentrations need monodisperse arm data")
     if t < 0.0:
         raise DomainError("time must be >= 0")
-    mu = measure.arm_law()
-    nu = nu_from_mu(mu)
-    out = np.zeros((a_max + 1, m_max + 1))
-    for a, w in mu.items():
-        if a <= a_max and m_max >= 1:
-            out[a, 1] = w
-    if nu.degenerate:
-        return ArmsConcentrations(out, degenerate=True)
-    if gel_interacting:
-        ratio_m = t / (1.0 + t * measure.A0)  # multiplies per unit mass
-        ratio_a = 1.0 / (1.0 + t * measure.A0)
+    nu = measure.nu()
+    degenerate = bool(nu[0] == 0.0)
+    if degenerate:
+        out = np.zeros((a_max + 1, m_max + 1))
+    elif gel_interacting:
+        # per unit mass t/(1 + A0 t), per free arm 1/(1 + A0 t)
+        amp = 1.0 + t * measure.A0
+        out = _closed_form(nu, t / amp, 1.0 / amp, a_max, m_max)
     else:
         st = ArmsFlow(measure).state(t)
-        ratio_m = st.beta
-        ratio_a = 1.0 / st.alpha
-    a_idx = np.arange(a_max + 1)
-    for m in range(2, m_max + 1):
-        pw = conv_power(nu, m, a_max + m - 2)
-        logbin = (
-            gammaln(a_idx + m - 1) - gammaln(a_idx + 1) - math.lgamma(m + 1)
-        )
-        out[:, m] = (
-            np.exp(logbin) * ratio_m ** (m - 1) * ratio_a**a_idx * pw[a_idx + m - 2]
-        )
-        # exact integer binomial path for small indices
-        for a in range(0, min(a_max, 20 - m) + 1):
-            out[a, m] = (
-                _binom_factor(a, m)
-                * ratio_m ** (m - 1)
-                * ratio_a**a
-                * pw[a + m - 2]
-            )
-    return ArmsConcentrations(out)
+        out = _closed_form(nu, st.beta, 1.0 / st.alpha, a_max, m_max)
+    if m_max >= 1:
+        for a, w in measure.arm_law().items():
+            if a <= a_max:
+                out[a, 1] = w
+    return ArmsConcentrations(out, degenerate=degenerate)
 
 
 def arms_mass(
@@ -372,12 +381,10 @@ def limiting_concentrations(
     """Limits of c_t(0, m) as t -> infinity, for monodisperse arm data."""
     if not measure.is_monodisperse:
         raise DomainError("limiting concentrations need monodisperse arm data")
-    mu = measure.arm_law()
-    nu = nu_from_mu(mu)
-    c_inf = np.zeros(m_max + 1)
-    if nu.degenerate:
+    nu = measure.nu()
+    if nu[0] == 0.0:
         return LimitingConcentrations(
-            c_inf=c_inf, beta_inf=1.0, p_or_c=1.0,
+            c_inf=np.zeros(m_max + 1), beta_inf=1.0, p_or_c=1.0,
             M_inf=measure.M0, degenerate=True,
         )
     if gel_interacting:
@@ -387,9 +394,8 @@ def limiting_concentrations(
         p = ell_infinity(measure, config)
         beta_inf = beta_infinity(measure, config)
     M_inf = measure.k0_mass(p)
-    for m in range(2, m_max + 1):
-        pw = conv_power(nu, m, m - 2)
-        c_inf[m] = beta_inf ** (m - 1) * pw[m - 2] / (m * (m - 1))
+    # the a = 0 row of the closed form at r_m = beta_inf
+    c_inf = _closed_form(nu, beta_inf, 1.0, 0, m_max)[0]
     return LimitingConcentrations(
         c_inf=c_inf, beta_inf=beta_inf, p_or_c=p, M_inf=M_inf
     )

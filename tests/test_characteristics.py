@@ -14,7 +14,6 @@ from gelsolve.characteristics import (
     ell_smolu,
     gel_time,
     l_flory,
-    m_crit,
 )
 from gelsolve.errors import DomainError, ModelError, SolverError
 from gelsolve.measures import (
@@ -89,17 +88,12 @@ class TestEllSmolu:
         with pytest.raises(DomainError):
             ell_smolu(-1.0, Monodisperse())
 
-
-class TestMCrit:
     def test_matches_ell(self):
-        assert m_crit(2.0, Monodisperse()) == pytest.approx(0.5, abs=1e-11)
-        assert m_crit(4.0, ExponentialDensity()) == pytest.approx(
+        # the maximizer of the characteristic map past the gel time
+        assert ell_smolu(2.0, Monodisperse()) == pytest.approx(0.5, abs=1e-11)
+        assert ell_smolu(4.0, ExponentialDensity()) == pytest.approx(
             math.exp(-1.0), abs=1e-11
         )
-
-    def test_rejected_at_gel_time(self):
-        with pytest.raises(DomainError):
-            m_crit(1.0, Monodisperse())
 
 
 class TestLFlory:
@@ -115,7 +109,7 @@ class TestLFlory:
 
     def test_below_critical_point(self):
         t = 3.0
-        assert l_flory(t, Monodisperse()) < m_crit(t, Monodisperse())
+        assert l_flory(t, Monodisperse()) < ell_smolu(t, Monodisperse())
 
     def test_infinite_mass_rejected(self):
         with pytest.raises(ModelError):
@@ -165,6 +159,11 @@ class TestArmsFlow:
     def test_initial_state(self):
         st = ArmsFlow(ARM).state(0.0)
         assert (st.alpha, st.beta, st.ell) == (1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(DomainError):
+            ArmsFlow(ARM).state(t)
 
     def test_pre_gel_closed_form(self):
         flow = ArmsFlow(ARM)

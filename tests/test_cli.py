@@ -222,9 +222,17 @@ class TestConfigHandling:
              "--measure", '{"type":"discrete","atoms":[["x",1]]}'),
             ("concentrations", "--model", "smoluchowski", "--measure", MONO,
              "--t", "-1"),
+            ("concentrations", "--model", "flory-arms", "--measure", ARMS,
+             "--t", "inf"),
+            ("concentrations", "--model", "smoluchowski", "--measure", MONO,
+             "--t", "inf"),
+            ("trajectory", "--model", "smoluchowski-arms", "--measure", ARMS,
+             "--t-end", "inf"),
         ],
         ids=["powerlaw-without-p", "moments-non-numeric-atom",
-             "trajectory-non-numeric-atom", "negative-time"],
+             "trajectory-non-numeric-atom", "negative-time",
+             "infinite-time-flory-arms", "infinite-time-smoluchowski",
+             "infinite-grid-end-smoluchowski-arms"],
     )
     def test_malformed_input_is_a_config_error(self, capsys, argv):
         code = main(list(argv))

@@ -9,12 +9,10 @@ from gelsolve.measures import (
     Discrete,
     ExponentialDensity,
     Monodisperse,
-    NuMeasure,
     PowerLawDensity,
     arm_measure_from_config,
     conv_power,
     mass_measure_from_config,
-    nu_from_mu,
 )
 
 MU = {0: 0.5, 1: 0.25, 3: 0.25}
@@ -169,40 +167,46 @@ class TestArmMeasure:
 
 class TestNu:
     def test_from_mu(self):
-        nu = nu_from_mu(MU)
-        assert list(nu.values) == [0.25, 0.0, 0.75]
-        assert not nu.degenerate
+        nu = ArmMeasure.monodisperse(MU).nu()
+        assert list(nu) == [0.25, 0.0, 0.75]
+        assert nu[0] != 0.0
 
     def test_delta_one(self):
-        nu = nu_from_mu({1: 1.0})
-        assert list(nu.values) == [1.0]
-        assert nu.mass == 1.0
+        nu = ArmMeasure.monodisperse({1: 1.0}).nu()
+        assert list(nu) == [1.0]
+        assert nu.sum() == 1.0
 
     def test_degenerate_flag(self):
-        assert nu_from_mu({2: 1.0}).degenerate
+        assert ArmMeasure.monodisperse({2: 1.0}).nu()[0] == 0.0
 
     def test_conv_power_hand_values(self):
-        nu = nu_from_mu(MU)  # {0: 1/4, 2: 3/4}
-        sq = conv_power(nu, 2, 4)
+        nu = ArmMeasure.monodisperse(MU).nu()  # {0: 1/4, 2: 3/4}
+        sq = conv_power(nu, 2, 4)[1]
         assert sq[0] == pytest.approx(1 / 16)
         assert sq[2] == pytest.approx(3 / 8)
         assert sq[4] == pytest.approx(9 / 16)
 
     def test_conv_power_identity_cases(self):
-        nu = nu_from_mu(MU)
-        assert np.allclose(conv_power(nu, 1, 2), nu.values)
-        delta0 = NuMeasure([1.0])
+        nu = ArmMeasure.monodisperse(MU).nu()
+        assert np.allclose(conv_power(nu, 1, 2)[0], nu)
+        delta0 = np.array([1.0])
         for m in (1, 3, 7):
-            out = conv_power(delta0, m, 3)
+            out = conv_power(delta0, m, 3)[m - 1]
             assert out[0] == 1.0 and not out[1:].any()
 
     def test_conv_power_mass_multiplicative(self):
-        nu = nu_from_mu({0: 0.3, 1: 0.2, 2: 0.4, 4: 0.35})
-        total = nu.mass
+        nu = ArmMeasure.monodisperse({0: 0.3, 1: 0.2, 2: 0.4, 4: 0.35}).nu()
+        total = nu.sum()
+        rows = conv_power(nu, 10, 50)
         for m in range(1, 11):
-            out = conv_power(nu, m, 50)
-            assert out.sum() == pytest.approx(total**m, rel=1e-12)
+            assert rows[m - 1].sum() == pytest.approx(total**m, rel=1e-12)
 
+    def test_conv_power_truncates_to_the_window(self):
+        # a 20000-long nu is cut to the 6 entries the window can see
+        nu = ArmMeasure.monodisperse({0: 0.5, 1: 0.5, 20000: 1e-9}).nu()
+        rows = conv_power(nu, 3, 5)
+        assert rows.shape == (3, 6)
+        assert rows[2, 0] == pytest.approx(0.125) and not rows[2, 1:].any()
 
 class TestConfigLoading:
     def test_mass_measures(self):

@@ -180,6 +180,18 @@ class TestHighOrder:
             ref = _lagrange_mp(LATTICE.atoms, t, m, gel)
             assert c[m] == pytest.approx(ref, rel=1e-10)
 
+    def test_smoluchowski_post_gel_large_time_is_borel(self):
+        # past T_gel = 1, c_t(k) = k^(k-2) e^-k / (k! t); x/phi_t has
+        # coefficients of size 1/ell^k without the rescaling w = ell u
+        t = 1e4
+        c = concentrations(Monodisperse(), t, 300)
+        with mp.workdps(30):
+            ref = [mp.mpf(k) ** (k - 2) * mp.exp(-k) / (mp.factorial(k) * t)
+                   for k in range(1, 301)]
+        assert np.all(np.isfinite(c))
+        for k in range(1, 301):
+            assert c[k] == pytest.approx(float(ref[k - 1]), rel=1e-13)
+
     def test_tiny_coefficients_are_zero(self):
         # c_3(1024) is about 1e-409; nothing comes back subnormal
         c = concentrations(Monodisperse(), 3.0, 1024, gel_interacting=True)
@@ -202,7 +214,6 @@ class TestArmsConcentrations:
 
     def test_m1_column_is_initial_data(self):
         out = arms_concentrations(ARM, 3.0, 4, 4, gel_interacting=True)
-        assert out.m1_is_initial
         assert out.values[0, 1] == 0.5
         assert out.values[3, 1] == 0.25
 
@@ -216,6 +227,39 @@ class TestArmsConcentrations:
         mixed = ArmMeasure({(1, 1): 0.5, (2, 2): 0.5})
         with pytest.raises(DomainError):
             arms_concentrations(mixed, 1.0, 4, 4)
+
+    @pytest.mark.parametrize("t", [0.7, 2.5])
+    def test_matches_mpmath_up_to_300(self, t):
+        # A0 = 1.3; nu = (mu1, 2 mu2, 3 mu3) on {0, 1, 2}, so nu^{*m}(k) is a
+        # finite sum of trinomial terms
+        mu = {0: 0.3, 1: 0.35, 2: 0.1, 3: 0.25}
+        law = ArmMeasure.monodisperse(mu)
+        c = arms_concentrations(law, t, 300, 300, gel_interacting=True).values
+        with mp.workdps(40):
+            T, A0 = mp.mpf(t), mp.mpf(law.A0)
+            nu = [mp.mpf(mu[1]), 2 * mp.mpf(mu[2]), 3 * mp.mpf(mu[3])]
+            fact = mp.factorial
+
+            def ref(a, m):
+                k = a + m - 2
+                power = sum(  # i zeros, j ones and l twos in m draws summing to k
+                    fact(m) / (fact(m - k + l) * fact(k - 2 * l) * fact(l))
+                    * nu[0] ** (m - k + l) * nu[1] ** (k - 2 * l) * nu[2] ** l
+                    for l in range(max(k - m, 0), k // 2 + 1)
+                )
+                return (fact(k) / (fact(a) * fact(m)) * (T / (1 + T * A0)) ** (m - 1)
+                        * (1 + T * A0) ** -a * power)
+
+            for a, m in [(0, 2), (4, 2), (5, 17), (40, 41), (150, 160),
+                         (0, 300), (120, 300), (250, 300), (300, 300)]:
+                assert c[a, m] == pytest.approx(float(ref(a, m)), rel=1e-11)
+        assert c[150, 80] == 0.0  # more free arms than 80 particles can carry
+
+    @pytest.mark.parametrize("gel", [True, False])
+    def test_no_nan_at_602_by_600(self, gel):
+        out = arms_concentrations(ARM, 4.0, 602, 600, gel_interacting=gel).values
+        assert np.isfinite(out).all()
+        assert (out >= 0.0).all()
 
     def test_gel_inert_variant_pre_gel(self):
         # pre-gel beta_t = t/(1+t) and alpha_t = 1+t, so the two variants agree
@@ -237,6 +281,12 @@ class TestArmsMass:
 
     def test_post_gel_loss(self):
         assert arms_mass(ARM, 5.0, gel_interacting=True) < 1.0
+
+    def test_finite_at_m_max_600(self):
+        # a 602 x 600 window; its binomial factors overflowed a double before
+        # they were taken in log space
+        mass = arms_mass(ARM, 4.0, gel_interacting=True, m_max=600)
+        assert mass == pytest.approx(FloryArms(ARM).mass(4.0), rel=1e-9)
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 6.0, 10.0])
     def test_truncated_sum_matches_sol_mass(self, t):

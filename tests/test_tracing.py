@@ -1,0 +1,36 @@
+"""The benchmark tracer still finds every gelsolve function it wraps.
+
+perfbench/tracing.py looks each target up by name in the gelsolve modules at
+start-up, so deleting or renaming a traced function breaks
+`perfbench/run.py --trace 1` before it serves a request.
+"""
+import importlib.util
+from pathlib import Path
+
+import gelsolve
+import gelsolve.cli
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ARMS = '{"type":"arm-law","mu":{"0":0.5,"1":0.25,"3":0.25}}'
+
+
+def _tracing_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves_and_a_traced_request_runs(capsys):
+    tracer = _tracing_module().Tracer(gelsolve)
+    argv = ["concentrations", "--model", "flory-arms", "--measure", ARMS,
+            "--t", "1", "--amax", "3", "--mmax", "3"]
+    code = tracer.run(1, lambda: gelsolve.cli.main(argv))
+    assert code == 0
+    assert capsys.readouterr().out.startswith("a,m,c\n")
+    assert tracer.calls["cli.main"] == 1
+    assert tracer.calls["series.arms_concentrations"] == 1
+    assert tracer.calls["measures.conv_power"] == 1
+    # the wrappers come off when the request ends
+    assert not hasattr(gelsolve.cli.main, "__wrapped__")
+    assert not hasattr(gelsolve.series.conv_power, "__wrapped__")
