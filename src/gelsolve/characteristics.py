@@ -22,8 +22,14 @@ class SolverConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.root_tol <= 0.0:
-            raise DomainError("root_tol must be positive")
+        if not (math.isfinite(self.root_tol) and self.root_tol > 0.0):
+            raise DomainError(
+                f"root_tol must be finite and > 0, got {self.root_tol}"
+            )
+        if not isinstance(self.max_iter, int) or self.max_iter < 1:
+            raise DomainError(
+                f"max_iter must be an integer >= 1, got {self.max_iter!r}"
+            )
 
 
 DEFAULT_CONFIG = SolverConfig()

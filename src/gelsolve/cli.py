@@ -121,7 +121,7 @@ def _solver_config(args, cfg) -> SolverConfig:
     try:
         return SolverConfig(
             root_tol=float(solver.get("root_tol", DEFAULT_CONFIG.root_tol)),
-            max_iter=int(solver.get("max_iter", DEFAULT_CONFIG.max_iter)),
+            max_iter=solver.get("max_iter", DEFAULT_CONFIG.max_iter),
         )
     except (TypeError, ValueError, GelsolveError) as exc:
         raise ConfigError(f"bad solver settings: {exc}") from exc

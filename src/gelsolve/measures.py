@@ -270,8 +270,8 @@ class ArmMeasure:
     def nu(self) -> np.ndarray:
         """Size-biased offspring law nu(k) = (k+1) mu(k+1), k = 0..amax-1.
 
-        Its total is A0.  nu(0) = 0, no particle with exactly one arm, is the
-        degenerate case of the closed-form concentrations in `series`.
+        Its total is A0.  nu(0) = 0, no particle with exactly one arm, leaves
+        every cluster of mass >= 2 with at least two free arms.
         """
         mu = self.arm_law()
         out = np.zeros(max(max(mu), 1))

@@ -192,7 +192,13 @@ class Flory(_Classic):
 
 
 class _Arms(Model):
-    """Shared plumbing for the bivariate (arms x mass) models."""
+    """Shared plumbing for the bivariate (arms x mass) models.
+
+    Both variants have the characteristic map phi_t(x, y) = alpha_t (x -
+    beta_t k0(x, y)); a subclass states how alpha_t, beta_t (`_coeffs`) and
+    ell_t (`state`) follow from t.  The per-class `state`, `gen_fun` and
+    `second_moment` are where perfbench/tracing.py wraps each model.
+    """
 
     is_arms = True
 
@@ -201,21 +207,54 @@ class _Arms(Model):
             raise ModelError(f"{type(self).__name__} needs an ArmMeasure")
         super().__init__(measure, config)
 
-    def _phi_x(self, t: float, x: float, y: float) -> float:
+    def _coeffs(self, t: float) -> tuple[float, float]:
+        """(alpha_t, beta_t)."""
         raise NotImplementedError
 
-    def _x_top(self, t: float, y: float) -> float:
-        """Upper end of the branch where phi(., y) increases."""
-        if self._phi_x(t, 1.0, y) >= 0.0:
-            return 1.0
+    def _branch(self, t: float, y: float = 1.0):
+        """phi_t(., y) and its slope d/dx phi_t as functions of x."""
+        alpha, beta = self._coeffs(t)
+        k0 = self.measure.k0
+
+        def phi(x):
+            return alpha * (x - beta * k0(x, y))
+
+        def slope(x):
+            return alpha * (1.0 - beta * k0(x, y, partial="x"))
+
+        return phi, slope
+
+    def _increasing_root(self, phi, slope, x: float) -> float:
+        """Root of phi = x where phi increases from phi(0) = 0, or that branch's top."""
+        top = 1.0
+        if slope(1.0) < 0.0:  # phi is concave in x: the branch ends at slope 0
+            top = bisect_increasing(
+                lambda z: -slope(z),
+                0.0,
+                1.0,
+                0.0,
+                tol=self.config.root_tol,
+                max_iter=self.config.max_iter,
+            )
+        if x >= phi(top):
+            return top
         return bisect_increasing(
-            lambda x: -self._phi_x(t, x, y),
+            phi,
             0.0,
-            1.0,
-            0.0,
+            top,
+            x,
             tol=self.config.root_tol,
             max_iter=self.config.max_iter,
         )
+
+    def _completed(self, st: SolutionState) -> SolutionState:
+        st.A = self.measure.k0(st.ell, 1.0) / st.alpha
+        # nan on general arm data, which has no closed form
+        st.M = self.measure.k0_mass(st.ell)
+        return st
+
+    def phi(self, t: float, x: float, y: float = 1.0) -> float:
+        return self._branch(t, y)[0](x)
 
     def h_inverse(self, t: float, x: float, y: float = 1.0) -> float:
         if not 0.0 <= x <= 1.0:
@@ -225,24 +264,28 @@ class _Arms(Model):
             # model 1 is the flat peak of phi, where bisection would lose half
             # the digits to rounding
             return self.ell(t)
-        top = self._x_top(t, y)
-        if x >= self.phi(t, top, y):
-            return top
-        return bisect_increasing(
-            lambda z: self.phi(t, z, y),
-            0.0,
-            top,
-            x,
-            tol=self.config.root_tol,
-            max_iter=self.config.max_iter,
-        )
+        return self._increasing_root(*self._branch(t, y), x)
+
+    def gen_fun(self, t: float, x: float, y: float = 1.0) -> float:
+        return self.measure.k0(self.h_inverse(t, x, y), y) / self._coeffs(t)[0]
 
     def ell(self, t: float) -> float:
-        raise NotImplementedError
+        return self.state(t).ell
+
+    def arms_count(self, t: float) -> float:
+        return self.state(t).A
 
     def mass(self, t: float) -> float:
-        # nan on general arm data, which has no closed form
-        return self.measure.k0_mass(self.ell(t))
+        return self.state(t).M
+
+    def _second_moment(self, t: float) -> float:
+        """<c_t, a^2> = d/dx k_t at (1, 1) plus the arm count."""
+        st = self.state(t)
+        kp = self.measure.k0(st.ell, 1.0, partial="x")
+        bracket = 1.0 - st.beta * kp
+        if bracket <= 0.0:
+            return INF
+        return kp / (st.alpha**2 * bracket) + st.A
 
 
 class SmoluchowskiArms(_Arms):
@@ -254,39 +297,20 @@ class SmoluchowskiArms(_Arms):
         super().__init__(measure, config)
         self.flow = ArmsFlow(measure)
 
-    def ell(self, t: float) -> float:
-        return self.flow.state(t).ell
+    def _coeffs(self, t: float) -> tuple[float, float]:
+        st = self.flow.state(t)
+        return st.alpha, st.beta
 
     def state(self, t: float) -> SolutionState:
-        st = self.flow.state(t)
-        st.A = self.measure.k0(st.ell, 1.0) / st.alpha
-        st.M = self.measure.k0_mass(st.ell)
-        return st
+        return self._completed(self.flow.state(t))
 
-    def arms_count(self, t: float) -> float:
-        st = self.flow.state(t)
-        return self.measure.k0(st.ell, 1.0) / st.alpha
-
-    def phi(self, t: float, x: float, y: float = 1.0) -> float:
-        st = self.flow.state(t)
-        return st.alpha * (x - st.beta * self.measure.k0(x, y))
-
-    def _phi_x(self, t: float, x: float, y: float) -> float:
-        st = self.flow.state(t)
-        return st.alpha * (1.0 - st.beta * self.measure.k0(x, y, partial="x"))
-
-    def gen_fun(self, t: float, x: float, y: float = 1.0) -> float:
-        st = self.flow.state(t)
-        return self.measure.k0(self.h_inverse(t, x, y), y) / st.alpha
+    gen_fun = _Arms.gen_fun
 
     def second_moment(self, t: float) -> float:
-        """<c_t, a^2> = d/dx k_t at (1,1) plus the arm count."""
-        st = self.flow.state(t)
-        at = self.arms_count(t)
+        # from T_gel on phi_t peaks at ell: 1 - beta k0'(ell) is 0 up to rounding
         if t >= self.t_gel:
             return INF
-        K = self.measure.K
-        return K / (st.alpha**2 * (1.0 - st.beta * K)) + at
+        return self._second_moment(t)
 
 
 class FloryArms(_Arms):
@@ -294,60 +318,28 @@ class FloryArms(_Arms):
 
     name = "flory-arms"
 
-    def ell(self, t: float) -> float:
-        """Smallest root of phi_t(., 1) = 1; equals 1 up to the gel time."""
-        if t < 0.0:
-            raise DomainError("time must be >= 0")
-        if t <= self.t_gel:
-            return 1.0
-        top = self._x_top(t, 1.0)
-        return bisect_increasing(
-            lambda x: self.phi(t, x, 1.0),
-            0.0,
-            top,
-            1.0,
-            tol=self.config.root_tol,
-            max_iter=self.config.max_iter,
-        )
+    def _coeffs(self, t: float) -> tuple[float, float]:
+        alpha = 1.0 + self.measure.A0 * t
+        return alpha, t / alpha
 
     def state(self, t: float) -> SolutionState:
-        A0 = self.measure.A0
-        st = SolutionState(
-            t=t,
-            ell=self.ell(t),
-            alpha=1.0 + A0 * t,
-            beta=t / (1.0 + A0 * t),
-        )
-        st.A = self.measure.k0(st.ell, 1.0) / (1.0 + A0 * t)
-        st.M = self.measure.k0_mass(st.ell)
-        return st
+        """ell_t is the smallest root of phi_t(., 1) = 1, and 1 up to the gel time."""
+        if t < 0.0:
+            raise DomainError("time must be >= 0")
+        alpha, beta = self._coeffs(t)
+        ell = 1.0
+        if t > self.t_gel:
+            ell = self._increasing_root(*self._branch(t), 1.0)
+        return self._completed(SolutionState(t=t, ell=ell, alpha=alpha, beta=beta))
 
-    def arms_count(self, t: float) -> float:
-        return self.measure.k0(self.ell(t), 1.0) / (1.0 + self.measure.A0 * t)
-
-    def phi(self, t: float, x: float, y: float = 1.0) -> float:
-        return (1.0 + t * self.measure.A0) * x - t * self.measure.k0(x, y)
-
-    def _phi_x(self, t: float, x: float, y: float) -> float:
-        return (1.0 + t * self.measure.A0) - t * self.measure.k0(x, y, partial="x")
-
-    def gen_fun(self, t: float, x: float, y: float = 1.0) -> float:
-        return self.measure.k0(self.h_inverse(t, x, y), y) / (
-            1.0 + t * self.measure.A0
-        )
+    gen_fun = _Arms.gen_fun
 
     def second_moment(self, t: float) -> float:
-        at = self.arms_count(t)
+        # at T_gel the top of the increasing branch is ell = 1: 1 - beta K is 0
+        # up to rounding
         if t == self.t_gel:
             return INF
-        l = self.ell(t) if t > self.t_gel else 1.0
-        dphi = self._phi_x(t, l, 1.0)
-        if dphi <= 0.0:
-            return INF
-        dk = self.measure.k0(l, 1.0, partial="x") / (
-            (1.0 + t * self.measure.A0) * dphi
-        )
-        return dk + at
+        return self._second_moment(t)
 
 
 MODEL_NAMES = {

@@ -242,12 +242,10 @@ class ArmsConcentrations:
     """c_t(a, m) matrix (rows a, columns m).
 
     The m = 1 column holds the initial data c0(a, 1) = mu(a) untouched; the
-    solved formulas only apply from m = 2 on.  degenerate marks nu(0) = 0,
-    for which the m >= 2 columns are left at 0.
+    solved formulas only apply from m = 2 on.
     """
 
     values: np.ndarray
-    degenerate: bool = False
 
 
 def arms_concentrations(
@@ -264,10 +262,7 @@ def arms_concentrations(
     if t < 0.0:
         raise DomainError("time must be >= 0")
     nu = measure.nu()
-    degenerate = bool(nu[0] == 0.0)
-    if degenerate:
-        out = np.zeros((a_max + 1, m_max + 1))
-    elif gel_interacting:
+    if gel_interacting:
         # per unit mass t/(1 + A0 t), per free arm 1/(1 + A0 t)
         amp = 1.0 + t * measure.A0
         out = _closed_form(nu, t / amp, 1.0 / amp, a_max, m_max)
@@ -278,7 +273,7 @@ def arms_concentrations(
         for a, w in measure.arm_law().items():
             if a <= a_max:
                 out[a, 1] = w
-    return ArmsConcentrations(out, degenerate=degenerate)
+    return ArmsConcentrations(out)
 
 
 def arms_mass(
@@ -324,9 +319,11 @@ def _arms_amax(measure: ArmMeasure, m_max: int) -> int:
 class LimitingConcentrations:
     """Long-time limits: c_inf[m] for m = 2..m_max, plus the scalar constants.
 
-    p_or_c is the smallest fixed point of k0 (gel-interacting variant) or the
-    tangency point k0'(c) = k0(c)/c (gel-inert variant); beta_inf is 1 for the
-    gel-interacting variant by convention.
+    p_or_c is ell_inf, the long-time ell_t of the model: the smallest root of
+    k0(x) = A0 x (gel-interacting variant) or the tangency point
+    k0'(c) = k0(c)/c (gel-inert variant), and 1 without gelation.  beta_inf
+    is 1/A0 for the gel-interacting variant, the limit of t/(1 + A0 t).
+    degenerate marks nu(0) = 0, for which every c_inf is 0.
     """
 
     c_inf: np.ndarray
@@ -337,36 +334,29 @@ class LimitingConcentrations:
 
 
 def _p_nu(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
-    """Smallest root of k0(x, 1) = x in [0, 1]."""
-    A0, K = measure.A0, measure.K
-    if A0 == 1.0 and K <= A0:
+    """Long-time ell of the gel-interacting model: smallest root of k0(x) = A0 x.
+
+    f(x) = A0 x - k0(x) is concave with f(0) = -mu(1) <= 0 and f(1) = 0.
+    With gelation (K > A0) f peaks inside (0, 1) where k0'(x) = A0, and
+    increases up to there; without it the root is 1.
+    """
+    A0 = measure.A0
+    if math.isinf(gel_time(measure)):
         return 1.0
-
-    def f(x):
-        return measure.k0(x, 1.0) - x
-
-    # f is convex with f(0) = k0(0) > 0; locate its minimum first
-    if measure.k0(1.0, 1.0, partial="x") <= 1.0:
-        xmin = 1.0
-    else:
-        xmin = bisect_increasing(
-            lambda x: measure.k0(x, 1.0, partial="x"),
-            0.0,
-            1.0,
-            1.0,
-            tol=config.root_tol,
-            max_iter=config.max_iter,
-        )
-    fmin = f(xmin)
-    if fmin > 10.0 * config.root_tol:
-        if abs(f(1.0)) <= 10.0 * config.root_tol:
-            return 1.0
-        raise ModelError("k0 has no fixed point in [0, 1]")
-    if fmin >= 0.0:
-        return xmin
-    # -f is increasing on [0, xmin]
+    peak = bisect_increasing(
+        lambda x: measure.k0(x, 1.0, partial="x"),
+        0.0,
+        1.0,
+        A0,
+        tol=config.root_tol,
+        max_iter=config.max_iter,
+    )
     return bisect_increasing(
-        lambda x: -f(x), 0.0, xmin, 0.0, tol=config.root_tol,
+        lambda x: A0 * x - measure.k0(x, 1.0),
+        0.0,
+        peak,
+        0.0,
+        tol=config.root_tol,
         max_iter=config.max_iter,
     )
 
@@ -382,14 +372,9 @@ def limiting_concentrations(
     if not measure.is_monodisperse:
         raise DomainError("limiting concentrations need monodisperse arm data")
     nu = measure.nu()
-    if nu[0] == 0.0:
-        return LimitingConcentrations(
-            c_inf=np.zeros(m_max + 1), beta_inf=1.0, p_or_c=1.0,
-            M_inf=measure.M0, degenerate=True,
-        )
     if gel_interacting:
         p = _p_nu(measure, config)
-        beta_inf = 1.0
+        beta_inf = 1.0 / measure.A0
     else:
         p = ell_infinity(measure, config)
         beta_inf = beta_infinity(measure, config)
@@ -397,5 +382,6 @@ def limiting_concentrations(
     # the a = 0 row of the closed form at r_m = beta_inf
     c_inf = _closed_form(nu, beta_inf, 1.0, 0, m_max)[0]
     return LimitingConcentrations(
-        c_inf=c_inf, beta_inf=beta_inf, p_or_c=p, M_inf=M_inf
+        c_inf=c_inf, beta_inf=beta_inf, p_or_c=p, M_inf=M_inf,
+        degenerate=bool(nu[0] == 0.0),
     )

@@ -28,8 +28,11 @@ ARM = ArmMeasure.monodisperse(MU)
 
 
 def test_solver_config_validation():
-    with pytest.raises(DomainError):
-        SolverConfig(root_tol=0.0)
+    for root_tol, max_iter in [
+        (0.0, 200), (math.inf, 200), (math.nan, 200), (1e-12, 0), (1e-12, 2.5),
+    ]:
+        with pytest.raises(DomainError):
+            SolverConfig(root_tol=root_tol, max_iter=max_iter)
 
 
 class TestBisection:

@@ -252,6 +252,25 @@ class TestConfigHandling:
         assert "Traceback" not in err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flags, solver",
+        [
+            (("--root-tol", "inf"), {}),
+            (("--root-tol", "nan"), {}),
+            ((), {"max_iter": 0}),
+        ],
+        ids=["root-tol-inf", "root-tol-nan", "max-iter-0"],
+    )
+    def test_out_of_range_solver_setting_is_a_config_error(
+        self, capsys, tmp_path, flags, solver
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"solver": solver}))
+        assert_config_error(capsys, (
+            "trajectory", "--config", str(path), "--model", "flory",
+            "--measure", MONO, "--t-end", "2", "--count", "3", *flags,
+        ))
+
     def test_geometric_spacing(self, capsys):
         code, out = run(
             capsys,

@@ -141,6 +141,36 @@ class TestSolveOnce:
         getattr(model, method)(2.0, 0.4)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("method, most", [("h_inverse", 1), ("gen_fun", 2)])
+    def test_post_gel_arms_query_reads_the_flow_once(self, monkeypatch, method, most):
+        import gelsolve.characteristics
+
+        calls = []
+        real = gelsolve.characteristics.ArmsFlow.state
+
+        def counted(self, t):
+            calls.append(t)
+            return real(self, t)
+
+        monkeypatch.setattr(gelsolve.characteristics.ArmsFlow, "state", counted)
+        getattr(SmoluchowskiArms(ARM), method)(4.0, 0.4)
+        assert 1 <= len(calls) <= most
+
+    def test_post_gel_flory_arms_second_moment_bisects_twice(self, monkeypatch):
+        # once for the top of the increasing branch, once for ell on it
+        import gelsolve.models
+
+        calls = []
+        real = gelsolve.models.bisect_increasing
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gelsolve.models, "bisect_increasing", counted)
+        assert math.isfinite(FloryArms(ARM).second_moment(4.0))
+        assert len(calls) == 2
+
 
 class TestSecondMoment:
     def test_pre_gel_blowup(self):
@@ -238,7 +268,8 @@ class TestArmsModels:
         model = SmoluchowskiArms(ARM)
         ell = model.state(t).ell
         assert abs(model.phi(t, ell, 1.0) - 1.0) <= 1e-12
-        assert abs(model._phi_x(t, ell, 1.0)) <= 1e-12
+        _, slope = model._branch(t, 1.0)
+        assert abs(slope(ell)) <= 1e-12
 
 
 class TestModelDispatch:

@@ -6,7 +6,8 @@ import pytest
 
 from gelsolve.errors import DomainError
 from gelsolve.measures import ArmMeasure, Discrete, ExponentialDensity, Monodisperse
-from gelsolve.models import FloryArms
+from gelsolve.models import FloryArms, SmoluchowskiArms
+from gelsolve.oracle import initial_arms, integrate
 from gelsolve.series import (
     PowerSeries,
     arms_concentrations,
@@ -218,10 +219,18 @@ class TestArmsConcentrations:
         assert out.values[3, 1] == 0.25
 
     def test_degenerate_nu(self):
-        deg = ArmMeasure.monodisperse({2: 1.0})
-        out = arms_concentrations(deg, 1.0, 4, 4, gel_interacting=True)
-        assert out.degenerate
-        assert not out.values[:, 2:].any()
+        # nu(0) = mu(1) = 0: no cluster of mass >= 2 has fewer than two free
+        # arms, but the a >= 2 rows do not vanish
+        law = ArmMeasure.monodisperse({0: 0.5, 2: 0.25, 3: 0.25})
+        for flavor in ("gel-interacting", "no-big-coagulation"):
+            gel = flavor == "gel-interacting"
+            out = arms_concentrations(law, 0.5, 4, 4, gel_interacting=gel).values
+            ref = integrate(initial_arms(law, 60, 60), [0.5], 1e-2, flavor=flavor)[0].c
+            assert out[2, 2:5] == pytest.approx(
+                [0.014565, 0.0022408, 0.00034474], rel=1e-4
+            )
+            assert out[:, 2:5] == pytest.approx(ref[:5, 2:5], rel=1e-6, abs=1e-12)
+            assert not out[:2, 2:].any()
 
     def test_non_monodisperse_rejected(self):
         mixed = ArmMeasure({(1, 1): 0.5, (2, 2): 0.5})
@@ -334,6 +343,32 @@ class TestLimits:
         lim = limiting_concentrations(deg, 5, gel_interacting=True)
         assert lim.degenerate
         assert not lim.c_inf.any()
+
+    @pytest.mark.parametrize(
+        "gel", [True, False], ids=["flory-arms", "smoluchowski-arms"]
+    )
+    @pytest.mark.parametrize("mu", [
+        MU,
+        {0: 0.5, 2: 0.25, 3: 0.25},  # nu(0) = 0
+        {0: 0.2, 1: 0.3, 3: 0.4},  # A0 = 1.5
+        {0: 0.3, 1: 0.2, 3: 0.1},  # A0 = 0.5
+        {0: 0.5, 1: 0.5},  # no gelation
+    ], ids=["readme", "nu0-zero", "A0-1.5", "A0-0.5", "no-gel"])
+    def test_limits_are_the_long_time_values(self, mu, gel):
+        # ell_t, beta_t and so every c_t(0, m) approach their limits as 1/t.
+        # The exception is the inert gel on the nu(0) = 0 law: there ell_inf = 0
+        # is a double root of x k0' - k0, and ell_t ~ (9 t / 8)^(-1/3).
+        t = 1e6
+        law = ArmMeasure.monodisperse(mu)
+        model = (FloryArms if gel else SmoluchowskiArms)(law)
+        lim = limiting_concentrations(law, 8, gel_interacting=gel)
+        slow = not gel and mu.get(1, 0.0) == 0.0
+        assert lim.p_or_c == pytest.approx(
+            model.ell(t), rel=1e-4, abs=t ** (-1 / 3) if slow else 1e-5
+        )
+        assert lim.M_inf == pytest.approx(model.mass(t), rel=1e-4)
+        row = arms_concentrations(law, t, 0, 8, gel_interacting=gel).values[0]
+        assert lim.c_inf[2:] == pytest.approx(row[2:], rel=1e-4)
 
     def test_c_inf_nonnegative(self):
         for gel in (False, True):
