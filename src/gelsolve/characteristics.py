@@ -260,9 +260,6 @@ class ArmsFlow:
         alpha = kp / (ell * kp - self.measure.k0(ell, 1.0))
         return SolutionState(t=t, ell=ell, alpha=alpha, beta=1.0 / kp)
 
-    def trajectory(self, times) -> list[SolutionState]:
-        return [self.state(t) for t in sorted(times)]
-
 
 def alpha_via_gamma(measure: ArmMeasure, t: float, config=DEFAULT_CONFIG) -> float:
     """Cross-check for alpha_t using the quadrature form of its ODE.
@@ -295,9 +292,15 @@ def alpha_via_gamma(measure: ArmMeasure, t: float, config=DEFAULT_CONFIG) -> flo
 
 
 def ell_infinity(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
-    """Long-time limit of ell_t: c = H(0), where k0'(c) = k0(c)/c; 1 without gelation."""
+    """Long-time limit of ell_t: c = H(0), where k0'(c) = k0(c)/c; 1 without gelation.
+
+    With mu(1) = 0, k0(0) = 0 and x k0'(x) - k0(x) vanishes at c = 0 itself,
+    the end of the bracket, which bisection only nears.
+    """
     if math.isinf(gel_time(measure)):
         return 1.0
+    if measure.k0(0.0, 1.0) == 0.0:
+        return 0.0
     return H_map(measure, 0.0, config)
 
 
@@ -305,6 +308,10 @@ def beta_infinity(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
     """Long-time limit of beta_t = 1/k0'(ell_t), that is c/k0(c) with c = ell_inf.
 
     Without gelation beta_t = t/(1 + A0 t) tends to 1/A0 = 1/k0(1) as well.
+    At c = 0 the ratio is 0/0 and its limit is 1/k0'(0), inf when mu(2) = 0 too.
     """
     c = ell_infinity(measure, config)
+    if c == 0.0:
+        kp = measure.k0(0.0, 1.0, partial="x")
+        return 1.0 / kp if kp > 0.0 else INF
     return c / measure.k0(c, 1.0)

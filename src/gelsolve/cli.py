@@ -15,14 +15,9 @@ import sys
 
 import numpy as np
 
-from .characteristics import DEFAULT_CONFIG, SolverConfig, gel_time
+from .characteristics import DEFAULT_CONFIG, SolverConfig
 from .errors import ConfigError, GelsolveError, UsageError
-from .measures import (
-    ArmMeasure,
-    MassMeasure,
-    arm_measure_from_config,
-    mass_measure_from_config,
-)
+from .measures import arm_measure_from_config, mass_measure_from_config
 from .models import MODEL_NAMES, make_model
 from .oracle import FLAVORS, compare, initial_arms, initial_classic, integrate
 from .series import arms_concentrations, concentrations, limiting_concentrations
@@ -91,6 +86,23 @@ def _build_measure(args, cfg, model_name):
         if model_name in ARMS_MODELS:
             return arm_measure_from_config(spec)
         return mass_measure_from_config(spec)
+    except GelsolveError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _build_model(args, cfg, name, config, closed_form=False):
+    """The request's model; data it cannot take is a configuration error.
+
+    closed_form: the request reads series or closed forms, which need an
+    integer-lattice measure (classic models) or monodisperse arm data.
+    """
+    measure = _build_measure(args, cfg, name)
+    if closed_form and name in ARMS_MODELS and not measure.is_monodisperse:
+        raise ConfigError(f"{args.command} need monodisperse arm data")
+    if closed_form and name not in ARMS_MODELS and not measure.is_lattice:
+        raise ConfigError(f"{args.command} need an integer-lattice initial measure")
+    try:
+        return make_model(name, measure, config)
     except GelsolveError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -220,9 +232,8 @@ def _trajectory_row(model, t):
 def _cmd_trajectory(args, cfg, out) -> int:
     name = _model_name(args, cfg)
     config = _solver_config(args, cfg)
-    measure = _build_measure(args, cfg, name)
+    model = _build_model(args, cfg, name, config)
     times = _time_grid(args, cfg)
-    model = make_model(name, measure, config)
     rows = [_trajectory_row(model, t) for t in times]
     emit_csv(
         ("t", "M", "A", "ell", "alpha", "beta", "second_moment"), rows, out
@@ -233,7 +244,7 @@ def _cmd_trajectory(args, cfg, out) -> int:
 def _cmd_concentrations(args, cfg, out) -> int:
     name = _model_name(args, cfg)
     config = _solver_config(args, cfg)
-    measure = _build_measure(args, cfg, name)
+    model = _build_model(args, cfg, name, config, closed_form=True)
     t = _setting(args, cfg, "t", "t", None)
     if t is None:
         raise ConfigError("no time given (--t or config 't')")
@@ -243,13 +254,10 @@ def _cmd_concentrations(args, cfg, out) -> int:
         raise ConfigError(f"bad time: {exc}") from exc
     if not (math.isfinite(t) and t >= 0.0):
         raise ConfigError(f"time must be finite and >= 0, got {t}")
-    gel = name.startswith("flory")
     if name in ARMS_MODELS:
         a_max = _size(args, cfg, "amax", "a_max", 40, 0)
         m_max = _size(args, cfg, "mmax", "m_max", 40, 1)
-        conc = arms_concentrations(
-            measure, t, a_max, m_max, gel_interacting=gel
-        )
+        conc = arms_concentrations(model, t, a_max, m_max)
         rows = [
             (a, m, conc.values[a, m])
             for a in range(a_max + 1)
@@ -258,7 +266,7 @@ def _cmd_concentrations(args, cfg, out) -> int:
         emit_csv(("a", "m", "c"), rows, out)
         return 0
     order = _size(args, cfg, "order", "order", 64, 1)
-    c = concentrations(measure, t, order, gel_interacting=gel, config=config)
+    c = concentrations(model, t, order)
     emit_csv(("m", "c"), [(m, c[m]) for m in range(1, order + 1)], out)
     return 0
 
@@ -268,15 +276,12 @@ def _cmd_limits(args, cfg, out) -> int:
     if name not in ARMS_MODELS:
         raise ConfigError("limits are defined for the arms models only")
     config = _solver_config(args, cfg)
-    measure = _build_measure(args, cfg, name)
+    model = _build_model(args, cfg, name, config, closed_form=True)
     m_max = _size(args, cfg, "mmax", "m_max", 20, 1)
-    gel = name == "flory-arms"
-    lim = limiting_concentrations(
-        measure, m_max, gel_interacting=gel, config=config
-    )
+    lim = limiting_concentrations(model, m_max)
     emit_json(
         {
-            "T_gel": gel_time(measure),
+            "T_gel": model.t_gel,
             "p_nu_or_c": lim.p_or_c,
             "beta_inf": lim.beta_inf,
             "M_inf": lim.M_inf,
@@ -291,7 +296,7 @@ def _cmd_limits(args, cfg, out) -> int:
 def _cmd_validate(args, cfg, out) -> int:
     name = _model_name(args, cfg)
     config = _solver_config(args, cfg)
-    measure = _build_measure(args, cfg, name)
+    model = _build_model(args, cfg, name, config)
     flavor = args.flavor or cfg.get("flavor") or (
         "gel-interacting" if name.startswith("flory") else "no-big-coagulation"
     )
@@ -302,17 +307,21 @@ def _cmd_validate(args, cfg, out) -> int:
     tol = _positive(args, cfg, "tol", "tol", 1e-3)
     m_max = _size(args, cfg, "mmax", "m_max", 200, 1)
     times = list(np.linspace(0.0, t_end, 11))
-    model = make_model(name, measure, config)
-    if name in ARMS_MODELS:
-        a_max = _size(args, cfg, "amax", "a_max", 120, 0)
-        init = initial_arms(measure, a_max, m_max)
-        traj = integrate(init, times, dt, flavor=flavor)
+    arms = name in ARMS_MODELS
+    a_max = _size(args, cfg, "amax", "a_max", 120, 0) if arms else None
+    try:  # initial data outside the oracle's window
+        init = (
+            initial_arms(model.measure, a_max, m_max) if arms
+            else initial_classic(model.measure, m_max)
+        )
+    except GelsolveError as exc:
+        raise ConfigError(str(exc)) from exc
+    traj = integrate(init, times, dt, flavor=flavor)
+    if arms:
         oracle_vals = [st.arm_count for st in traj]
         analytic_vals = [model.arms_count(t) for t in times]
         quantity = "arms"
     else:
-        init = initial_classic(measure, m_max)
-        traj = integrate(init, times, dt, flavor=flavor)
         oracle_vals = [st.mass for st in traj]
         analytic_vals = [model.mass(t) for t in times]
         quantity = "mass"

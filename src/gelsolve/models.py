@@ -12,7 +12,9 @@ from .characteristics import (
     DEFAULT_CONFIG,
     ArmsFlow,
     SolutionState,
+    beta_infinity,
     bisect_increasing,
+    ell_infinity,
     ell_smolu,
     gel_time,
     l_flory,
@@ -58,9 +60,21 @@ class Model:
     def state(self, t: float) -> SolutionState:
         raise NotImplementedError
 
+    def _bisect(self, f, hi: float, target: float) -> float:
+        """Root of f = target for f nondecreasing on (0, hi)."""
+        return bisect_increasing(
+            f, 0.0, hi, target, tol=self.config.root_tol, max_iter=self.config.max_iter
+        )
+
 
 class _Classic(Model):
-    """Shared plumbing for the models driven by a univariate g0."""
+    """Shared plumbing for the models driven by a univariate g0.
+
+    Both variants have the characteristic map
+    phi_t(x) = (x/s) e^{t (g0(s) - g0(x))}, normalized by phi_t(s) = 1 without
+    integrating the mass history; a subclass states the anchor s (`anchor`)
+    and how ell_t, the top of the branch that h_t inverts, follows from t.
+    """
 
     def __init__(self, measure: MassMeasure, config=DEFAULT_CONFIG):
         if not isinstance(measure, MassMeasure):
@@ -73,9 +87,27 @@ class _Classic(Model):
     def mass(self, t: float) -> float:
         return self.measure.g0(self.ell(t))
 
-    def _branch(self, t: float, ell: float):
-        """phi_t and its slope d/dx phi_t as functions of x, given ell_t."""
+    def anchor(self, t: float, ell: float | None = None) -> float:
+        """The s of phi_t; ell is ell_t when the caller has solved it already."""
         raise NotImplementedError
+
+    def _branch(self, t: float, s: float):
+        """phi_t and its slope d/dx phi_t as functions of x, anchored at s."""
+        g0 = self.measure.g0
+        g0_s = g0(s)
+
+        def phi(x):
+            if x == 0.0:
+                return 0.0
+            return (x / s) * math.exp(t * (g0_s - g0(x)))
+
+        def slope(x):
+            return math.exp(t * (g0_s - g0(x))) / s * (1.0 - t * x * g0(x, 1))
+
+        return phi, slope
+
+    def phi(self, t: float, x: float, y: float = 1.0) -> float:
+        return self._branch(t, self.anchor(t))[0](x)
 
     def h_inverse(self, t: float, x: float, y: float = 1.0) -> float:
         if not 0.0 <= x <= 1.0:
@@ -85,15 +117,8 @@ class _Classic(Model):
         ell = self.ell(t)
         if x == 1.0:
             return ell
-        phi, slope = self._branch(t, ell)
-        root = bisect_increasing(
-            phi,
-            0.0,
-            ell,
-            x,
-            tol=self.config.root_tol,
-            max_iter=self.config.max_iter,
-        )
+        phi, slope = self._branch(t, self.anchor(t, ell))
+        root = self._bisect(phi, ell, x)
         # Newton polish: bisection controls the error in z, but steep phi
         # amplifies it in phi(z); skip where the map flattens out
         for _ in range(3):
@@ -122,23 +147,9 @@ class Smoluchowski(_Classic):
     def ell(self, t: float) -> float:
         return ell_smolu(t, self.measure, self.config)
 
-    def phi(self, t: float, x: float, y: float = 1.0) -> float:
-        return self._branch(t, self.ell(t))[0](x)
-
-    def _branch(self, t: float, ell: float):
-        g0 = self.measure.g0
-        g0_ell = g0(ell)
-
-        def phi(x):
-            # normalized so phi(ell) = 1 without integrating the mass history
-            if x == 0.0:
-                return 0.0
-            return (x / ell) * math.exp(t * (g0_ell - g0(x)))
-
-        def slope(x):
-            return math.exp(t * (g0_ell - g0(x))) / ell * (1.0 - t * x * g0(x, 1))
-
-        return phi, slope
+    def anchor(self, t: float, ell: float | None = None) -> float:
+        # s = ell_t, where the map peaks past the gel time
+        return self.ell(t) if ell is None else ell
 
     def second_moment(self, t: float) -> float:
         K = self.measure.moments().K
@@ -162,23 +173,10 @@ class Flory(_Classic):
     def ell(self, t: float) -> float:
         return l_flory(t, self.measure, self.config)
 
-    def phi(self, t: float, x: float, y: float = 1.0) -> float:
-        return self._branch(t)[0](x)
-
-    def _branch(self, t: float, ell: float = math.nan):
-        # the gel-interacting map does not depend on ell
-        g0 = self.measure.g0
-        M0 = self.measure.moments().M0
-
-        def phi(x):
-            if x == 0.0:
-                return 0.0
-            return x * math.exp(t * (M0 - g0(x)))
-
-        def slope(x):
-            return math.exp(t * (M0 - g0(x))) * (1.0 - t * x * g0(x, 1))
-
-        return phi, slope
+    def anchor(self, t: float, ell: float | None = None) -> float:
+        # s = 1 at every time: the map keeps the full initial mass g0(1) = M0
+        # in the exponent, and ell_t is its smallest root of phi_t = 1
+        return 1.0
 
     def second_moment(self, t: float) -> float:
         K = self.measure.moments().K
@@ -187,7 +185,7 @@ class Flory(_Classic):
         if t == self.t_gel:
             return INF
         l = self.ell(t)
-        _, slope = self._branch(t)
+        _, slope = self._branch(t, self.anchor(t))
         return self.measure.g0(l, 1) / slope(l)
 
 
@@ -195,9 +193,10 @@ class _Arms(Model):
     """Shared plumbing for the bivariate (arms x mass) models.
 
     Both variants have the characteristic map phi_t(x, y) = alpha_t (x -
-    beta_t k0(x, y)); a subclass states how alpha_t, beta_t (`_coeffs`) and
-    ell_t (`state`) follow from t.  The per-class `state`, `gen_fun` and
-    `second_moment` are where perfbench/tracing.py wraps each model.
+    beta_t k0(x, y)); a subclass states how alpha_t, beta_t (`coeffs`) and
+    ell_t (`state`) follow from t, and their limits as t -> inf (`limit`).
+    The per-class `state`, `gen_fun` and `second_moment` are where
+    perfbench/tracing.py wraps each model.
     """
 
     is_arms = True
@@ -207,13 +206,17 @@ class _Arms(Model):
             raise ModelError(f"{type(self).__name__} needs an ArmMeasure")
         super().__init__(measure, config)
 
-    def _coeffs(self, t: float) -> tuple[float, float]:
+    def coeffs(self, t: float) -> tuple[float, float]:
         """(alpha_t, beta_t)."""
+        raise NotImplementedError
+
+    def limit(self) -> SolutionState:
+        """The long-time state: ell_inf, beta_inf and the sol mass K0(ell_inf)."""
         raise NotImplementedError
 
     def _branch(self, t: float, y: float = 1.0):
         """phi_t(., y) and its slope d/dx phi_t as functions of x."""
-        alpha, beta = self._coeffs(t)
+        alpha, beta = self.coeffs(t)
         k0 = self.measure.k0
 
         def phi(x):
@@ -225,27 +228,13 @@ class _Arms(Model):
         return phi, slope
 
     def _increasing_root(self, phi, slope, x: float) -> float:
-        """Root of phi = x where phi increases from phi(0) = 0, or that branch's top."""
+        """Root of phi = x where phi increases from phi(0) <= 0, or that branch's top."""
         top = 1.0
         if slope(1.0) < 0.0:  # phi is concave in x: the branch ends at slope 0
-            top = bisect_increasing(
-                lambda z: -slope(z),
-                0.0,
-                1.0,
-                0.0,
-                tol=self.config.root_tol,
-                max_iter=self.config.max_iter,
-            )
+            top = self._bisect(lambda z: -slope(z), 1.0, 0.0)
         if x >= phi(top):
             return top
-        return bisect_increasing(
-            phi,
-            0.0,
-            top,
-            x,
-            tol=self.config.root_tol,
-            max_iter=self.config.max_iter,
-        )
+        return self._bisect(phi, top, x)
 
     def _completed(self, st: SolutionState) -> SolutionState:
         st.A = self.measure.k0(st.ell, 1.0) / st.alpha
@@ -267,7 +256,7 @@ class _Arms(Model):
         return self._increasing_root(*self._branch(t, y), x)
 
     def gen_fun(self, t: float, x: float, y: float = 1.0) -> float:
-        return self.measure.k0(self.h_inverse(t, x, y), y) / self._coeffs(t)[0]
+        return self.measure.k0(self.h_inverse(t, x, y), y) / self.coeffs(t)[0]
 
     def ell(self, t: float) -> float:
         return self.state(t).ell
@@ -297,9 +286,15 @@ class SmoluchowskiArms(_Arms):
         super().__init__(measure, config)
         self.flow = ArmsFlow(measure)
 
-    def _coeffs(self, t: float) -> tuple[float, float]:
+    def coeffs(self, t: float) -> tuple[float, float]:
         st = self.flow.state(t)
         return st.alpha, st.beta
+
+    def limit(self) -> SolutionState:
+        """ell_inf is the tangency point k0'(c) = k0(c)/c, and beta_inf = c/k0(c)."""
+        ell = ell_infinity(self.measure, self.config)
+        beta = beta_infinity(self.measure, self.config)
+        return SolutionState(t=INF, ell=ell, beta=beta, M=self.measure.k0_mass(ell))
 
     def state(self, t: float) -> SolutionState:
         return self._completed(self.flow.state(t))
@@ -318,15 +313,36 @@ class FloryArms(_Arms):
 
     name = "flory-arms"
 
-    def _coeffs(self, t: float) -> tuple[float, float]:
+    def coeffs(self, t: float) -> tuple[float, float]:
         alpha = 1.0 + self.measure.A0 * t
         return alpha, t / alpha
+
+    def limit(self) -> SolutionState:
+        """ell_inf is the smallest root of k0(x) = A0 x; beta_inf = lim t/alpha_t = 1/A0.
+
+        f(x) = A0 x - k0(x) is concave with f(0) = -mu(1) <= 0 and f(1) = 0.
+        With gelation (K > A0) f increases up to its peak inside (0, 1), and
+        the root is on that branch; without it the root is 1.  With mu(1) = 0
+        the root is 0 itself, the end of the bracket, which bisection only nears.
+        """
+        A0, k0 = self.measure.A0, self.measure.k0
+        if math.isinf(self.t_gel):
+            ell = 1.0
+        elif k0(0.0, 1.0) == 0.0:
+            ell = 0.0
+        else:
+            ell = self._increasing_root(
+                lambda x: A0 * x - k0(x, 1.0),
+                lambda x: A0 - k0(x, 1.0, partial="x"),
+                0.0,
+            )
+        return SolutionState(t=INF, ell=ell, beta=1.0 / A0, M=self.measure.k0_mass(ell))
 
     def state(self, t: float) -> SolutionState:
         """ell_t is the smallest root of phi_t(., 1) = 1, and 1 up to the gel time."""
         if t < 0.0:
             raise DomainError("time must be >= 0")
-        alpha, beta = self._coeffs(t)
+        alpha, beta = self.coeffs(t)
         ell = 1.0
         if t > self.t_gel:
             ell = self._increasing_root(*self._branch(t), 1.0)

@@ -4,7 +4,8 @@ Concentrations c_t(m) are Taylor coefficients of the solved generating
 function g0(h_t(x)), read off the characteristic map phi_t by one
 Lagrange-Buermann pass, without forming h_t.
 The arms variants have closed forms in terms of convolution powers of the
-size-biased arm law, evaluated directly.
+size-biased arm law, evaluated directly.  Each formula takes a model and reads
+its solved state: the anchor of phi_t, (alpha_t, beta_t) or the long-time limit.
 """
 from __future__ import annotations
 
@@ -13,17 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import (
-    DEFAULT_CONFIG,
-    ArmsFlow,
-    beta_infinity,
-    bisect_increasing,
-    ell_infinity,
-    ell_smolu,
-    gel_time,
-)
-from .errors import DomainError, ModelError
-from .measures import ArmMeasure, MassMeasure, conv_power
+# bound here only for perfbench/tracing.py:TARGETS, which wraps these names
+from .characteristics import bisect_increasing, ell_smolu  # noqa: F401
+from .errors import DomainError
+from .measures import MassMeasure, conv_power
 
 
 class PowerSeries:
@@ -161,18 +155,9 @@ def _g0_series(measure: MassMeasure, n: int) -> np.ndarray:
     return measure.lattice_weights(n) * np.arange(n + 1)  # [x^m] g0 = m mu0({m})
 
 
-def concentrations(
-    measure: MassMeasure,
-    t: float,
-    n: int,
-    *,
-    gel_interacting: bool = False,
-    config=DEFAULT_CONFIG,
-) -> np.ndarray:
-    """c_t(m) for m = 0..n (index 0 unused) on an integer-lattice measure.
+def concentrations(model, t: float, n: int) -> np.ndarray:
+    """c_t(m) for m = 0..n (index 0 unused) of a classic model on an integer lattice.
 
-    gel_interacting selects the variant whose post-gel characteristic map
-    keeps the full initial mass in the exponent; pre-gel both coincide.
     Series coefficients below TINY are dropped, so values much below 1e-280
     come back as 0 or with few correct digits.
     """
@@ -180,21 +165,16 @@ def concentrations(
         raise DomainError("time must be >= 0")
     if n < 1:
         raise DomainError("series order must be >= 1")
+    measure = model.measure
     g0s = _g0_series(measure, n)
-    mom = measure.moments()
-    # In w = ell u the characteristic map is psi(u) = phi_t(ell u) =
-    # u e^{log_amp - t g0(ell u)}, with ell = 1 pre-gel and for Flory.
-    if gel_interacting or t <= gel_time(measure):
-        if not math.isfinite(mom.M0):
-            raise ModelError("gel-interacting series needs finite initial mass")
-        ell, log_amp = 1.0, t * mom.M0
-    else:
-        ell = ell_smolu(t, measure, config)
-        log_amp = t * measure.g0(ell)
-    # Lagrange-Buermann on psi with G(u) = g0(ell u) gives g0(h_t(x)).  The
-    # coefficients of u/psi(u) = e^{t g0(ell u) - log_amp} sum to 1, so no
-    # power of it overflows however small ell is.
-    g0s *= ell ** np.arange(n + 1)  # [u^j] g0(ell u)
+    # In w = s u, s the model's anchor, the characteristic map is
+    # psi(u) = phi_t(s u) = u e^{log_amp - t g0(s u)} with log_amp = t g0(s).
+    s = model.anchor(t)
+    log_amp = t * measure.g0(s)
+    # Lagrange-Buermann on psi with G(u) = g0(s u) gives g0(h_t(x)).  The
+    # coefficients of u/psi(u) = e^{t g0(s u) - log_amp} sum to 1, so no
+    # power of it overflows however small s is.
+    g0s *= s ** np.arange(n + 1)  # [u^j] g0(s u)
     a = t * g0s[:n]
     a[0] = -log_amp
     recip = ps_exp(PowerSeries(a)).coeffs
@@ -225,15 +205,17 @@ def _closed_form(nu, r_m, r_a, a_max, m_max) -> np.ndarray:
     a = np.arange(a_max + 1)[:, None]
     m = np.arange(2, m_max + 1)
     k = a + m - 2
-    powers = conv_power(nu / A0, m_max, n - 2)  # row m-1: nu^{*m} / A0^m
-    with np.errstate(divide="ignore"):  # log 0 = -inf, and e^-inf = 0
+    powers = conv_power(nu / A0, m_max, n - 2)[m - 1, k]  # nu^{*m}(k) / A0^m
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf
         log_c = (
             log_fact[k] - log_fact[a] - log_fact[m]
             + (m - 1) * np.log(r_m * A0) + np.log(A0)
             + a * np.log(r_a)
-            + np.log(powers[m - 1, k])
+            + np.log(powers)
         )
-    out[:, 2:] = np.exp(log_c)
+    # a zero power is a zero entry, also where r_m = inf (a limit with
+    # mu(1) = mu(2) = 0) would make its log nan
+    out[:, 2:] = np.where(powers > 0.0, np.exp(log_c), 0.0)
     return out
 
 
@@ -248,27 +230,18 @@ class ArmsConcentrations:
     values: np.ndarray
 
 
-def arms_concentrations(
-    measure: ArmMeasure,
-    t: float,
-    a_max: int,
-    m_max: int,
-    *,
-    gel_interacting: bool = False,
-) -> ArmsConcentrations:
-    """Closed-form c_t(a, m) on monodisperse arm data, m >= 2."""
+def arms_concentrations(model, t: float, a_max: int, m_max: int) -> ArmsConcentrations:
+    """Closed-form c_t(a, m) of an arms model on monodisperse arm data, m >= 2.
+
+    beta_t is the factor per unit of mass and 1/alpha_t the factor per free arm.
+    """
+    measure = model.measure
     if not measure.is_monodisperse:
         raise DomainError("closed-form concentrations need monodisperse arm data")
     if t < 0.0:
         raise DomainError("time must be >= 0")
-    nu = measure.nu()
-    if gel_interacting:
-        # per unit mass t/(1 + A0 t), per free arm 1/(1 + A0 t)
-        amp = 1.0 + t * measure.A0
-        out = _closed_form(nu, t / amp, 1.0 / amp, a_max, m_max)
-    else:
-        st = ArmsFlow(measure).state(t)
-        out = _closed_form(nu, st.beta, 1.0 / st.alpha, a_max, m_max)
+    alpha, beta = model.coeffs(t)
+    out = _closed_form(measure.nu(), beta, 1.0 / alpha, a_max, m_max)
     if m_max >= 1:
         for a, w in measure.arm_law().items():
             if a <= a_max:
@@ -276,36 +249,24 @@ def arms_concentrations(
     return ArmsConcentrations(out)
 
 
-def arms_mass(
-    measure: ArmMeasure,
-    t: float,
-    *,
-    gel_interacting: bool = False,
-    m_max: int = 150,
-) -> float:
-    """Total mass sum m c_t(a, m), truncated at m_max (monodisperse data only).
+def arms_mass(model, t: float, *, m_max: int = 150) -> float:
+    """Total mass sum m c_t(a, m) of an arms model up to m_max (monodisperse data only).
 
-    The m = 1 layer is summed exactly as mu(a) r^a with r the per-arm decay
-    factor; higher masses come from the closed-form concentrations.
+    The m = 1 layer is summed exactly as mu(a) r^a with r = 1/alpha_t the
+    per-arm decay factor; higher masses come from the closed-form
+    concentrations.
     """
+    measure = model.measure
     conc = arms_concentrations(
-        measure,
-        t,
-        a_max=_arms_amax(measure, m_max),
-        m_max=m_max,
-        gel_interacting=gel_interacting,
+        model, t, a_max=_arms_amax(measure, m_max), m_max=m_max
     )
-    if gel_interacting:
-        r = 1.0 / (1.0 + t * measure.A0)
-    else:
-        r = 1.0 / ArmsFlow(measure).state(t).alpha
-    total = measure.k0_mass(r)
+    total = measure.k0_mass(1.0 / model.coeffs(t)[0])
     masses = np.arange(conc.values.shape[1])
     total += float((conc.values[:, 2:] * masses[2:]).sum())
     return total
 
 
-def _arms_amax(measure: ArmMeasure, m_max: int) -> int:
+def _arms_amax(measure, m_max: int) -> int:
     # a mass-m cluster built from particles of <= amax arms each has at most
     # m(amax - 2) + 2 free arms
     amax_particle = max(a for a, _ in measure.weights)
@@ -333,55 +294,16 @@ class LimitingConcentrations:
     degenerate: bool = False
 
 
-def _p_nu(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
-    """Long-time ell of the gel-interacting model: smallest root of k0(x) = A0 x.
-
-    f(x) = A0 x - k0(x) is concave with f(0) = -mu(1) <= 0 and f(1) = 0.
-    With gelation (K > A0) f peaks inside (0, 1) where k0'(x) = A0, and
-    increases up to there; without it the root is 1.
-    """
-    A0 = measure.A0
-    if math.isinf(gel_time(measure)):
-        return 1.0
-    peak = bisect_increasing(
-        lambda x: measure.k0(x, 1.0, partial="x"),
-        0.0,
-        1.0,
-        A0,
-        tol=config.root_tol,
-        max_iter=config.max_iter,
-    )
-    return bisect_increasing(
-        lambda x: A0 * x - measure.k0(x, 1.0),
-        0.0,
-        peak,
-        0.0,
-        tol=config.root_tol,
-        max_iter=config.max_iter,
-    )
-
-
-def limiting_concentrations(
-    measure: ArmMeasure,
-    m_max: int,
-    *,
-    gel_interacting: bool = False,
-    config=DEFAULT_CONFIG,
-) -> LimitingConcentrations:
-    """Limits of c_t(0, m) as t -> infinity, for monodisperse arm data."""
+def limiting_concentrations(model, m_max: int) -> LimitingConcentrations:
+    """Limits of an arms model's c_t(0, m) as t -> infinity, on monodisperse arm data."""
+    measure = model.measure
     if not measure.is_monodisperse:
         raise DomainError("limiting concentrations need monodisperse arm data")
     nu = measure.nu()
-    if gel_interacting:
-        p = _p_nu(measure, config)
-        beta_inf = 1.0 / measure.A0
-    else:
-        p = ell_infinity(measure, config)
-        beta_inf = beta_infinity(measure, config)
-    M_inf = measure.k0_mass(p)
+    lim = model.limit()
     # the a = 0 row of the closed form at r_m = beta_inf
-    c_inf = _closed_form(nu, beta_inf, 1.0, 0, m_max)[0]
+    c_inf = _closed_form(nu, lim.beta, 1.0, 0, m_max)[0]
     return LimitingConcentrations(
-        c_inf=c_inf, beta_inf=beta_inf, p_or_c=p, M_inf=M_inf,
+        c_inf=c_inf, beta_inf=lim.beta, p_or_c=lim.ell, M_inf=lim.M,
         degenerate=bool(nu[0] == 0.0),
     )

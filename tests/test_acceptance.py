@@ -102,7 +102,7 @@ def test_criterion_05_oracle_pre_gel(report):
         st = integrate(
             initial_classic(mono, 200), [t], 1e-3, flavor="gel-interacting"
         )[0]
-        c = concentrations(mono, t, 30)
+        c = concentrations(model, t, 30)
         for m in range(1, 31):
             assert abs(c[m] - st.c[m]) <= 1e-6
     report["ok"] = True
@@ -122,8 +122,8 @@ def test_criterion_06_oracle_post_gel(report):
 
 
 def test_criterion_07_arms_closed_form_limits(report):
-    flory = limiting_concentrations(ARM, 10, gel_interacting=True)
-    smolu = limiting_concentrations(ARM, 10, gel_interacting=False)
+    flory = limiting_concentrations(FloryArms(ARM), 10)
+    smolu = limiting_concentrations(SmoluchowskiArms(ARM), 10)
     assert abs(flory.p_or_c - 1.0 / 3.0) <= 1e-10
     assert abs(flory.M_inf - 16.0 / 27.0) <= 1e-10
     assert abs(smolu.p_or_c - 3.0**-0.5) <= 1e-10
@@ -181,7 +181,7 @@ def test_criterion_09_gel_derivative_families(report):
 
 def test_criterion_10_arms_concentration_spot_value(report):
     for t in (0.5, 1.0, 4.0):
-        out = arms_concentrations(ARM, t, 2, 2, gel_interacting=True)
+        out = arms_concentrations(FloryArms(ARM), t, 2, 2)
         assert abs(out.values[0, 2] - t / (32.0 * (1.0 + t))) <= 1e-12
     report["ok"] = True
 
@@ -239,8 +239,6 @@ def test_criterion_12_property_suites(report):
 
     # nonnegativity of emitted concentrations
     for t in (0.5, 2.0):
-        assert (concentrations(Monodisperse(), t, 40) >= 0.0).all()
-        assert (
-            arms_concentrations(ARM, t, 10, 10, gel_interacting=True).values >= 0.0
-        ).all()
+        assert (concentrations(Smoluchowski(Monodisperse()), t, 40) >= 0.0).all()
+        assert (arms_concentrations(FloryArms(ARM), t, 10, 10).values >= 0.0).all()
     report["ok"] = True

@@ -176,7 +176,8 @@ class TestArmsFlow:
             assert st.beta == pytest.approx(t / (1.0 + t), abs=1e-12)
 
     def test_alpha_beta_monotone(self):
-        states = ArmsFlow(ARM).trajectory(np.linspace(0.0, 6.0, 101))
+        flow = ArmsFlow(ARM)
+        states = [flow.state(t) for t in np.linspace(0.0, 6.0, 101)]
         alphas = [s.alpha for s in states]
         betas = [s.beta for s in states]
         assert all(a <= b + 1e-12 for a, b in zip(alphas, alphas[1:]))

@@ -7,6 +7,8 @@ from gelsolve.cli import fmt, main
 
 MONO = '{"type":"monodisperse"}'
 ARMS = '{"type":"arm-law","mu":{"0":0.5,"1":0.25,"3":0.25}}'
+GENERAL_ARMS = '{"type":"arms","triples":[[1,1,0.5],[3,2,0.5]]}'
+POWERLAW = '{"type":"powerlaw","p":1.5}'
 
 
 def run(capsys, *argv):
@@ -228,11 +230,33 @@ class TestConfigHandling:
              "--t", "inf"),
             ("trajectory", "--model", "smoluchowski-arms", "--measure", ARMS,
              "--t-end", "inf"),
+            ("concentrations", "--model", "flory-arms", "--measure", GENERAL_ARMS,
+             "--t", "1"),
+            ("concentrations", "--model", "smoluchowski-arms",
+             "--measure", GENERAL_ARMS, "--t", "1"),
+            ("limits", "--model", "flory-arms", "--measure", GENERAL_ARMS),
+            ("limits", "--model", "smoluchowski-arms", "--measure", GENERAL_ARMS),
+            ("concentrations", "--model", "smoluchowski",
+             "--measure", '{"type":"exponential"}', "--t", "0.5"),
+            ("concentrations", "--model", "smoluchowski",
+             "--measure", '{"type":"discrete","atoms":[[1.5,1]]}', "--t", "0.5"),
+            ("trajectory", "--model", "flory", "--measure", POWERLAW,
+             "--t-end", "1"),
+            ("validate", "--model", "flory", "--measure", POWERLAW),
+            ("validate", "--model", "flory-arms", "--measure", ARMS,
+             "--amax", "2", "--mmax", "10", "--t-end", "0.1", "--dt", "0.01"),
         ],
         ids=["powerlaw-without-p", "moments-non-numeric-atom",
              "trajectory-non-numeric-atom", "negative-time",
              "infinite-time-flory-arms", "infinite-time-smoluchowski",
-             "infinite-grid-end-smoluchowski-arms"],
+             "infinite-grid-end-smoluchowski-arms",
+             "concentrations-general-arms-flory-arms",
+             "concentrations-general-arms-smoluchowski-arms",
+             "limits-general-arms-flory-arms",
+             "limits-general-arms-smoluchowski-arms",
+             "concentrations-exponential", "concentrations-non-integer-mass",
+             "trajectory-flory-powerlaw", "validate-flory-powerlaw",
+             "validate-arm-atom-outside-amax"],
     )
     def test_malformed_input_is_a_config_error(self, capsys, argv):
         code = main(list(argv))

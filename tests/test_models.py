@@ -120,7 +120,7 @@ class TestPhiShape:
         slope = (s.phi(t, ell + h) - s.phi(t, ell - h)) / (2 * h)
         assert abs(slope) < 1e-8
         f = Flory(Monodisperse())
-        _, slope = f._branch(t)
+        _, slope = f._branch(t, 1.0)
         assert slope(f.ell(t)) > 0.1
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from gelsolve.errors import DomainError
 from gelsolve.measures import ArmMeasure, Discrete, ExponentialDensity, Monodisperse
-from gelsolve.models import FloryArms, SmoluchowskiArms
+from gelsolve.models import Flory, FloryArms, Smoluchowski, SmoluchowskiArms
 from gelsolve.oracle import initial_arms, integrate
 from gelsolve.series import (
     PowerSeries,
@@ -22,6 +22,14 @@ from gelsolve.series import (
 
 MU = {0: 0.5, 1: 0.25, 3: 0.25}
 ARM = ArmMeasure.monodisperse(MU)
+
+
+def _classic(gel, measure):
+    return (Flory if gel else Smoluchowski)(measure)
+
+
+def _arms(gel, law):
+    return (FloryArms if gel else SmoluchowskiArms)(law)
 
 
 class TestPowerSeriesOps:
@@ -71,25 +79,25 @@ class TestPowerSeriesOps:
 
 class TestConcentrations:
     def test_t_zero(self):
-        c = concentrations(Monodisperse(), 0.0, 10)
+        c = concentrations(Smoluchowski(Monodisperse()), 0.0, 10)
         assert c[1] == pytest.approx(1.0)
         assert not c[2:].any()
 
     def test_monodisperse_closed_forms(self):
         # c(1) = e^-t and c(2) = t e^{-2t}/2 pre-gel
         for t in (0.25, 0.5, 0.9):
-            c = concentrations(Monodisperse(), t, 20)
+            c = concentrations(Smoluchowski(Monodisperse()), t, 20)
             assert c[1] == pytest.approx(math.exp(-t), abs=1e-12)
             assert c[2] == pytest.approx(t * math.exp(-2 * t) / 2, abs=1e-12)
 
     def test_flavors_agree_pre_gel(self):
-        a = concentrations(Monodisperse(), 0.7, 30)
-        b = concentrations(Monodisperse(), 0.7, 30, gel_interacting=True)
+        a = concentrations(Smoluchowski(Monodisperse()), 0.7, 30)
+        b = concentrations(Flory(Monodisperse()), 0.7, 30)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_nonnegative_post_gel(self):
         for gel in (False, True):
-            c = concentrations(Monodisperse(), 2.0, 40, gel_interacting=gel)
+            c = concentrations(_classic(gel, Monodisperse()), 2.0, 40)
             assert (c >= 0.0).all()
 
     def test_mass_partial_sums_below_total(self):
@@ -97,7 +105,7 @@ class TestConcentrations:
 
         model = Smoluchowski(Monodisperse())
         t = 2.0
-        c = concentrations(Monodisperse(), t, 60)
+        c = concentrations(Smoluchowski(Monodisperse()), t, 60)
         partial = float((np.arange(61) * c).sum())
         assert partial <= model.mass(t) + 1e-12
         shorter = float((np.arange(31) * c[:31]).sum())
@@ -105,17 +113,17 @@ class TestConcentrations:
 
     def test_two_atom_measure(self):
         mix = Discrete([(1, 0.5), (2, 0.25)])
-        c = concentrations(mix, 0.0, 5)
+        c = concentrations(Smoluchowski(mix), 0.0, 5)
         assert c[1] == pytest.approx(0.5) and c[2] == pytest.approx(0.25)
 
     def test_underflow_at_large_time(self):
         # c_800(m) < e^{-800}, below the smallest double: all underflow to 0
-        c = concentrations(Monodisperse(), 800.0, 16, gel_interacting=True)
+        c = concentrations(Flory(Monodisperse()), 800.0, 16)
         assert not c.any()
 
     def test_non_lattice_rejected(self):
         with pytest.raises(DomainError):
-            concentrations(ExponentialDensity(), 0.5, 10)
+            concentrations(Smoluchowski(ExponentialDensity()), 0.5, 10)
 
 
 def _borel(t, n):
@@ -164,7 +172,7 @@ class TestHighOrder:
         ids=["flory-0.5", "flory-3", "smoluchowski-0.5"],
     )
     def test_monodisperse_order_1024_is_borel(self, t, gel):
-        c = concentrations(Monodisperse(), t, 1024, gel_interacting=gel)
+        c = concentrations(_classic(gel, Monodisperse()), t, 1024)
         ref = _borel(t, 1024)
         big = ref >= 1e-280
         assert big[1:].sum() > 500
@@ -176,7 +184,7 @@ class TestHighOrder:
         ids=["pre-gel", "smoluchowski-post-gel", "flory-post-gel"],
     )
     def test_lattice_law_matches_mpmath_lagrange(self, t, gel):
-        c = concentrations(LATTICE, t, 64, gel_interacting=gel)
+        c = concentrations(_classic(gel, LATTICE), t, 64)
         for m in (1, 7, 32, 64):
             ref = _lagrange_mp(LATTICE.atoms, t, m, gel)
             assert c[m] == pytest.approx(ref, rel=1e-10)
@@ -185,7 +193,7 @@ class TestHighOrder:
         # past T_gel = 1, c_t(k) = k^(k-2) e^-k / (k! t); x/phi_t has
         # coefficients of size 1/ell^k without the rescaling w = ell u
         t = 1e4
-        c = concentrations(Monodisperse(), t, 300)
+        c = concentrations(Smoluchowski(Monodisperse()), t, 300)
         with mp.workdps(30):
             ref = [mp.mpf(k) ** (k - 2) * mp.exp(-k) / (mp.factorial(k) * t)
                    for k in range(1, 301)]
@@ -195,26 +203,26 @@ class TestHighOrder:
 
     def test_tiny_coefficients_are_zero(self):
         # c_3(1024) is about 1e-409; nothing comes back subnormal
-        c = concentrations(Monodisperse(), 3.0, 1024, gel_interacting=True)
+        c = concentrations(Flory(Monodisperse()), 3.0, 1024)
         assert c[1024] == 0.0
         assert ((c == 0.0) | (c >= np.finfo(float).tiny)).all()
 
 
 class TestArmsConcentrations:
     def test_hand_value(self):
-        out = arms_concentrations(ARM, 1.0, 4, 4, gel_interacting=True)
+        out = arms_concentrations(FloryArms(ARM), 1.0, 4, 4)
         assert out.values[0, 2] == pytest.approx(1 / 64, abs=1e-15)
 
     def test_large_time_limit(self):
-        out = arms_concentrations(ARM, 1e8, 4, 4, gel_interacting=True)
+        out = arms_concentrations(FloryArms(ARM), 1e8, 4, 4)
         assert out.values[0, 2] == pytest.approx(1 / 32, rel=1e-6)
 
     def test_positive_arm_rows_vanish(self):
-        small = arms_concentrations(ARM, 1e6, 6, 6, gel_interacting=True)
+        small = arms_concentrations(FloryArms(ARM), 1e6, 6, 6)
         assert np.max(small.values[1:, 2:]) < 1e-5
 
     def test_m1_column_is_initial_data(self):
-        out = arms_concentrations(ARM, 3.0, 4, 4, gel_interacting=True)
+        out = arms_concentrations(FloryArms(ARM), 3.0, 4, 4)
         assert out.values[0, 1] == 0.5
         assert out.values[3, 1] == 0.25
 
@@ -224,7 +232,7 @@ class TestArmsConcentrations:
         law = ArmMeasure.monodisperse({0: 0.5, 2: 0.25, 3: 0.25})
         for flavor in ("gel-interacting", "no-big-coagulation"):
             gel = flavor == "gel-interacting"
-            out = arms_concentrations(law, 0.5, 4, 4, gel_interacting=gel).values
+            out = arms_concentrations(_arms(gel, law), 0.5, 4, 4).values
             ref = integrate(initial_arms(law, 60, 60), [0.5], 1e-2, flavor=flavor)[0].c
             assert out[2, 2:5] == pytest.approx(
                 [0.014565, 0.0022408, 0.00034474], rel=1e-4
@@ -235,7 +243,7 @@ class TestArmsConcentrations:
     def test_non_monodisperse_rejected(self):
         mixed = ArmMeasure({(1, 1): 0.5, (2, 2): 0.5})
         with pytest.raises(DomainError):
-            arms_concentrations(mixed, 1.0, 4, 4)
+            arms_concentrations(SmoluchowskiArms(mixed), 1.0, 4, 4)
 
     @pytest.mark.parametrize("t", [0.7, 2.5])
     def test_matches_mpmath_up_to_300(self, t):
@@ -243,7 +251,7 @@ class TestArmsConcentrations:
         # finite sum of trinomial terms
         mu = {0: 0.3, 1: 0.35, 2: 0.1, 3: 0.25}
         law = ArmMeasure.monodisperse(mu)
-        c = arms_concentrations(law, t, 300, 300, gel_interacting=True).values
+        c = arms_concentrations(FloryArms(law), t, 300, 300).values
         with mp.workdps(40):
             T, A0 = mp.mpf(t), mp.mpf(law.A0)
             nu = [mp.mpf(mu[1]), 2 * mp.mpf(mu[2]), 3 * mp.mpf(mu[3])]
@@ -266,56 +274,56 @@ class TestArmsConcentrations:
 
     @pytest.mark.parametrize("gel", [True, False])
     def test_no_nan_at_602_by_600(self, gel):
-        out = arms_concentrations(ARM, 4.0, 602, 600, gel_interacting=gel).values
+        out = arms_concentrations(_arms(gel, ARM), 4.0, 602, 600).values
         assert np.isfinite(out).all()
         assert (out >= 0.0).all()
 
     def test_gel_inert_variant_pre_gel(self):
         # pre-gel beta_t = t/(1+t) and alpha_t = 1+t, so the two variants agree
-        a = arms_concentrations(ARM, 1.5, 6, 6)
-        b = arms_concentrations(ARM, 1.5, 6, 6, gel_interacting=True)
+        a = arms_concentrations(SmoluchowskiArms(ARM), 1.5, 6, 6)
+        b = arms_concentrations(FloryArms(ARM), 1.5, 6, 6)
         assert np.allclose(a.values, b.values, atol=1e-10)
 
     def test_nonnegative(self):
         for gel in (False, True):
-            out = arms_concentrations(ARM, 4.0, 10, 10, gel_interacting=gel)
+            out = arms_concentrations(_arms(gel, ARM), 4.0, 10, 10)
             assert (out.values >= 0.0).all()
 
 
 class TestArmsMass:
     def test_pre_gel_conservation(self):
-        assert arms_mass(ARM, 1.0, gel_interacting=True) == pytest.approx(
+        assert arms_mass(FloryArms(ARM), 1.0) == pytest.approx(
             1.0, abs=1e-4
         )
 
     def test_post_gel_loss(self):
-        assert arms_mass(ARM, 5.0, gel_interacting=True) < 1.0
+        assert arms_mass(FloryArms(ARM), 5.0) < 1.0
 
     def test_finite_at_m_max_600(self):
         # a 602 x 600 window; its binomial factors overflowed a double before
         # they were taken in log space
-        mass = arms_mass(ARM, 4.0, gel_interacting=True, m_max=600)
+        mass = arms_mass(FloryArms(ARM), 4.0, m_max=600)
         assert mass == pytest.approx(FloryArms(ARM).mass(4.0), rel=1e-9)
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 6.0, 10.0])
     def test_truncated_sum_matches_sol_mass(self, t):
         # away from T_gel = 2 the terms decay geometrically in m
         model = FloryArms(ARM)
-        assert arms_mass(ARM, t, gel_interacting=True, m_max=300) == pytest.approx(
+        assert arms_mass(model, t, m_max=300) == pytest.approx(
             model.mass(t), rel=1e-9
         )
 
 
 class TestLimits:
     def test_gel_interacting_limits(self):
-        lim = limiting_concentrations(ARM, 10, gel_interacting=True)
+        lim = limiting_concentrations(FloryArms(ARM), 10)
         assert lim.p_or_c == pytest.approx(1 / 3, abs=1e-10)
         assert lim.M_inf == pytest.approx(16 / 27, abs=1e-9)
         assert lim.beta_inf == 1.0
         assert lim.c_inf[2] == pytest.approx(1 / 32, abs=1e-14)
 
     def test_gel_inert_limits(self):
-        lim = limiting_concentrations(ARM, 10, gel_interacting=False)
+        lim = limiting_concentrations(SmoluchowskiArms(ARM), 10)
         c = 1.0 / math.sqrt(3.0)
         assert lim.p_or_c == pytest.approx(c, abs=1e-10)
         assert lim.beta_inf == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-10)
@@ -325,22 +333,22 @@ class TestLimits:
         assert lim.c_inf[2] == pytest.approx(lim.beta_inf / 32, rel=1e-9)
 
     def test_mass_ordering(self):
-        flory = limiting_concentrations(ARM, 5, gel_interacting=True)
-        smolu = limiting_concentrations(ARM, 5, gel_interacting=False)
+        flory = limiting_concentrations(FloryArms(ARM), 5)
+        smolu = limiting_concentrations(SmoluchowskiArms(ARM), 5)
         assert smolu.p_or_c > flory.p_or_c
         assert smolu.M_inf > flory.M_inf
 
     def test_subcritical(self):
         sub = ArmMeasure.monodisperse({1: 1.0})
-        f = limiting_concentrations(sub, 5, gel_interacting=True)
-        s = limiting_concentrations(sub, 5, gel_interacting=False)
+        f = limiting_concentrations(FloryArms(sub), 5)
+        s = limiting_concentrations(SmoluchowskiArms(sub), 5)
         assert f.p_or_c == 1.0
         assert s.beta_inf == 1.0
         assert f.M_inf == pytest.approx(1.0)
 
     def test_degenerate(self):
         deg = ArmMeasure.monodisperse({2: 1.0})
-        lim = limiting_concentrations(deg, 5, gel_interacting=True)
+        lim = limiting_concentrations(FloryArms(deg), 5)
         assert lim.degenerate
         assert not lim.c_inf.any()
 
@@ -361,16 +369,85 @@ class TestLimits:
         t = 1e6
         law = ArmMeasure.monodisperse(mu)
         model = (FloryArms if gel else SmoluchowskiArms)(law)
-        lim = limiting_concentrations(law, 8, gel_interacting=gel)
+        lim = limiting_concentrations(model, 8)
         slow = not gel and mu.get(1, 0.0) == 0.0
         assert lim.p_or_c == pytest.approx(
             model.ell(t), rel=1e-4, abs=t ** (-1 / 3) if slow else 1e-5
         )
         assert lim.M_inf == pytest.approx(model.mass(t), rel=1e-4)
-        row = arms_concentrations(law, t, 0, 8, gel_interacting=gel).values[0]
+        row = arms_concentrations(model, t, 0, 8).values[0]
         assert lim.c_inf[2:] == pytest.approx(row[2:], rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "gel", [True, False], ids=["flory-arms", "smoluchowski-arms"]
+    )
+    @pytest.mark.parametrize("mu, kp0", [
+        ({0: 0.5, 2: 0.25, 3: 0.25}, 0.5),  # k0'(0) = 2 mu(2)
+        ({0: 0.5, 3: 0.5}, 0.0),
+    ], ids=["mu2-positive", "mu2-zero"])
+    def test_root_at_zero_is_exact(self, mu, kp0, gel):
+        # mu(1) = 0 makes k0(0) = 0, so ell_inf = 0 exactly; the gel-inert
+        # beta_inf = c/k0(c) tends to 1/k0'(0) there
+        law = ArmMeasure.monodisperse(mu)
+        lim = limiting_concentrations(_arms(gel, law), 8)
+        assert lim.p_or_c == 0.0
+        if gel:
+            assert lim.beta_inf == 1.0 / law.A0
+        else:
+            assert lim.beta_inf == (1.0 / kp0 if kp0 else math.inf)
+        assert lim.M_inf == mu[0]
+        assert lim.degenerate
+        assert np.isfinite(lim.c_inf).all() and not lim.c_inf.any()
 
     def test_c_inf_nonnegative(self):
         for gel in (False, True):
-            lim = limiting_concentrations(ARM, 30, gel_interacting=gel)
+            lim = limiting_concentrations(_arms(gel, ARM), 30)
             assert (lim.c_inf >= 0.0).all()
+
+
+class TestSolveOnce:
+    """The series read the model's solved state, counted at every module binding."""
+
+    @staticmethod
+    def _count(monkeypatch, name, modules):
+        import importlib
+
+        calls = []
+        for module in modules:
+            mod = importlib.import_module(f"gelsolve.{module}")
+            real = getattr(mod, name)
+
+            def counted(*args, _real=real, **kwargs):
+                calls.append(args)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    def test_post_gel_smoluchowski_solves_ell_once(self, monkeypatch):
+        calls = self._count(
+            monkeypatch, "ell_smolu", ("characteristics", "models", "series")
+        )
+        concentrations(Smoluchowski(LATTICE), 2.0, 32)
+        assert len(calls) == 1
+
+    def test_flory_solves_no_ell(self, monkeypatch):
+        calls = self._count(monkeypatch, "l_flory", ("characteristics", "models"))
+        concentrations(Flory(LATTICE), 2.0, 32)
+        assert not calls
+
+    def test_arms_concentrations_builds_no_flow(self, monkeypatch):
+        import gelsolve.characteristics
+
+        model = SmoluchowskiArms(ARM)
+        built = []
+        real = gelsolve.characteristics.ArmsFlow.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(gelsolve.characteristics.ArmsFlow, "__init__", counted)
+        arms_concentrations(model, 4.0, 6, 6)
+        arms_mass(model, 4.0, m_max=20)
+        assert not built
