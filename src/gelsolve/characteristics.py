@@ -1,7 +1,12 @@
-"""Root-finding and ODE machinery behind the method of characteristics.
+"""Root-finding and quadrature behind the method of characteristics.
 
 Every bracketed function here is monotone on its bracket, so plain bisection
-is guaranteed to converge; speed is traded for that robustness.
+is guaranteed to converge; speed is traded for that robustness.  The arms
+flow and its long-time limit are Newton solves on monotone functions with a
+known slope: the tangency point is the root of a convex increasing
+polynomial, and ell_t inverts an explicit integral t(ell) summed by
+Gauss-Legendre quadrature.  Only numpy is needed; the cross-check
+`alpha_via_gamma` imports scipy when it is called.
 """
 from __future__ import annotations
 
@@ -188,11 +193,29 @@ def _h_of_u(measure: ArmMeasure, u: float, config=DEFAULT_CONFIG) -> float:
 # ---------------------------------------------------------------------------
 # Arms model: the characteristic flow
 
-#: DOP853 tolerances of the ell flow.  The closed-form concentrations raise
-#: beta to the power m - 1 and 1/alpha to the power a, so ell has to be far
-#: more accurate than the products are asked to be.
-FLOW_RTOL = 1e-13
-FLOW_ATOL = 1e-15
+def _tangency_coeffs(measure: ArmMeasure):
+    """Power-series coefficients in x of D(x) = x k0'(x, 1) - k0(x, 1) and k0''(x, 1).
+
+    D = sum a (a-2) c0(a, m) x^(a-1) is written out term by term, so only
+    the a = 1 term is subtracted.  D' = x k0'' >= 0 and D(1) = K - A0.
+    """
+    n = max(a for a, _ in measure.weights) + 1
+    d, xx = np.zeros(n), np.zeros(n)
+    for (a, _), w in measure.weights.items():
+        if a >= 1:
+            d[a - 1] += a * (a - 2) * w
+        if a >= 3:
+            xx[a - 3] += a * (a - 1) * (a - 2) * w
+    return d, xx
+
+
+#: 12-point Gauss-Legendre rule for each panel of t(ell), moved to [0, 1].
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+#: Panels of t(ell) lie between the dyadic points c + (1 - c) 2^-k, k <= _PANELS.
+_PANELS = 60
+_NEWTON_ITER = 100
+_EPS = float(np.finfo(float).eps)
 
 
 class ArmsFlow:
@@ -204,13 +227,23 @@ class ArmsFlow:
 
         d/dx phi_t(ell) = 0   gives  beta  = 1 / k0'(ell)
         phi_t(ell) = 1        gives  alpha = 1 / G(ell),  G = x - k0/k0'
-        G' = k0 k0'' / k0'^2  gives  ell'  = -(ell k0'(ell) - k0(ell))^2 / k0''(ell)
+        G' = k0 k0'' / k0'^2  gives  ell'  = -D(ell)^2 / k0''(ell),  D = x k0' - k0
 
-    Only ell is integrated, from ell(T_gel) = 1, by one DOP853 stepper per
-    flow.  The stepper has no end time: it steps on until it passes the latest
-    time asked for and keeps every step's dense output, so each stretch of
-    time is integrated once and a state does not depend on the order of the
-    queries.
+    Read backwards, the last line is an explicit integral for the time at
+    which ell_t passes x:
+
+        t(x) = T_gel + int_x^1 k0''(s) / D(s)^2 ds.
+
+    D is convex and increasing with its root at c = ell_inf, so t(x) falls
+    from +inf at c to T_gel at 1.  The integral is summed with 12-point
+    Gauss-Legendre over the panels between x_k = c + (1 - c) 2^-k, which
+    keeps each panel as wide as its distance to the pole at c.  The running
+    sums t(x_k) are built on demand, always in the same order, and kept.
+    ell_t is then a Newton solve of t(ell) = t, with slope -k0''/D^2, inside
+    the panel that brackets t, falling back to bisection when a step leaves
+    the bracket.  Past the last panel ell_t = c to double precision, where
+    G(c) = 0 and alpha_t is reported as inf.  A state is a pure function of
+    t, whatever the order of the queries.
     """
 
     def __init__(self, measure: ArmMeasure):
@@ -218,34 +251,72 @@ class ArmsFlow:
             raise ModelError("arms flow requires A0 < +inf")
         self.measure = measure
         self.t_gel = gel_time(measure)
-        self._solver = None  # started by the first post-gel query
-        self._step_ends: list[float] = []
-        self._step_dense = []
+        self._c = None  # ell_inf, found by the first post-gel query
+        self._edges = None  # x_0 = 1 > x_1 > ... down to the last panel
+        self._times = [self.t_gel]  # t(x_k), one per panel summed so far
 
-    def _rhs(self, t, y):
-        del t  # autonomous
-        m = self.measure
-        x = min(max(float(y[0]), 0.0), 1.0)  # a stage may land just outside [0, 1]
-        kp = m.k0(x, 1.0, partial="x")
-        return [-((x * kp - m.k0(x, 1.0)) ** 2) / m.k0_xx(x, 1.0)]
+    def _integrand(self, x: np.ndarray):
+        """(D, k0''/D^2) at the points x."""
+        powers = x[:, None] ** self._exponents
+        d = powers @ self._d
+        with np.errstate(divide="ignore", invalid="ignore"):  # D = 0 at c
+            return d, (powers @ self._xx) / (d * d)
+
+    def _quad(self, lo: float, hi: float, at: float):
+        """(int_lo^hi k0''/D^2 dx, k0''/D^2 at `at`), from one evaluation."""
+        x = np.empty(_GL_NODES.size + 1)
+        np.multiply(_GL_NODES, hi - lo, out=x[:-1])
+        x[:-1] += lo
+        x[-1] = at
+        f = self._integrand(x)[1]
+        return (hi - lo) * float(f[:-1] @ _GL_WEIGHTS), float(f[-1])
+
+    def _panel(self, t: float):
+        """k with t(x_k) < t <= t(x_(k+1)), summing panels as needed; None past the last."""
+        if self._c is None:
+            c = ell_infinity(self.measure)
+            self._d, self._xx = _tangency_coeffs(self.measure)
+            self._exponents = np.arange(float(self._d.size))
+            x = c + (1.0 - c) * 2.0 ** -np.arange(_PANELS + 1.0)
+            d, f = self._integrand(x)
+            # the points that rounding merges with c or with each other end the panels
+            ok = (np.diff(x, prepend=2.0) < 0.0) & (x > c) & (d > 0.0) & np.isfinite(f)
+            self._edges = x[: x.size if ok.all() else int(np.argmin(ok))].tolist()
+            self._c = c
+        times, edges = self._times, self._edges
+        while times[-1] < t and len(times) < len(edges):
+            k = len(times) - 1
+            times.append(times[-1] + self._quad(edges[k + 1], edges[k], edges[k])[0])
+        if times[-1] < t:
+            return None
+        return int(np.searchsorted(times, t)) - 1
 
     def _ell(self, t: float) -> float:
-        if self._solver is None:
-            from scipy.integrate import DOP853
-
-            self._solver = DOP853(
-                self._rhs, self.t_gel, [1.0], math.inf,
-                rtol=FLOW_RTOL, atol=FLOW_ATOL,
-            )
-        solver = self._solver
-        while solver.t < t:
-            message = solver.step()
-            if solver.status == "failed":
-                raise SolverError(f"arms flow failed at t={solver.t}: {message}")
-            self._step_ends.append(solver.t)
-            self._step_dense.append(solver.dense_output())
-        i = int(np.searchsorted(self._step_ends, t))
-        return min(max(float(self._step_dense[i](t)[0]), 0.0), 1.0)
+        k = self._panel(t)
+        if k is None:
+            return self._c
+        c, hi, lo = self._c, self._edges[k], self._edges[k + 1]
+        t_hi, t_lo = self._times[k], self._times[k + 1]
+        # start where t is linear in 1/(x - c), as it is near a simple root of D
+        s_hi, s_lo = 1.0 / (hi - c), 1.0 / (lo - c)
+        x = c + 1.0 / (s_hi + (t - t_hi) / (t_lo - t_hi) * (s_lo - s_hi))
+        x_top = hi
+        for _ in range(_NEWTON_ITER):
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+            part, slope = self._quad(x, x_top, x)
+            excess = t_hi + part - t  # t(x) - t, decreasing in x
+            if excess > 0.0:
+                lo = x
+            elif excess < 0.0:
+                hi = x
+            else:
+                return x
+            x_next = x + excess / slope
+            if abs(x_next - x) <= 4.0 * _EPS * x or hi - lo <= 4.0 * _EPS * hi:
+                return x_next if lo <= x_next <= hi else x
+            x = x_next
+        raise SolverError(f"arms flow: no convergence at t={t}")
 
     def state(self, t: float) -> SolutionState:
         if not 0.0 <= t < INF:
@@ -257,8 +328,11 @@ class ArmsFlow:
             )
         ell = self._ell(t)
         kp = self.measure.k0(ell, 1.0, partial="x")
-        alpha = kp / (ell * kp - self.measure.k0(ell, 1.0))
-        return SolutionState(t=t, ell=ell, alpha=alpha, beta=1.0 / kp)
+        d = float(ell**self._exponents @ self._d)
+        # G(ell) = D(ell)/kp is 0 to rounding once ell has reached c
+        alpha = kp / d if d > 0.0 else INF
+        beta = 1.0 / kp if kp > 0.0 else INF
+        return SolutionState(t=t, ell=ell, alpha=alpha, beta=beta)
 
 
 def alpha_via_gamma(measure: ArmMeasure, t: float, config=DEFAULT_CONFIG) -> float:
@@ -292,26 +366,43 @@ def alpha_via_gamma(measure: ArmMeasure, t: float, config=DEFAULT_CONFIG) -> flo
 
 
 def ell_infinity(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
-    """Long-time limit of ell_t: c = H(0), where k0'(c) = k0(c)/c; 1 without gelation.
+    """Long-time limit of ell_t: the root c of D(x) = x k0'(x) - k0(x); 1 without gelation.
 
-    With mu(1) = 0, k0(0) = 0 and x k0'(x) - k0(x) vanishes at c = 0 itself,
-    the end of the bracket, which bisection only nears.
+    D is convex and increasing with D(1) = K - A0 > 0, so Newton's method
+    from 1 decreases monotonically to c.  With mu(1) = 0, k0(0) = 0 and
+    c = 0 exactly.
     """
     if math.isinf(gel_time(measure)):
         return 1.0
     if measure.k0(0.0, 1.0) == 0.0:
         return 0.0
-    return H_map(measure, 0.0, config)
+    d, xx = _tangency_coeffs(measure)
+    exponents = np.arange(d.size)
+    x = 1.0
+    for _ in range(config.max_iter):
+        powers = x**exponents
+        step = float(powers @ d) / (x * float(powers @ xx))  # D/D', D' = x k0''
+        if not step > 0.0 or x - step == x:  # D(x) <= 0: c to rounding
+            return x
+        x -= step
+    raise SolverError(
+        f"tangency point not reached in {config.max_iter} Newton steps"
+    )
 
 
-def beta_infinity(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
-    """Long-time limit of beta_t = 1/k0'(ell_t), that is c/k0(c) with c = ell_inf.
+def beta_at_tangency(measure: ArmMeasure, c: float) -> float:
+    """beta_inf = c/k0(c) at c = ell_inf, the limit of beta_t = 1/k0'(ell_t).
 
-    Without gelation beta_t = t/(1 + A0 t) tends to 1/A0 = 1/k0(1) as well.
-    At c = 0 the ratio is 0/0 and its limit is 1/k0'(0), inf when mu(2) = 0 too.
+    Without gelation c = 1 and beta_t = t/(1 + A0 t) tends to 1/A0 = 1/k0(1)
+    as well.  At c = 0 the ratio is 0/0 and its limit is 1/k0'(0), inf when
+    mu(2) = 0 too.
     """
-    c = ell_infinity(measure, config)
     if c == 0.0:
         kp = measure.k0(0.0, 1.0, partial="x")
         return 1.0 / kp if kp > 0.0 else INF
     return c / measure.k0(c, 1.0)
+
+
+def beta_infinity(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
+    """Long-time limit of beta_t; see `beta_at_tangency`."""
+    return beta_at_tangency(measure, ell_infinity(measure, config))

@@ -12,7 +12,7 @@ from .characteristics import (
     DEFAULT_CONFIG,
     ArmsFlow,
     SolutionState,
-    beta_infinity,
+    beta_at_tangency,
     bisect_increasing,
     ell_infinity,
     ell_smolu,
@@ -293,7 +293,7 @@ class SmoluchowskiArms(_Arms):
     def limit(self) -> SolutionState:
         """ell_inf is the tangency point k0'(c) = k0(c)/c, and beta_inf = c/k0(c)."""
         ell = ell_infinity(self.measure, self.config)
-        beta = beta_infinity(self.measure, self.config)
+        beta = beta_at_tangency(self.measure, ell)
         return SolutionState(t=INF, ell=ell, beta=beta, M=self.measure.k0_mass(ell))
 
     def state(self, t: float) -> SolutionState:

@@ -13,11 +13,11 @@ Two truncation flavors:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import DomainError, SolverError, UsageError
 from .measures import ArmMeasure, MassMeasure
@@ -88,11 +88,28 @@ def _rhs_classic(c: np.ndarray, flavor: str, M0: float) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a length numpy's FFT handles fast."""
+    m = n
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
 def _rhs_arms(t: float, c: np.ndarray, flavor: str, A0: float) -> np.ndarray:
     na, nm = c.shape
     a = np.arange(na)[:, None]
     d = a * c  # arm-weighted concentrations
-    conv = fftconvolve(d, d)
+    # the full self-convolution d * d: one forward transform, squared
+    shape = (_fast_len(2 * na - 1), _fast_len(2 * nm - 1))
+    spectrum = np.fft.rfft2(d, shape)
+    conv = np.fft.irfft2(spectrum * spectrum, shape)
     gain = np.zeros_like(c)
     # merger of (a1,m1),(a2,m2) lands at (a1+a2-2, m1+m2)
     gain[: na - 2, :] = 0.5 * conv[2:na, :nm]

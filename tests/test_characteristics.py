@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from gelsolve.characteristics import (
     alpha_via_gamma,
     beta_infinity,
     bisect_increasing,
+    ell_infinity,
     ell_smolu,
     gel_time,
     l_flory,
@@ -239,3 +241,76 @@ def test_beta_infinity():
 def test_beta_infinity_no_gelation():
     sub = ArmMeasure.monodisperse({1: 1.0})
     assert beta_infinity(sub) == 1.0
+
+
+def _mp_ell(measure, t, start):
+    """ell_t to 40 digits: Newton on t(x) = T_gel + int_x^1 k0''/(x k0' - k0)^2.
+
+    t(x) is decreasing and convex, so the iteration settles on its one root
+    whatever the start; it starts at the value under test only to save steps.
+    """
+    with mp.workdps(40):
+        terms = [(a, mp.mpf(w)) for (a, _), w in measure.weights.items()]
+
+        def k0(x, n):  # n-th x-derivative of k0(x, 1)
+            out = mp.mpf(0)
+            for a, w in terms:
+                f = a * math.prod(a - j for j in range(1, n + 1))
+                if f:
+                    out += f * w * x ** (a - 1 - n)
+            return out
+
+        def rate(x):
+            return k0(x, 2) / (x * k0(x, 1) - k0(x, 0)) ** 2
+
+        A0 = sum(a * w for a, w in terms)
+        K = sum(a * (a - 1) * w for a, w in terms)
+        c = mp.mpf(0)
+        if k0(c, 0) != 0:
+            c = mp.findroot(lambda x: x * k0(x, 1) - k0(x, 0), (mp.mpf(0), mp.mpf(1)),
+                            solver="anderson")
+
+        def t_of(x):
+            points = [x]  # panels as wide as their distance to the pole at c
+            while points[-1] < 1:
+                points.append(min(c + 2 * (points[-1] - c), mp.mpf(1)))
+            return 1 / (K - A0) + mp.quad(rate, points)
+
+        x, target = mp.mpf(start), mp.mpf(t)
+        for _ in range(50):
+            step = (t_of(x) - target) / rate(x)
+            x += step
+            if abs(step) < mp.mpf(10) ** -32 * x:
+                return x
+    raise AssertionError("mpmath reference did not converge")
+
+
+@pytest.mark.parametrize("measure", [
+    ArmMeasure.monodisperse(MU),
+    ArmMeasure.monodisperse({0: 0.5, 2: 0.25, 3: 0.25}),  # c = 0, a double root of D
+    ArmMeasure.monodisperse({0: 0.99, 1: 1e-4, 3: 0.0099}),
+    ArmMeasure.monodisperse({0: 0.3, 1: 0.2, 2: 0.1, 4: 0.1, 6: 0.1, 9: 0.2}),
+    ArmMeasure({(1, 1): 0.5, (3, 2): 0.5, (4, 1): 0.1}),  # k0 summed over mass
+], ids=["readme", "c-zero", "small-c", "nine-arms", "general"])
+def test_flow_matches_mpmath_inversion(measure):
+    flow = ArmsFlow(measure)
+    for dt in (1e-4, 0.03, 1.0, 50.0, 1e4):
+        t = flow.t_gel + dt
+        ell = flow.state(t).ell
+        assert ell == pytest.approx(float(_mp_ell(measure, t, ell)), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("mu", [
+    {1: 0.03558438888743941, 2: 0.00435965163122965, 7: 8.269896045254357e-06,
+     8: 0.0003140641937152215, 9: 0.004057898610257531},
+    {0: 0.4656769825813181, 1: 0.00042142578133980916, 2: 0.6004698144786245,
+     5: 0.0004357043082412592, 7: 1.0243419944258223e-05, 9: 1.6703107703724183e-05},
+], ids=["c-0.774", "c-0.501"])
+def test_far_times_where_a_panel_point_rounds_onto_c(mu):
+    law = ArmMeasure.monodisperse(mu)
+    flow = ArmsFlow(law)
+    c = ell_infinity(law)
+    for t in (1e16, 3.915041124593764e16, 4.83178284091214e19, 1e300):
+        st = flow.state(t)
+        assert st.ell == pytest.approx(c, rel=1e-12, abs=0.0)
+        assert st.alpha > 0.0 and 0.0 < st.beta < math.inf

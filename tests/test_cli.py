@@ -93,6 +93,24 @@ class TestTrajectory:
         assert code == 0 and out == ""
         assert path.read_text().startswith("t,M,A,")
 
+    def test_far_end_reaches_the_limit(self, capsys):
+        # t = 1e308 lies past the last panel of t(ell): ell_t is ell_inf there
+        from gelsolve.measures import ArmMeasure
+        from gelsolve.models import SmoluchowskiArms
+
+        code, out = run(
+            capsys, "trajectory", "--model", "smoluchowski-arms",
+            "--measure", ARMS, "--t-end", "1e308", "--count", "3",
+        )
+        assert code == 0
+        last = out.strip().splitlines()[-1].split(",")
+        lim = SmoluchowskiArms(
+            ArmMeasure.monodisperse({0: 0.5, 1: 0.25, 3: 0.25})
+        ).limit()
+        assert float(last[0]) == 1e308
+        assert float(last[3]) == pytest.approx(lim.ell, rel=1e-12, abs=0.0)
+        assert float(last[5]) == pytest.approx(lim.beta, rel=1e-12, abs=0.0)
+
 
 class TestConcentrations:
     def test_classic(self, capsys):

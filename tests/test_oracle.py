@@ -4,7 +4,13 @@ import pytest
 from gelsolve.errors import DomainError, UsageError
 from gelsolve.measures import ArmMeasure, Discrete, Monodisperse
 from gelsolve.models import Flory, FloryArms, Smoluchowski, SmoluchowskiArms
-from gelsolve.oracle import compare, initial_arms, initial_classic, integrate
+from gelsolve.oracle import (
+    _rhs_arms,
+    compare,
+    initial_arms,
+    initial_classic,
+    integrate,
+)
 
 MU = {0: 0.5, 1: 0.25, 3: 0.25}
 ARM = ArmMeasure.monodisperse(MU)
@@ -100,6 +106,36 @@ class TestArmsIntegrate:
     def test_nonnegative_concentrations(self):
         traj = integrate(initial_arms(ARM, 60, 60), [1.0], 5e-3)
         assert (traj[0].c >= 0.0).all()
+
+
+def _direct_rhs_arms(t, c, flavor, A0):
+    """The arms right-hand side by direct sums over pairs and partners."""
+    na, nm = c.shape
+    d = np.arange(na)[:, None] * c
+    gain = np.zeros_like(c)
+    for a1 in range(na):
+        for a2 in range(na):
+            if 2 <= a1 + a2 <= na - 1:
+                gain[a1 + a2 - 2] += 0.5 * np.convolve(d[a1], d[a2])[:nm]
+    if flavor == "gel-interacting":
+        loss = d * (A0 / (1.0 + t * A0))
+    else:
+        loss = np.zeros_like(c)
+        for a in range(na):
+            for m in range(nm):
+                partners = d[: min(na - 1, na + 1 - a) + 1, : nm - m]
+                loss[a, m] = d[a, m] * partners.sum()
+    return gain, gain - loss
+
+
+class TestArmsRhs:
+    @pytest.mark.parametrize("flavor", ["no-big-coagulation", "gel-interacting"])
+    @pytest.mark.parametrize("shape", [(8, 8), (31, 20), (47, 47)])
+    def test_transform_matches_direct_sums(self, shape, flavor):
+        c = np.random.default_rng(sum(shape)).random(shape)
+        gain, expected = _direct_rhs_arms(0.7, c, flavor, 1.3)
+        diff = np.abs(_rhs_arms(0.7, c, flavor, 1.3) - expected).max()
+        assert diff <= 1e-13 * np.abs(gain).max()
 
 
 class TestCompare:

@@ -451,3 +451,9 @@ class TestSolveOnce:
         arms_concentrations(model, 4.0, 6, 6)
         arms_mass(model, 4.0, m_max=20)
         assert not built
+
+    def test_limit_solves_the_tangency_point_once(self, monkeypatch):
+        calls = self._count(monkeypatch, "ell_infinity", ("characteristics", "models"))
+        lim = SmoluchowskiArms(ARM).limit()
+        assert len(calls) == 1
+        assert lim.beta == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-14)
