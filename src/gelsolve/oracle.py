@@ -106,13 +106,14 @@ def _rhs_arms(t: float, c: np.ndarray, flavor: str, A0: float) -> np.ndarray:
     na, nm = c.shape
     a = np.arange(na)[:, None]
     d = a * c  # arm-weighted concentrations
-    # the full self-convolution d * d: one forward transform, squared
-    shape = (_fast_len(2 * na - 1), _fast_len(2 * nm - 1))
+    # the full self-convolution d * d: one forward transform, squared; 2 na
+    # rows hold its 2 na - 1 and the row na + 1 read below, also for na = 2
+    shape = (_fast_len(2 * na), _fast_len(2 * nm - 1))
     spectrum = np.fft.rfft2(d, shape)
     conv = np.fft.irfft2(spectrum * spectrum, shape)
-    gain = np.zeros_like(c)
-    # merger of (a1,m1),(a2,m2) lands at (a1+a2-2, m1+m2)
-    gain[: na - 2, :] = 0.5 * conv[2:na, :nm]
+    # merger of (a1,m1),(a2,m2) lands at (a1+a2-2, m1+m2), inside the window
+    # for every a1 + a2 <= na + 1
+    gain = 0.5 * conv[2 : na + 2, :nm]
     if flavor == "gel-interacting":
         loss = d * (A0 / (1.0 + t * A0))  # exact total arm count, gel included
     else:

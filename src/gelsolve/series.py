@@ -1,8 +1,8 @@
 """Truncated power-series engine and coefficient-level solution formulas.
 
 Concentrations c_t(m) are Taylor coefficients of the solved generating
-function g0(h_t(x)), read off the characteristic map phi_t by one
-Lagrange-Buermann pass, without forming h_t.
+function g0(h_t(x)); Lagrange-Buermann on the characteristic map phi_t turns
+them into a Poisson mixture of convolution powers, without forming h_t.
 The arms variants have closed forms in terms of convolution powers of the
 size-biased arm law, evaluated directly.  Each formula takes a model and reads
 its solved state: the anchor of phi_t, (alpha_t, beta_t) or the long-time limit.
@@ -17,7 +17,7 @@ import numpy as np
 # bound here only for perfbench/tracing.py:TARGETS, which wraps these names
 from .characteristics import bisect_increasing, ell_smolu  # noqa: F401
 from .errors import DomainError
-from .measures import MassMeasure, conv_power
+from .measures import conv_power
 
 
 class PowerSeries:
@@ -85,49 +85,6 @@ def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     return acc
 
 
-#: Coefficients of smaller magnitude are set to 0 in the Lagrange-Buermann
-#: pass: at order 1024 most monodisperse coefficients are subnormal, and
-#: subnormal operands make the power loop several times slower.
-TINY = 1e-290
-
-
-def _flush(a: np.ndarray) -> np.ndarray:
-    a[np.abs(a) < TINY] = 0.0
-    return a
-
-
-def _ps_reciprocal(coeffs: np.ndarray) -> np.ndarray:
-    if coeffs[0] == 0.0:
-        raise DomainError("cannot invert a series with zero constant term")
-    n = coeffs.size - 1
-    out = np.zeros(n + 1)
-    out[0] = 1.0 / coeffs[0]
-    for k in range(1, n + 1):
-        out[k] = -np.dot(coeffs[1 : k + 1], out[k - 1 :: -1]) / coeffs[0]
-    return out
-
-
-def _lagrange_burmann(recip: np.ndarray, gprime: np.ndarray) -> np.ndarray:
-    """[x^k] G(h(x)) for k = 1..n (entry 0 is 0), h the inverse of x / recip(x).
-
-    recip holds the n coefficients of x/phi(x) and gprime those of G'.  By
-    Lagrange-Buermann [x^k] G(h(x)) = (1/k) [w^{k-1}] G'(w) (w/phi(w))^k, so
-    each power of w/phi costs one convolution and one dot product.
-    """
-    n = recip.size
-    # trailing zeros would only add zero products to every convolution
-    recip = np.trim_zeros(_flush(recip.copy()), "b")
-    out = np.zeros(n + 1)
-    if recip.size == 0:  # x/phi underflowed entirely, and so does every power
-        return out
-    power = np.ones(1)  # (w/phi)^0; its length grows to n as k does
-    for k in range(1, n + 1):
-        power = _flush(np.convolve(power, recip)[:n])
-        m = min(k, power.size)  # [w^j] power is 0 for j >= power.size
-        out[k] = np.dot(gprime[k - m : k], power[m - 1 :: -1]) / k
-    return out
-
-
 def ps_revert(phi: PowerSeries) -> PowerSeries:
     """Compositional inverse h with phi(h(x)) = x + O(x^{N+1}).
 
@@ -139,48 +96,75 @@ def ps_revert(phi: PowerSeries) -> PowerSeries:
         raise DomainError("series to revert must have zero constant term")
     if n < 1 or phi.coeffs[1] == 0.0:
         raise DomainError("series to revert must have nonzero linear term")
-    one = np.zeros(n)
-    one[0] = 1.0  # G(w) = w
-    return PowerSeries(_lagrange_burmann(_ps_reciprocal(phi.coeffs[1:]), one))
+    lin = phi.coeffs[1:]  # phi(x) / x
+    recip = np.zeros(n)  # x / phi(x)
+    recip[0] = 1.0 / lin[0]
+    for k in range(1, n):
+        recip[k] = -np.dot(lin[1 : k + 1], recip[k - 1 :: -1]) / lin[0]
+    out = np.zeros(n + 1)
+    power = np.ones(1)  # (x/phi)^0; its length grows to n as k does
+    for k in range(1, n + 1):
+        power = np.convolve(power, recip)[:n]
+        out[k] = power[k - 1] / k
+    return PowerSeries(out)
 
 
 # ---------------------------------------------------------------------------
-# Classic-model concentrations by Lagrange-Buermann
+# Classic-model concentrations as a Poisson mixture
 
-def _g0_series(measure: MassMeasure, n: int) -> np.ndarray:
-    if not measure.is_lattice:
-        raise DomainError(
-            "series extraction needs an integer-lattice initial measure"
-        )
-    return measure.lattice_weights(n) * np.arange(n + 1)  # [x^m] g0 = m mu0({m})
+def _log_weight(k: int, lam: np.ndarray) -> np.ndarray:
+    """log(Pois(k - 1; lam) / k), k >= 1, with Loader's saddle-point Poisson pmf.
+
+    For i >= 1, log Pois(i; lam) = -(log i! - i log i + i) - bd0, the deviance
+    bd0 = i log(i/lam) + lam - i taken by log1p and log i! by Stirling's series
+    past i = 15: neither loses the i log i ulps of i log lam - lam - lgamma(i+1)
+    (C. Loader, "Fast and accurate computation of binomial probabilities", 2000).
+    """
+    i = k - 1
+    if i == 0:
+        return -lam
+    if i <= 15:
+        log_rest = math.lgamma(i + 1) - i * math.log(i) + i
+    else:
+        r = 1.0 / (i * i)
+        stirlerr = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / i
+        log_rest = stirlerr + 0.5 * math.log(2 * math.pi * i)
+    diff = i - lam  # lam <= 2^50 keeps diff/lam above -1
+    return diff - i * np.log1p(diff / lam) - (log_rest + math.log(k))
 
 
 def concentrations(model, t: float, n: int) -> np.ndarray:
     """c_t(m) for m = 0..n (index 0 unused) of a classic model on an integer lattice.
 
-    Series coefficients below TINY are dropped, so values much below 1e-280
-    come back as 0 or with few correct digits.
+    With s the model's anchor, S = g0(s) and q(j) = j mu0(j) s^j / S, Lagrange-
+    Buermann's [w^m] e^{m t (g0(s w) - S)} gives the Borel-Tanner form of the
+    multiplicative kernel (Aldous, Bernoulli 5 (1999) 3-48): c_t(m) =
+    (1/(m^2 t)) sum_k Pois(k; m t S) q^{*k}(m) = (S/m) sum_k Pois(k-1; m t S)
+    q^{*k}(m)/k.  No term is negative; values below 2^-1022 come back as 0.
     """
     if t < 0.0:
         raise DomainError("time must be >= 0")
     if n < 1:
         raise DomainError("series order must be >= 1")
-    measure = model.measure
-    g0s = _g0_series(measure, n)
-    # In w = s u, s the model's anchor, the characteristic map is
-    # psi(u) = phi_t(s u) = u e^{log_amp - t g0(s u)} with log_amp = t g0(s).
+    mu0 = model.measure.lattice_weights(n)
+    if t == 0.0:
+        return mu0
     s = model.anchor(t)
-    log_amp = t * measure.g0(s)
-    # Lagrange-Buermann on psi with G(u) = g0(s u) gives g0(h_t(x)).  The
-    # coefficients of u/psi(u) = e^{t g0(s u) - log_amp} sum to 1, so no
-    # power of it overflows however small s is.
-    g0s *= s ** np.arange(n + 1)  # [u^j] g0(s u)
-    a = t * g0s[:n]
-    a[0] = -log_amp
-    recip = ps_exp(PowerSeries(a)).coeffs
-    g0_prime = g0s[1:] * np.arange(1, n + 1)
-    c = _lagrange_burmann(recip, g0_prime)
-    c[1:] /= np.arange(1, n + 1)  # c_t(m) = [x^m] g0(h(x)) / m
+    S = model.measure.g0(s)
+    j = np.arange(n + 1)
+    # normalised by S, not by the truncated sum, when atoms lie beyond n
+    q = np.trim_zeros(mu0 * j * s**j / S, "b")[1:]  # q(1), q(2), ...
+    c = np.zeros(n + 1)
+    row = np.ones(1)  # q^{*k}(k + i) at i: q^{*k} vanishes below k
+    # Pois(k <= n; lam) underflows once lam > 2^50, so the cap changes no
+    # weight; a subnormal lam overflows diff/lam, zeroing subnormal weights
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lam = np.minimum(j * (t * S), 2.0**50)
+        for k in range(1, n + 1 if q.size else 1):  # no atom up to n: c = 0
+            row = np.convolve(row, q)[: n + 1 - k]
+            c[k : k + row.size] += np.exp(_log_weight(k, lam[k : k + row.size])) * row
+    c[1:] *= S / j[1:]
+    c[c < np.finfo(float).tiny] = 0.0
     return c
 
 
@@ -301,8 +285,22 @@ def limiting_concentrations(model, m_max: int) -> LimitingConcentrations:
         raise DomainError("limiting concentrations need monodisperse arm data")
     nu = measure.nu()
     lim = model.limit()
-    # the a = 0 row of the closed form at r_m = beta_inf
-    c_inf = _closed_form(nu, lim.beta, 1.0, 0, m_max)[0]
+    # The a = 0 row of the closed form at r = beta_inf, r^(m-1) nu^{*m}(m-2)/(m(m-1)),
+    # is x k0(x) (r k0(x)/x)^(m-1) nu_x^{*m}(m-2)/(m(m-1)) with the tilted law
+    # nu_x(k) = nu(k) x^k / k0(x), for any x > 0.  At x = ell_inf, r k0/x = 1, and
+    # the gel-inert nu_x has mean 1: its powers do not underflow.  x = 0 gives 0.
+    c_inf = np.zeros(m_max + 1)
+    x = lim.ell
+    if x > 0.0 and m_max >= 2:
+        tilted = nu * x ** np.arange(nu.size)
+        k0x = tilted.sum()
+        m = np.arange(2, m_max + 1)
+        powers = conv_power(tilted / k0x, m_max, m_max - 2)[m - 1, m - 2]
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            c_inf[2:] = np.exp(
+                math.log(x * k0x) + (m - 1) * math.log(lim.beta * k0x / x)
+                + np.log(powers) - np.log(m * (m - 1.0))
+            )
     return LimitingConcentrations(
         c_inf=c_inf, beta_inf=lim.beta, p_or_c=lim.ell, M_inf=lim.M,
         degenerate=bool(nu[0] == 0.0),

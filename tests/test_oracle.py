@@ -115,7 +115,7 @@ def _direct_rhs_arms(t, c, flavor, A0):
     gain = np.zeros_like(c)
     for a1 in range(na):
         for a2 in range(na):
-            if 2 <= a1 + a2 <= na - 1:
+            if 2 <= a1 + a2 <= na + 1:
                 gain[a1 + a2 - 2] += 0.5 * np.convolve(d[a1], d[a2])[:nm]
     if flavor == "gel-interacting":
         loss = d * (A0 / (1.0 + t * A0))
@@ -136,6 +136,14 @@ class TestArmsRhs:
         gain, expected = _direct_rhs_arms(0.7, c, flavor, 1.3)
         diff = np.abs(_rhs_arms(0.7, c, flavor, 1.3) - expected).max()
         assert diff <= 1e-13 * np.abs(gain).max()
+
+    def test_no_big_coagulation_keeps_mass_inside_the_window(self):
+        # two 3-arm monomers merge into (4, 2), one of the two top arm rows of
+        # a 6 x 12 window: its gain must balance the pair's loss
+        c = np.zeros((6, 12))
+        c[3, 1] = 1.0
+        rhs = _rhs_arms(0.0, c, "no-big-coagulation", 3.0)
+        assert abs((np.arange(12) * rhs).sum()) <= 1e-12
 
 
 class TestCompare:

@@ -201,6 +201,29 @@ class TestHighOrder:
         for k in range(1, 301):
             assert c[k] == pytest.approx(float(ref[k - 1]), rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "t, gel", [(0.5, True), (1.0, False)],
+        ids=["flory-0.5", "smoluchowski-post-gel"],
+    )
+    def test_lattice_order_1024_matches_mpmath_lagrange(self, t, gel):
+        c = concentrations(_classic(gel, LATTICE), t, 1024)
+        for m in (512, 1024):
+            ref = _lagrange_mp(LATTICE.atoms, t, m, gel)
+            assert c[m] == pytest.approx(ref, rel=1e-10)
+
+    def test_peak_memory_is_linear_in_the_order(self):
+        # one (n+1) x (n+1) array of doubles at n = 1024 would take 8 MB
+        import tracemalloc
+
+        model = Flory(LATTICE)
+        tracemalloc.start()
+        try:
+            concentrations(model, 0.5, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
+
     def test_tiny_coefficients_are_zero(self):
         # c_3(1024) is about 1e-409; nothing comes back subnormal
         c = concentrations(Flory(Monodisperse()), 3.0, 1024)
@@ -398,6 +421,24 @@ class TestLimits:
         assert lim.M_inf == mu[0]
         assert lim.degenerate
         assert np.isfinite(lim.c_inf).all() and not lim.c_inf.any()
+
+    def test_law_far_from_unit_A0_does_not_underflow(self):
+        # A0 = 0.0298 and nu = (1e-4, 0, 0.0297): the powers of nu/A0 underflow
+        # long before c_inf does.  nu^{*m}(m-2) takes j = (m-2)/2 twos, so
+        # c_inf[m] = r^(m-1) C(m, j) nu(2)^j nu(0)^(m-j) / (m(m-1)), with the
+        # tangency point c = sqrt(nu(0)/nu(2)) and r = beta_inf = c/k0(c)
+        law = ArmMeasure.monodisperse({0: 0.99, 1: 1e-4, 3: 0.0099})
+        lim = limiting_concentrations(SmoluchowskiArms(law), 400)
+        with mp.workdps(40):
+            nu0, nu2 = mp.mpf(1e-4), 3 * mp.mpf(0.0099)
+            r = mp.sqrt(nu0 / nu2) / (2 * nu0)
+            for m, quoted in [(340, 4.32819915584e-12), (350, 4.02605320581e-12),
+                              (400, 2.88463889011e-12)]:
+                j = (m - 2) // 2
+                ref = float(r ** (m - 1) * mp.binomial(m, j) * nu2**j * nu0 ** (m - j)
+                            / (m * (m - 1)))
+                assert ref == pytest.approx(quoted, rel=1e-11)
+                assert lim.c_inf[m] == pytest.approx(ref, rel=1e-10)
 
     def test_c_inf_nonnegative(self):
         for gel in (False, True):
