@@ -1,12 +1,12 @@
 """Root-finding and quadrature behind the method of characteristics.
 
-Every bracketed function here is monotone on its bracket, so plain bisection
-is guaranteed to converge; speed is traded for that robustness.  The arms
-flow and its long-time limit are Newton solves on monotone functions with a
-known slope: the tangency point is the root of a convex increasing
-polynomial, and ell_t inverts an explicit integral t(ell) summed by
-Gauss-Legendre quadrature.  Only numpy is needed; the cross-check
-`alpha_via_gamma` imports scipy when it is called.
+Every solved quantity is the root of a function monotone on its bracket, and
+`bisect_increasing` is the one solver for all of them: Newton steps from the
+last point when they stay inside the bracket, bisection otherwise, and a stop
+relative to the size of the root.  The arms flow inverts an explicit integral
+t(ell) summed by Gauss-Legendre quadrature, with its own Newton loop because
+the value and the slope come from one quadrature.  Only numpy is needed; the
+cross-check `alpha_via_gamma` imports scipy when it is called.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from .errors import DomainError, ModelError, SolverError
 from .measures import ArmMeasure, MassMeasure
 
 INF = math.inf
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -52,22 +53,43 @@ class SolutionState:
     A: float = math.nan
 
 
-def bisect_increasing(f, lo, hi, target, *, tol, max_iter=200):
-    """Root of f(x) = target for f nondecreasing on (lo, hi).
+def bisect_increasing(f, lo, hi, target, *, tol, max_iter=200, slope=None):
+    """Root of f(x) = target for f nondecreasing on (lo, hi), 0 <= lo < hi.
 
     Only interior points are evaluated, so f may be infinite or undefined at
-    the endpoints as long as the root is bracketed.
+    the endpoints.  The first point is the midpoint.  With slope = f' the next
+    is the Newton step from the last point if it lands inside the bracket and
+    moves at most half as far as the step before; otherwise it is the
+    midpoint, geometric while hi > 2 lo (lo = 0 read as the smallest normal
+    double, so a root at 1e-300 costs about ten more points).  The solve
+    stops once hi - lo <= tol * hi or a Newton step moves x by at most
+    tol * x; a root below the smallest normal double is an error.
     """
+    x = 0.5 * (lo + hi)
+    last_move = INF
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        if f(mid) < target:
-            lo = mid
+        fx = f(x)
+        if fx < target:
+            lo = x
         else:
-            hi = mid
+            hi = x
+        if hi - lo <= tol * hi:
+            return 0.5 * (lo + hi)
+        if hi <= _TINY:
+            raise SolverError(f"root underflows: it lies below {_TINY}")
+        step = math.nan
+        d = math.nan if slope is None else slope(x)
+        if math.isfinite(d) and d > 0.0:
+            step = x - (fx - target) / d
+            if abs(step - x) <= tol * x and lo <= step <= hi:
+                return step
+        if not (lo < step < hi and abs(step - x) <= 0.5 * last_move):
+            low = max(lo, _TINY)
+            step = math.sqrt(low) * math.sqrt(hi) if hi > 2.0 * low else 0.5 * (lo + hi)
+        last_move = abs(step - x)
+        x = step
     raise SolverError(
-        f"bisection did not reach tol={tol} in {max_iter} iterations"
+        f"root solver did not reach tol={tol} in {max_iter} iterations"
     )
 
 
@@ -105,6 +127,7 @@ def ell_smolu(t, measure: MassMeasure, config=DEFAULT_CONFIG):
         1.0 / t,
         tol=config.root_tol,
         max_iter=config.max_iter,
+        slope=lambda x: measure.g0(x, 1) + x * measure.g0(x, 2),
     )
 
 
@@ -118,27 +141,22 @@ def l_flory(t, measure: MassMeasure, config=DEFAULT_CONFIG):
     if t <= gel_time(measure):
         return 1.0
     hi = ell_smolu(t, measure, config)
-    # phi(x) = x e^{t(M0 - g0(x))} increases from 0 to its peak phi(hi) > 1 on [0, hi]
-    root = bisect_increasing(
-        lambda x: x * math.exp(t * (mom.M0 - measure.g0(x))),
+
+    def image(x):  # e^{-t(M0 - g0(x))} <= 1: it cannot overflow
+        return math.exp(-t * (mom.M0 - measure.g0(x)))
+
+    # x - image(x) increases on (0, hi): its slope 1 - t g0'(x) image(x) falls
+    # to 1 - 1/phi(hi) > 0 at the peak hi of phi(x) = x / image(x).  It is
+    # nearly linear near 0, where Newton lands close to a small root at once.
+    return bisect_increasing(
+        lambda x: x - image(x),
         0.0,
         hi,
-        1.0,
+        0.0,
         tol=config.root_tol,
         max_iter=config.max_iter,
+        slope=lambda x: 1.0 - t * measure.g0(x, 1) * image(x),
     )
-    if root < 1e-3:
-        # Tiny roots need relative accuracy; refine the fixed point in log
-        # space, where the iteration is a strong contraction (t l g0'(l) << 1).
-        y = math.log(root) if root > 0.0 else -t * mom.M0
-        for _ in range(200):
-            y_next = -t * (mom.M0 - measure.g0(math.exp(y)))
-            if abs(y_next - y) <= 1e-14 * abs(y_next):
-                y = y_next
-                break
-            y = y_next
-        root = math.exp(y)
-    return root
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +378,15 @@ def alpha_via_gamma(measure: ArmMeasure, t: float, config=DEFAULT_CONFIG) -> flo
 
     hi = a_gel + A0 * (t - t_gel)  # dalpha/dt <= A0
     return bisect_increasing(
-        elapsed, a_gel, hi, target, tol=config.root_tol * max(1.0, hi),
-        max_iter=config.max_iter,
+        elapsed, a_gel, hi, target, tol=config.root_tol, max_iter=config.max_iter
     )
 
 
 def ell_infinity(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
     """Long-time limit of ell_t: the root c of D(x) = x k0'(x) - k0(x); 1 without gelation.
 
-    D is convex and increasing with D(1) = K - A0 > 0, so Newton's method
-    from 1 decreases monotonically to c.  With mu(1) = 0, k0(0) = 0 and
-    c = 0 exactly.
+    D increases from D(0) = -mu(1) to D(1) = K - A0 > 0 with slope D' = x k0''.
+    With mu(1) = 0, k0(0) = 0 and c = 0 exactly.
     """
     if math.isinf(gel_time(measure)):
         return 1.0
@@ -378,15 +394,14 @@ def ell_infinity(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
         return 0.0
     d, xx = _tangency_coeffs(measure)
     exponents = np.arange(d.size)
-    x = 1.0
-    for _ in range(config.max_iter):
-        powers = x**exponents
-        step = float(powers @ d) / (x * float(powers @ xx))  # D/D', D' = x k0''
-        if not step > 0.0 or x - step == x:  # D(x) <= 0: c to rounding
-            return x
-        x -= step
-    raise SolverError(
-        f"tangency point not reached in {config.max_iter} Newton steps"
+    return bisect_increasing(
+        lambda x: float(x**exponents @ d),
+        0.0,
+        1.0,
+        0.0,
+        tol=config.root_tol,
+        max_iter=config.max_iter,
+        slope=lambda x: x * float(x**exponents @ xx),
     )
 
 

@@ -162,11 +162,11 @@ def _time_grid(args, cfg):
     if not (math.isfinite(end) and end > start >= 0.0):
         raise ConfigError("time grid needs finite end > start >= 0")
     if spacing == "linear":
-        return list(np.linspace(start, end, count))
+        return np.linspace(start, end, count).tolist()
     if spacing == "geometric":
         if start <= 0.0:
             raise ConfigError("geometric spacing needs start > 0")
-        return list(np.geomspace(start, end, count))
+        return np.geomspace(start, end, count).tolist()
     raise ConfigError(f"unknown spacing {spacing!r}")
 
 

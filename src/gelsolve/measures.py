@@ -152,7 +152,8 @@ class ExponentialDensity(MassMeasure):
         if order == 1:
             return 2.0 / (x * u**3)
         if order == 2:
-            return 2.0 * (3.0 - u) / (x * x * u**4)
+            # divided by x twice: x * x underflows to 0 below about 1.5e-154
+            return 2.0 * (3.0 - u) / u**4 / x / x
         raise DomainError(f"order must be 0, 1 or 2, got {order}")
 
 
@@ -191,10 +192,11 @@ class PowerLawDensity(MassMeasure):
         if order == 1:
             return math.gamma(3.0 - p) * u ** (p - 3.0) / x
         if order == 2:
+            # divided by x twice: x * x underflows to 0 below about 1.5e-154
             return (
                 math.gamma(4.0 - p) * u ** (p - 4.0)
                 - math.gamma(3.0 - p) * u ** (p - 3.0)
-            ) / (x * x)
+            ) / x / x
         raise DomainError(f"order must be 0, 1 or 2, got {order}")
 
 

@@ -60,10 +60,11 @@ class Model:
     def state(self, t: float) -> SolutionState:
         raise NotImplementedError
 
-    def _bisect(self, f, hi: float, target: float) -> float:
-        """Root of f = target for f nondecreasing on (0, hi)."""
+    def _bisect(self, f, hi: float, target: float, slope=None) -> float:
+        """Root of f = target for f nondecreasing on (0, hi); slope is f' if known."""
         return bisect_increasing(
-            f, 0.0, hi, target, tol=self.config.root_tol, max_iter=self.config.max_iter
+            f, 0.0, hi, target, tol=self.config.root_tol,
+            max_iter=self.config.max_iter, slope=slope,
         )
 
 
@@ -118,18 +119,7 @@ class _Classic(Model):
         if x == 1.0:
             return ell
         phi, slope = self._branch(t, self.anchor(t, ell))
-        root = self._bisect(phi, ell, x)
-        # Newton polish: bisection controls the error in z, but steep phi
-        # amplifies it in phi(z); skip where the map flattens out
-        for _ in range(3):
-            d = slope(root)
-            if not math.isfinite(d) or abs(d) < 1e-8:
-                break
-            nxt = root - (phi(root) - x) / d
-            if not 0.0 <= nxt <= ell:
-                break
-            root = nxt
-        return root
+        return self._bisect(phi, ell, x, slope)
 
     def gen_fun(self, t: float, x: float, y: float = 1.0) -> float:
         return self.measure.g0(self.h_inverse(t, x))
@@ -234,7 +224,7 @@ class _Arms(Model):
             top = self._bisect(lambda z: -slope(z), 1.0, 0.0)
         if x >= phi(top):
             return top
-        return self._bisect(phi, top, x)
+        return self._bisect(phi, top, x, slope)
 
     def _completed(self, st: SolutionState) -> SolutionState:
         st.A = self.measure.k0(st.ell, 1.0) / st.alpha
@@ -253,6 +243,8 @@ class _Arms(Model):
             # model 1 is the flat peak of phi, where bisection would lose half
             # the digits to rounding
             return self.ell(t)
+        if x == 0.0 and self.measure.k0(0.0, y) == 0.0:
+            return 0.0  # phi_t(0, y) = 0: the root is the end of the bracket
         return self._increasing_root(*self._branch(t, y), x)
 
     def gen_fun(self, t: float, x: float, y: float = 1.0) -> float:
@@ -274,7 +266,7 @@ class _Arms(Model):
         bracket = 1.0 - st.beta * kp
         if bracket <= 0.0:
             return INF
-        return kp / (st.alpha**2 * bracket) + st.A
+        return kp / (st.alpha * st.alpha * bracket) + st.A
 
 
 class SmoluchowskiArms(_Arms):

@@ -295,7 +295,14 @@ def limiting_concentrations(model, m_max: int) -> LimitingConcentrations:
         tilted = nu * x ** np.arange(nu.size)
         k0x = tilted.sum()
         m = np.arange(2, m_max + 1)
-        powers = conv_power(tilted / k0x, m_max, m_max - 2)[m - 1, m - 2]
+        # nu_x^{*m}(m - 2), one row of conv_power(nu_x, m_max, m_max - 2) at a time
+        base = (tilted / k0x)[: m_max - 1]
+        row = np.zeros(m_max - 1)
+        row[: base.size] = base
+        powers = np.empty(m_max - 1)
+        for j in range(m_max - 1):
+            row = np.convolve(row, base)[: m_max - 1]
+            powers[j] = row[j]
         with np.errstate(divide="ignore"):  # log 0 = -inf
             c_inf[2:] = np.exp(
                 math.log(x * k0x) + (m - 1) * math.log(lim.beta * k0x / x)

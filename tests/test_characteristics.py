@@ -55,6 +55,35 @@ class TestBisection:
             bisect_increasing(lambda x: x, 0.0, 1.0, 0.5, tol=1e-12, max_iter=3)
 
 
+class TestNewtonInBracket:
+    @pytest.mark.parametrize("root", [0.3, 1e-3, 1e-100, 1e-300])
+    def test_relative_accuracy(self, root):
+        # log x is concave with a slope of 1/x: a hard case for plain Newton
+        for slope in (None, lambda x: 1.0 / x):
+            x = bisect_increasing(
+                math.log, 0.0, 1.0, math.log(root), tol=1e-12, slope=slope
+            )
+            assert x == pytest.approx(root, rel=1e-12, abs=0.0)
+
+    def test_newton_needs_few_evaluations(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x**3
+
+        root = bisect_increasing(
+            f, 0.0, 2.0, 0.125, tol=1e-12, slope=lambda x: 3.0 * x * x
+        )
+        assert root == pytest.approx(0.5, rel=1e-14)
+        assert len(calls) <= 20
+
+    def test_root_at_the_bottom_of_the_bracket(self):
+        # a relative stop never closes on 0: the solver says so at once
+        with pytest.raises(SolverError, match="underflows"):
+            bisect_increasing(lambda x: x, 0.0, 1.0, 0.0, tol=1e-12, max_iter=100)
+
+
 class TestGelTime:
     def test_monodisperse(self):
         assert gel_time(Monodisperse()) == 1.0

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gelsolve.cli import fmt, main
 
@@ -110,6 +115,18 @@ class TestTrajectory:
         assert float(last[0]) == 1e308
         assert float(last[3]) == pytest.approx(lim.ell, rel=1e-12, abs=0.0)
         assert float(last[5]) == pytest.approx(lim.beta, rel=1e-12, abs=0.0)
+
+
+    @pytest.mark.parametrize("measure", [MONO, '{"type":"exponential"}'])
+    def test_flory_root_below_the_doubles(self, capsys, measure):
+        # ell_t ~ e^(-t M0) is below the smallest normal double from t ~ 709 on
+        code = main([
+            "trajectory", "--model", "flory", "--measure", measure,
+            "--t-end", "1e3", "--count", "3",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "underflows" in err
 
 
 class TestConcentrations:
@@ -414,3 +431,60 @@ class TestRepeatedMain:
             )
             assert (code, out) == (fresh.returncode, fresh.stdout)
         assert len(in_process[1][1].splitlines()) == 65
+
+
+def _discrete(masses, weights):
+    # an atom at mass 1 and three more on 2..8, normalised to unit mass
+    atoms = list(zip([1] + sorted(masses), weights))
+    total = sum(m * w for m, w in atoms)
+    return {"type": "discrete", "atoms": [[m, w / total] for m, w in atoms]}
+
+
+def _arm_law(mu0, mu3, share1):
+    # on {0, 1, 2, 3} with A0 = 1, mu(1) > 0 and K > 1: a finite gel time
+    rest = 1.0 - 3.0 * mu3
+    mu = {0: mu0, 1: rest * share1, 2: rest * (1.0 - share1) / 2.0, 3: mu3}
+    return {"type": "arm-law", "mu": {str(a): w for a, w in mu.items()}}
+
+
+CLASSIC_LAWS = st.one_of(
+    st.just({"type": "monodisperse"}),
+    st.just({"type": "exponential"}),
+    st.builds(lambda p: {"type": "powerlaw", "p": p}, st.floats(1.2, 1.8)),
+    st.builds(
+        _discrete,
+        st.lists(st.integers(2, 8), min_size=3, max_size=3, unique=True),
+        st.lists(st.floats(0.2, 1.0), min_size=4, max_size=4),
+    ),
+)
+ARM_LAWS = st.one_of(
+    st.just(json.loads(ARMS)),
+    st.builds(_arm_law, st.floats(0.1, 0.5), st.floats(0.2, 0.3), st.floats(0.4, 1.0)),
+)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_time_ends_in_an_exit_code_and_one_line(data):
+    model = data.draw(st.sampled_from(
+        ["smoluchowski", "flory", "smoluchowski-arms", "flory-arms"]
+    ))
+    law = data.draw(ARM_LAWS if model.endswith("arms") else CLASSIC_LAWS)
+    command = data.draw(st.sampled_from(["trajectory", "concentrations"]))
+    t = repr(10.0 ** data.draw(st.floats(-3.0, 300.0)))  # log-uniform
+    argv = [command, "--model", model, "--measure", json.dumps(law)]
+    if command == "trajectory":
+        argv += ["--t-end", t, "--count", "3"]
+    elif model.endswith("arms"):
+        argv += ["--t", t, "--amax", "4", "--mmax", "4"]
+    else:
+        argv += ["--t", t, "--order", "8"]
+    out, err = io.StringIO(), io.StringIO()
+    # an exception here is the traceback the CLI would print; a warning
+    # would be two more lines on stderr
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1

@@ -86,6 +86,14 @@ class TestG0:
             fd = (measure.g0(x + h, 1) - measure.g0(x - h, 1)) / (2 * h)
             assert measure.g0(x, 2) == pytest.approx(fd, rel=1e-5)
 
+    @pytest.mark.parametrize(
+        "measure", [ExponentialDensity(), PowerLawDensity(1.5)]
+    )
+    def test_second_derivative_below_the_square_root_of_tiny(self, measure):
+        # x * x underflows here; g0'' tends to -inf as x -> 0
+        for x in (1e-160, 1e-300, 5e-324):
+            assert measure.g0(x, 2) == -math.inf
+
     def test_x_times_g0prime_increasing(self):
         # the root-finding below relies on this monotonicity
         for measure in (ExponentialDensity(), PowerLawDensity(1.5)):

@@ -36,6 +36,19 @@ class TestMass:
         model = Smoluchowski(ExponentialDensity())
         assert model.mass(4.0) == pytest.approx(0.25, abs=1e-10)
 
+    @pytest.mark.parametrize("t", [1e12, 1e100])
+    def test_monodisperse_hyperbola_at_large_times(self, t):
+        # ell_t = 1/t: the root solver's stop is relative to the root
+        model = Smoluchowski(Monodisperse())
+        assert model.mass(t) * t == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1e3, 1e6])
+    def test_exponential_closed_form_at_large_times(self, t):
+        # x g0'(x) = 2/u^3 = 1/t with u = 1 - ln x, so M_t = u^-2 = (2t)^(-2/3)
+        expected = (2.0 * t) ** (-2.0 / 3.0)
+        model = Smoluchowski(ExponentialDensity())
+        assert model.mass(t) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_flory_fixed_point(self):
         model = Flory(Monodisperse())
         assert model.mass(2.0) == pytest.approx(0.203188, abs=1e-5)
@@ -172,6 +185,54 @@ class TestSolveOnce:
         assert len(calls) == 2
 
 
+class TestRootEvaluations:
+    def test_newton_steps_keep_roots_cheap(self, monkeypatch):
+        # every root with a known slope, counted through the module bindings
+        import gelsolve.characteristics
+        import gelsolve.models
+
+        real = gelsolve.characteristics.bisect_increasing
+        counts = []
+
+        def counted(f, *args, slope=None, **kwargs):
+            n = [0]
+
+            def g(x):
+                n[0] += 1
+                return f(x)
+
+            try:
+                return real(g, *args, slope=slope, **kwargs)
+            finally:
+                if slope is not None:
+                    counts.append(n[0])
+
+        for module in (gelsolve.characteristics, gelsolve.models):
+            monkeypatch.setattr(module, "bisect_increasing", counted)
+        models = [
+            cls(law)
+            for law in (
+                Monodisperse(),
+                Discrete([(1, 0.5), (2, 0.3), (5, 0.2)]),
+                ExponentialDensity(),
+                PowerLawDensity(1.5),
+            )
+            for cls in (Smoluchowski, Flory)
+            if math.isfinite(law.moments().M0) or cls is Smoluchowski
+        ] + [SmoluchowskiArms(ARM), FloryArms(ARM)]
+        for model in models:
+            if model.is_arms:
+                model.limit()
+            for factor in np.geomspace(0.3, 30.0, 5):
+                t = factor * (model.t_gel or 1.0)  # the power law gels at 0
+                model.state(t)
+                for x in np.linspace(0.02, 0.98, 5):
+                    model.h_inverse(t, x)
+        assert len(counts) > 200
+        assert np.mean(counts) <= 12
+        assert max(counts) <= 60
+
+
 class TestSecondMoment:
     def test_pre_gel_blowup(self):
         model = Smoluchowski(Monodisperse())
@@ -244,6 +305,13 @@ class TestArmsModels:
             assert model.gen_fun(0.0, x, 1.0) == pytest.approx(
                 ARM.k0(x, 1.0), abs=1e-10
             )
+
+    @pytest.mark.parametrize("cls", [SmoluchowskiArms, FloryArms])
+    def test_h_inverse_at_zero_without_one_arm_particles(self, cls):
+        # mu(1) = 0 gives k0(0) = 0, so phi_t(0) = 0 and h_t(0) = 0 exactly
+        model = cls(ArmMeasure.monodisperse({0: 0.5, 2: 0.25, 3: 0.25}))
+        for t in (0.5, 4.0):
+            assert model.h_inverse(t, 0.0) == 0.0
 
     def test_mass_decreases_after_gel(self):
         model = FloryArms(ARM)

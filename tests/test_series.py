@@ -121,6 +121,15 @@ class TestConcentrations:
         c = concentrations(Flory(Monodisperse()), 800.0, 16)
         assert not c.any()
 
+    def test_monodisperse_at_a_huge_time(self):
+        # ell_t = 1e-100 keeps its relative digits, so every c_t(m) =
+        # m^(m-2) e^-m / (m! t) does too
+        t = 1e100
+        c = concentrations(Smoluchowski(Monodisperse()), t, 5)
+        for m in range(1, 6):
+            expected = m ** (m - 2) * math.exp(-m) / (math.factorial(m) * t)
+            assert c[m] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_non_lattice_rejected(self):
         with pytest.raises(DomainError):
             concentrations(Smoluchowski(ExponentialDensity()), 0.5, 10)
@@ -439,6 +448,18 @@ class TestLimits:
                             / (m * (m - 1)))
                 assert ref == pytest.approx(quoted, rel=1e-11)
                 assert lim.c_inf[m] == pytest.approx(ref, rel=1e-10)
+
+    def test_memory_stays_linear_in_m_max(self):
+        import tracemalloc
+
+        model = SmoluchowskiArms(ARM)
+        tracemalloc.start()
+        try:
+            limiting_concentrations(model, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
 
     def test_c_inf_nonnegative(self):
         for gel in (False, True):
