@@ -1,12 +1,18 @@
 """Root-finding and quadrature behind the method of characteristics.
 
 Every solved quantity is the root of a function monotone on its bracket, and
-`bisect_increasing` is the one solver for all of them: Newton steps from the
-last point when they stay inside the bracket, bisection otherwise, and a stop
+`bisect_increasing` is the one solver for all of them: each caller returns
+the value and the slope together, the solver takes Newton steps from the last
+point when they stay inside the bracket, bisection otherwise, and stops
 relative to the size of the root.  The arms flow inverts an explicit integral
-t(ell) summed by Gauss-Legendre quadrature, with its own Newton loop because
-the value and the slope come from one quadrature.  Only numpy is needed; the
-cross-check `alpha_via_gamma` imports scipy when it is called.
+t(ell) summed by Gauss-Legendre quadrature with its own Newton loop.  It keeps
+that loop for its secant start between the panel ends, not because value and
+slope come from one quadrature: folded into `bisect_increasing` (in x or in
+1/(x - c)) it took 4.7 quadratures per state instead of 3.5 on a 2-core box
+(124 against 94 us, and the arms-postgel benchmark's wall time rose 9 %), and
+with a 4-eps stop it fell back to bisection, up to 11.4 quadratures per
+state.  Only numpy is needed; the cross-check `alpha_via_gamma` imports scipy
+when it is called.
 """
 from __future__ import annotations
 
@@ -53,13 +59,14 @@ class SolutionState:
     A: float = math.nan
 
 
-def bisect_increasing(f, lo, hi, target, *, tol, max_iter=200, slope=None):
-    """Root of f(x) = target for f nondecreasing on (lo, hi), 0 <= lo < hi.
+def bisect_increasing(f, lo, hi, target, *, tol, max_iter=200):
+    """Root of f(x)[0] = target for f(x) = (value, slope), value nondecreasing.
 
-    Only interior points are evaluated, so f may be infinite or undefined at
-    the endpoints.  The first point is the midpoint.  With slope = f' the next
-    is the Newton step from the last point if it lands inside the bracket and
-    moves at most half as far as the step before; otherwise it is the
+    The bracket is (lo, hi), 0 <= lo < hi.  Only interior points are
+    evaluated, so f may be infinite or undefined at the endpoints.  The first
+    point is the midpoint.  The next is the Newton step from the last point
+    if the slope is finite and positive, the step lands inside the bracket
+    and it moves at most half as far as the step before; otherwise it is the
     midpoint, geometric while hi > 2 lo (lo = 0 read as the smallest normal
     double, so a root at 1e-300 costs about ten more points).  The solve
     stops once hi - lo <= tol * hi or a Newton step moves x by at most
@@ -68,7 +75,7 @@ def bisect_increasing(f, lo, hi, target, *, tol, max_iter=200, slope=None):
     x = 0.5 * (lo + hi)
     last_move = INF
     for _ in range(max_iter):
-        fx = f(x)
+        fx, d = f(x)
         if fx < target:
             lo = x
         else:
@@ -78,7 +85,6 @@ def bisect_increasing(f, lo, hi, target, *, tol, max_iter=200, slope=None):
         if hi <= _TINY:
             raise SolverError(f"root underflows: it lies below {_TINY}")
         step = math.nan
-        d = math.nan if slope is None else slope(x)
         if math.isfinite(d) and d > 0.0:
             step = x - (fx - target) / d
             if abs(step - x) <= tol * x and lo <= step <= hi:
@@ -120,14 +126,13 @@ def ell_smolu(t, measure: MassMeasure, config=DEFAULT_CONFIG):
         raise DomainError("time must be >= 0")
     if t <= gel_time(measure):
         return 1.0
+
+    def f(x):
+        g1 = measure.g0(x, 1)
+        return x * g1, g1 + x * measure.g0(x, 2)
+
     return bisect_increasing(
-        lambda x: x * measure.g0(x, 1),
-        0.0,
-        1.0,
-        1.0 / t,
-        tol=config.root_tol,
-        max_iter=config.max_iter,
-        slope=lambda x: measure.g0(x, 1) + x * measure.g0(x, 2),
+        f, 0.0, 1.0, 1.0 / t, tol=config.root_tol, max_iter=config.max_iter
     )
 
 
@@ -142,20 +147,15 @@ def l_flory(t, measure: MassMeasure, config=DEFAULT_CONFIG):
         return 1.0
     hi = ell_smolu(t, measure, config)
 
-    def image(x):  # e^{-t(M0 - g0(x))} <= 1: it cannot overflow
-        return math.exp(-t * (mom.M0 - measure.g0(x)))
-
     # x - image(x) increases on (0, hi): its slope 1 - t g0'(x) image(x) falls
     # to 1 - 1/phi(hi) > 0 at the peak hi of phi(x) = x / image(x).  It is
     # nearly linear near 0, where Newton lands close to a small root at once.
+    def f(x):
+        image = math.exp(-t * (mom.M0 - measure.g0(x)))  # <= 1: cannot overflow
+        return x - image, 1.0 - t * measure.g0(x, 1) * image
+
     return bisect_increasing(
-        lambda x: x - image(x),
-        0.0,
-        hi,
-        0.0,
-        tol=config.root_tol,
-        max_iter=config.max_iter,
-        slope=lambda x: 1.0 - t * measure.g0(x, 1) * image(x),
+        f, 0.0, hi, 0.0, tol=config.root_tol, max_iter=config.max_iter
     )
 
 
@@ -164,21 +164,21 @@ def l_flory(t, measure: MassMeasure, config=DEFAULT_CONFIG):
 
 def G_map(measure: ArmMeasure, x: float) -> float:
     """G(x) = x - k0(x,1)/k0'(x,1); strictly increasing when k0'' > 0."""
-    if measure.k0_xx(1.0, 1.0) == 0.0:
+    if measure.k0(1.0, 1.0, 2) == 0.0:
         raise DomainError("G is degenerate when k0'' vanishes identically (no gelation)")
     if x == 1.0:
         # monotone limit G(1^-) = (K - A0)/K
         return (measure.K - measure.A0) / measure.K
     if not 0.0 <= x < 1.0:
         raise DomainError(f"x={x} outside [0, 1)")
-    kp = measure.k0(x, 1.0, partial="x")
+    kp = measure.k0(x, 1.0, 1)
     if kp == 0.0:
         raise DomainError(f"k0'({x}, 1) = 0: G undefined here")
     return x - measure.k0(x, 1.0) / kp
 
 
 def _G_lower_limit(measure: ArmMeasure) -> float:
-    kp0 = measure.k0(0.0, 1.0, partial="x")
+    kp0 = measure.k0(0.0, 1.0, 1)
     if kp0 == 0.0:
         return -INF
     return -measure.k0(0.0, 1.0) / kp0
@@ -198,8 +198,9 @@ def _h_of_u(measure: ArmMeasure, u: float, config=DEFAULT_CONFIG) -> float:
     """Like H_map but clamps u >= G(1^-) to the limit value 1 (flow-internal)."""
     if u >= (measure.K - measure.A0) / measure.K:
         return 1.0
+    # a cross-check: no slope, so the solver only bisects
     return bisect_increasing(
-        lambda x: G_map(measure, x),
+        lambda x: (G_map(measure, x), math.nan),
         0.0,
         1.0,
         u,
@@ -345,7 +346,7 @@ class ArmsFlow:
                 t=t, ell=1.0, alpha=1.0 + A0 * t, beta=t / (1.0 + A0 * t)
             )
         ell = self._ell(t)
-        kp = self.measure.k0(ell, 1.0, partial="x")
+        kp = self.measure.k0(ell, 1.0, 1)
         d = float(ell**self._exponents @ self._d)
         # G(ell) = D(ell)/kp is 0 to rounding once ell has reached c
         alpha = kp / d if d > 0.0 else INF
@@ -372,9 +373,9 @@ def alpha_via_gamma(measure: ArmMeasure, t: float, config=DEFAULT_CONFIG) -> flo
 
     target = t - t_gel
 
-    def elapsed(alpha):
+    def elapsed(alpha):  # no slope: the cross-check only bisects
         val, _ = quad(integrand, a_gel, alpha, limit=200)
-        return val
+        return val, math.nan
 
     hi = a_gel + A0 * (t - t_gel)  # dalpha/dt <= A0
     return bisect_increasing(
@@ -394,14 +395,13 @@ def ell_infinity(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
         return 0.0
     d, xx = _tangency_coeffs(measure)
     exponents = np.arange(d.size)
+
+    def f(x):
+        powers = x**exponents
+        return float(powers @ d), x * float(powers @ xx)
+
     return bisect_increasing(
-        lambda x: float(x**exponents @ d),
-        0.0,
-        1.0,
-        0.0,
-        tol=config.root_tol,
-        max_iter=config.max_iter,
-        slope=lambda x: x * float(x**exponents @ xx),
+        f, 0.0, 1.0, 0.0, tol=config.root_tol, max_iter=config.max_iter
     )
 
 
@@ -413,7 +413,7 @@ def beta_at_tangency(measure: ArmMeasure, c: float) -> float:
     mu(2) = 0 too.
     """
     if c == 0.0:
-        kp = measure.k0(0.0, 1.0, partial="x")
+        kp = measure.k0(0.0, 1.0, 1)
         return 1.0 / kp if kp > 0.0 else INF
     return c / measure.k0(c, 1.0)
 

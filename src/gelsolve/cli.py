@@ -118,6 +118,13 @@ def _model_name(args, cfg) -> str:
     return name
 
 
+def _number(key, value):
+    """value, unless it is a JSON boolean, which float() and int() would take as 1 or 0."""
+    if isinstance(value, bool):
+        raise ConfigError(f"bad {key}: {value!r} is not a number")
+    return value
+
+
 def _solver_config(args, cfg) -> SolverConfig:
     solver = cfg.get("solver", {})
     if not isinstance(solver, dict):
@@ -130,11 +137,10 @@ def _solver_config(args, cfg) -> SolverConfig:
     solver = dict(solver)
     if getattr(args, "root_tol", None) is not None:
         solver["root_tol"] = args.root_tol
+    root_tol = _number("root_tol", solver.get("root_tol", DEFAULT_CONFIG.root_tol))
+    max_iter = _number("max_iter", solver.get("max_iter", DEFAULT_CONFIG.max_iter))
     try:
-        return SolverConfig(
-            root_tol=float(solver.get("root_tol", DEFAULT_CONFIG.root_tol)),
-            max_iter=solver.get("max_iter", DEFAULT_CONFIG.max_iter),
-        )
+        return SolverConfig(root_tol=float(root_tol), max_iter=max_iter)
     except (TypeError, ValueError, GelsolveError) as exc:
         raise ConfigError(f"bad solver settings: {exc}") from exc
 
@@ -151,9 +157,9 @@ def _time_grid(args, cfg):
         if v is not None:
             grid[key] = v
     try:
-        start = float(grid.get("start", 0.0))
-        end = float(grid["end"])
-        count = int(grid.get("count", 81))
+        start = float(_number("start", grid.get("start", 0.0)))
+        end = float(_number("end", grid["end"]))
+        count = int(_number("count", grid.get("count", 81)))
         spacing = grid.get("spacing", "linear")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad time grid: {exc}") from exc
@@ -171,9 +177,9 @@ def _time_grid(args, cfg):
 
 
 def _setting(args, cfg, flag, key, default):
-    """The flag's value if given, else the config file's, else the default."""
+    """The flag's value if given, else the config file's, else the default; a number."""
     value = getattr(args, flag, None)
-    return value if value is not None else cfg.get(key, default)
+    return _number(key, value if value is not None else cfg.get(key, default))
 
 
 def _size(args, cfg, flag, key, default, least):

@@ -3,7 +3,8 @@
 The mass measures expose g0(x) = <mu0, m x^m> and its first two derivatives;
 the parametric families carry hand-derived closed forms so no quadrature is
 needed when evaluating them.  Arm measures expose the bivariate generating
-function k0(x, y) = sum_a,m a c0(a,m) x^(a-1) y^m.
+function k0(x, y) = sum_a,m a c0(a,m) x^(a-1) y^m and its first two
+x-derivatives.
 """
 from __future__ import annotations
 
@@ -242,22 +243,19 @@ class ArmMeasure:
             raise DomainError("arm law defined only for monodisperse initial data")
         return {a: w for (a, _), w in sorted(self.weights.items())}
 
-    def k0(self, x: float, y: float = 1.0, partial: str | None = None) -> float:
+    def k0(self, x: float, y: float = 1.0, order: int = 0) -> float:
+        """k0 or its first or second x-derivative at (x, y)."""
         _check_unit_interval(x, "x")
         _check_unit_interval(y, "y")
-        if partial is None:
-            return sum(
-                a * w * x ** (a - 1) * y**m
-                for (a, m), w in self.weights.items()
-                if a >= 1
-            )
-        if partial == "x":
-            return sum(
-                a * (a - 1) * w * x ** (a - 2) * y**m
-                for (a, m), w in self.weights.items()
-                if a >= 2
-            )
-        raise DomainError(f"partial must be None or 'x', got {partial!r}")
+        if order not in (0, 1, 2):
+            raise DomainError(f"order must be 0, 1 or 2, got {order}")
+        # a (a-1) ... (a-order) c0(a, m) x^(a-1-order) y^m; k0'' vanishes
+        # identically iff every particle has <= 2 arms
+        return sum(
+            math.perm(a, order + 1) * w * x ** (a - 1 - order) * y**m
+            for (a, m), w in self.weights.items()
+            if a > order
+        )
 
     def k0_mass(self, x: float) -> float:
         """K0(x) = sum mu(a) x^a, whose derivative is k0(x, 1); nan unless monodisperse.
@@ -281,16 +279,6 @@ class ArmMeasure:
             if a >= 1:
                 out[a - 1] = a * w
         return out
-
-    def k0_xx(self, x: float, y: float = 1.0) -> float:
-        """Second x-derivative; identically zero iff every particle has <= 2 arms."""
-        _check_unit_interval(x, "x")
-        _check_unit_interval(y, "y")
-        return sum(
-            a * (a - 1) * (a - 2) * w * x ** (a - 3) * y**m
-            for (a, m), w in self.weights.items()
-            if a >= 3
-        )
 
 
 def conv_power(nu, m: int, max_index: int) -> np.ndarray:

@@ -60,11 +60,10 @@ class Model:
     def state(self, t: float) -> SolutionState:
         raise NotImplementedError
 
-    def _bisect(self, f, hi: float, target: float, slope=None) -> float:
-        """Root of f = target for f nondecreasing on (0, hi); slope is f' if known."""
+    def _bisect(self, f, hi: float, target: float) -> float:
+        """Root of value = target for f = (value, slope), value nondecreasing on (0, hi)."""
         return bisect_increasing(
-            f, 0.0, hi, target, tol=self.config.root_tol,
-            max_iter=self.config.max_iter, slope=slope,
+            f, 0.0, hi, target, tol=self.config.root_tol, max_iter=self.config.max_iter
         )
 
 
@@ -93,22 +92,20 @@ class _Classic(Model):
         raise NotImplementedError
 
     def _branch(self, t: float, s: float):
-        """phi_t and its slope d/dx phi_t as functions of x, anchored at s."""
+        """x -> (phi_t(x), d/dx phi_t(x)) for x > 0, anchored at s."""
         g0 = self.measure.g0
         g0_s = g0(s)
 
-        def phi(x):
-            if x == 0.0:
-                return 0.0
-            return (x / s) * math.exp(t * (g0_s - g0(x)))
+        def branch(x):
+            e = math.exp(t * (g0_s - g0(x)))
+            return (x / s) * e, e / s * (1.0 - t * x * g0(x, 1))
 
-        def slope(x):
-            return math.exp(t * (g0_s - g0(x))) / s * (1.0 - t * x * g0(x, 1))
-
-        return phi, slope
+        return branch
 
     def phi(self, t: float, x: float, y: float = 1.0) -> float:
-        return self._branch(t, self.anchor(t))[0](x)
+        if x == 0.0:
+            return 0.0
+        return self._branch(t, self.anchor(t))(x)[0]
 
     def h_inverse(self, t: float, x: float, y: float = 1.0) -> float:
         if not 0.0 <= x <= 1.0:
@@ -118,8 +115,7 @@ class _Classic(Model):
         ell = self.ell(t)
         if x == 1.0:
             return ell
-        phi, slope = self._branch(t, self.anchor(t, ell))
-        return self._bisect(phi, ell, x, slope)
+        return self._bisect(self._branch(t, self.anchor(t, ell)), ell, x)
 
     def gen_fun(self, t: float, x: float, y: float = 1.0) -> float:
         return self.measure.g0(self.h_inverse(t, x))
@@ -175,8 +171,7 @@ class Flory(_Classic):
         if t == self.t_gel:
             return INF
         l = self.ell(t)
-        _, slope = self._branch(t, self.anchor(t))
-        return self.measure.g0(l, 1) / slope(l)
+        return self.measure.g0(l, 1) / self._branch(t, self.anchor(t))(l)[1]
 
 
 class _Arms(Model):
@@ -204,27 +199,28 @@ class _Arms(Model):
         """The long-time state: ell_inf, beta_inf and the sol mass K0(ell_inf)."""
         raise NotImplementedError
 
-    def _branch(self, t: float, y: float = 1.0):
-        """phi_t(., y) and its slope d/dx phi_t as functions of x."""
-        alpha, beta = self.coeffs(t)
+    def _branch(self, alpha: float, beta: float, y: float = 1.0):
+        """x -> (phi, d/dx phi) for the map phi(x) = alpha (x - beta k0(x, y))."""
         k0 = self.measure.k0
 
-        def phi(x):
-            return alpha * (x - beta * k0(x, y))
+        def branch(x):
+            return alpha * (x - beta * k0(x, y)), alpha * (1.0 - beta * k0(x, y, 1))
 
-        def slope(x):
-            return alpha * (1.0 - beta * k0(x, y, partial="x"))
+        return branch
 
-        return phi, slope
-
-    def _increasing_root(self, phi, slope, x: float) -> float:
-        """Root of phi = x where phi increases from phi(0) <= 0, or that branch's top."""
+    def _increasing_root(self, alpha: float, beta: float, y: float, x: float) -> float:
+        """Root of phi = x on the branch where phi increases from phi(0) <= 0, or its top."""
+        k0 = self.measure.k0
         top = 1.0
-        if slope(1.0) < 0.0:  # phi is concave in x: the branch ends at slope 0
-            top = self._bisect(lambda z: -slope(z), 1.0, 0.0)
-        if x >= phi(top):
+        if beta * k0(1.0, y, 1) > 1.0:  # phi'(1) < 0: the branch ends inside, at phi' = 0
+
+            def minus_slope(z):
+                return alpha * (beta * k0(z, y, 1) - 1.0), alpha * beta * k0(z, y, 2)
+
+            top = self._bisect(minus_slope, 1.0, 0.0)
+        if x >= alpha * (top - beta * k0(top, y)):
             return top
-        return self._bisect(phi, top, x, slope)
+        return self._bisect(self._branch(alpha, beta, y), top, x)
 
     def _completed(self, st: SolutionState) -> SolutionState:
         st.A = self.measure.k0(st.ell, 1.0) / st.alpha
@@ -233,7 +229,7 @@ class _Arms(Model):
         return st
 
     def phi(self, t: float, x: float, y: float = 1.0) -> float:
-        return self._branch(t, y)[0](x)
+        return self._branch(*self.coeffs(t), y)(x)[0]
 
     def h_inverse(self, t: float, x: float, y: float = 1.0) -> float:
         if not 0.0 <= x <= 1.0:
@@ -245,7 +241,7 @@ class _Arms(Model):
             return self.ell(t)
         if x == 0.0 and self.measure.k0(0.0, y) == 0.0:
             return 0.0  # phi_t(0, y) = 0: the root is the end of the bracket
-        return self._increasing_root(*self._branch(t, y), x)
+        return self._increasing_root(*self.coeffs(t), y, x)
 
     def gen_fun(self, t: float, x: float, y: float = 1.0) -> float:
         return self.measure.k0(self.h_inverse(t, x, y), y) / self.coeffs(t)[0]
@@ -262,7 +258,7 @@ class _Arms(Model):
     def _second_moment(self, t: float) -> float:
         """<c_t, a^2> = d/dx k_t at (1, 1) plus the arm count."""
         st = self.state(t)
-        kp = self.measure.k0(st.ell, 1.0, partial="x")
+        kp = self.measure.k0(st.ell, 1.0, 1)
         bracket = 1.0 - st.beta * kp
         if bracket <= 0.0:
             return INF
@@ -316,18 +312,15 @@ class FloryArms(_Arms):
         With gelation (K > A0) f increases up to its peak inside (0, 1), and
         the root is on that branch; without it the root is 1.  With mu(1) = 0
         the root is 0 itself, the end of the bracket, which bisection only nears.
+        f is the arms map at alpha = A0, beta = 1/A0.
         """
-        A0, k0 = self.measure.A0, self.measure.k0
+        A0 = self.measure.A0
         if math.isinf(self.t_gel):
             ell = 1.0
-        elif k0(0.0, 1.0) == 0.0:
+        elif self.measure.k0(0.0, 1.0) == 0.0:
             ell = 0.0
         else:
-            ell = self._increasing_root(
-                lambda x: A0 * x - k0(x, 1.0),
-                lambda x: A0 - k0(x, 1.0, partial="x"),
-                0.0,
-            )
+            ell = self._increasing_root(A0, 1.0 / A0, 1.0, 0.0)
         return SolutionState(t=INF, ell=ell, beta=1.0 / A0, M=self.measure.k0_mass(ell))
 
     def state(self, t: float) -> SolutionState:
@@ -337,7 +330,7 @@ class FloryArms(_Arms):
         alpha, beta = self.coeffs(t)
         ell = 1.0
         if t > self.t_gel:
-            ell = self._increasing_root(*self._branch(t), 1.0)
+            ell = self._increasing_root(alpha, beta, 1.0, 1.0)
         return self._completed(SolutionState(t=t, ell=ell, alpha=alpha, beta=beta))
 
     gen_fun = _Arms.gen_fun

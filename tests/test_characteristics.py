@@ -38,30 +38,44 @@ def test_solver_config_validation():
 
 
 class TestBisection:
+    # f returns (value, slope); a nan slope gives plain bisection
     def test_simple_root(self):
-        r = bisect_increasing(lambda x: x * x, 0.0, 2.0, 2.0, tol=1e-12)
+        r = bisect_increasing(lambda x: (x * x, math.nan), 0.0, 2.0, 2.0, tol=1e-12)
         assert r == pytest.approx(math.sqrt(2.0), abs=1e-11)
 
     def test_endpoint_never_evaluated(self):
         def f(x):
             if x in (0.0, 1.0):
                 raise AssertionError("endpoint touched")
-            return x
+            return x, 1.0
 
         assert bisect_increasing(f, 0.0, 1.0, 0.5, tol=1e-10) == pytest.approx(0.5)
 
     def test_nonconvergence(self):
         with pytest.raises(SolverError):
-            bisect_increasing(lambda x: x, 0.0, 1.0, 0.5, tol=1e-12, max_iter=3)
+            bisect_increasing(
+                lambda x: (x, math.nan), 0.0, 1.0, 0.5, tol=1e-12, max_iter=3
+            )
+
+    @pytest.mark.parametrize("slope", [0.0, -1.0, math.inf, math.nan])
+    def test_slope_that_is_not_finite_and_positive_only_bisects(self, slope):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x, slope
+
+        assert bisect_increasing(f, 0.0, 1.0, 0.3, tol=1e-12) == pytest.approx(0.3)
+        assert len(calls) > 30  # no Newton step: about log2(1e12) midpoints
 
 
 class TestNewtonInBracket:
     @pytest.mark.parametrize("root", [0.3, 1e-3, 1e-100, 1e-300])
     def test_relative_accuracy(self, root):
         # log x is concave with a slope of 1/x: a hard case for plain Newton
-        for slope in (None, lambda x: 1.0 / x):
+        for slope in (lambda x: math.nan, lambda x: 1.0 / x):
             x = bisect_increasing(
-                math.log, 0.0, 1.0, math.log(root), tol=1e-12, slope=slope
+                lambda x: (math.log(x), slope(x)), 0.0, 1.0, math.log(root), tol=1e-12
             )
             assert x == pytest.approx(root, rel=1e-12, abs=0.0)
 
@@ -70,18 +84,18 @@ class TestNewtonInBracket:
 
         def f(x):
             calls.append(x)
-            return x**3
+            return x**3, 3.0 * x * x
 
-        root = bisect_increasing(
-            f, 0.0, 2.0, 0.125, tol=1e-12, slope=lambda x: 3.0 * x * x
-        )
+        root = bisect_increasing(f, 0.0, 2.0, 0.125, tol=1e-12)
         assert root == pytest.approx(0.5, rel=1e-14)
         assert len(calls) <= 20
 
     def test_root_at_the_bottom_of_the_bracket(self):
         # a relative stop never closes on 0: the solver says so at once
         with pytest.raises(SolverError, match="underflows"):
-            bisect_increasing(lambda x: x, 0.0, 1.0, 0.0, tol=1e-12, max_iter=100)
+            bisect_increasing(
+                lambda x: (x, 1.0), 0.0, 1.0, 0.0, tol=1e-12, max_iter=100
+            )
 
 
 class TestGelTime:

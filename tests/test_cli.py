@@ -330,6 +330,35 @@ class TestConfigHandling:
             "--measure", MONO, "--t-end", "2", "--count", "3", *flags,
         ))
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"solver": {"root_tol": True}},
+            {"solver": {"max_iter": True}},
+            {"time_grid": {"end": True}},
+            {"time_grid": {"end": 2.0, "count": True}},
+            {"time_grid": {"start": False, "end": 2.0}},
+            {"command": "concentrations", "t": 2.0, "order": True},
+            {"command": "concentrations", "t": True},
+            {"command": "validate", "dt": True},
+            {"command": "limits", "model": "flory-arms", "initial": json.loads(ARMS),
+             "m_max": True},
+        ],
+        ids=["root-tol", "max-iter", "grid-end", "grid-count", "grid-start", "order",
+             "t", "validate-dt", "limits-m-max"],
+    )
+    def test_json_boolean_is_not_a_number(self, capsys, tmp_path, cfg):
+        # float(True) and int(True) are 1: a boolean must not pass for a number
+        cfg = {"model": "flory", "initial": json.loads(MONO), **cfg}
+        command = cfg.pop("command", "trajectory")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "is not a number" in err
+
     def test_geometric_spacing(self, capsys):
         code, out = run(
             capsys,
@@ -482,6 +511,39 @@ def test_any_time_ends_in_an_exit_code_and_one_line(data):
     out, err = io.StringIO(), io.StringIO()
     # an exception here is the traceback the CLI would print; a warning
     # would be two more lines on stderr
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
+
+
+ARMS_ON_0_TO_7 = st.builds(
+    lambda weights, drop_one: {
+        "type": "arm-law",
+        "mu": {str(a): w for a, w in weights.items() if not (drop_one and a == 1)},
+    },
+    st.dictionaries(
+        st.integers(0, 7), st.floats(-6.0, 0.0).map(lambda e: 10.0**e), min_size=1
+    ),
+    st.booleans(),  # mu(1) = 0
+)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    law=ARMS_ON_0_TO_7,
+    command=st.sampled_from(["limits", "moments"]),
+    model=st.sampled_from(["smoluchowski-arms", "flory-arms"]),
+    m_max=st.integers(1, 80),
+)
+def test_any_arm_law_limit_ends_in_an_exit_code_and_one_line(law, command, model, m_max):
+    # weights from 1e-6 to 1 put A0 anywhere from 1e-6 to 28
+    argv = [command, "--measure", json.dumps(law)]
+    if command == "limits":
+        argv += ["--model", model, "--mmax", str(m_max)]
+    out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("error")

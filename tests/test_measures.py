@@ -143,16 +143,23 @@ class TestArmMeasure:
             assert arm.k0(x, 1.0) == pytest.approx(0.25 + 0.75 * x * x)
 
     def test_k0_partial_matches_finite_differences(self):
+        # order n is the central difference of order n - 1
         arm = ArmMeasure({(1, 1): 0.2, (3, 2): 0.3, (4, 5): 0.1})
         h = 1e-6
-        for x in (0.2, 0.5, 0.8):
-            fd = (arm.k0(x + h, 0.9) - arm.k0(x - h, 0.9)) / (2 * h)
-            assert arm.k0(x, 0.9, partial="x") == pytest.approx(fd, rel=1e-6)
+        for order in (1, 2):
+            for x in (0.2, 0.5, 0.8):
+                up, down = arm.k0(x + h, 0.9, order - 1), arm.k0(x - h, 0.9, order - 1)
+                fd = (up - down) / (2 * h)
+                assert arm.k0(x, 0.9, order) == pytest.approx(fd, rel=1e-6)
+
+    def test_k0_order_is_checked(self):
+        with pytest.raises(DomainError):
+            ArmMeasure.monodisperse(MU).k0(0.5, 1.0, 3)
 
     def test_k0_convex_in_x(self):
         arm = ArmMeasure.monodisperse(MU)
         grid = np.arange(0.0, 1.01, 0.1)
-        vals = [arm.k0(x, 1.0, partial="x") for x in grid]
+        vals = [arm.k0(x, 1.0, 1) for x in grid]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_summary_stats(self):

@@ -133,8 +133,8 @@ class TestPhiShape:
         slope = (s.phi(t, ell + h) - s.phi(t, ell - h)) / (2 * h)
         assert abs(slope) < 1e-8
         f = Flory(Monodisperse())
-        _, slope = f._branch(t, 1.0)
-        assert slope(f.ell(t)) > 0.1
+        _, slope = f._branch(t, 1.0)(f.ell(t))
+        assert slope > 0.1
 
 
 class TestSolveOnce:
@@ -187,14 +187,14 @@ class TestSolveOnce:
 
 class TestRootEvaluations:
     def test_newton_steps_keep_roots_cheap(self, monkeypatch):
-        # every root with a known slope, counted through the module bindings
+        # every root, counted through the module bindings
         import gelsolve.characteristics
         import gelsolve.models
 
         real = gelsolve.characteristics.bisect_increasing
         counts = []
 
-        def counted(f, *args, slope=None, **kwargs):
+        def counted(f, *args, **kwargs):
             n = [0]
 
             def g(x):
@@ -202,10 +202,9 @@ class TestRootEvaluations:
                 return f(x)
 
             try:
-                return real(g, *args, slope=slope, **kwargs)
+                return real(g, *args, **kwargs)
             finally:
-                if slope is not None:
-                    counts.append(n[0])
+                counts.append(n[0])
 
         for module in (gelsolve.characteristics, gelsolve.models):
             monkeypatch.setattr(module, "bisect_increasing", counted)
@@ -231,6 +230,36 @@ class TestRootEvaluations:
         assert len(counts) > 200
         assert np.mean(counts) <= 12
         assert max(counts) <= 60
+
+    @staticmethod
+    def _count_k0(monkeypatch):
+        real = ArmMeasure.k0
+        n = [0]
+
+        def counted(self, *args, **kwargs):
+            n[0] += 1
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ArmMeasure, "k0", counted)
+        return n
+
+    @pytest.mark.parametrize("t", [2.5, 4.0, 20.0])
+    def test_post_gel_arms_roots_take_newton_steps(self, monkeypatch, t):
+        # the top of the concave branch, phi' = 0, has the slope alpha beta k0''
+        n = self._count_k0(monkeypatch)
+        for solve in (
+            lambda: FloryArms(ARM).state(t),
+            lambda: FloryArms(ARM).h_inverse(t, 0.4),
+            lambda: SmoluchowskiArms(ARM).h_inverse(t, 0.4),
+        ):
+            n[0] = 0
+            solve()
+            assert n[0] <= 30  # k0 evaluations of any order
+
+    def test_flory_arms_limit_takes_newton_steps(self, monkeypatch):
+        n = self._count_k0(monkeypatch)
+        FloryArms(ARM).limit()
+        assert n[0] <= 15
 
 
 class TestSecondMoment:
@@ -336,8 +365,8 @@ class TestArmsModels:
         model = SmoluchowskiArms(ARM)
         ell = model.state(t).ell
         assert abs(model.phi(t, ell, 1.0) - 1.0) <= 1e-12
-        _, slope = model._branch(t, 1.0)
-        assert abs(slope(ell)) <= 1e-12
+        _, slope = model._branch(*model.coeffs(t))(ell)
+        assert abs(slope) <= 1e-12
 
 
 class TestModelDispatch:
