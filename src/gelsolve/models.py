@@ -211,16 +211,17 @@ class _Arms(Model):
     def _increasing_root(self, alpha: float, beta: float, y: float, x: float) -> float:
         """Root of phi = x on the branch where phi increases from phi(0) <= 0, or its top."""
         k0 = self.measure.k0
+        branch = self._branch(alpha, beta, y)
         top = 1.0
-        if beta * k0(1.0, y, 1) > 1.0:  # phi'(1) < 0: the branch ends inside, at phi' = 0
+        if branch(1.0)[1] < 0.0:  # phi'(1) < 0: the branch ends inside, at phi' = 0
 
             def minus_slope(z):
                 return alpha * (beta * k0(z, y, 1) - 1.0), alpha * beta * k0(z, y, 2)
 
             top = self._bisect(minus_slope, 1.0, 0.0)
-        if x >= alpha * (top - beta * k0(top, y)):
+        if x >= branch(top)[0]:
             return top
-        return self._bisect(self._branch(alpha, beta, y), top, x)
+        return self._bisect(branch, top, x)
 
     def _completed(self, st: SolutionState) -> SolutionState:
         st.A = self.measure.k0(st.ell, 1.0) / st.alpha

@@ -44,12 +44,27 @@ class TestBisection:
         assert r == pytest.approx(math.sqrt(2.0), abs=1e-11)
 
     def test_endpoint_never_evaluated(self):
+        # no slope: the walk from lo = 0 takes dozens of interior midpoints
         def f(x):
             if x in (0.0, 1.0):
                 raise AssertionError("endpoint touched")
-            return x, 1.0
+            calls.append(x)
+            return x, math.nan
 
-        assert bisect_increasing(f, 0.0, 1.0, 0.5, tol=1e-10) == pytest.approx(0.5)
+        for target in (0.5, 1e-3, 1e-300):
+            calls = []
+            root = bisect_increasing(f, 0.0, 1.0, target, tol=1e-10)
+            assert root == pytest.approx(target, rel=1e-9, abs=0.0)
+            assert len(calls) > 10
+
+    def test_endpoint_never_evaluated_with_a_slope(self):
+        def f(x):
+            if x in (0.0, 1.0):
+                raise AssertionError("endpoint touched")
+            return x * x, 2.0 * x
+
+        root = bisect_increasing(f, 0.0, 1.0, 0.25, tol=1e-12)
+        assert root == pytest.approx(0.5, rel=1e-12)
 
     def test_nonconvergence(self):
         with pytest.raises(SolverError):
