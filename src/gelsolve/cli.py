@@ -1,9 +1,13 @@
 """Command-line surface: configuration, solving, validation, emission.
 
 Output is deterministic: identical configuration produces bit-identical CSV
-and JSON.  All numbers are printed with 17 significant digits; non-finite
-values appear as the literals inf / -inf / nan (JSON carries them as strings
-since the format has no such numbers).
+and JSON.  CSV prints every number as "%.17g" (17 significant digits, so
+1/3 is 0.33333333333333331) and non-finite values as the literals inf /
+-inf / nan.  JSON prints each finite number as Python's shortest repr that
+reads back to the same double (M_inf 0.5925925925925927), and non-finite
+values as the strings "inf" / "-inf" / "nan", since the format has no such
+numbers.  Each table and each JSON document is formatted whole and written
+with one call.
 """
 from __future__ import annotations
 
@@ -26,9 +30,7 @@ ARMS_MODELS = ("smoluchowski-arms", "flory-arms")
 
 
 def fmt(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return format(float(value), ".17g")
+    return "%.17g" % value
 
 
 def _jsonable(obj):
@@ -38,21 +40,17 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
-        if not math.isfinite(v):
-            return fmt(v)
-        return float(fmt(v))
+        return v if math.isfinite(v) else fmt(v)
     return obj
 
 
 def emit_json(obj, stream) -> None:
-    json.dump(_jsonable(obj), stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    stream.write(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
 
 
 def emit_csv(header, rows, stream) -> None:
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(fmt(v) for v in row) + "\n")
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    stream.write(",".join(header) + "\n" + "".join([line % tuple(row) for row in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +262,17 @@ def _cmd_concentrations(args, cfg, out) -> int:
         a_max = _size(args, cfg, "amax", "a_max", 40, 0)
         m_max = _size(args, cfg, "mmax", "m_max", 40, 1)
         conc = arms_concentrations(model, t, a_max, m_max)
-        rows = [
-            (a, m, conc.values[a, m])
-            for a in range(a_max + 1)
-            for m in range(1, m_max + 1)
-        ]
-        emit_csv(("a", "m", "c"), rows, out)
+        # the lines "a,m,c" of row a come from one template, in which a and
+        # every m are already written: "a,1,%.17g\na,2,%.17g\n..."
+        cells = "".join(["@,%d,%%.17g\n" % m for m in range(1, m_max + 1)])
+        out.write("a,m,c\n" + "".join([
+            cells.replace("@", str(a)) % tuple(row)
+            for a, row in enumerate(conc.values[:, 1 : m_max + 1].tolist())
+        ]))
         return 0
     order = _size(args, cfg, "order", "order", 64, 1)
     c = concentrations(model, t, order)
-    emit_csv(("m", "c"), [(m, c[m]) for m in range(1, order + 1)], out)
+    emit_csv(("m", "c"), enumerate(c[1 : order + 1].tolist(), 1), out)
     return 0
 
 

@@ -172,17 +172,27 @@ def integrate(
         k4 = _rhs(t + h, c + h * k3, arms=arms, flavor=flavor, total=total)
         return c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+    gel_interacting = flavor == "gel-interacting"
+    masses = np.arange(c.shape[-1])
+
     def mass_of(c):
         if arms:
-            return float((c * np.arange(c.shape[1])).sum())
-        return float(np.dot(np.arange(c.size), c))
+            return float((c * masses).sum())
+        return float(np.dot(masses, c))
 
+    mass = mass_of(c) if gel_interacting else None  # of the state c at t
     for target in t_grid:
         while t < target - 1e-12:
             h = min(dt, target - t)
-            before = mass_of(c)
-            c = step(t, c, h)
+            # a step too long for the state overflows: the SolverError
+            # below reports it, not two lines of numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = step(t, c, h)
             t += h
+            if not np.isfinite(c).all():
+                raise SolverError(
+                    f"concentrations are no longer finite at t={t:.6g}; reduce dt"
+                )
             low = c.min()
             if low < -1e-9:
                 raise SolverError(
@@ -190,8 +200,10 @@ def integrate(
                     "reduce dt or enlarge the truncation window"
                 )
             np.clip(c, 0.0, None, out=c)
-            if flavor == "gel-interacting":
-                gel += before - mass_of(c)  # exact mass bookkeeping
+            if gel_interacting:
+                after = mass_of(c)
+                gel += mass - after  # exact mass bookkeeping
+                mass = after
         out.append(OracleState(t=target, c=c.copy(), gel_mass=gel))
     return out
 

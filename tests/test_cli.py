@@ -2,13 +2,23 @@ import contextlib
 import io
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gelsolve.cli import fmt, main
+import gelsolve
+from gelsolve.cli import emit_csv, emit_json, fmt, main
+from gelsolve.measures import arm_measure_from_config, mass_measure_from_config
+from gelsolve.models import make_model
+from gelsolve.series import arms_concentrations, concentrations
 
 MONO = '{"type":"monodisperse"}'
 ARMS = '{"type":"arm-law","mu":{"0":0.5,"1":0.25,"3":0.25}}'
@@ -30,6 +40,86 @@ class TestFormatting:
         assert fmt(math.inf) == "inf"
         assert fmt(-math.inf) == "-inf"
         assert fmt(math.nan) == "nan"
+
+
+def _old_fmt(value):
+    # the per-value formatter the bulk emitters must reproduce byte for byte
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    return format(float(value), ".17g")
+
+
+def _old_csv(header, rows):
+    return ",".join(header) + "\n" + "".join(
+        ",".join(_old_fmt(v) for v in row) + "\n" for row in rows
+    )
+
+
+def _old_jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _old_jsonable(obj[k]) for k in obj}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_old_jsonable(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        if not math.isfinite(v):
+            return _old_fmt(v)
+        return float(_old_fmt(v))
+    return obj
+
+
+def _old_json(obj):
+    stream = io.StringIO()
+    json.dump(_old_jsonable(obj), stream, indent=2, sort_keys=True)
+    stream.write("\n")
+    return stream.getvalue()
+
+
+# every double: nan (of any payload), +-inf, +-0.0 and subnormals included
+DOUBLES = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+)
+CELLS = st.one_of(
+    DOUBLES,
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2e-308]),
+    st.integers(-(2**63), 2**63 - 1),
+    DOUBLES.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+JSON_VALUES = st.recursive(
+    st.one_of(
+        DOUBLES, st.integers(-(2**63), 2**63 - 1), DOUBLES.map(np.float64),
+        st.booleans(), st.none(), st.text(max_size=5),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestEmission:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_csv_matches_per_value_formatting(self, data):
+        width = data.draw(st.integers(1, 5))
+        header = [f"h{i}" for i in range(width)]
+        rows = data.draw(st.lists(st.lists(CELLS, min_size=width, max_size=width)))
+        if data.draw(st.booleans()):
+            rows = [tuple(row) for row in rows]
+        out = io.StringIO()
+        emit_csv(header, rows, out)
+        assert out.getvalue() == _old_csv(header, rows)
+        assert all(fmt(v) == _old_fmt(v) for row in rows for v in row)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(obj=st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=6))
+    def test_json_matches_round_tripped_dump(self, obj):
+        out = io.StringIO()
+        emit_json(obj, out)
+        assert out.getvalue() == _old_json(obj)
 
 
 class TestMoments:
@@ -155,6 +245,44 @@ class TestConcentrations:
         assert table[(0, 2)] == pytest.approx(1 / 64)
 
 
+    @pytest.mark.parametrize(
+        "model, spec, a_max, m_max",
+        [
+            ("flory-arms", ARMS, 0, 5),
+            ("smoluchowski-arms", ARMS, 3, 11),
+            ("flory-arms", ARMS, 11, 3),
+            # the README law given as triples [arms, mass, weight], all at mass 1
+            ("smoluchowski-arms",
+             '{"type":"arms","triples":[[0,1,0.5],[1,1,0.25],[3,1,0.25]]}', 4, 6),
+        ],
+    )
+    def test_arms_table_matches_per_cell_rows(self, capsys, model, spec, a_max, m_max):
+        code, out = run(
+            capsys,
+            "concentrations", "--model", model, "--measure", spec, "--t", "0.7",
+            "--amax", str(a_max), "--mmax", str(m_max),
+        )
+        solved = make_model(model, arm_measure_from_config(json.loads(spec)))
+        values = arms_concentrations(solved, 0.7, a_max, m_max).values
+        rows = [
+            (a, m, values[a, m]) for a in range(a_max + 1) for m in range(1, m_max + 1)
+        ]
+        assert code == 0
+        assert out == _old_csv(("a", "m", "c"), rows)
+
+    @pytest.mark.parametrize("order", [1, 7])
+    def test_classic_table_matches_per_cell_rows(self, capsys, order):
+        code, out = run(
+            capsys,
+            "concentrations", "--model", "flory", "--measure", MONO, "--t", "0.7",
+            "--order", str(order),
+        )
+        solved = make_model("flory", mass_measure_from_config(json.loads(MONO)))
+        c = concentrations(solved, 0.7, order)
+        assert code == 0
+        assert out == _old_csv(("m", "c"), [(m, c[m]) for m in range(1, order + 1)])
+
+
 class TestLimits:
     def test_flory_arms(self, capsys):
         code, out = run(
@@ -189,6 +317,21 @@ class TestValidate:
             "--t-end", "1.0", "--mmax", "30", "--dt", "0.01", "--tol", "1e-8",
         )
         assert code == 1
+
+
+    def test_overflowing_step_is_one_line(self):
+        # dt = 1e307 overflows the oracle's state; a fresh interpreter shows
+        # every line that numpy's warnings would add to stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(gelsolve.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gelsolve.cli",
+             "validate", "--model", "flory", "--measure", MONO,
+             "--t-end", "1e308", "--dt", "1e307", "--mmax", "10"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
 
 
 class TestConfigHandling:
@@ -434,13 +577,6 @@ class TestRepeatedMain:
     def test_calls_in_a_row_match_fresh_interpreters(self, capsys):
         # the parser is built once per process; no flag may leak into the
         # next call (the second call relies on the default order of 64)
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import gelsolve
-
         calls = [
             ("concentrations", "--model", "flory", "--measure", MONO,
              "--t", "0.5", "--order", "5"),
