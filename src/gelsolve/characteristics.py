@@ -26,6 +26,8 @@ from .measures import ArmMeasure, MassMeasure
 
 INF = math.inf
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
+#: Newton steps whose log(x_next / x) agree to this fraction make a linear phase.
+_LINEAR = 0.1
 
 
 @dataclass(frozen=True)
@@ -65,15 +67,19 @@ def bisect_increasing(f, lo, hi, target, *, tol, max_iter=200):
     The bracket is (lo, hi), 0 <= lo < hi.  Only interior points are
     evaluated, so f may be infinite or undefined at the endpoints.  The first
     point is the midpoint.  The next is the Newton step from the last point
-    if the slope is finite and positive, the step lands inside the bracket
-    and it moves at most half as far as the step before; otherwise it is the
-    midpoint, geometric while hi > 2 lo (lo = 0 read as the smallest normal
-    double, so a root at 1e-300 costs about ten more points).  The solve
-    stops once hi - lo <= tol * hi or a Newton step moves x by at most
-    tol * x; a root below the smallest normal double is an error.
+    if the slope is finite and positive, the step lands inside the bracket,
+    it moves at most half as far as the step before, and it does not scale x
+    by nearly the same factor as the Newton step before it (Newton halves x
+    at every step towards a root far below the first point of a convex map:
+    a linear phase); otherwise it is the midpoint, geometric while
+    hi > 2 lo (lo = 0 read as the smallest normal double, so a root at
+    1e-300 costs about ten more points).  The solve stops once
+    hi - lo <= tol * hi or a Newton step moves x by at most tol * x; a root
+    below the smallest normal double is an error.
     """
     x = 0.5 * (lo + hi)
     last_move = INF
+    last_log_ratio = math.nan  # log(x / previous x) after a Newton step
     for _ in range(max_iter):
         fx, d = f(x)
         if fx < target:
@@ -89,10 +95,16 @@ def bisect_increasing(f, lo, hi, target, *, tol, max_iter=200):
             step = x - (fx - target) / d
             if abs(step - x) <= tol * x and lo <= step <= hi:
                 return step
-        if not (lo < step < hi and abs(step - x) <= 0.5 * last_move):
+        log_ratio = math.nan
+        if lo < step < hi and abs(step - x) <= 0.5 * last_move:
+            log_ratio = math.log(step / x)
+            if abs(log_ratio - last_log_ratio) <= _LINEAR * abs(last_log_ratio):
+                log_ratio = math.nan
+        if math.isnan(log_ratio):
             low = max(lo, _TINY)
             step = math.sqrt(low) * math.sqrt(hi) if hi > 2.0 * low else 0.5 * (lo + hi)
         last_move = abs(step - x)
+        last_log_ratio = log_ratio
         x = step
     raise SolverError(
         f"root solver did not reach tol={tol} in {max_iter} iterations"

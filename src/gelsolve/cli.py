@@ -27,6 +27,8 @@ from .oracle import FLAVORS, compare, initial_arms, initial_classic, integrate
 from .series import arms_concentrations, concentrations, limiting_concentrations
 
 ARMS_MODELS = ("smoluchowski-arms", "flory-arms")
+#: Most oracle steps, t_end / dt, that `validate` takes: 0.07-0.2 ms each.
+MAX_STEPS = 10**6
 
 
 def fmt(value: float) -> str:
@@ -309,6 +311,10 @@ def _cmd_validate(args, cfg, out) -> int:
         raise ConfigError(f"flavor must be one of {FLAVORS}")
     t_end = _positive(args, cfg, "t_end", "t_end", 1.0)
     dt = _positive(args, cfg, "dt", "dt", 1e-3)
+    if t_end / dt > MAX_STEPS:
+        raise ConfigError(
+            f"t_end / dt = {t_end / dt:.6g} oracle steps, more than {MAX_STEPS}"
+        )
     tol = _positive(args, cfg, "tol", "tol", 1e-3)
     m_max = _size(args, cfg, "mmax", "m_max", 200, 1)
     times = list(np.linspace(0.0, t_end, 11))

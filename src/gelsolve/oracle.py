@@ -71,18 +71,27 @@ def initial_arms(measure: ArmMeasure, a_max: int, m_max: int) -> OracleState:
 # ---------------------------------------------------------------------------
 # Right-hand sides
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """array made read-only: the cached arrays below are shared by every call."""
+    array.flags.writeable = False
+    return array
+
+
+@functools.cache
+def _masses(n: int) -> np.ndarray:
+    """The masses 0..n-1 of a classic state of n cells."""
+    return _frozen(np.arange(n))
+
+
 def _rhs_classic(c: np.ndarray, flavor: str, M0: float) -> np.ndarray:
-    m = np.arange(c.size)
-    w = m * c  # mass-weighted concentrations
+    w = _masses(c.size) * c  # mass-weighted concentrations
     gain = 0.5 * np.convolve(w, w)[: c.size]
     if flavor == "gel-interacting":
         loss = w * M0  # gel keeps interacting: total partner mass is conserved
     else:
-        # partner restricted to masses that keep the product on the lattice
-        prefix = np.cumsum(w)
-        avail = prefix[::-1].copy()
-        avail[0] = 0.0  # m = 0 slot unused
-        loss = w * avail
+        # partner restricted to masses that keep the product on the lattice;
+        # the unused m = 0 slot is zeroed below
+        loss = w * np.cumsum(w)[::-1]
     out = gain - loss
     out[0] = 0.0
     return out
@@ -102,27 +111,35 @@ def _fast_len(n: int) -> int:
         m += 1
 
 
+@functools.cache
+def _arms_grid(na: int, nm: int):
+    """Arm column, no-big-coagulation partner rows and FFT shape of an na x nm window."""
+    a = _frozen(np.arange(na)[:, None])
+    # a partner of a arms keeps a' <= A_max + 2 - a, and a' <= A_max
+    a_cap = _frozen(np.minimum(na - 1, na + 1 - np.arange(na)))
+    # 2 na rows hold the self-convolution's 2 na - 1 and the row na + 1 read
+    # in _rhs_arms, also for na = 2
+    return a, a_cap, (_fast_len(2 * na), _fast_len(2 * nm - 1))
+
+
 def _rhs_arms(t: float, c: np.ndarray, flavor: str, A0: float) -> np.ndarray:
     na, nm = c.shape
-    a = np.arange(na)[:, None]
+    a, a_cap, (la, lm) = _arms_grid(na, nm)
     d = a * c  # arm-weighted concentrations
-    # the full self-convolution d * d: one forward transform, squared; 2 na
-    # rows hold its 2 na - 1 and the row na + 1 read below, also for na = 2
-    shape = (_fast_len(2 * na), _fast_len(2 * nm - 1))
-    spectrum = np.fft.rfft2(d, shape)
-    conv = np.fft.irfft2(spectrum * spectrum, shape)
-    # merger of (a1,m1),(a2,m2) lands at (a1+a2-2, m1+m2), inside the window
-    # for every a1 + a2 <= na + 1
-    gain = 0.5 * conv[2 : na + 2, :nm]
+    # the self-convolution d * d: one forward transform (along m, then a),
+    # squared, and back along a.  The merger of (a1,m1),(a2,m2) lands at
+    # (a1+a2-2, m1+m2), inside the window for every a1 + a2 <= na + 1, so only
+    # the rows 2 .. na + 1 go back along m.
+    spectrum = np.fft.fft(np.fft.rfft(d, lm, axis=1), la, axis=0)
+    rows = np.fft.ifft(spectrum * spectrum, la, axis=0)[2 : na + 2]
+    gain = 0.5 * np.fft.irfft(rows, lm, axis=1)[:, :nm]
     if flavor == "gel-interacting":
         loss = d * (A0 / (1.0 + t * A0))  # exact total arm count, gel included
     else:
         # partner must keep both coordinates inside the window:
-        # a' <= A_max + 2 - a and m' <= M_max - m
+        # a' <= a_cap[a] and m' <= M_max - m, the columns of cum reversed
         cum = np.cumsum(np.cumsum(d, axis=0), axis=1)
-        a_cap = np.minimum(na - 1, na + 1 - np.arange(na))
-        m_cap = (nm - 1) - np.arange(nm)
-        loss = d * cum[a_cap[:, None], m_cap[None, :]]
+        loss = d * cum[a_cap][:, ::-1]
     return gain - loss
 
 
@@ -170,7 +187,15 @@ def integrate(
         k2 = _rhs(t + 0.5 * h, c + 0.5 * h * k1, arms=arms, flavor=flavor, total=total)
         k3 = _rhs(t + 0.5 * h, c + 0.5 * h * k2, arms=arms, flavor=flavor, total=total)
         k4 = _rhs(t + h, c + h * k3, arms=arms, flavor=flavor, total=total)
-        return c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # c + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in k2
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= h / 6.0
+        k2 += c
+        return k2
 
     gel_interacting = flavor == "gel-interacting"
     masses = np.arange(c.shape[-1])

@@ -112,25 +112,53 @@ def ps_revert(phi: PowerSeries) -> PowerSeries:
 # ---------------------------------------------------------------------------
 # Classic-model concentrations as a Poisson mixture
 
-def _log_weight(k: int, lam: np.ndarray) -> np.ndarray:
-    """log(Pois(k - 1; lam) / k), k >= 1, with Loader's saddle-point Poisson pmf.
+#: Band cells (k, m) whose Poisson weights one pass of `_add_block` takes.
+_BLOCK = 4096
+
+
+def _log_weight(k: int) -> float:
+    """log_rest(k - 1) + log k: the part of log(Pois(k - 1; lam) / k) free of lam.
 
     For i >= 1, log Pois(i; lam) = -(log i! - i log i + i) - bd0, the deviance
     bd0 = i log(i/lam) + lam - i taken by log1p and log i! by Stirling's series
     past i = 15: neither loses the i log i ulps of i log lam - lam - lgamma(i+1)
     (C. Loader, "Fast and accurate computation of binomial probabilities", 2000).
+    k = 1 gives 0; its weight exp(-lam) has no deviance.
     """
     i = k - 1
     if i == 0:
-        return -lam
+        return 0.0
     if i <= 15:
         log_rest = math.lgamma(i + 1) - i * math.log(i) + i
     else:
         r = 1.0 / (i * i)
         stirlerr = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / i
         log_rest = stirlerr + 0.5 * math.log(2 * math.pi * i)
-    diff = i - lam  # lam <= 2^50 keeps diff/lam above -1
-    return diff - i * np.log1p(diff / lam) - (log_rest + math.log(k))
+    return log_rest + math.log(k)
+
+
+def _add_block(c: np.ndarray, lam: np.ndarray, k1: int, rows: list) -> None:
+    """c[m] += Pois(k - 1; lam[m]) / k * row_k[m - k] for the rows k = k1, k1 + 1, ...
+
+    The band cells of all rows are weighed at once, as flat arrays; np.add.at
+    adds them in flat order, so each c[m] takes its terms in increasing k.
+    """
+    sizes = np.array([row.size for row in rows])
+    ks = np.arange(k1, k1 + len(rows))
+    m = np.arange(sizes.sum()) + np.repeat(ks - (np.cumsum(sizes) - sizes), sizes)
+    i = np.repeat(ks - 1.0, sizes)
+    lam_m = lam[m]
+    diff = i - lam_m  # lam <= 2^50 keeps diff/lam above -1
+    w = diff / lam_m
+    np.log1p(w, out=w)
+    w *= i
+    np.subtract(diff, w, out=w)
+    w -= np.repeat([_log_weight(k) for k in range(k1, k1 + len(rows))], sizes)
+    if k1 == 1:
+        w[: rows[0].size] = -lam_m[: rows[0].size]
+    np.exp(w, out=w)
+    w *= np.concatenate(rows)
+    np.add.at(c, m, w)
 
 
 def concentrations(model, t: float, n: int) -> np.ndarray:
@@ -160,9 +188,16 @@ def concentrations(model, t: float, n: int) -> np.ndarray:
     # weight; a subnormal lam overflows diff/lam, zeroing subnormal weights
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lam = np.minimum(j * (t * S), 2.0**50)
+        rows, cells = [], 0  # the rows k1 .. k of the open block
         for k in range(1, n + 1 if q.size else 1):  # no atom up to n: c = 0
             row = np.convolve(row, q)[: n + 1 - k]
-            c[k : k + row.size] += np.exp(_log_weight(k, lam[k : k + row.size])) * row
+            rows.append(row)
+            cells += row.size
+            if cells >= _BLOCK:
+                _add_block(c, lam, k + 1 - len(rows), rows)
+                rows, cells = [], 0
+        if rows:
+            _add_block(c, lam, n + 1 - len(rows), rows)
     c[1:] *= S / j[1:]
     c[c < np.finfo(float).tiny] = 0.0
     return c

@@ -105,6 +105,19 @@ class TestNewtonInBracket:
         assert root == pytest.approx(0.5, rel=1e-14)
         assert len(calls) <= 20
 
+    @pytest.mark.parametrize("w", [1e-20, 1e-118, 1e-300])
+    def test_linear_phase_takes_geometric_midpoints(self, w):
+        # Newton halves x at every step towards the root of 3 x^2 = w from 1/2
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 3.0 * x * x, 6.0 * x
+
+        root = bisect_increasing(f, 0.0, 1.0, w, tol=1e-12)
+        assert root == pytest.approx(math.sqrt(w / 3.0), rel=1e-12, abs=0.0)
+        assert len(calls) <= 60
+
     def test_root_at_the_bottom_of_the_bracket(self):
         # a relative stop never closes on 0: the solver says so at once
         with pytest.raises(SolverError, match="underflows"):

@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,6 +299,20 @@ class TestLimits:
         code, _ = run(capsys, "limits", "--model", "flory", "--measure", MONO)
         assert code == 2
 
+    def test_tangency_far_below_one(self, capsys):
+        # D(x) = 3 x^2 - 1e-200: Newton from x = 1/2 halves x towards
+        # c = (1e-200/3)^(1/2), so the root solver must leave its linear phase
+        code, out = run(
+            capsys, "limits", "--model", "smoluchowski-arms", "--measure",
+            '{"type":"arm-law","mu":{"1":1e-200,"3":1}}',
+        )
+        assert code == 0
+        with mp.workdps(40):
+            mu1 = mp.mpf(1e-200)
+            c = mp.sqrt(mu1 / 3)
+            beta = c / (mu1 + 3 * c**2)  # c / k0(c), k0(x) = mu(1) + 3 x^2
+        assert json.loads(out)["beta_inf"] == pytest.approx(float(beta), rel=1e-10)
+
 
 class TestValidate:
     def test_pass(self, capsys):
@@ -572,6 +587,15 @@ class TestValidateFlags:
             capsys, ("validate", "--model", "flory", "--measure", MONO, flag, value)
         )
 
+    @pytest.mark.parametrize(
+        "t_end, dt", [("1", "1e-9"), ("2", "1.9e-6"), ("1e308", "1e-300")]
+    )
+    def test_more_than_a_million_steps_is_a_config_error(self, capsys, t_end, dt):
+        assert_config_error(capsys, (
+            "validate", "--model", "flory", "--measure", MONO,
+            "--t-end", t_end, "--dt", dt,
+        ))
+
 
 class TestRepeatedMain:
     def test_calls_in_a_row_match_fresh_interpreters(self, capsys):
@@ -679,6 +703,46 @@ def test_any_arm_law_limit_ends_in_an_exit_code_and_one_line(law, command, model
     argv = [command, "--measure", json.dumps(law)]
     if command == "limits":
         argv += ["--model", model, "--mmax", str(m_max)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
+
+
+LATTICE_LAWS = st.one_of(st.just({"type": "monodisperse"}), CLASSIC_LAWS.filter(
+    lambda law: law["type"] == "discrete"
+))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_validate_ends_in_an_exit_code_and_one_line(data):
+    model = data.draw(st.sampled_from(
+        ["smoluchowski", "flory", "smoluchowski-arms", "flory-arms"]
+    ))
+    arms = model.endswith("arms")
+    # the oracle's window is a lattice: a law off it is a config error
+    law = data.draw(ARM_LAWS if arms else st.one_of(LATTICE_LAWS, CLASSIC_LAWS))
+    # log-uniform, half of the draws up to about 30
+    t_end = 10.0 ** data.draw(st.one_of(st.floats(-3.0, 1.5), st.floats(-3.0, 300.0)))
+    # at most 300 steps of at most a 40 x 8 window, or one in eight past the
+    # step bound
+    if data.draw(st.integers(0, 7)) == 7:
+        steps = data.draw(st.floats(1.1e6, 1e300))
+    else:
+        steps = data.draw(st.floats(0.5, 300.0))
+    argv = ["validate", "--model", model, "--measure", json.dumps(law),
+            "--t-end", repr(t_end), "--dt", repr(t_end / steps),
+            "--mmax", str(data.draw(st.integers(2, 40))),
+            "--tol", repr(10.0 ** data.draw(st.floats(-12.0, 1.0)))]
+    if arms:
+        argv += ["--amax", str(data.draw(st.integers(3, 8)))]
+    flavor = data.draw(st.sampled_from([None, "no-big-coagulation", "gel-interacting"]))
+    if flavor:
+        argv += ["--flavor", flavor]
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):

@@ -5,6 +5,8 @@ from gelsolve.errors import DomainError, UsageError
 from gelsolve.measures import ArmMeasure, Discrete, Monodisperse
 from gelsolve.models import Flory, FloryArms, Smoluchowski, SmoluchowskiArms
 from gelsolve.oracle import (
+    _fast_len,
+    _rhs,
     _rhs_arms,
     compare,
     initial_arms,
@@ -77,6 +79,24 @@ class TestIntegrate:
         with pytest.raises(UsageError):
             integrate(initial_classic(Monodisperse(), 20), [-1.0], 1e-2)
 
+    @pytest.mark.parametrize("arms", [False, True])
+    def test_one_step_is_the_rk4_combination(self, arms):
+        # the step sums ((k1 + 2 k2) + 2 k3) + k4 in place, bit for bit
+        init = initial_arms(ARM, 6, 12) if arms else initial_classic(Monodisperse(), 30)
+        h, total = 0.3, (init.arm_count if arms else init.mass)
+
+        def rhs(t, c):
+            return _rhs(t, c, arms=arms, flavor="gel-interacting", total=total)
+
+        c = init.c
+        k1 = rhs(0.0, c)
+        k2 = rhs(0.5 * h, c + 0.5 * h * k1)
+        k3 = rhs(0.5 * h, c + 0.5 * h * k2)
+        k4 = rhs(h, c + h * k3)
+        expected = np.clip(c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, None)
+        (out,) = integrate(init, [h], h, flavor="gel-interacting")
+        assert np.array_equal(out.c, expected)
+
     def test_fourth_order_convergence(self):
         init = initial_classic(Monodisperse(), 50)
         ref = integrate(init, [0.5], 1e-4)[0].c
@@ -108,6 +128,23 @@ class TestArmsIntegrate:
         assert (traj[0].c >= 0.0).all()
 
 
+def _rfft2_rhs_arms(t, c, flavor, A0):
+    """The arms right-hand side with the whole square inverted by irfft2."""
+    na, nm = c.shape
+    d = np.arange(na)[:, None] * c
+    shape = (_fast_len(2 * na), _fast_len(2 * nm - 1))
+    spectrum = np.fft.rfft2(d, shape)
+    gain = 0.5 * np.fft.irfft2(spectrum * spectrum, shape)[2 : na + 2, :nm]
+    if flavor == "gel-interacting":
+        loss = d * (A0 / (1.0 + t * A0))
+    else:
+        cum = np.cumsum(np.cumsum(d, axis=0), axis=1)
+        a_cap = np.minimum(na - 1, na + 1 - np.arange(na))
+        m_cap = (nm - 1) - np.arange(nm)
+        loss = d * cum[a_cap[:, None], m_cap[None, :]]
+    return gain - loss
+
+
 def _direct_rhs_arms(t, c, flavor, A0):
     """The arms right-hand side by direct sums over pairs and partners."""
     na, nm = c.shape
@@ -130,12 +167,22 @@ def _direct_rhs_arms(t, c, flavor, A0):
 
 class TestArmsRhs:
     @pytest.mark.parametrize("flavor", ["no-big-coagulation", "gel-interacting"])
-    @pytest.mark.parametrize("shape", [(8, 8), (31, 20), (47, 47)])
+    @pytest.mark.parametrize(
+        "shape", [(8, 8), (31, 20), (47, 47), (2, 2), (2, 9), (9, 2)]
+    )
     def test_transform_matches_direct_sums(self, shape, flavor):
         c = np.random.default_rng(sum(shape)).random(shape)
         gain, expected = _direct_rhs_arms(0.7, c, flavor, 1.3)
         diff = np.abs(_rhs_arms(0.7, c, flavor, 1.3) - expected).max()
         assert diff <= 1e-13 * np.abs(gain).max()
+
+    @pytest.mark.parametrize("flavor", ["no-big-coagulation", "gel-interacting"])
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (8, 8), (31, 20), (46, 46)])
+    def test_matches_the_two_dimensional_transform_bit_for_bit(self, shape, flavor):
+        c = np.random.default_rng(sum(shape)).random(shape)
+        assert np.array_equal(
+            _rhs_arms(0.7, c, flavor, 1.3), _rfft2_rhs_arms(0.7, c, flavor, 1.3)
+        )
 
     def test_no_big_coagulation_keeps_mass_inside_the_window(self):
         # two 3-arm monomers merge into (4, 2), one of the two top arm rows of

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gelsolve.errors import DomainError
 from gelsolve.measures import ArmMeasure, Discrete, ExponentialDensity, Monodisperse
@@ -238,6 +240,81 @@ class TestHighOrder:
         c = concentrations(Flory(Monodisperse()), 3.0, 1024)
         assert c[1024] == 0.0
         assert ((c == 0.0) | (c >= np.finfo(float).tiny)).all()
+
+
+def _per_k_concentrations(model, t, n):
+    """The classic concentrations with one vector of Poisson weights per k.
+
+    The reference for the blocked weights of `concentrations`: the same
+    recurrence, weights and summation order, one k at a time.
+    """
+    mu0 = model.measure.lattice_weights(n)
+    if t == 0.0:
+        return mu0
+    s = model.anchor(t)
+    S = model.measure.g0(s)
+    j = np.arange(n + 1)
+    q = np.trim_zeros(mu0 * j * s**j / S, "b")[1:]
+    c = np.zeros(n + 1)
+    row = np.ones(1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lam = np.minimum(j * (t * S), 2.0**50)
+        for k in range(1, n + 1 if q.size else 1):
+            row = np.convolve(row, q)[: n + 1 - k]
+            lam_k = lam[k : k + row.size]
+            i = k - 1
+            if i == 0:
+                log_w = -lam_k
+            else:
+                if i <= 15:
+                    log_rest = math.lgamma(i + 1) - i * math.log(i) + i
+                else:
+                    r = 1.0 / (i * i)
+                    stirlerr = (
+                        1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))
+                    ) / i
+                    log_rest = stirlerr + 0.5 * math.log(2 * math.pi * i)
+                diff = i - lam_k
+                log_w = diff - i * np.log1p(diff / lam_k) - (log_rest + math.log(k))
+            c[k : k + row.size] += np.exp(log_w) * row
+    c[1:] *= S / j[1:]
+    c[c < np.finfo(float).tiny] = 0.0
+    return c
+
+
+LATTICE_LAWS = st.builds(
+    lambda atoms: Discrete(sorted(atoms.items())),
+    st.dictionaries(st.integers(1, 12), st.floats(0.05, 1.0), min_size=1, max_size=4),
+)
+
+
+class TestBlockedWeights:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        law=LATTICE_LAWS,
+        gel=st.booleans(),
+        n=st.integers(1, 300),
+        when=st.sampled_from(["1e-300", "0.5 T_gel", "T_gel", "3 T_gel", "1e100"]),
+    )
+    def test_matches_the_per_k_loop_bit_for_bit(self, law, gel, n, when):
+        model = _classic(gel, law)
+        t_gel = model.t_gel
+        t = {"1e-300": 1e-300, "0.5 T_gel": 0.5 * t_gel, "T_gel": t_gel,
+             "3 T_gel": 3.0 * t_gel, "1e100": 1e100}[when]
+        assert np.array_equal(
+            concentrations(model, t, n), _per_k_concentrations(model, t, n)
+        )
+
+    def test_a_row_longer_than_a_block(self):
+        # with atoms 1 and 12, row k spans m = k .. 12 k up to the order: at
+        # order 4500 the rows near k = 375 hold over 4096 cells, a block each
+        law = Discrete([(1, 0.5), (12, 0.5)])
+        for gel in (False, True):
+            model = _classic(gel, law)
+            t = 2.0 * model.t_gel
+            assert np.array_equal(
+                concentrations(model, t, 4500), _per_k_concentrations(model, t, 4500)
+            )
 
 
 class TestArmsConcentrations:

@@ -34,3 +34,14 @@ def test_every_target_resolves_and_a_traced_request_runs(capsys):
     # the wrappers come off when the request ends
     assert not hasattr(gelsolve.cli.main, "__wrapped__")
     assert not hasattr(gelsolve.series.conv_power, "__wrapped__")
+
+
+def test_a_traced_validate_counts_four_right_hand_sides_per_step(capsys):
+    # t_end = 1 at dt = 0.05 is two RK4 steps for each of the 10 grid intervals
+    tracer = _tracing_module().Tracer(gelsolve)
+    argv = ["validate", "--model", "flory", "--measure", '{"type":"monodisperse"}',
+            "--t-end", "1", "--dt", "0.05", "--mmax", "20", "--tol", "1"]
+    assert tracer.run(1, lambda: gelsolve.cli.main(argv)) == 0
+    assert capsys.readouterr().out.startswith("t,analytic,oracle,abs_error\n")
+    assert tracer.calls["oracle.integrate"] == 1
+    assert tracer.calls["oracle.rhs"] == 4 * 20
