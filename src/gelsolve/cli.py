@@ -269,7 +269,7 @@ def _cmd_concentrations(args, cfg, out) -> int:
         cells = "".join(["@,%d,%%.17g\n" % m for m in range(1, m_max + 1)])
         out.write("a,m,c\n" + "".join([
             cells.replace("@", str(a)) % tuple(row)
-            for a, row in enumerate(conc.values[:, 1 : m_max + 1].tolist())
+            for a, row in enumerate(conc[:, 1 : m_max + 1].tolist())
         ]))
         return 0
     order = _size(args, cfg, "order", "order", 64, 1)

@@ -281,20 +281,21 @@ class ArmMeasure:
         return out
 
 
-def conv_power(nu, m: int, max_index: int) -> np.ndarray:
-    """Rows nu^{*1}, ..., nu^{*m} on 0..max_index of the weights nu.
+def conv_power(nu, m: int, max_index: int):
+    """Yield the rows nu^{*1}, ..., nu^{*m} on 0..max_index of the weights nu.
 
     nu is truncated to the window first, and each row is one convolution of
-    the row before it with nu.
+    the row before it with nu; only the current row is held.
     """
     if m < 1:
         raise DomainError(f"convolution power m={m} must be >= 1")
     base = np.asarray(nu, dtype=float)[: max_index + 1]
-    out = np.zeros((m, max_index + 1))
-    out[0, : base.size] = base
-    for j in range(1, m):
-        out[j] = np.convolve(out[j - 1], base)[: max_index + 1]
-    return out
+    row = np.zeros(max_index + 1)
+    row[: base.size] = base
+    yield row
+    for _ in range(1, m):
+        row = np.convolve(row, base)[: max_index + 1]
+        yield row
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,7 @@ class OracleState:
 
     @property
     def mass(self) -> float:
-        if self.c.ndim == 1:
-            return float(np.dot(np.arange(self.c.size), self.c))
-        return float((self.c * np.arange(self.c.shape[1])).sum())
+        return _mass(self.c)
 
     @property
     def arm_count(self) -> float:
@@ -81,6 +79,13 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 def _masses(n: int) -> np.ndarray:
     """The masses 0..n-1 of a classic state of n cells."""
     return _frozen(np.arange(n))
+
+
+def _mass(c: np.ndarray) -> float:
+    """sum m c(m) of a classic state, or sum m c(a, m) of an arms state."""
+    if c.ndim == 1:
+        return float(np.dot(_masses(c.size), c))
+    return float((c * _masses(c.shape[1])).sum())
 
 
 def _rhs_classic(c: np.ndarray, flavor: str, M0: float) -> np.ndarray:
@@ -198,14 +203,7 @@ def integrate(
         return k2
 
     gel_interacting = flavor == "gel-interacting"
-    masses = np.arange(c.shape[-1])
-
-    def mass_of(c):
-        if arms:
-            return float((c * masses).sum())
-        return float(np.dot(masses, c))
-
-    mass = mass_of(c) if gel_interacting else None  # of the state c at t
+    mass = _mass(c) if gel_interacting else None  # of the state c at t
     for target in t_grid:
         while t < target - 1e-12:
             h = min(dt, target - t)
@@ -226,7 +224,7 @@ def integrate(
                 )
             np.clip(c, 0.0, None, out=c)
             if gel_interacting:
-                after = mass_of(c)
+                after = _mass(c)
                 gel += mass - after  # exact mass bookkeeping
                 mass = after
         out.append(OracleState(t=target, c=c.copy(), gel_mass=gel))

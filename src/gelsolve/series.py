@@ -4,11 +4,14 @@ Concentrations c_t(m) are Taylor coefficients of the solved generating
 function g0(h_t(x)); Lagrange-Buermann on the characteristic map phi_t turns
 them into a Poisson mixture of convolution powers, without forming h_t.
 The arms variants have closed forms in terms of convolution powers of the
-size-biased arm law, evaluated directly.  Each formula takes a model and reads
-its solved state: the anchor of phi_t, (alpha_t, beta_t) or the long-time limit.
+size-biased arm law, evaluated directly by one helper that tilts the law at
+the ell of the state it serves; a long-time limit is the same call at the
+model's limit state.  Each formula takes a model and reads its solved state:
+the anchor of phi_t, or (alpha_t, beta_t, ell_t) at finite t or t = inf.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -206,66 +209,81 @@ def concentrations(model, t: float, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Arms-model concentrations (closed forms)
 
-def _closed_form(nu, r_m, r_a, a_max, m_max) -> np.ndarray:
-    """(a+m-2)!/(a! m!) r_m^(m-1) r_a^a nu^{*m}(a+m-2) at rows a <= a_max, columns m.
+def _closed_form(nu, state, a_max, m_max) -> np.ndarray:
+    """(a+m-2)!/(a! m!) beta^(m-1) alpha^-a nu^{*m}(a+m-2) at rows a <= a_max, columns m.
 
-    Columns 0 and 1 are 0.  The powers are taken of nu/A0, which sums to 1,
-    and A0^m joins the factorials and ratios in the exponent, so no factor
-    overflows on its way to a representable product.
+    alpha, beta and the tilt point x = ell are the state's; columns 0 and 1
+    are 0.  With the tilted law nu_x(k) = nu(k) x^k / k0(x), which sums to 1,
+    an entry is (a+m-2)!/(a! m!) x k0(x) (beta k0(x)/x)^(m-1) (1/(alpha x))^a
+    nu_x^{*m}(a+m-2).  At x = ell, beta k0(x)/x tends to 1 as t grows, so
+    the powers of nu_x keep the size of the product instead of underflowing
+    before it, and every factor joins the exponent, so none overflows.
+    Before the gel time x = 1 and nu_x = nu/A0.  x = 0 (a limit with
+    mu(1) = 0) gives zeros; row 0 takes no arm factor, also where 1/alpha
+    is 0 or, for a limit, alpha is undefined.
     """
     out = np.zeros((a_max + 1, m_max + 1))
-    if m_max < 2:
+    x = state.ell
+    if m_max < 2 or x == 0.0:
         return out
-    A0 = nu.sum()
-    n = a_max + m_max
-    # log j! by lgamma: a cumulative sum of log j drifts to 5e-12 at j = 600,
-    # and that absolute error is the relative error of every product
-    log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
+    tilted = nu * x ** np.arange(nu.size)
+    k0x = tilted.sum()
     a = np.arange(a_max + 1)[:, None]
     m = np.arange(2, m_max + 1)
     k = a + m - 2
-    powers = conv_power(nu / A0, m_max, n - 2)[m - 1, k]  # nu^{*m}(k) / A0^m
+    # nu_x^{*m}(k) for k = m - 2 .. m - 2 + a_max, one power at a time
+    powers = np.empty((a_max + 1, m_max - 1))
+    rows = conv_power(tilted / k0x, m_max, a_max + m_max - 2)
+    next(rows)  # nu_x^{*1} would be column 1
+    for j, row in enumerate(rows):
+        powers[:, j] = row[j : j + a_max + 1]
+    log_fact = _log_factorials(1 << (a_max + m_max).bit_length())  # j <= a_max + m_max
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf
+        per_arm = a * np.log(1.0 / (state.alpha * x))
+        per_arm[0] = 0.0
         log_c = (
             log_fact[k] - log_fact[a] - log_fact[m]
-            + (m - 1) * np.log(r_m * A0) + np.log(A0)
-            + a * np.log(r_a)
+            + (m - 1) * np.log(state.beta * k0x / x) + np.log(x * k0x)
+            + per_arm
             + np.log(powers)
         )
-    # a zero power is a zero entry, also where r_m = inf (a limit with
+    # a zero power is a zero entry, also where beta = inf (a limit with
     # mu(1) = mu(2) = 0) would make its log nan
     out[:, 2:] = np.where(powers > 0.0, np.exp(log_c), 0.0)
     return out
 
 
-@dataclass
-class ArmsConcentrations:
-    """c_t(a, m) matrix (rows a, columns m).
+@functools.cache
+def _log_factorials(size: int) -> np.ndarray:
+    """log j! for j < size by lgamma, read-only (shared by every caller).
 
-    The m = 1 column holds the initial data c0(a, 1) = mu(a) untouched; the
-    solved formulas only apply from m = 2 on.
+    A cumulative sum of log j drifts to 5e-12 at j = 600: the relative error
+    of every product.  Sizes are powers of two, so the tables held take at
+    most twice the largest.
     """
+    table = np.array([math.lgamma(j + 1) for j in range(size)])
+    table.flags.writeable = False
+    return table
 
-    values: np.ndarray
 
+def arms_concentrations(model, t: float, a_max: int, m_max: int) -> np.ndarray:
+    """Closed-form c_t(a, m) of an arms model on monodisperse arm data (rows a, columns m).
 
-def arms_concentrations(model, t: float, a_max: int, m_max: int) -> ArmsConcentrations:
-    """Closed-form c_t(a, m) of an arms model on monodisperse arm data, m >= 2.
-
-    beta_t is the factor per unit of mass and 1/alpha_t the factor per free arm.
+    beta_t is the factor per unit of mass and 1/alpha_t the factor per free
+    arm.  The formula applies from m = 2 on; the m = 1 column holds the
+    initial data c0(a, 1) = mu(a) untouched.
     """
     measure = model.measure
     if not measure.is_monodisperse:
         raise DomainError("closed-form concentrations need monodisperse arm data")
     if t < 0.0:
         raise DomainError("time must be >= 0")
-    alpha, beta = model.coeffs(t)
-    out = _closed_form(measure.nu(), beta, 1.0 / alpha, a_max, m_max)
+    out = _closed_form(measure.nu(), model.state(t), a_max, m_max)
     if m_max >= 1:
         for a, w in measure.arm_law().items():
             if a <= a_max:
                 out[a, 1] = w
-    return ArmsConcentrations(out)
+    return out
 
 
 def arms_mass(model, t: float, *, m_max: int = 150) -> float:
@@ -280,8 +298,7 @@ def arms_mass(model, t: float, *, m_max: int = 150) -> float:
         model, t, a_max=_arms_amax(measure, m_max), m_max=m_max
     )
     total = measure.k0_mass(1.0 / model.coeffs(t)[0])
-    masses = np.arange(conc.values.shape[1])
-    total += float((conc.values[:, 2:] * masses[2:]).sum())
+    total += float((conc[:, 2:] * np.arange(2, m_max + 1)).sum())
     return total
 
 
@@ -314,36 +331,17 @@ class LimitingConcentrations:
 
 
 def limiting_concentrations(model, m_max: int) -> LimitingConcentrations:
-    """Limits of an arms model's c_t(0, m) as t -> infinity, on monodisperse arm data."""
+    """Limits of an arms model's c_t(0, m) as t -> infinity, on monodisperse arm data.
+
+    They are row a = 0 of the closed form at the long-time state, tilted at
+    ell_inf, where beta_inf k0(x)/x = 1 for the gel-inert variant.
+    """
     measure = model.measure
     if not measure.is_monodisperse:
         raise DomainError("limiting concentrations need monodisperse arm data")
     nu = measure.nu()
     lim = model.limit()
-    # The a = 0 row of the closed form at r = beta_inf, r^(m-1) nu^{*m}(m-2)/(m(m-1)),
-    # is x k0(x) (r k0(x)/x)^(m-1) nu_x^{*m}(m-2)/(m(m-1)) with the tilted law
-    # nu_x(k) = nu(k) x^k / k0(x), for any x > 0.  At x = ell_inf, r k0/x = 1, and
-    # the gel-inert nu_x has mean 1: its powers do not underflow.  x = 0 gives 0.
-    c_inf = np.zeros(m_max + 1)
-    x = lim.ell
-    if x > 0.0 and m_max >= 2:
-        tilted = nu * x ** np.arange(nu.size)
-        k0x = tilted.sum()
-        m = np.arange(2, m_max + 1)
-        # nu_x^{*m}(m - 2), one row of conv_power(nu_x, m_max, m_max - 2) at a time
-        base = (tilted / k0x)[: m_max - 1]
-        row = np.zeros(m_max - 1)
-        row[: base.size] = base
-        powers = np.empty(m_max - 1)
-        for j in range(m_max - 1):
-            row = np.convolve(row, base)[: m_max - 1]
-            powers[j] = row[j]
-        with np.errstate(divide="ignore"):  # log 0 = -inf
-            c_inf[2:] = np.exp(
-                math.log(x * k0x) + (m - 1) * math.log(lim.beta * k0x / x)
-                + np.log(powers) - np.log(m * (m - 1.0))
-            )
     return LimitingConcentrations(
-        c_inf=c_inf, beta_inf=lim.beta, p_or_c=lim.ell, M_inf=lim.M,
-        degenerate=bool(nu[0] == 0.0),
+        c_inf=_closed_form(nu, lim, 0, m_max)[0], beta_inf=lim.beta, p_or_c=lim.ell,
+        M_inf=lim.M, degenerate=bool(nu[0] == 0.0),
     )

@@ -182,7 +182,7 @@ def test_criterion_09_gel_derivative_families(report):
 def test_criterion_10_arms_concentration_spot_value(report):
     for t in (0.5, 1.0, 4.0):
         out = arms_concentrations(FloryArms(ARM), t, 2, 2)
-        assert abs(out.values[0, 2] - t / (32.0 * (1.0 + t))) <= 1e-12
+        assert abs(out[0, 2] - t / (32.0 * (1.0 + t))) <= 1e-12
     report["ok"] = True
 
 
@@ -240,5 +240,5 @@ def test_criterion_12_property_suites(report):
     # nonnegativity of emitted concentrations
     for t in (0.5, 2.0):
         assert (concentrations(Smoluchowski(Monodisperse()), t, 40) >= 0.0).all()
-        assert (arms_concentrations(FloryArms(ARM), t, 10, 10).values >= 0.0).all()
+        assert (arms_concentrations(FloryArms(ARM), t, 10, 10) >= 0.0).all()
     report["ok"] = True

@@ -245,6 +245,24 @@ class TestConcentrations:
             table[(int(float(a)), int(float(m)))] = float(c)
         assert table[(0, 2)] == pytest.approx(1 / 64)
 
+    def test_arms_past_the_last_flow_panel(self, capsys):
+        # alpha_t = inf from about t = 5e16 on the README law: row 0 is the
+        # limit and the rows a >= 1 vanish, with no 0 * log(0) = nan on row 0
+        code, out = run(
+            capsys,
+            "concentrations", "--model", "smoluchowski-arms",
+            "--measure", ARMS, "--t", "1e17", "--amax", "1", "--mmax", "4",
+        )
+        assert code == 0
+        assert "nan" not in out
+        table = {}
+        for line in out.strip().splitlines()[1:]:
+            a, m, c = line.split(",")
+            table[(int(a), int(m))] = float(c)
+        assert table[(0, 2)] == pytest.approx(0.036084391824351643, rel=1e-12, abs=0.0)
+        assert table[(0, 4)] == pytest.approx(0.0060140653040586045, rel=1e-12, abs=0.0)
+        assert not any(table[(1, m)] for m in (2, 3, 4))
+
 
     @pytest.mark.parametrize(
         "model, spec, a_max, m_max",
@@ -264,7 +282,7 @@ class TestConcentrations:
             "--amax", str(a_max), "--mmax", str(m_max),
         )
         solved = make_model(model, arm_measure_from_config(json.loads(spec)))
-        values = arms_concentrations(solved, 0.7, a_max, m_max).values
+        values = arms_concentrations(solved, 0.7, a_max, m_max)
         rows = [
             (a, m, values[a, m]) for a in range(a_max + 1) for m in range(1, m_max + 1)
         ]

@@ -196,30 +196,30 @@ class TestNu:
 
     def test_conv_power_hand_values(self):
         nu = ArmMeasure.monodisperse(MU).nu()  # {0: 1/4, 2: 3/4}
-        sq = conv_power(nu, 2, 4)[1]
+        sq = list(conv_power(nu, 2, 4))[1]
         assert sq[0] == pytest.approx(1 / 16)
         assert sq[2] == pytest.approx(3 / 8)
         assert sq[4] == pytest.approx(9 / 16)
 
     def test_conv_power_identity_cases(self):
         nu = ArmMeasure.monodisperse(MU).nu()
-        assert np.allclose(conv_power(nu, 1, 2)[0], nu)
+        assert np.allclose(next(conv_power(nu, 1, 2)), nu)
         delta0 = np.array([1.0])
         for m in (1, 3, 7):
-            out = conv_power(delta0, m, 3)[m - 1]
+            out = list(conv_power(delta0, m, 3))[m - 1]
             assert out[0] == 1.0 and not out[1:].any()
 
     def test_conv_power_mass_multiplicative(self):
         nu = ArmMeasure.monodisperse({0: 0.3, 1: 0.2, 2: 0.4, 4: 0.35}).nu()
         total = nu.sum()
-        rows = conv_power(nu, 10, 50)
+        rows = list(conv_power(nu, 10, 50))
         for m in range(1, 11):
             assert rows[m - 1].sum() == pytest.approx(total**m, rel=1e-12)
 
     def test_conv_power_truncates_to_the_window(self):
         # a 20000-long nu is cut to the 6 entries the window can see
         nu = ArmMeasure.monodisperse({0: 0.5, 1: 0.5, 20000: 1e-9}).nu()
-        rows = conv_power(nu, 3, 5)
+        rows = np.array(list(conv_power(nu, 3, 5)))
         assert rows.shape == (3, 6)
         assert rows[2, 0] == pytest.approx(0.125) and not rows[2, 1:].any()
 

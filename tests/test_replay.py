@@ -59,3 +59,15 @@ def test_changed_exit_code_is_an_infinite_difference(tmp_path, capsys):
     assert report["differing_requests"] == 1
     assert math.isinf(report["max_rel_diff"])
     assert report["worst_request"] == 0
+
+
+def test_differing_requests_are_counted_by_kind(tmp_path, capsys):
+    kinds = [dict(line, kind=kind) for line, kind in zip(LINES, ("trajectory", "batch"))]
+    moved = json.loads(json.dumps(kinds))
+    moved[1]["out"][0]["ell"] = "0.2500000001"
+    code, report = _compare(tmp_path, capsys, kinds, moved)
+    assert code == 1
+    assert report["differing_by_kind"] == {"trajectory": 0, "batch": 1}
+    # replays written without kinds still compare, with no breakdown
+    code, report = _compare(tmp_path, capsys, LINES, LINES)
+    assert code == 0 and report["differing_by_kind"] == {}

@@ -320,20 +320,20 @@ class TestBlockedWeights:
 class TestArmsConcentrations:
     def test_hand_value(self):
         out = arms_concentrations(FloryArms(ARM), 1.0, 4, 4)
-        assert out.values[0, 2] == pytest.approx(1 / 64, abs=1e-15)
+        assert out[0, 2] == pytest.approx(1 / 64, abs=1e-15)
 
     def test_large_time_limit(self):
         out = arms_concentrations(FloryArms(ARM), 1e8, 4, 4)
-        assert out.values[0, 2] == pytest.approx(1 / 32, rel=1e-6)
+        assert out[0, 2] == pytest.approx(1 / 32, rel=1e-6)
 
     def test_positive_arm_rows_vanish(self):
         small = arms_concentrations(FloryArms(ARM), 1e6, 6, 6)
-        assert np.max(small.values[1:, 2:]) < 1e-5
+        assert np.max(small[1:, 2:]) < 1e-5
 
     def test_m1_column_is_initial_data(self):
         out = arms_concentrations(FloryArms(ARM), 3.0, 4, 4)
-        assert out.values[0, 1] == 0.5
-        assert out.values[3, 1] == 0.25
+        assert out[0, 1] == 0.5
+        assert out[3, 1] == 0.25
 
     def test_degenerate_nu(self):
         # nu(0) = mu(1) = 0: no cluster of mass >= 2 has fewer than two free
@@ -341,7 +341,7 @@ class TestArmsConcentrations:
         law = ArmMeasure.monodisperse({0: 0.5, 2: 0.25, 3: 0.25})
         for flavor in ("gel-interacting", "no-big-coagulation"):
             gel = flavor == "gel-interacting"
-            out = arms_concentrations(_arms(gel, law), 0.5, 4, 4).values
+            out = arms_concentrations(_arms(gel, law), 0.5, 4, 4)
             ref = integrate(initial_arms(law, 60, 60), [0.5], 1e-2, flavor=flavor)[0].c
             assert out[2, 2:5] == pytest.approx(
                 [0.014565, 0.0022408, 0.00034474], rel=1e-4
@@ -354,13 +354,13 @@ class TestArmsConcentrations:
         with pytest.raises(DomainError):
             arms_concentrations(SmoluchowskiArms(mixed), 1.0, 4, 4)
 
-    @pytest.mark.parametrize("t", [0.7, 2.5])
+    @pytest.mark.parametrize("t", [0.7, 2.5, 6.0])
     def test_matches_mpmath_up_to_300(self, t):
         # A0 = 1.3; nu = (mu1, 2 mu2, 3 mu3) on {0, 1, 2}, so nu^{*m}(k) is a
         # finite sum of trinomial terms
         mu = {0: 0.3, 1: 0.35, 2: 0.1, 3: 0.25}
         law = ArmMeasure.monodisperse(mu)
-        c = arms_concentrations(FloryArms(law), t, 300, 300).values
+        c = arms_concentrations(FloryArms(law), t, 300, 300)
         with mp.workdps(40):
             T, A0 = mp.mpf(t), mp.mpf(law.A0)
             nu = [mp.mpf(mu[1]), 2 * mp.mpf(mu[2]), 3 * mp.mpf(mu[3])]
@@ -383,20 +383,64 @@ class TestArmsConcentrations:
 
     @pytest.mark.parametrize("gel", [True, False])
     def test_no_nan_at_602_by_600(self, gel):
-        out = arms_concentrations(_arms(gel, ARM), 4.0, 602, 600).values
+        out = arms_concentrations(_arms(gel, ARM), 4.0, 602, 600)
         assert np.isfinite(out).all()
         assert (out >= 0.0).all()
+
+    @pytest.mark.parametrize("t", [1e3, 1e6])
+    @pytest.mark.parametrize("gel", [True, False], ids=["flory-arms", "smoluchowski-arms"])
+    def test_law_far_from_unit_A0_matches_mpmath(self, gel, t):
+        # A0 = 0.0298 and nu = (1e-4, 0, 0.0297), past T_gel = 33.8: the
+        # powers of nu/A0 underflow where c_t(a, m) is still representable.
+        # nu^{*m}(2 j) = C(m, j) nu(2)^j nu(0)^(m-j), and odd indices are 0.
+        law = ArmMeasure.monodisperse({0: 0.99, 1: 1e-4, 3: 0.0099})
+        model = _arms(gel, law)
+        alpha, beta = model.coeffs(t)
+        c = arms_concentrations(model, t, 40, 400)
+        nu = law.nu()
+        checked = 0
+        with mp.workdps(40):
+            log_fact = [mp.loggamma(n + 1) for n in range(441)]
+            log_nu0, log_nu2 = mp.log(nu[0]), mp.log(nu[2])
+            log_beta, log_alpha = mp.log(beta), mp.log(alpha)
+            for a in range(41):
+                for m in range(2, 401):
+                    k = a + m - 2
+                    if k % 2 or k // 2 > m:
+                        assert c[a, m] == 0.0
+                        continue
+                    j = k // 2
+                    ref = mp.exp(
+                        log_fact[k] - log_fact[a] - log_fact[j] - log_fact[m - j]
+                        + (m - 1) * log_beta - a * log_alpha
+                        + (m - j) * log_nu0 + j * log_nu2
+                    )
+                    if ref >= 1e-300:
+                        assert c[a, m] == pytest.approx(float(ref), rel=1e-11, abs=0.0)
+                        checked += 1
+        assert checked > 5000
+
+    def test_past_the_last_flow_panel(self):
+        # alpha_t = inf from about t = 5e16 on the README law, so 1/alpha_t = 0:
+        # row 0 is the limit, with no 0 * log(0) = nan, and the rows a >= 1 vanish
+        model = SmoluchowskiArms(ARM)
+        assert model.coeffs(1e17)[0] == math.inf
+        out = arms_concentrations(model, 1e17, 3, 8)
+        assert np.isfinite(out).all()
+        c_inf = limiting_concentrations(model, 8).c_inf
+        assert out[0, 2:] == pytest.approx(c_inf[2:], rel=1e-12, abs=0.0)
+        assert not out[1:, 2:].any()
 
     def test_gel_inert_variant_pre_gel(self):
         # pre-gel beta_t = t/(1+t) and alpha_t = 1+t, so the two variants agree
         a = arms_concentrations(SmoluchowskiArms(ARM), 1.5, 6, 6)
         b = arms_concentrations(FloryArms(ARM), 1.5, 6, 6)
-        assert np.allclose(a.values, b.values, atol=1e-10)
+        assert np.allclose(a, b, atol=1e-10)
 
     def test_nonnegative(self):
         for gel in (False, True):
             out = arms_concentrations(_arms(gel, ARM), 4.0, 10, 10)
-            assert (out.values >= 0.0).all()
+            assert (out >= 0.0).all()
 
 
 class TestArmsMass:
@@ -484,7 +528,7 @@ class TestLimits:
             model.ell(t), rel=1e-4, abs=t ** (-1 / 3) if slow else 1e-5
         )
         assert lim.M_inf == pytest.approx(model.mass(t), rel=1e-4)
-        row = arms_concentrations(model, t, 0, 8).values[0]
+        row = arms_concentrations(model, t, 0, 8)[0]
         assert lim.c_inf[2:] == pytest.approx(row[2:], rel=1e-4)
 
     @pytest.mark.parametrize(

@@ -9,10 +9,12 @@ Run from the repository root:
 The stream comes from perfbench/streams.py and each request is answered by
 perfbench/server.py's `serve`, in one interpreter that imports gelsolve from
 --src; both are only read.  Each request gives one JSON line: its id, the
-exit code and the output (CLI stdout as text, library results with every
-float written as its repr), or the exception it raised.  Two replays agree
-bit for bit exactly when `cmp` finds the files equal.  --compare reports how
-many requests and values differ and the largest relative difference.
+kind (mass, concentrations, limits, ...), the exit code and the output (CLI
+stdout as text, library results with every float written as its repr), or
+the exception it raised.  Two replays agree bit for bit exactly when `cmp`
+finds the files equal.  --compare reports how many requests and values
+differ, how many requests of each kind differ, and the largest relative
+difference.
 """
 from __future__ import annotations
 
@@ -47,7 +49,7 @@ def replay(workload, seed, seconds, src, stream):
 
     pkg = server.load(str(Path(src).resolve()))
     for req in streams.build(workload, seed, seconds):
-        line = {"id": req["id"]}
+        line = {"id": req["id"], "kind": req["kind"]}
         try:
             rc, result = server.serve(pkg, req)
         except Exception as exc:  # recorded, so both sides can be compared
@@ -99,7 +101,10 @@ def compare(path_a, path_b, stream):
         return 1
     requests = values = differing = 0
     worst, worst_id = 0.0, None
+    by_kind = {}  # differing requests of each kind, over the lines that carry one
     for a, b in zip(lines_a, lines_b):
+        if "kind" in a:
+            by_kind[a["kind"]] = by_kind.get(a["kind"], 0) + (a != b)
         if a == b:
             values += len(_values(a))
             continue
@@ -119,7 +124,7 @@ def compare(path_a, path_b, stream):
     stream.write(json.dumps({
         "requests": len(lines_a), "values": values,
         "differing_requests": requests, "differing_values": differing,
-        "max_rel_diff": worst, "worst_request": worst_id,
+        "differing_by_kind": by_kind, "max_rel_diff": worst, "worst_request": worst_id,
     }) + "\n")
     return 0 if requests == 0 else 1
 
