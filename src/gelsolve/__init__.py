@@ -9,8 +9,6 @@ from .characteristics import (
     ArmsFlow,
     SolutionState,
     SolverConfig,
-    alpha_via_gamma,
-    beta_infinity,
     ell_smolu,
     gel_time,
     l_flory,
@@ -79,10 +77,8 @@ __all__ = [
     "SolverConfig",
     "SolverError",
     "UsageError",
-    "alpha_via_gamma",
     "arms_concentrations",
     "asymptotics_report",
-    "beta_infinity",
     "concentrations",
     "conv_power",
     "ell_smolu",

@@ -11,8 +11,7 @@ slope come from one quadrature: folded into `bisect_increasing` (in x or in
 1/(x - c)) it took 4.7 quadratures per state instead of 3.5 on a 2-core box
 (124 against 94 us, and the arms-postgel benchmark's wall time rose 9 %), and
 with a 4-eps stop it fell back to bisection, up to 11.4 quadratures per
-state.  Only numpy is needed; the cross-check `alpha_via_gamma` imports scipy
-when it is called.
+state.  Only numpy is needed.
 """
 from __future__ import annotations
 
@@ -129,13 +128,18 @@ def gel_time(measure) -> float:
     raise DomainError(f"unsupported measure type {type(measure).__name__}")
 
 
+def check_time(t: float) -> None:
+    """Reject a time that is nan or negative; +inf passes."""
+    if not t >= 0.0:
+        raise DomainError(f"time must be >= 0, got {t}")
+
+
 # ---------------------------------------------------------------------------
 # Classic critical points
 
 def ell_smolu(t, measure: MassMeasure, config=DEFAULT_CONFIG):
     """The Smoluchowski characteristic root: 1 pre-gel, else x g0'(x) = 1/t."""
-    if t < 0.0:
-        raise DomainError("time must be >= 0")
+    check_time(t)
     if t <= gel_time(measure):
         return 1.0
 
@@ -153,8 +157,7 @@ def l_flory(t, measure: MassMeasure, config=DEFAULT_CONFIG):
     mom = measure.moments()
     if math.isinf(mom.M0):
         raise ModelError("Flory's equation requires finite initial mass")
-    if t < 0.0:
-        raise DomainError("time must be >= 0")
+    check_time(t)
     if t <= gel_time(measure):
         return 1.0
     hi = ell_smolu(t, measure, config)
@@ -168,56 +171,6 @@ def l_flory(t, measure: MassMeasure, config=DEFAULT_CONFIG):
 
     return bisect_increasing(
         f, 0.0, hi, 0.0, tol=config.root_tol, max_iter=config.max_iter
-    )
-
-
-# ---------------------------------------------------------------------------
-# Arms model: the G/H pair
-
-def G_map(measure: ArmMeasure, x: float) -> float:
-    """G(x) = x - k0(x,1)/k0'(x,1); strictly increasing when k0'' > 0."""
-    if measure.k0(1.0, 1.0, 2) == 0.0:
-        raise DomainError("G is degenerate when k0'' vanishes identically (no gelation)")
-    if x == 1.0:
-        # monotone limit G(1^-) = (K - A0)/K
-        return (measure.K - measure.A0) / measure.K
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"x={x} outside [0, 1)")
-    kp = measure.k0(x, 1.0, 1)
-    if kp == 0.0:
-        raise DomainError(f"k0'({x}, 1) = 0: G undefined here")
-    return x - measure.k0(x, 1.0) / kp
-
-
-def _G_lower_limit(measure: ArmMeasure) -> float:
-    kp0 = measure.k0(0.0, 1.0, 1)
-    if kp0 == 0.0:
-        return -INF
-    return -measure.k0(0.0, 1.0) / kp0
-
-
-def H_map(measure: ArmMeasure, u: float, config=DEFAULT_CONFIG) -> float:
-    """Right inverse of G on [G(0), G(1)); errors outside that window."""
-    g1 = (measure.K - measure.A0) / measure.K
-    if u >= g1:
-        raise DomainError(f"u={u} >= G(1) = {g1}: outside the domain of H")
-    if u < _G_lower_limit(measure):
-        raise DomainError(f"u={u} < G(0): outside the domain of H")
-    return _h_of_u(measure, u, config)
-
-
-def _h_of_u(measure: ArmMeasure, u: float, config=DEFAULT_CONFIG) -> float:
-    """Like H_map but clamps u >= G(1^-) to the limit value 1 (flow-internal)."""
-    if u >= (measure.K - measure.A0) / measure.K:
-        return 1.0
-    # a cross-check: no slope, so the solver only bisects
-    return bisect_increasing(
-        lambda x: (G_map(measure, x), math.nan),
-        0.0,
-        1.0,
-        u,
-        tol=config.root_tol,
-        max_iter=config.max_iter,
     )
 
 
@@ -366,35 +319,6 @@ class ArmsFlow:
         return SolutionState(t=t, ell=ell, alpha=alpha, beta=beta)
 
 
-def alpha_via_gamma(measure: ArmMeasure, t: float, config=DEFAULT_CONFIG) -> float:
-    """Cross-check for alpha_t using the quadrature form of its ODE.
-
-    Inverts Gamma(alpha) = Gamma(alpha_gel) + (t - T_gel) with
-    Gamma'(r) = 1/k0(H(1/r), 1); mathematically identical to the ODE route.
-    """
-    from scipy.integrate import quad
-
-    t_gel = gel_time(measure)
-    A0 = measure.A0
-    if t <= t_gel:
-        return 1.0 + A0 * t
-    a_gel = 1.0 + A0 * t_gel
-
-    def integrand(r):
-        return 1.0 / measure.k0(_h_of_u(measure, 1.0 / r, config), 1.0)
-
-    target = t - t_gel
-
-    def elapsed(alpha):  # no slope: the cross-check only bisects
-        val, _ = quad(integrand, a_gel, alpha, limit=200)
-        return val, math.nan
-
-    hi = a_gel + A0 * (t - t_gel)  # dalpha/dt <= A0
-    return bisect_increasing(
-        elapsed, a_gel, hi, target, tol=config.root_tol, max_iter=config.max_iter
-    )
-
-
 def ell_infinity(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
     """Long-time limit of ell_t: the root c of D(x) = x k0'(x) - k0(x); 1 without gelation.
 
@@ -415,21 +339,3 @@ def ell_infinity(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
     return bisect_increasing(
         f, 0.0, 1.0, 0.0, tol=config.root_tol, max_iter=config.max_iter
     )
-
-
-def beta_at_tangency(measure: ArmMeasure, c: float) -> float:
-    """beta_inf = c/k0(c) at c = ell_inf, the limit of beta_t = 1/k0'(ell_t).
-
-    Without gelation c = 1 and beta_t = t/(1 + A0 t) tends to 1/A0 = 1/k0(1)
-    as well.  At c = 0 the ratio is 0/0 and its limit is 1/k0'(0), inf when
-    mu(2) = 0 too.
-    """
-    if c == 0.0:
-        kp = measure.k0(0.0, 1.0, 1)
-        return 1.0 / kp if kp > 0.0 else INF
-    return c / measure.k0(c, 1.0)
-
-
-def beta_infinity(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
-    """Long-time limit of beta_t; see `beta_at_tangency`."""
-    return beta_at_tangency(measure, ell_infinity(measure, config))

@@ -12,8 +12,8 @@ from .characteristics import (
     DEFAULT_CONFIG,
     ArmsFlow,
     SolutionState,
-    beta_at_tangency,
     bisect_increasing,
+    check_time,
     ell_infinity,
     ell_smolu,
     gel_time,
@@ -138,6 +138,7 @@ class Smoluchowski(_Classic):
         return self.ell(t) if ell is None else ell
 
     def second_moment(self, t: float) -> float:
+        check_time(t)
         K = self.measure.moments().K
         if t >= self.t_gel:
             return INF
@@ -165,6 +166,7 @@ class Flory(_Classic):
         return 1.0
 
     def second_moment(self, t: float) -> float:
+        check_time(t)
         K = self.measure.moments().K
         if t < self.t_gel:
             return K / (1.0 - t * K)
@@ -280,9 +282,18 @@ class SmoluchowskiArms(_Arms):
         return st.alpha, st.beta
 
     def limit(self) -> SolutionState:
-        """ell_inf is the tangency point k0'(c) = k0(c)/c, and beta_inf = c/k0(c)."""
+        """ell_inf is the tangency point k0'(c) = k0(c)/c, and beta_inf = c/k0(c).
+
+        beta_inf is the limit of beta_t = 1/k0'(ell_t).  Without gelation c = 1
+        and beta_t = t/(1 + A0 t) tends to 1/A0 = 1/k0(1) as well.  At c = 0
+        the ratio is 0/0 and its limit is 1/k0'(0), inf when mu(2) = 0 too.
+        """
         ell = ell_infinity(self.measure, self.config)
-        beta = beta_at_tangency(self.measure, ell)
+        if ell == 0.0:
+            kp = self.measure.k0(0.0, 1.0, 1)
+            beta = 1.0 / kp if kp > 0.0 else INF
+        else:
+            beta = ell / self.measure.k0(ell, 1.0)
         return SolutionState(t=INF, ell=ell, beta=beta, M=self.measure.k0_mass(ell))
 
     def state(self, t: float) -> SolutionState:
@@ -326,8 +337,7 @@ class FloryArms(_Arms):
 
     def state(self, t: float) -> SolutionState:
         """ell_t is the smallest root of phi_t(., 1) = 1, and 1 up to the gel time."""
-        if t < 0.0:
-            raise DomainError("time must be >= 0")
+        check_time(t)
         alpha, beta = self.coeffs(t)
         ell = 1.0
         if t > self.t_gel:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +42,6 @@ class OracleState:
         if self.c.ndim != 2:
             raise DomainError("arm count only defined for arms states")
         return float((self.c * np.arange(self.c.shape[0])[:, None]).sum())
-
-    def copy(self) -> "OracleState":
-        return replace(self, c=self.c.copy())
 
 
 def initial_classic(measure: MassMeasure, m_max: int) -> OracleState:
@@ -163,13 +160,11 @@ def integrate(
     dt: float,
     *,
     flavor: str = "no-big-coagulation",
-    total: float | None = None,
 ) -> list[OracleState]:
     """Fixed-step 4th-order integration, sampled at the sorted t_grid.
 
-    total is the conserved global quantity entering the gel-interacting loss
-    term: the initial mass (classic) or the initial arm count (arms); it is
-    computed from the initial state when omitted.
+    The gel-interacting loss term takes the conserved total of the initial
+    state: its mass (classic) or its arm count (arms).
     """
     if flavor not in FLAVORS:
         raise DomainError(f"flavor must be one of {FLAVORS}")
@@ -179,8 +174,7 @@ def integrate(
     if t_grid and t_grid[0] < initial.t:
         raise UsageError("t_grid starts before the initial state")
     arms = initial.c.ndim == 2
-    if total is None:
-        total = initial.arm_count if arms else initial.mass
+    total = initial.arm_count if arms else initial.mass
 
     t = initial.t
     c = initial.c.copy()

@@ -19,6 +19,7 @@ import numpy as np
 
 # bound here only for perfbench/tracing.py:TARGETS, which wraps these names
 from .characteristics import bisect_increasing, ell_smolu  # noqa: F401
+from .characteristics import check_time
 from .errors import DomainError
 from .measures import conv_power
 
@@ -41,13 +42,6 @@ class PowerSeries:
     @classmethod
     def zero(cls, n: int) -> "PowerSeries":
         return cls(np.zeros(n + 1))
-
-    @classmethod
-    def identity(cls, n: int) -> "PowerSeries":
-        c = np.zeros(n + 1)
-        if n >= 1:
-            c[1] = 1.0
-        return cls(c)
 
     def __call__(self, x: float) -> float:
         # Horner evaluation of the truncated polynomial
@@ -173,8 +167,7 @@ def concentrations(model, t: float, n: int) -> np.ndarray:
     (1/(m^2 t)) sum_k Pois(k; m t S) q^{*k}(m) = (S/m) sum_k Pois(k-1; m t S)
     q^{*k}(m)/k.  No term is negative; values below 2^-1022 come back as 0.
     """
-    if t < 0.0:
-        raise DomainError("time must be >= 0")
+    check_time(t)
     if n < 1:
         raise DomainError("series order must be >= 1")
     mu0 = model.measure.lattice_weights(n)
@@ -276,8 +269,7 @@ def arms_concentrations(model, t: float, a_max: int, m_max: int) -> np.ndarray:
     measure = model.measure
     if not measure.is_monodisperse:
         raise DomainError("closed-form concentrations need monodisperse arm data")
-    if t < 0.0:
-        raise DomainError("time must be >= 0")
+    check_time(t)
     out = _closed_form(measure.nu(), model.state(t), a_max, m_max)
     if m_max >= 1:
         for a, w in measure.arm_law().items():

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from gelsolve.characteristics import SolverConfig, beta_infinity, gel_time
+from gelsolve.characteristics import SolverConfig, gel_time
 from gelsolve.measures import (
     ArmMeasure,
     Discrete,
@@ -127,7 +127,7 @@ def test_criterion_07_arms_closed_form_limits(report):
     assert abs(flory.p_or_c - 1.0 / 3.0) <= 1e-10
     assert abs(flory.M_inf - 16.0 / 27.0) <= 1e-10
     assert abs(smolu.p_or_c - 3.0**-0.5) <= 1e-10
-    b_inf = beta_infinity(ARM)
+    b_inf = SmoluchowskiArms(ARM).limit().beta
     assert abs(b_inf - 2.0 * 3.0**-0.5) <= 1e-8
     m_inf_ref = 0.5 + 0.25 * 3.0**-0.5 + 0.25 * 3.0**-1.5
     assert abs(m_inf_ref - 0.692450) < 1e-6  # hand value sanity

@@ -295,6 +295,17 @@ class TestSecondMoment:
         assert math.isfinite(model.second_moment(4.0))
 
 
+@pytest.mark.parametrize("t", [math.nan, -1.0])
+@pytest.mark.parametrize("query", ["state", "mass", "second_moment"])
+@pytest.mark.parametrize("model", [
+    Smoluchowski(Monodisperse()), Flory(Monodisperse()),
+    SmoluchowskiArms(ARM), FloryArms(ARM),
+], ids=lambda model: model.name)
+def test_time_that_is_nan_or_negative_rejected(model, query, t):
+    with pytest.raises(DomainError, match="time must be"):
+        getattr(model, query)(t)
+
+
 class TestArmsModels:
     def test_pre_gel_arm_count(self):
         for model in (SmoluchowskiArms(ARM), FloryArms(ARM)):

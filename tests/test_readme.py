@@ -1,0 +1,46 @@
+"""The README's examples run as written.
+
+The `python` block is executed, and each `gelsolve ...` command of the CLI
+block goes through `cli.main`.  The README states exit code 0 for success,
+and every command it shows is meant to succeed.  A name that leaves the
+library, or a flag that leaves the CLI, while the README still shows it
+fails here.
+"""
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from gelsolve.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README, re.M | re.S)
+
+
+def _commands():
+    commands = []
+    for block in _blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["gelsolve"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_python_block_runs():
+    (block,) = _blocks("python")
+    exec(compile(block, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("argv", _commands(), ids=lambda argv: argv[0])
+def test_cli_command_exits_zero(argv, capsys):
+    assert main(argv) == 0, capsys.readouterr().err
+
+
+def test_every_cli_example_is_collected():
+    # moments, trajectory, two concentrations, limits, validate
+    assert len(_commands()) == 6

@@ -92,6 +92,14 @@ class TestConcentrations:
             assert c[1] == pytest.approx(math.exp(-t), abs=1e-12)
             assert c[2] == pytest.approx(t * math.exp(-2 * t) / 2, abs=1e-12)
 
+    @pytest.mark.parametrize("call", [
+        lambda t: concentrations(Flory(Monodisperse()), t, 8),
+        lambda t: arms_concentrations(FloryArms(ARM), t, 2, 3),
+    ], ids=["classic", "arms"])
+    def test_nan_time_rejected(self, call):
+        with pytest.raises(DomainError, match="time must be"):
+            call(math.nan)
+
     def test_flavors_agree_pre_gel(self):
         a = concentrations(Smoluchowski(Monodisperse()), 0.7, 30)
         b = concentrations(Flory(Monodisperse()), 0.7, 30)
@@ -198,7 +206,7 @@ class TestHighOrder:
         c = concentrations(_classic(gel, LATTICE), t, 64)
         for m in (1, 7, 32, 64):
             ref = _lagrange_mp(LATTICE.atoms, t, m, gel)
-            assert c[m] == pytest.approx(ref, rel=1e-10)
+            assert c[m] == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_smoluchowski_post_gel_large_time_is_borel(self):
         # past T_gel = 1, c_t(k) = k^(k-2) e^-k / (k! t); x/phi_t has
@@ -210,7 +218,7 @@ class TestHighOrder:
                    for k in range(1, 301)]
         assert np.all(np.isfinite(c))
         for k in range(1, 301):
-            assert c[k] == pytest.approx(float(ref[k - 1]), rel=1e-13)
+            assert c[k] == pytest.approx(float(ref[k - 1]), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize(
         "t, gel", [(0.5, True), (1.0, False)],
@@ -220,7 +228,7 @@ class TestHighOrder:
         c = concentrations(_classic(gel, LATTICE), t, 1024)
         for m in (512, 1024):
             ref = _lagrange_mp(LATTICE.atoms, t, m, gel)
-            assert c[m] == pytest.approx(ref, rel=1e-10)
+            assert c[m] == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_peak_memory_is_linear_in_the_order(self):
         # one (n+1) x (n+1) array of doubles at n = 1024 would take 8 MB
@@ -378,7 +386,7 @@ class TestArmsConcentrations:
 
             for a, m in [(0, 2), (4, 2), (5, 17), (40, 41), (150, 160),
                          (0, 300), (120, 300), (250, 300), (300, 300)]:
-                assert c[a, m] == pytest.approx(float(ref(a, m)), rel=1e-11)
+                assert c[a, m] == pytest.approx(float(ref(a, m)), rel=1e-11, abs=0.0)
         assert c[150, 80] == 0.0  # more free arms than 80 particles can carry
 
     @pytest.mark.parametrize("gel", [True, False])
@@ -567,8 +575,8 @@ class TestLimits:
                 j = (m - 2) // 2
                 ref = float(r ** (m - 1) * mp.binomial(m, j) * nu2**j * nu0 ** (m - j)
                             / (m * (m - 1)))
-                assert ref == pytest.approx(quoted, rel=1e-11)
-                assert lim.c_inf[m] == pytest.approx(ref, rel=1e-10)
+                assert ref == pytest.approx(quoted, rel=1e-11, abs=0.0)
+                assert lim.c_inf[m] == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_memory_stays_linear_in_m_max(self):
         import tracemalloc
