@@ -46,10 +46,6 @@ class MassMeasure:
         """Evaluate g0, g0' or g0'' at x in [0, 1] (may return +-inf)."""
         raise NotImplementedError
 
-    def atom(self, m: float) -> float:
-        """Weight of the atom at mass m (0 for absolutely continuous laws)."""
-        return 0.0
-
     def lattice_weights(self, n: int) -> np.ndarray:
         """Weights on masses 1..n (index 0 unused) for lattice measures."""
         raise DomainError(f"{type(self).__name__} is not an integer-lattice measure")
@@ -68,6 +64,7 @@ class Discrete(MassMeasure):
             if w <= 0.0:
                 raise DomainError(f"atom weight {w} must be > 0")
         self.atoms = atoms
+        self._moments = None
 
     def __repr__(self):
         return f"Discrete({list(self.atoms)!r})"
@@ -77,13 +74,14 @@ class Discrete(MassMeasure):
         return all(m == int(m) for m, _ in self.atoms)
 
     def moments(self) -> Moments:
-        m0 = min(m for m, _ in self.atoms)
-        M0 = sum(w * m for m, w in self.atoms)
-        K = sum(w * m * m for m, w in self.atoms)
-        return Moments(M0=M0, K=K, m0=m0)
-
-    def atom(self, m: float) -> float:
-        return sum(w for mm, w in self.atoms if mm == m)
+        # summed on the first call, not in __init__: a measure only built pays nothing
+        if self._moments is None:
+            self._moments = Moments(
+                M0=sum(w * m for m, w in self.atoms),
+                K=sum(w * m * m for m, w in self.atoms),
+                m0=min(m for m, _ in self.atoms),
+            )
+        return self._moments
 
     def lattice_weights(self, n: int) -> np.ndarray:
         if not self.is_lattice:

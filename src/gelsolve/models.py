@@ -6,6 +6,7 @@ reduces to root-finding on a monotone branch.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 from .characteristics import (
@@ -25,8 +26,26 @@ from .measures import ArmMeasure, MassMeasure
 INF = math.inf
 
 
+def _solved_once(solve):
+    """Make `solve` a model's `state(t)`: a miss checks t and solves; the last state is kept."""
+
+    @functools.wraps(solve)
+    def state(self, t: float) -> SolutionState:
+        if self._state is None or self._state.t != t:  # nan never matches
+            check_time(t)
+            self._state = solve(self, t)
+        return self._state
+
+    return state
+
+
 class Model:
-    """Common surface of the four solved models."""
+    """Common surface of the four solved models.
+
+    The queries `mass`, `arms_count`, `phi`, `h_inverse`, `gen_fun` and
+    `second_moment` at a time t take what they solve from `state(t)`, the
+    one solve at t; a query that needs no solve calls `check_time` itself.
+    """
 
     name = "model"
     is_arms = False
@@ -35,30 +54,20 @@ class Model:
         self.measure = measure
         self.config = config
         self.t_gel = gel_time(measure)
+        self._state = None  # the last state solved
 
     def __repr__(self):
         return f"{type(self).__name__}({self.measure!r})"
 
-    def mass(self, t: float) -> float:
+    def state(self, t: float) -> SolutionState:
+        """The solved state at t, kept for the next query (see `_solved_once`)."""
         raise NotImplementedError
+
+    def ell(self, t: float) -> float:
+        return self.state(t).ell
 
     def arms_count(self, t: float) -> float:
         raise DomainError(f"{self.name} has no arm structure")
-
-    def phi(self, t: float, x: float, y: float = 1.0) -> float:
-        raise NotImplementedError
-
-    def h_inverse(self, t: float, x: float, y: float = 1.0) -> float:
-        raise NotImplementedError
-
-    def gen_fun(self, t: float, x: float, y: float = 1.0) -> float:
-        raise NotImplementedError
-
-    def second_moment(self, t: float) -> float:
-        raise NotImplementedError
-
-    def state(self, t: float) -> SolutionState:
-        raise NotImplementedError
 
     def _bisect(self, f, hi: float, target: float) -> float:
         """Root of value = target for f = (value, slope), value nondecreasing on (0, hi)."""
@@ -73,7 +82,7 @@ class _Classic(Model):
     Both variants have the characteristic map
     phi_t(x) = (x/s) e^{t (g0(s) - g0(x))}, normalized by phi_t(s) = 1 without
     integrating the mass history; a subclass states the anchor s (`anchor`)
-    and how ell_t, the top of the branch that h_t inverts, follows from t.
+    and the root ell_t, the top of the branch that h_t inverts (`_root`).
     """
 
     def __init__(self, measure: MassMeasure, config=DEFAULT_CONFIG):
@@ -81,15 +90,13 @@ class _Classic(Model):
             raise ModelError(f"{type(self).__name__} needs a MassMeasure")
         super().__init__(measure, config)
 
-    def ell(self, t: float) -> float:
-        raise NotImplementedError
+    @_solved_once
+    def state(self, t: float) -> SolutionState:
+        ell = self._root(t)
+        return SolutionState(t=t, ell=ell, M=self.measure.g0(ell))
 
     def mass(self, t: float) -> float:
-        return self.measure.g0(self.ell(t))
-
-    def anchor(self, t: float, ell: float | None = None) -> float:
-        """The s of phi_t; ell is ell_t when the caller has solved it already."""
-        raise NotImplementedError
+        return self.state(t).M
 
     def _branch(self, t: float, s: float):
         """x -> (phi_t(x), d/dx phi_t(x)) for x > 0, anchored at s."""
@@ -103,26 +110,23 @@ class _Classic(Model):
         return branch
 
     def phi(self, t: float, x: float, y: float = 1.0) -> float:
+        s = self.anchor(t)
         if x == 0.0:
             return 0.0
-        return self._branch(t, self.anchor(t))(x)[0]
+        return self._branch(t, s)(x)[0]
 
     def h_inverse(self, t: float, x: float, y: float = 1.0) -> float:
         if not 0.0 <= x <= 1.0:
             raise DomainError(f"x={x} outside [0, 1]")
+        ell = self.ell(t)
         if x == 0.0:
             return 0.0
-        ell = self.ell(t)
         if x == 1.0:
             return ell
-        return self._bisect(self._branch(t, self.anchor(t, ell)), ell, x)
+        return self._bisect(self._branch(t, self.anchor(t)), ell, x)
 
     def gen_fun(self, t: float, x: float, y: float = 1.0) -> float:
         return self.measure.g0(self.h_inverse(t, x))
-
-    def state(self, t: float) -> SolutionState:
-        ell = self.ell(t)
-        return SolutionState(t=t, ell=ell, M=self.measure.g0(ell))
 
 
 class Smoluchowski(_Classic):
@@ -130,12 +134,12 @@ class Smoluchowski(_Classic):
 
     name = "smoluchowski"
 
-    def ell(self, t: float) -> float:
+    def _root(self, t: float) -> float:
         return ell_smolu(t, self.measure, self.config)
 
-    def anchor(self, t: float, ell: float | None = None) -> float:
+    def anchor(self, t: float) -> float:
         # s = ell_t, where the map peaks past the gel time
-        return self.ell(t) if ell is None else ell
+        return self.ell(t)
 
     def second_moment(self, t: float) -> float:
         check_time(t)
@@ -157,12 +161,13 @@ class Flory(_Classic):
                 "gel-interacting model needs finite initial mass"
             )
 
-    def ell(self, t: float) -> float:
+    def _root(self, t: float) -> float:
         return l_flory(t, self.measure, self.config)
 
-    def anchor(self, t: float, ell: float | None = None) -> float:
+    def anchor(self, t: float) -> float:
         # s = 1 at every time: the map keeps the full initial mass g0(1) = M0
         # in the exponent, and ell_t is its smallest root of phi_t = 1
+        check_time(t)
         return 1.0
 
     def second_moment(self, t: float) -> float:
@@ -180,10 +185,10 @@ class _Arms(Model):
     """Shared plumbing for the bivariate (arms x mass) models.
 
     Both variants have the characteristic map phi_t(x, y) = alpha_t (x -
-    beta_t k0(x, y)); a subclass states how alpha_t, beta_t (`coeffs`) and
-    ell_t (`state`) follow from t, and their limits as t -> inf (`limit`).
-    The per-class `state`, `gen_fun` and `second_moment` are where
-    perfbench/tracing.py wraps each model.
+    beta_t k0(x, y)); a subclass states how alpha_t, beta_t and ell_t follow
+    from t (`state`), and their limits as t -> inf (`limit`).  `coeffs` reads
+    (alpha_t, beta_t) from the state.  The per-class `state`, `gen_fun` and
+    `second_moment` are where perfbench/tracing.py wraps each model.
     """
 
     is_arms = True
@@ -195,7 +200,8 @@ class _Arms(Model):
 
     def coeffs(self, t: float) -> tuple[float, float]:
         """(alpha_t, beta_t)."""
-        raise NotImplementedError
+        st = self.state(t)
+        return st.alpha, st.beta
 
     def limit(self) -> SolutionState:
         """The long-time state: ell_inf, beta_inf and the sol mass K0(ell_inf)."""
@@ -225,11 +231,12 @@ class _Arms(Model):
             return top
         return self._bisect(branch, top, x)
 
-    def _completed(self, st: SolutionState) -> SolutionState:
-        st.A = self.measure.k0(st.ell, 1.0) / st.alpha
-        # nan on general arm data, which has no closed form
-        st.M = self.measure.k0_mass(st.ell)
-        return st
+    def _completed(self, t: float, ell: float, alpha: float, beta: float) -> SolutionState:
+        # t, ell, alpha, beta, M, A by position; M is nan on general arm data,
+        # which has no closed form
+        return SolutionState(
+            t, ell, alpha, beta, self.measure.k0_mass(ell), self.measure.k0(ell, 1.0) / alpha
+        )
 
     def phi(self, t: float, x: float, y: float = 1.0) -> float:
         return self._branch(*self.coeffs(t), y)(x)[0]
@@ -237,6 +244,7 @@ class _Arms(Model):
     def h_inverse(self, t: float, x: float, y: float = 1.0) -> float:
         if not 0.0 <= x <= 1.0:
             raise DomainError(f"x={x} outside [0, 1]")
+        alpha, beta = self.coeffs(t)
         if x == 1.0 and y == 1.0:
             # h_t(1) = ell_t by definition; past the gel time of the gel-inert
             # model 1 is the flat peak of phi, where bisection would lose half
@@ -244,13 +252,10 @@ class _Arms(Model):
             return self.ell(t)
         if x == 0.0 and self.measure.k0(0.0, y) == 0.0:
             return 0.0  # phi_t(0, y) = 0: the root is the end of the bracket
-        return self._increasing_root(*self.coeffs(t), y, x)
+        return self._increasing_root(alpha, beta, y, x)
 
     def gen_fun(self, t: float, x: float, y: float = 1.0) -> float:
         return self.measure.k0(self.h_inverse(t, x, y), y) / self.coeffs(t)[0]
-
-    def ell(self, t: float) -> float:
-        return self.state(t).ell
 
     def arms_count(self, t: float) -> float:
         return self.state(t).A
@@ -277,10 +282,6 @@ class SmoluchowskiArms(_Arms):
         super().__init__(measure, config)
         self.flow = ArmsFlow(measure)
 
-    def coeffs(self, t: float) -> tuple[float, float]:
-        st = self.flow.state(t)
-        return st.alpha, st.beta
-
     def limit(self) -> SolutionState:
         """ell_inf is the tangency point k0'(c) = k0(c)/c, and beta_inf = c/k0(c).
 
@@ -296,12 +297,15 @@ class SmoluchowskiArms(_Arms):
             beta = ell / self.measure.k0(ell, 1.0)
         return SolutionState(t=INF, ell=ell, beta=beta, M=self.measure.k0_mass(ell))
 
+    @_solved_once
     def state(self, t: float) -> SolutionState:
-        return self._completed(self.flow.state(t))
+        st = self.flow.state(t)
+        return self._completed(t, st.ell, st.alpha, st.beta)
 
     gen_fun = _Arms.gen_fun
 
     def second_moment(self, t: float) -> float:
+        check_time(t)
         # from T_gel on phi_t peaks at ell: 1 - beta k0'(ell) is 0 up to rounding
         if t >= self.t_gel:
             return INF
@@ -314,6 +318,7 @@ class FloryArms(_Arms):
     name = "flory-arms"
 
     def coeffs(self, t: float) -> tuple[float, float]:
+        check_time(t)
         alpha = 1.0 + self.measure.A0 * t
         return alpha, t / alpha
 
@@ -335,18 +340,19 @@ class FloryArms(_Arms):
             ell = self._increasing_root(A0, 1.0 / A0, 1.0, 0.0)
         return SolutionState(t=INF, ell=ell, beta=1.0 / A0, M=self.measure.k0_mass(ell))
 
+    @_solved_once
     def state(self, t: float) -> SolutionState:
         """ell_t is the smallest root of phi_t(., 1) = 1, and 1 up to the gel time."""
-        check_time(t)
         alpha, beta = self.coeffs(t)
         ell = 1.0
         if t > self.t_gel:
             ell = self._increasing_root(alpha, beta, 1.0, 1.0)
-        return self._completed(SolutionState(t=t, ell=ell, alpha=alpha, beta=beta))
+        return self._completed(t, ell, alpha, beta)
 
     gen_fun = _Arms.gen_fun
 
     def second_moment(self, t: float) -> float:
+        check_time(t)
         # at T_gel the top of the increasing branch is ell = 1: 1 - beta K is 0
         # up to rounding
         if t == self.t_gel:
@@ -430,21 +436,3 @@ def asymptotics_report(model: Model) -> dict:
             "(super-exponential lower bound only)",
         }
     raise DomainError("asymptotics report covers the classic models only")
-
-
-# ---------------------------------------------------------------------------
-# Small-time mass-square integrability (infinite initial mass)
-
-def mass_square_integral(model: Model, lo: float, hi: float) -> float:
-    """int_lo^hi M_s^2 ds, substituting s = u^3 to tame the s -> 0 blow-up."""
-    from scipy.integrate import quad
-
-    if not 0.0 < lo < hi:
-        raise DomainError("need 0 < lo < hi")
-    val, _ = quad(
-        lambda u: 3.0 * u**2 * model.mass(u**3) ** 2,
-        lo ** (1.0 / 3.0),
-        hi ** (1.0 / 3.0),
-        limit=200,
-    )
-    return val

@@ -19,7 +19,6 @@ import numpy as np
 
 # bound here only for perfbench/tracing.py:TARGETS, which wraps these names
 from .characteristics import bisect_increasing, ell_smolu  # noqa: F401
-from .characteristics import check_time
 from .errors import DomainError
 from .measures import conv_power
 
@@ -167,7 +166,6 @@ def concentrations(model, t: float, n: int) -> np.ndarray:
     (1/(m^2 t)) sum_k Pois(k; m t S) q^{*k}(m) = (S/m) sum_k Pois(k-1; m t S)
     q^{*k}(m)/k.  No term is negative; values below 2^-1022 come back as 0.
     """
-    check_time(t)
     if n < 1:
         raise DomainError("series order must be >= 1")
     mu0 = model.measure.lattice_weights(n)
@@ -269,7 +267,6 @@ def arms_concentrations(model, t: float, a_max: int, m_max: int) -> np.ndarray:
     measure = model.measure
     if not measure.is_monodisperse:
         raise DomainError("closed-form concentrations need monodisperse arm data")
-    check_time(t)
     out = _closed_form(measure.nu(), model.state(t), a_max, m_max)
     if m_max >= 1:
         for a, w in measure.arm_law().items():

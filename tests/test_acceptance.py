@@ -23,7 +23,6 @@ from gelsolve.models import (
     Smoluchowski,
     SmoluchowskiArms,
     mass_right_derivative_at_gel,
-    mass_square_integral,
 )
 from gelsolve.oracle import initial_arms, initial_classic, integrate
 from gelsolve.series import (
@@ -186,7 +185,7 @@ def test_criterion_10_arms_concentration_spot_value(report):
     report["ok"] = True
 
 
-def test_criterion_11_infinite_initial_mass(report):
+def test_criterion_11_infinite_initial_mass(report, mass_square_integral):
     measure = PowerLawDensity(1.5)
     assert gel_time(measure) == 0.0
     model = Smoluchowski(measure)

@@ -1,4 +1,4 @@
-"""The served paths need numpy only: no scipy module is loaded by the CLI."""
+"""The library needs numpy only: no scipy in its source, and none loaded by the CLI."""
 import json
 import os
 import subprocess
@@ -44,3 +44,8 @@ def test_cli_loads_no_scipy():
     assert result["import"] == []
     assert result["served"] == []
     assert result["codes"] == [0, 0, 0, 0]
+
+
+def test_source_mentions_no_scipy():
+    src = Path(gelsolve.__file__).resolve().parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "scipy" in p.read_text()] == []

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import gelsolve.models
+from gelsolve.characteristics import ArmsFlow
 from gelsolve.errors import DomainError, ModelError
 from gelsolve.measures import (
     ArmMeasure,
@@ -19,8 +21,8 @@ from gelsolve.models import (
     asymptotics_report,
     make_model,
     mass_right_derivative_at_gel,
-    mass_square_integral,
 )
+from gelsolve.series import arms_concentrations, concentrations
 
 MU = {0: 0.5, 1: 0.25, 3: 0.25}
 ARM = ArmMeasure.monodisperse(MU)
@@ -138,6 +140,52 @@ class TestPhiShape:
 
 
 class TestSolveOnce:
+    @staticmethod
+    def _count(monkeypatch, holder, name):
+        calls = []
+        real = getattr(holder, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(holder, name, counted)
+        return calls
+
+    def test_flory_trajectory_row_solves_ell_once(self, monkeypatch):
+        # a trajectory row asks state(t), then second_moment(t), past T_gel
+        calls = self._count(monkeypatch, gelsolve.models, "l_flory")
+        model = Flory(Monodisperse())
+        model.state(2.0)
+        model.second_moment(2.0)
+        assert len(calls) == 1
+
+    def test_post_gel_batch_solves_ell_once(self, monkeypatch):
+        calls = self._count(monkeypatch, gelsolve.models, "ell_smolu")
+        model = Smoluchowski(Discrete([(1, 0.5), (2, 0.25)]))
+        model.gen_fun(2.0, 0.4)
+        model.h_inverse(2.0, 0.7)
+        model.second_moment(2.0)
+        model.mass(2.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("make, holder, name", [
+        (lambda: Smoluchowski(Discrete([(1, 0.5), (2, 0.25)])), gelsolve.models, "ell_smolu"),
+        (lambda: Flory(Discrete([(1, 0.5), (2, 0.25)])), gelsolve.models, "l_flory"),
+        (lambda: SmoluchowskiArms(ARM), ArmsFlow, "state"),
+        (lambda: FloryArms(ARM), FloryArms, "_increasing_root"),
+    ], ids=["smoluchowski", "flory", "smoluchowski-arms", "flory-arms"])
+    def test_interleaved_times_match_fresh_models(self, monkeypatch, make, holder, name):
+        # past T_gel at t1, t2, t1: each change of time solves once, and no
+        # query reads the state of another time
+        model = make()
+        times = (2.5 * model.t_gel, 4.0 * model.t_gel, 2.5 * model.t_gel)
+        queries = ("ell", "mass", "second_moment") + ("arms_count",) * model.is_arms
+        fresh = [[getattr(make(), q)(t) for q in queries] for t in times]
+        calls = self._count(monkeypatch, holder, name)
+        assert [[getattr(model, q)(t) for q in queries] for t in times] == fresh
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("method", ["gen_fun", "h_inverse"])
     def test_post_gel_query_solves_ell_once(self, monkeypatch, method):
         import gelsolve.models
@@ -154,8 +202,8 @@ class TestSolveOnce:
         getattr(model, method)(2.0, 0.4)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("method, most", [("h_inverse", 1), ("gen_fun", 2)])
-    def test_post_gel_arms_query_reads_the_flow_once(self, monkeypatch, method, most):
+    @pytest.mark.parametrize("method", ["h_inverse", "gen_fun"])
+    def test_post_gel_arms_query_reads_the_flow_once(self, monkeypatch, method):
         import gelsolve.characteristics
 
         calls = []
@@ -167,7 +215,7 @@ class TestSolveOnce:
 
         monkeypatch.setattr(gelsolve.characteristics.ArmsFlow, "state", counted)
         getattr(SmoluchowskiArms(ARM), method)(4.0, 0.4)
-        assert 1 <= len(calls) <= most
+        assert len(calls) == 1
 
     def test_post_gel_flory_arms_second_moment_bisects_twice(self, monkeypatch):
         # once for the top of the increasing branch, once for ell on it
@@ -295,15 +343,36 @@ class TestSecondMoment:
         assert math.isfinite(model.second_moment(4.0))
 
 
-@pytest.mark.parametrize("t", [math.nan, -1.0])
-@pytest.mark.parametrize("query", ["state", "mass", "second_moment"])
+#: Every query at a time, by name; x = 0.5 where a query takes a point.
+TIME_QUERIES = {
+    "state": lambda model, t: model.state(t),
+    "mass": lambda model, t: model.mass(t),
+    "second_moment": lambda model, t: model.second_moment(t),
+    "ell": lambda model, t: model.ell(t),
+    "arms_count": lambda model, t: model.arms_count(t),
+    "phi": lambda model, t: model.phi(t, 0.5),
+    "h_inverse": lambda model, t: model.h_inverse(t, 0.5),
+    "gen_fun": lambda model, t: model.gen_fun(t, 0.5),
+    "anchor-or-coeffs": lambda model, t: (model.coeffs if model.is_arms else model.anchor)(t),
+    "series": lambda model, t: (
+        arms_concentrations(model, t, 4, 4) if model.is_arms else concentrations(model, t, 5)
+    ),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("query", list(TIME_QUERIES))
 @pytest.mark.parametrize("model", [
     Smoluchowski(Monodisperse()), Flory(Monodisperse()),
     SmoluchowskiArms(ARM), FloryArms(ARM),
 ], ids=lambda model: model.name)
 def test_time_that_is_nan_or_negative_rejected(model, query, t):
-    with pytest.raises(DomainError, match="time must be"):
-        getattr(model, query)(t)
+    # +inf too: the long-time state is an arms model's limit()
+    message = "time must be finite and >= 0"
+    if query == "arms_count" and not model.is_arms:
+        message = "no arm structure"
+    with pytest.raises(DomainError, match=message):
+        TIME_QUERIES[query](model, t)
 
 
 class TestArmsModels:
@@ -483,7 +552,7 @@ class TestInfiniteInitialMass:
         for t in (0.01, 0.1, 1.0):
             assert math.isfinite(model.mass(t))
 
-    def test_mass_square_integrable_near_zero(self):
+    def test_mass_square_integrable_near_zero(self, mass_square_integral):
         model = Smoluchowski(PowerLawDensity(1.5))
         prev = mass_square_integral(model, 1e-4, 0.1)
         delta = 1e-4
