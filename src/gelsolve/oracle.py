@@ -86,8 +86,15 @@ def _mass(c: np.ndarray) -> float:
 
 
 def _rhs_classic(c: np.ndarray, flavor: str, M0: float) -> np.ndarray:
-    w = _masses(c.size) * c  # mass-weighted concentrations
-    gain = 0.5 * np.convolve(w, w)[: c.size]
+    n = c.size
+    w = _masses(n) * c  # mass-weighted concentrations
+    # the n kept sums of the self-convolution, sum_j w(j) w(m - j) for m < n:
+    # w behind n - 1 zeros, correlated with w reversed.  The full convolution's
+    # other n - 1 outputs are tail-by-tail products, which underflow to the
+    # slow subnormal path while c(m) ~ t^(m-1) is small.
+    padded = np.zeros(2 * n - 1)
+    padded[n - 1 :] = w
+    gain = 0.5 * np.correlate(padded, w[::-1], "valid")
     if flavor == "gel-interacting":
         loss = w * M0  # gel keeps interacting: total partner mass is conserved
     else:
@@ -182,10 +189,17 @@ def integrate(
     out: list[OracleState] = []
 
     def step(t, c, h):
+        half = 0.5 * h
         k1 = _rhs(t, c, arms=arms, flavor=flavor, total=total)
-        k2 = _rhs(t + 0.5 * h, c + 0.5 * h * k1, arms=arms, flavor=flavor, total=total)
-        k3 = _rhs(t + 0.5 * h, c + 0.5 * h * k2, arms=arms, flavor=flavor, total=total)
-        k4 = _rhs(t + h, c + h * k3, arms=arms, flavor=flavor, total=total)
+        y = k1 * half  # the stage inputs c + (h/2) k1, c + (h/2) k2, c + h k3
+        y += c
+        k2 = _rhs(t + half, y, arms=arms, flavor=flavor, total=total)
+        y = k2 * half
+        y += c
+        k3 = _rhs(t + half, y, arms=arms, flavor=flavor, total=total)
+        y = k3 * h
+        y += c
+        k4 = _rhs(t + h, y, arms=arms, flavor=flavor, total=total)
         # c + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in k2
         k2 *= 2.0
         k2 += k1
@@ -199,28 +213,28 @@ def integrate(
     gel_interacting = flavor == "gel-interacting"
     mass = _mass(c) if gel_interacting else None  # of the state c at t
     for target in t_grid:
-        while t < target - 1e-12:
-            h = min(dt, target - t)
-            # a step too long for the state overflows: the SolverError
-            # below reports it, not two lines of numpy warnings
-            with np.errstate(over="ignore", invalid="ignore"):
+        # a step too long for the state overflows: the SolverError below
+        # reports it, not two lines of numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t < target - 1e-12:
+                h = min(dt, target - t)
                 c = step(t, c, h)
-            t += h
-            if not np.isfinite(c).all():
-                raise SolverError(
-                    f"concentrations are no longer finite at t={t:.6g}; reduce dt"
-                )
-            low = c.min()
-            if low < -1e-9:
-                raise SolverError(
-                    f"concentration went negative ({low:.3e}) at t={t:.6g}; "
-                    "reduce dt or enlarge the truncation window"
-                )
-            np.clip(c, 0.0, None, out=c)
-            if gel_interacting:
-                after = _mass(c)
-                gel += mass - after  # exact mass bookkeeping
-                mass = after
+                t += h
+                if not np.isfinite(c).all():
+                    raise SolverError(
+                        f"concentrations are no longer finite at t={t:.6g}; reduce dt"
+                    )
+                low = c.min()
+                if low < -1e-9:
+                    raise SolverError(
+                        f"concentration went negative ({low:.3e}) at t={t:.6g}; "
+                        "reduce dt or enlarge the truncation window"
+                    )
+                np.maximum(c, 0.0, out=c)
+                if gel_interacting:
+                    after = _mass(c)
+                    gel += mass - after  # exact mass bookkeeping
+                    mass = after
         out.append(OracleState(t=target, c=c.copy(), gel_mass=gel))
     return out
 

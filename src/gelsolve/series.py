@@ -133,12 +133,25 @@ def _log_weight(k: int) -> float:
     return log_rest + math.log(k)
 
 
+@functools.cache
+def _log_weights(size: int) -> np.ndarray:
+    """_log_weight(k) at index k - 1 for k <= size, read-only (shared by every caller).
+
+    Sizes are powers of two, as for _log_factorials.
+    """
+    table = np.array([_log_weight(k) for k in range(1, size + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def _add_block(c: np.ndarray, lam: np.ndarray, k1: int, rows: list) -> None:
     """c[m] += Pois(k - 1; lam[m]) / k * row_k[m - k] for the rows k = k1, k1 + 1, ...
 
     The band cells of all rows are weighed at once, as flat arrays; np.add.at
     adds them in flat order, so each c[m] takes its terms in increasing k.
     """
+    n = c.size - 1  # the largest k
+    log_weights = _log_weights(1 << (n - 1).bit_length())
     sizes = np.array([row.size for row in rows])
     ks = np.arange(k1, k1 + len(rows))
     m = np.arange(sizes.sum()) + np.repeat(ks - (np.cumsum(sizes) - sizes), sizes)
@@ -149,7 +162,7 @@ def _add_block(c: np.ndarray, lam: np.ndarray, k1: int, rows: list) -> None:
     np.log1p(w, out=w)
     w *= i
     np.subtract(diff, w, out=w)
-    w -= np.repeat([_log_weight(k) for k in range(k1, k1 + len(rows))], sizes)
+    w -= np.repeat(log_weights[k1 - 1 : k1 - 1 + len(rows)], sizes)
     if k1 == 1:
         w[: rows[0].size] = -lam_m[: rows[0].size]
     np.exp(w, out=w)

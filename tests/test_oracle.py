@@ -8,6 +8,7 @@ from gelsolve.oracle import (
     _fast_len,
     _rhs,
     _rhs_arms,
+    _rhs_classic,
     compare,
     initial_arms,
     initial_classic,
@@ -126,6 +127,55 @@ class TestArmsIntegrate:
     def test_nonnegative_concentrations(self):
         traj = integrate(initial_arms(ARM, 60, 60), [1.0], 5e-3)
         assert (traj[0].c >= 0.0).all()
+
+
+def _convolved_rhs_classic(c, flavor, M0):
+    """The classic right-hand side with the gain cut from the full self-convolution.
+
+    Returns the gain, the loss and their difference with entry 0 zeroed.
+    """
+    n = c.size
+    w = np.arange(n) * c
+    gain = 0.5 * np.convolve(w, w)[:n]
+    if flavor == "gel-interacting":
+        loss = w * M0
+    else:
+        loss = w * np.cumsum(w)[::-1]
+    out = gain - loss
+    out[0] = 0.0
+    return gain, loss, out
+
+
+class TestClassicRhs:
+    @staticmethod
+    def _check(c, flavor, M0):
+        # the kept sums may add in another order: each of the n terms of an
+        # entry's gain and loss rounds once more, at most n eps of their size
+        # where the reference is a normal double, and at most n of the
+        # smallest subnormal where it is not
+        n = c.size
+        gain, loss, expected = _convolved_rhs_classic(c, flavor, M0)
+        out = _rhs_classic(c, flavor, M0)
+        assert out[0] == 0.0
+        normal = np.abs(expected) >= np.finfo(float).tiny
+        err = np.abs(out - expected)
+        assert (err[normal] <= n * np.finfo(float).eps * (gain + np.abs(loss))[normal]).all()
+        assert (err[~normal] <= n * np.finfo(float).smallest_subnormal).all()
+        return normal.sum()
+
+    @pytest.mark.parametrize("flavor", ["no-big-coagulation", "gel-interacting"])
+    @pytest.mark.parametrize("n", [2, 3, 31, 401])
+    def test_matches_the_cut_full_convolution(self, n, flavor):
+        c = np.random.default_rng(n).random(n)
+        self._check(c, flavor, 1.3)
+
+    @pytest.mark.parametrize("flavor", ["no-big-coagulation", "gel-interacting"])
+    def test_matches_where_the_tail_products_underflow(self, flavor):
+        c = integrate(initial_classic(Monodisperse(), 399), [0.1], 1e-2)[0].c
+        w = np.arange(c.size) * c
+        # c(m) ~ t^(m-1): the discarded outputs of the full convolution underflow
+        assert (np.convolve(w, w)[c.size :] < np.finfo(float).tiny).mean() > 0.5
+        assert self._check(c, flavor, 1.0) > 100
 
 
 def _rfft2_rhs_arms(t, c, flavor, A0):

@@ -71,3 +71,22 @@ def test_differing_requests_are_counted_by_kind(tmp_path, capsys):
     # replays written without kinds still compare, with no breakdown
     code, report = _compare(tmp_path, capsys, LINES, LINES)
     assert code == 0 and report["differing_by_kind"] == {}
+
+
+def test_csv_answers_report_each_column(tmp_path, capsys):
+    # an oracle value one ulp off moves abs_error from 0: a relative
+    # difference of 1 in that column alone
+    csv = [{"id": 0, "rc": 0, "out": "t,analytic,oracle,abs_error\n0,1,1,0\n0.5,0.75,0.75,0\n"}]
+    moved = [{"id": 0, "rc": 0, "out": "t,analytic,oracle,abs_error\n"
+              "0,1,1,0\n0.5,0.75,0.75000000000000011,1.1102230246251565e-16\n"}]
+    code, report = _compare(tmp_path, capsys, csv + LINES[1:], moved + LINES[1:])
+    assert code == 1
+    assert report["differing_values"] == 2
+    assert report["max_rel_diff"] == 1.0
+    assert report["max_rel_diff_by_column"] == {
+        "t": 0.0, "analytic": 0.0,
+        "oracle": (0.75000000000000011 - 0.75) / 0.75000000000000011, "abs_error": 1.0,
+    }
+    # unchanged CSV answers list their columns at 0; library answers add none
+    code, report = _compare(tmp_path, capsys, LINES, LINES)
+    assert report["max_rel_diff_by_column"] == {"t": 0.0, "M": 0.0}

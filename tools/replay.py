@@ -14,7 +14,8 @@ stdout as text, library results with every float written as its repr), or
 the exception it raised.  Two replays agree bit for bit exactly when `cmp`
 finds the files equal.  --compare reports how many requests and values
 differ, how many requests of each kind differ, and the largest relative
-difference.
+difference, overall and in each column of the CSV answers (columns of one
+name pooled over every request that prints them).
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # a number standing alone, so the digits and "inf" inside keys such as M0 or
 # M_inf are not counted
 NUMBER = re.compile(r"(?<![\w.])-?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?!\w)")
+NAME = re.compile(r"[A-Za-z_]\w*")
 
 
 def _exact(value):
@@ -84,6 +86,24 @@ def _values(line):
     return found
 
 
+def _columns(line):
+    """A CSV answer (a header of names, then rows of numbers) as {name: values}, else None."""
+    out = line.get("out")
+    if not isinstance(out, str) or not out:
+        return None
+    header, *rows = out.splitlines()
+    names = header.split(",")
+    if not all(NAME.fullmatch(name) for name in names):
+        return None
+    try:
+        table = [[float(x) for x in row.split(",")] for row in rows]
+    except ValueError:
+        return None
+    if any(len(row) != len(names) for row in table):
+        return None
+    return {name: [row[i] for row in table] for i, name in enumerate(names)}
+
+
 def _rel(a, b):
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
@@ -102,11 +122,15 @@ def compare(path_a, path_b, stream):
     requests = values = differing = 0
     worst, worst_id = 0.0, None
     by_kind = {}  # differing requests of each kind, over the lines that carry one
+    by_column = {}  # largest relative difference in each CSV column
     for a, b in zip(lines_a, lines_b):
         if "kind" in a:
             by_kind[a["kind"]] = by_kind.get(a["kind"], 0) + (a != b)
+        cols_a, cols_b = _columns(a), _columns(b)
         if a == b:
             values += len(_values(a))
+            for name in cols_a or ():
+                by_column.setdefault(name, 0.0)
             continue
         requests += 1
         va, vb = _values(a), _values(b)
@@ -121,10 +145,15 @@ def compare(path_a, path_b, stream):
             differing += r > 0.0
             if r > worst:
                 worst, worst_id = r, a["id"]
+        if cols_a is not None and cols_b is not None and cols_a.keys() == cols_b.keys():
+            for name, col in cols_a.items():
+                r = max(map(_rel, col, cols_b[name]), default=0.0)
+                by_column[name] = max(by_column.get(name, 0.0), r)
     stream.write(json.dumps({
         "requests": len(lines_a), "values": values,
         "differing_requests": requests, "differing_values": differing,
         "differing_by_kind": by_kind, "max_rel_diff": worst, "worst_request": worst_id,
+        "max_rel_diff_by_column": by_column,
     }) + "\n")
     return 0 if requests == 0 else 1
 
