@@ -8,7 +8,6 @@ method of characteristics, with an independent truncated-ODE oracle.
 from .characteristics import (
     ArmsFlow,
     SolutionState,
-    SolverConfig,
     ell_smolu,
     gel_time,
     l_flory,
@@ -74,7 +73,6 @@ __all__ = [
     "Smoluchowski",
     "SmoluchowskiArms",
     "SolutionState",
-    "SolverConfig",
     "SolverError",
     "UsageError",
     "arms_concentrations",

@@ -4,7 +4,8 @@ Every solved quantity is the root of a function monotone on its bracket, and
 `bisect_increasing` is the one solver for all of them: each caller returns
 the value and the slope together, the solver takes Newton steps from the last
 point when they stay inside the bracket, bisection otherwise, and stops
-relative to the size of the root.  The arms flow inverts an explicit integral
+at 1e-12 relative to the size of the root, the one tolerance of every root
+the library solves.  The arms flow inverts an explicit integral
 t(ell) summed by Gauss-Legendre quadrature with its own Newton loop.  It keeps
 that loop for its secant start between the panel ends, not because value and
 slope come from one quadrature: folded into `bisect_increasing` (in x or in
@@ -16,7 +17,6 @@ state.  Only numpy is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,25 +28,6 @@ INF = math.inf
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 #: Newton steps whose log(x_next / x) agree to this fraction make a linear phase.
 _LINEAR = 0.1
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    root_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (math.isfinite(self.root_tol) and self.root_tol > 0.0):
-            raise DomainError(
-                f"root_tol must be finite and > 0, got {self.root_tol}"
-            )
-        if not isinstance(self.max_iter, int) or self.max_iter < 1:
-            raise DomainError(
-                f"max_iter must be an integer >= 1, got {self.max_iter!r}"
-            )
-
-
-DEFAULT_CONFIG = SolverConfig()
 
 
 class SolutionState(NamedTuple):
@@ -65,7 +46,7 @@ class SolutionState(NamedTuple):
     A: float = math.nan
 
 
-def bisect_increasing(f, lo, hi, target, *, tol, max_iter=200):
+def bisect_increasing(f, lo, hi, target, *, tol=1e-12, max_iter=200):
     """Root of f(x)[0] = target for f(x) = (value, slope), value nondecreasing.
 
     The bracket is (lo, hi), 0 <= lo < hi.  Only interior points are
@@ -79,7 +60,8 @@ def bisect_increasing(f, lo, hi, target, *, tol, max_iter=200):
     hi > 2 lo (lo = 0 read as the smallest normal double, so a root at
     1e-300 costs about ten more points).  The solve stops once
     hi - lo <= tol * hi or a Newton step moves x by at most tol * x; a root
-    below the smallest normal double is an error.
+    below the smallest normal double is an error.  The library's callers
+    keep the default tol; the keywords are there to test the stop rule.
     """
     x = 0.5 * (lo + hi)
     last_move = INF
@@ -142,7 +124,7 @@ def check_time(t: float) -> None:
 # ---------------------------------------------------------------------------
 # Classic critical points
 
-def ell_smolu(t, measure: MassMeasure, config=DEFAULT_CONFIG):
+def ell_smolu(t, measure: MassMeasure):
     """The Smoluchowski characteristic root: 1 pre-gel, else x g0'(x) = 1/t."""
     check_time(t)
     if t <= gel_time(measure):
@@ -152,12 +134,10 @@ def ell_smolu(t, measure: MassMeasure, config=DEFAULT_CONFIG):
         g1 = measure.g0(x, 1)
         return x * g1, g1 + x * measure.g0(x, 2)
 
-    return bisect_increasing(
-        f, 0.0, 1.0, 1.0 / t, tol=config.root_tol, max_iter=config.max_iter
-    )
+    return bisect_increasing(f, 0.0, 1.0, 1.0 / t)
 
 
-def l_flory(t, measure: MassMeasure, config=DEFAULT_CONFIG):
+def l_flory(t, measure: MassMeasure):
     """Smallest root of x = e^{-t (M0 - g0(x))}; equals 1 pre-gel."""
     mom = measure.moments()
     if math.isinf(mom.M0):
@@ -165,7 +145,7 @@ def l_flory(t, measure: MassMeasure, config=DEFAULT_CONFIG):
     check_time(t)
     if t <= gel_time(measure):
         return 1.0
-    hi = ell_smolu(t, measure, config)
+    hi = ell_smolu(t, measure)
 
     # x - image(x) increases on (0, hi): its slope 1 - t g0'(x) image(x) falls
     # to 1 - 1/phi(hi) > 0 at the peak hi of phi(x) = x / image(x).  It is
@@ -174,9 +154,7 @@ def l_flory(t, measure: MassMeasure, config=DEFAULT_CONFIG):
         image = math.exp(-t * (mom.M0 - measure.g0(x)))  # <= 1: cannot overflow
         return x - image, 1.0 - t * measure.g0(x, 1) * image
 
-    return bisect_increasing(
-        f, 0.0, hi, 0.0, tol=config.root_tol, max_iter=config.max_iter
-    )
+    return bisect_increasing(f, 0.0, hi, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +210,8 @@ class ArmsFlow:
     the panel that brackets t, falling back to bisection when a step leaves
     the bracket.  Past the last panel ell_t = c to double precision, where
     G(c) = 0 and alpha_t is reported as inf.  A state is a pure function of
-    t, whatever the order of the queries.
+    t, whatever the order of the queries, and carries the sol mass and arm
+    count too (`arms_state`): it is the gel-inert arms model's state.
     """
 
     def __init__(self, measure: ArmMeasure):
@@ -311,19 +290,28 @@ class ArmsFlow:
         check_time(t)
         A0 = self.measure.A0
         if t <= self.t_gel:
-            return SolutionState(
-                t=t, ell=1.0, alpha=1.0 + A0 * t, beta=t / (1.0 + A0 * t)
-            )
+            return arms_state(self.measure, t, 1.0, 1.0 + A0 * t, t / (1.0 + A0 * t))
         ell = self._ell(t)
         kp = self.measure.k0(ell, 1.0, 1)
         d = float(ell**self._exponents @ self._d)
         # G(ell) = D(ell)/kp is 0 to rounding once ell has reached c
         alpha = kp / d if d > 0.0 else INF
         beta = 1.0 / kp if kp > 0.0 else INF
-        return SolutionState(t=t, ell=ell, alpha=alpha, beta=beta)
+        return arms_state(self.measure, t, ell, alpha, beta)
 
 
-def ell_infinity(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
+def arms_state(measure: ArmMeasure, t, ell, alpha, beta) -> SolutionState:
+    """An arms model's state at t: the sol mass K0(ell) and the arm count k0(ell, 1)/alpha.
+
+    The mass is nan on general arm data, which has no closed form for it.
+    """
+    # t, ell, alpha, beta, M, A by position
+    return SolutionState(
+        t, ell, alpha, beta, measure.k0_mass(ell), measure.k0(ell, 1.0) / alpha
+    )
+
+
+def ell_infinity(measure: ArmMeasure) -> float:
     """Long-time limit of ell_t: the root c of D(x) = x k0'(x) - k0(x); 1 without gelation.
 
     D increases from D(0) = -mu(1) to D(1) = K - A0 > 0 with slope D' = x k0''.
@@ -340,6 +328,4 @@ def ell_infinity(measure: ArmMeasure, config=DEFAULT_CONFIG) -> float:
         powers = x**exponents
         return float(powers @ d), x * float(powers @ xx)
 
-    return bisect_increasing(
-        f, 0.0, 1.0, 0.0, tol=config.root_tol, max_iter=config.max_iter
-    )
+    return bisect_increasing(f, 0.0, 1.0, 0.0)

@@ -19,7 +19,6 @@ import sys
 
 import numpy as np
 
-from .characteristics import DEFAULT_CONFIG, SolverConfig
 from .errors import ConfigError, GelsolveError, UsageError
 from .measures import arm_measure_from_config, mass_measure_from_config
 from .models import MODEL_NAMES, make_model
@@ -68,6 +67,10 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
+    if "solver" in data:
+        raise ConfigError(
+            "config 'solver' takes no settings: every root is solved to 1e-12 relative"
+        )
     return data
 
 
@@ -92,7 +95,7 @@ def _build_measure(args, cfg, model_name):
         raise ConfigError(str(exc)) from exc
 
 
-def _build_model(args, cfg, name, config, closed_form=False):
+def _build_model(args, cfg, name, closed_form=False):
     """The request's model; data it cannot take is a configuration error.
 
     closed_form: the request reads series or closed forms, which need an
@@ -104,7 +107,7 @@ def _build_model(args, cfg, name, config, closed_form=False):
     if closed_form and name not in ARMS_MODELS and not measure.is_lattice:
         raise ConfigError(f"{args.command} need an integer-lattice initial measure")
     try:
-        return make_model(name, measure, config)
+        return make_model(name, measure)
     except GelsolveError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -113,7 +116,7 @@ def _model_name(args, cfg) -> str:
     name = getattr(args, "model", None) or cfg.get("model")
     if name is None:
         raise ConfigError("no model given (--model or config 'model')")
-    if name not in MODEL_NAMES:
+    if not isinstance(name, str) or name not in MODEL_NAMES:
         raise ConfigError(
             f"unknown model {name!r}; choose from {sorted(MODEL_NAMES)}"
         )
@@ -127,28 +130,11 @@ def _number(key, value):
     return value
 
 
-def _solver_config(args, cfg) -> SolverConfig:
-    solver = cfg.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ConfigError("config 'solver' must be a JSON object")
-    unknown = sorted(set(solver) - {"root_tol", "max_iter"})
-    if unknown:
-        raise ConfigError(
-            f"unknown solver settings {unknown}; known: root_tol, max_iter"
-        )
-    solver = dict(solver)
-    if getattr(args, "root_tol", None) is not None:
-        solver["root_tol"] = args.root_tol
-    root_tol = _number("root_tol", solver.get("root_tol", DEFAULT_CONFIG.root_tol))
-    max_iter = _number("max_iter", solver.get("max_iter", DEFAULT_CONFIG.max_iter))
-    try:
-        return SolverConfig(root_tol=float(root_tol), max_iter=max_iter)
-    except (TypeError, ValueError, GelsolveError) as exc:
-        raise ConfigError(f"bad solver settings: {exc}") from exc
-
-
 def _time_grid(args, cfg):
-    grid = dict(cfg.get("time_grid", {}))
+    grid = cfg.get("time_grid", {})
+    if not isinstance(grid, dict):
+        raise ConfigError("config 'time_grid' must be a JSON object")
+    grid = dict(grid)
     for key, flag in (
         ("start", "t_start"),
         ("end", "t_end"),
@@ -239,8 +225,7 @@ def _trajectory_row(model, t):
 
 def _cmd_trajectory(args, cfg, out) -> int:
     name = _model_name(args, cfg)
-    config = _solver_config(args, cfg)
-    model = _build_model(args, cfg, name, config)
+    model = _build_model(args, cfg, name)
     times = _time_grid(args, cfg)
     rows = [_trajectory_row(model, t) for t in times]
     emit_csv(
@@ -251,8 +236,7 @@ def _cmd_trajectory(args, cfg, out) -> int:
 
 def _cmd_concentrations(args, cfg, out) -> int:
     name = _model_name(args, cfg)
-    config = _solver_config(args, cfg)
-    model = _build_model(args, cfg, name, config, closed_form=True)
+    model = _build_model(args, cfg, name, closed_form=True)
     t = _setting(args, cfg, "t", "t", None)
     if t is None:
         raise ConfigError("no time given (--t or config 't')")
@@ -284,8 +268,7 @@ def _cmd_limits(args, cfg, out) -> int:
     name = _model_name(args, cfg)
     if name not in ARMS_MODELS:
         raise ConfigError("limits are defined for the arms models only")
-    config = _solver_config(args, cfg)
-    model = _build_model(args, cfg, name, config, closed_form=True)
+    model = _build_model(args, cfg, name, closed_form=True)
     m_max = _size(args, cfg, "mmax", "m_max", 20, 1)
     lim = limiting_concentrations(model, m_max)
     emit_json(
@@ -304,8 +287,7 @@ def _cmd_limits(args, cfg, out) -> int:
 
 def _cmd_validate(args, cfg, out) -> int:
     name = _model_name(args, cfg)
-    config = _solver_config(args, cfg)
-    model = _build_model(args, cfg, name, config)
+    model = _build_model(args, cfg, name)
     flavor = args.flavor or cfg.get("flavor") or (
         "gel-interacting" if name.startswith("flory") else "no-big-coagulation"
     )
@@ -370,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=sorted(MODEL_NAMES))
         p.add_argument("--measure", help="initial measure as inline JSON")
         p.add_argument("--output", help="write to this file instead of stdout")
-        p.add_argument("--root-tol", type=float, dest="root_tol")
 
     p = sub.add_parser("moments", help="moments of the initial measure")
     common(p)

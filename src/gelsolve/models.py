@@ -10,9 +10,9 @@ import functools
 import math
 
 from .characteristics import (
-    DEFAULT_CONFIG,
     ArmsFlow,
     SolutionState,
+    arms_state,
     bisect_increasing,
     check_time,
     ell_infinity,
@@ -27,12 +27,11 @@ INF = math.inf
 
 
 def _solved_once(solve):
-    """Make `solve` a model's `state(t)`: a miss checks t and solves; the last state is kept."""
+    """Make `solve` a model's `state(t)` that keeps its last state; `solve` checks t."""
 
     @functools.wraps(solve)
     def state(self, t: float) -> SolutionState:
         if self._state is None or self._state.t != t:  # nan never matches
-            check_time(t)
             self._state = solve(self, t)
         return self._state
 
@@ -50,9 +49,8 @@ class Model:
     name = "model"
     is_arms = False
 
-    def __init__(self, measure, config=DEFAULT_CONFIG):
+    def __init__(self, measure):
         self.measure = measure
-        self.config = config
         self.t_gel = gel_time(measure)
         self._state = None  # the last state solved
 
@@ -69,12 +67,6 @@ class Model:
     def arms_count(self, t: float) -> float:
         raise DomainError(f"{self.name} has no arm structure")
 
-    def _bisect(self, f, hi: float, target: float) -> float:
-        """Root of value = target for f = (value, slope), value nondecreasing on (0, hi)."""
-        return bisect_increasing(
-            f, 0.0, hi, target, tol=self.config.root_tol, max_iter=self.config.max_iter
-        )
-
 
 class _Classic(Model):
     """Shared plumbing for the models driven by a univariate g0.
@@ -85,10 +77,10 @@ class _Classic(Model):
     and the root ell_t, the top of the branch that h_t inverts (`_root`).
     """
 
-    def __init__(self, measure: MassMeasure, config=DEFAULT_CONFIG):
+    def __init__(self, measure: MassMeasure):
         if not isinstance(measure, MassMeasure):
             raise ModelError(f"{type(self).__name__} needs a MassMeasure")
-        super().__init__(measure, config)
+        super().__init__(measure)
 
     @_solved_once
     def state(self, t: float) -> SolutionState:
@@ -123,7 +115,7 @@ class _Classic(Model):
             return 0.0
         if x == 1.0:
             return ell
-        return self._bisect(self._branch(t, self.anchor(t)), ell, x)
+        return bisect_increasing(self._branch(t, self.anchor(t)), 0.0, ell, x)
 
     def gen_fun(self, t: float, x: float, y: float = 1.0) -> float:
         return self.measure.g0(self.h_inverse(t, x))
@@ -135,7 +127,7 @@ class Smoluchowski(_Classic):
     name = "smoluchowski"
 
     def _root(self, t: float) -> float:
-        return ell_smolu(t, self.measure, self.config)
+        return ell_smolu(t, self.measure)
 
     def anchor(self, t: float) -> float:
         # s = ell_t, where the map peaks past the gel time
@@ -154,15 +146,15 @@ class Flory(_Classic):
 
     name = "flory"
 
-    def __init__(self, measure: MassMeasure, config=DEFAULT_CONFIG):
-        super().__init__(measure, config)
+    def __init__(self, measure: MassMeasure):
+        super().__init__(measure)
         if math.isinf(measure.moments().M0):
             raise ModelError(
                 "gel-interacting model needs finite initial mass"
             )
 
     def _root(self, t: float) -> float:
-        return l_flory(t, self.measure, self.config)
+        return l_flory(t, self.measure)
 
     def anchor(self, t: float) -> float:
         # s = 1 at every time: the map keeps the full initial mass g0(1) = M0
@@ -193,10 +185,10 @@ class _Arms(Model):
 
     is_arms = True
 
-    def __init__(self, measure: ArmMeasure, config=DEFAULT_CONFIG):
+    def __init__(self, measure: ArmMeasure):
         if not isinstance(measure, ArmMeasure):
             raise ModelError(f"{type(self).__name__} needs an ArmMeasure")
-        super().__init__(measure, config)
+        super().__init__(measure)
 
     def coeffs(self, t: float) -> tuple[float, float]:
         """(alpha_t, beta_t)."""
@@ -226,17 +218,10 @@ class _Arms(Model):
             def minus_slope(z):
                 return alpha * (beta * k0(z, y, 1) - 1.0), alpha * beta * k0(z, y, 2)
 
-            top = self._bisect(minus_slope, 1.0, 0.0)
+            top = bisect_increasing(minus_slope, 0.0, 1.0, 0.0)
         if x >= branch(top)[0]:
             return top
-        return self._bisect(branch, top, x)
-
-    def _completed(self, t: float, ell: float, alpha: float, beta: float) -> SolutionState:
-        # t, ell, alpha, beta, M, A by position; M is nan on general arm data,
-        # which has no closed form
-        return SolutionState(
-            t, ell, alpha, beta, self.measure.k0_mass(ell), self.measure.k0(ell, 1.0) / alpha
-        )
+        return bisect_increasing(branch, 0.0, top, x)
 
     def phi(self, t: float, x: float, y: float = 1.0) -> float:
         return self._branch(*self.coeffs(t), y)(x)[0]
@@ -278,8 +263,8 @@ class SmoluchowskiArms(_Arms):
 
     name = "smoluchowski-arms"
 
-    def __init__(self, measure: ArmMeasure, config=DEFAULT_CONFIG):
-        super().__init__(measure, config)
+    def __init__(self, measure: ArmMeasure):
+        super().__init__(measure)
         self.flow = ArmsFlow(measure)
 
     def limit(self) -> SolutionState:
@@ -289,7 +274,7 @@ class SmoluchowskiArms(_Arms):
         and beta_t = t/(1 + A0 t) tends to 1/A0 = 1/k0(1) as well.  At c = 0
         the ratio is 0/0 and its limit is 1/k0'(0), inf when mu(2) = 0 too.
         """
-        ell = ell_infinity(self.measure, self.config)
+        ell = ell_infinity(self.measure)
         if ell == 0.0:
             kp = self.measure.k0(0.0, 1.0, 1)
             beta = 1.0 / kp if kp > 0.0 else INF
@@ -299,8 +284,7 @@ class SmoluchowskiArms(_Arms):
 
     @_solved_once
     def state(self, t: float) -> SolutionState:
-        st = self.flow.state(t)
-        return self._completed(t, st.ell, st.alpha, st.beta)
+        return self.flow.state(t)
 
     gen_fun = _Arms.gen_fun
 
@@ -347,7 +331,7 @@ class FloryArms(_Arms):
         ell = 1.0
         if t > self.t_gel:
             ell = self._increasing_root(alpha, beta, 1.0, 1.0)
-        return self._completed(t, ell, alpha, beta)
+        return arms_state(self.measure, t, ell, alpha, beta)
 
     gen_fun = _Arms.gen_fun
 
@@ -368,12 +352,12 @@ MODEL_NAMES = {
 }
 
 
-def make_model(name: str, measure, config=DEFAULT_CONFIG) -> Model:
+def make_model(name: str, measure) -> Model:
     try:
         cls = MODEL_NAMES[name]
     except KeyError:
         raise ModelError(f"unknown model {name!r}") from None
-    return cls(measure, config)
+    return cls(measure)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from gelsolve.characteristics import SolverConfig, gel_time
+from gelsolve.characteristics import gel_time
 from gelsolve.measures import (
     ArmMeasure,
     Discrete,
@@ -204,8 +204,8 @@ def test_criterion_11_infinite_initial_mass(report, mass_square_integral):
 
 
 def test_criterion_12_property_suites(report):
-    # characteristic round-trip within 10 * root_tol
-    tol = 10 * SolverConfig().root_tol
+    # characteristic round-trip within 10 times the roots' relative tolerance 1e-12
+    tol = 1e-11
     models = (
         Smoluchowski(Monodisperse()),
         Flory(Monodisperse()),

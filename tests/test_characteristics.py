@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from gelsolve.characteristics import (
     ArmsFlow,
-    SolverConfig,
     bisect_increasing,
     ell_infinity,
     ell_smolu,
@@ -58,14 +57,6 @@ def alpha_via_gamma(measure, t):
 
     hi = a_gel + measure.A0 * (t - t_gel)  # dalpha/dt <= A0
     return bisect_increasing(elapsed, a_gel, hi, t - t_gel, tol=1e-12)
-
-
-def test_solver_config_validation():
-    for root_tol, max_iter in [
-        (0.0, 200), (math.inf, 200), (math.nan, 200), (1e-12, 0), (1e-12, 2.5),
-    ]:
-        with pytest.raises(DomainError):
-            SolverConfig(root_tol=root_tol, max_iter=max_iter)
 
 
 class TestBisection:

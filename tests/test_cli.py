@@ -456,6 +456,11 @@ class TestConfigHandling:
             ("validate", "--model", "flory", "--measure", POWERLAW),
             ("validate", "--model", "flory-arms", "--measure", ARMS,
              "--amax", "2", "--mmax", "10", "--t-end", "0.1", "--dt", "0.01"),
+            ("trajectory", "--measure", MONO, "--t-end", "1", {"model": ["flory"]}),
+            ("trajectory", "--measure", MONO, "--t-end", "1", {"model": {"flory": 1}}),
+            ("trajectory", "--model", "flory", "--measure", MONO, {"time_grid": [1]}),
+            ("trajectory", "--model", "flory", "--measure", MONO, {"time_grid": None}),
+            ("trajectory", "--model", "flory", "--measure", MONO, {"time_grid": "ab"}),
         ],
         ids=["powerlaw-without-p", "moments-non-numeric-atom",
              "trajectory-non-numeric-atom", "negative-time",
@@ -467,16 +472,29 @@ class TestConfigHandling:
              "limits-general-arms-smoluchowski-arms",
              "concentrations-exponential", "concentrations-non-integer-mass",
              "trajectory-flory-powerlaw", "validate-flory-powerlaw",
-             "validate-arm-atom-outside-amax"],
+             "validate-arm-atom-outside-amax", "config-model-list",
+             "config-model-object", "config-time-grid-list", "config-time-grid-null",
+             "config-time-grid-string"],
     )
-    def test_malformed_input_is_a_config_error(self, capsys, argv):
-        code = main(list(argv))
+    def test_malformed_input_is_a_config_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "cfg.json"
+        args = []
+        for arg in argv:
+            if isinstance(arg, dict):  # a config file holding it
+                path.write_text(json.dumps(arg))
+                args += ["--config", str(path)]
+            else:
+                args.append(arg)
+        code = main(args)
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith("config error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("solver", [{"ode_dt": 0.5}, {"root_tl": 1e-9}, [1]])
+    # roots are solved to one fixed tolerance: any solver key is an error
+    @pytest.mark.parametrize("solver", [
+        {"ode_dt": 0.5}, {"root_tl": 1e-9}, [1], {"root_tol": 1e-12}, {"max_iter": 200}, {},
+    ])
     def test_unknown_solver_setting_is_a_config_error(self, capsys, tmp_path, solver):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"solver": solver}))
@@ -488,29 +506,8 @@ class TestConfigHandling:
         assert err.startswith("config error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "flags, solver",
-        [
-            (("--root-tol", "inf"), {}),
-            (("--root-tol", "nan"), {}),
-            ((), {"max_iter": 0}),
-        ],
-        ids=["root-tol-inf", "root-tol-nan", "max-iter-0"],
-    )
-    def test_out_of_range_solver_setting_is_a_config_error(
-        self, capsys, tmp_path, flags, solver
-    ):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"solver": solver}))
-        assert_config_error(capsys, (
-            "trajectory", "--config", str(path), "--model", "flory",
-            "--measure", MONO, "--t-end", "2", "--count", "3", *flags,
-        ))
-
-    @pytest.mark.parametrize(
         "cfg",
         [
-            {"solver": {"root_tol": True}},
-            {"solver": {"max_iter": True}},
             {"time_grid": {"end": True}},
             {"time_grid": {"end": 2.0, "count": True}},
             {"time_grid": {"start": False, "end": 2.0}},
@@ -520,7 +517,7 @@ class TestConfigHandling:
             {"command": "limits", "model": "flory-arms", "initial": json.loads(ARMS),
              "m_max": True},
         ],
-        ids=["root-tol", "max-iter", "grid-end", "grid-count", "grid-start", "order",
+        ids=["grid-end", "grid-count", "grid-start", "order",
              "t", "validate-dt", "limits-m-max"],
     )
     def test_json_boolean_is_not_a_number(self, capsys, tmp_path, cfg):

@@ -152,6 +152,21 @@ class TestSolveOnce:
         monkeypatch.setattr(holder, name, counted)
         return calls
 
+    def test_smoluchowski_arms_miss_checks_t_once_and_builds_one_state(self, monkeypatch):
+        import gelsolve.characteristics
+
+        checks, states = [], []
+        for module in (gelsolve.characteristics, gelsolve.models):
+            checks.append(self._count(monkeypatch, module, "check_time"))
+            states.append(self._count(monkeypatch, module, "SolutionState"))
+        model = SmoluchowskiArms(ARM)
+        for misses, t in enumerate((0.5 * model.t_gel, 3.0 * model.t_gel), 1):
+            model.state(t)
+            model.arms_count(t)  # a hit: no check, no state
+            model.mass(t)
+            assert sum(map(len, checks)) == misses
+            assert sum(map(len, states)) == misses
+
     def test_flory_trajectory_row_solves_ell_once(self, monkeypatch):
         # a trajectory row asks state(t), then second_moment(t), past T_gel
         calls = self._count(monkeypatch, gelsolve.models, "l_flory")

@@ -21,6 +21,21 @@ def _tracing_module():
     return module
 
 
+def test_every_target_site_names_a_gelsolve_attribute():
+    # a site that no longer resolves is a KeyError that stops every traced run
+    tracing = _tracing_module()
+    missing = []
+    for _, _, sites in tracing.TARGETS:
+        for module, owner, attr in sites:
+            holder = getattr(gelsolve, module, None)
+            if owner is not None:
+                holder = getattr(holder, owner, None)
+            if holder is None or attr not in vars(holder):
+                missing.append((module, owner, attr))
+    assert missing == []
+    tracing.Tracer(gelsolve)
+
+
 def test_every_target_resolves_and_a_traced_request_runs(capsys):
     tracer = _tracing_module().Tracer(gelsolve)
     argv = ["concentrations", "--model", "flory-arms", "--measure", ARMS,
