@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from gelsolve import oracle
 from gelsolve.errors import DomainError, UsageError
 from gelsolve.measures import ArmMeasure, Discrete, Monodisperse
 from gelsolve.models import Flory, FloryArms, Smoluchowski, SmoluchowskiArms
 from gelsolve.oracle import (
+    FLAVORS,
+    _ArmsWork,
     _fast_len,
     _rhs,
     _rhs_arms,
@@ -80,23 +85,42 @@ class TestIntegrate:
         with pytest.raises(UsageError):
             integrate(initial_classic(Monodisperse(), 20), [-1.0], 1e-2)
 
+    @pytest.mark.parametrize(
+        "grid, dt",
+        [([1.0, math.inf], 1e-2), ([math.nan], 1e-2), ([1.0], math.nan)],
+        ids=["inf-time", "nan-time", "nan-dt"],
+    )
+    def test_non_finite_time_or_step_rejected_before_any_step(self, grid, dt, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("integrate stepped")
+
+        monkeypatch.setattr(oracle, "_rhs", no_step)
+        with pytest.raises(DomainError):
+            integrate(initial_classic(Monodisperse(), 20), grid, dt)
+
     @pytest.mark.parametrize("arms", [False, True])
     def test_one_step_is_the_rk4_combination(self, arms):
-        # the step sums ((k1 + 2 k2) + 2 k3) + k4 in place, bit for bit
+        # each step sums ((k1 + 2 k2) + 2 k3) + k4 in place, bit for bit, and
+        # the arms steps evaluate into integrate's work arrays
         init = initial_arms(ARM, 6, 12) if arms else initial_classic(Monodisperse(), 30)
         h, total = 0.3, (init.arm_count if arms else init.mass)
+        for flavor in FLAVORS:
 
-        def rhs(t, c):
-            return _rhs(t, c, arms=arms, flavor="gel-interacting", total=total)
+            def rhs(t, c):
+                return _rhs(t, c, arms=arms, flavor=flavor, total=total)
 
-        c = init.c
-        k1 = rhs(0.0, c)
-        k2 = rhs(0.5 * h, c + 0.5 * h * k1)
-        k3 = rhs(0.5 * h, c + 0.5 * h * k2)
-        k4 = rhs(h, c + h * k3)
-        expected = np.clip(c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, None)
-        (out,) = integrate(init, [h], h, flavor="gel-interacting")
-        assert np.array_equal(out.c, expected)
+            def step(t, c):
+                k1 = rhs(t, c)
+                k2 = rhs(t + 0.5 * h, c + 0.5 * h * k1)
+                k3 = rhs(t + 0.5 * h, c + 0.5 * h * k2)
+                k4 = rhs(t + h, c + h * k3)
+                return np.clip(c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, None)
+
+            first = step(0.0, init.c)
+            second = step(h, first)
+            out = integrate(init, [h, 2 * h], h, flavor=flavor)
+            assert np.array_equal(out[0].c, first)
+            assert np.array_equal(out[1].c, second)
 
     def test_fourth_order_convergence(self):
         init = initial_classic(Monodisperse(), 50)
@@ -234,6 +258,17 @@ class TestArmsRhs:
             _rhs_arms(0.7, c, flavor, 1.3), _rfft2_rhs_arms(0.7, c, flavor, 1.3)
         )
 
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_result_is_not_a_work_array(self, flavor):
+        rng = np.random.default_rng(3)
+        c1 = rng.random((8, 8))
+        work = _ArmsWork(8, 8)
+        k = _rhs_arms(0.7, c1, flavor, 1.3, work)
+        assert not any(np.shares_memory(k, buf) for buf in vars(work).values())
+        _rhs_arms(0.2, rng.random((8, 8)), flavor, 1.3, work)
+        _rhs_arms(0.2, rng.random((5, 11)), flavor, 1.3, _ArmsWork(5, 11))
+        assert np.array_equal(k, _rfft2_rhs_arms(0.7, c1, flavor, 1.3))
+
     def test_no_big_coagulation_keeps_mass_inside_the_window(self):
         # two 3-arm monomers merge into (4, 2), one of the two top arm rows of
         # a 6 x 12 window: its gain must balance the pair's loss
@@ -253,6 +288,12 @@ class TestCompare:
         assert not rep.passed
         assert rep.max_abs == pytest.approx(1e-3)
         assert rep.max_rel == pytest.approx(1e-3)
+
+    def test_nan_difference_fails(self):
+        rep = compare([0.0, 1.0], [1.0, math.nan], [1.0, 0.5], tol=1e-3)
+        assert rep.abs_errors[0] == 0.0 and math.isnan(rep.abs_errors[1])
+        assert math.isnan(rep.max_abs)
+        assert not rep.passed
 
     def test_grid_mismatch(self):
         with pytest.raises(UsageError):
