@@ -27,8 +27,9 @@ from .series import arms_concentrations, concentrations, limiting_concentrations
 
 ARMS_MODELS = ("smoluchowski-arms", "flory-arms")
 #: Most oracle steps, t_end / dt, that `validate` takes.  A step took 0.06-0.15 ms
-#: on classic windows of 200-400 masses and 0.25-0.43 ms on arms windows of
-#: 30 x 30 to 46 x 46 (one core of a shared 2-core x86-64 machine).
+#: on classic windows of 200-400 masses and 0.25-0.49 ms on arms windows of
+#: 30 x 30 to 46 x 46 (min of 9 runs of 100 steps, one core of a shared 2-core
+#: x86-64 machine).
 MAX_STEPS = 10**6
 
 

@@ -74,8 +74,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _masses(n: int) -> np.ndarray:
-    """The masses 0..n-1 of a classic state of n cells."""
-    return _frozen(np.arange(n))
+    """The masses 0..n-1 of a classic state of n cells, as floats.
+
+    Floats, not integers: a product with them then needs no cast per call.
+    """
+    return _frozen(np.arange(n, dtype=float))
 
 
 def _mass(c: np.ndarray) -> float:
@@ -85,25 +88,45 @@ def _mass(c: np.ndarray) -> float:
     return float((c * _masses(c.shape[1])).sum())
 
 
-def _rhs_classic(c: np.ndarray, flavor: str, M0: float) -> np.ndarray:
+class _ClassicWork:
+    """Work arrays for the right-hand side of one n-cell classic window.
+
+    integrate holds one for the whole call; each evaluation overwrites it, and
+    only the returned right-hand side is a fresh array.
+    """
+
+    def __init__(self, n: int):
+        # w behind n - 1 zeros that are never written
+        self.padded = np.zeros(2 * n - 1)
+        self.w = self.padded[n - 1 :]
+        self.cum = np.empty(n)
+        self.loss = np.empty(n)
+
+
+def _rhs_classic(
+    c: np.ndarray, flavor: str, M0: float, work: _ClassicWork | None = None
+) -> np.ndarray:
     n = c.size
-    w = _masses(n) * c  # mass-weighted concentrations
+    if work is None:
+        work = _ClassicWork(n)
+    w = np.multiply(_masses(n), c, out=work.w)  # mass-weighted concentrations
     # the n kept sums of the self-convolution, sum_j w(j) w(m - j) for m < n:
     # w behind n - 1 zeros, correlated with w reversed.  The full convolution's
     # other n - 1 outputs are tail-by-tail products, which underflow to the
     # slow subnormal path while c(m) ~ t^(m-1) is small.
-    padded = np.zeros(2 * n - 1)
-    padded[n - 1 :] = w
-    gain = 0.5 * np.correlate(padded, w[::-1], "valid")
+    gain = np.correlate(work.padded, w[::-1], "valid")
+    gain *= 0.5
     if flavor == "gel-interacting":
-        loss = w * M0  # gel keeps interacting: total partner mass is conserved
+        # gel keeps interacting: total partner mass is conserved
+        loss = np.multiply(w, M0, out=work.loss)
     else:
         # partner restricted to masses that keep the product on the lattice;
         # the unused m = 0 slot is zeroed below
-        loss = w * np.cumsum(w)[::-1]
-    out = gain - loss
-    out[0] = 0.0
-    return out
+        cum = np.add.accumulate(w, out=work.cum)
+        loss = np.multiply(w, cum[::-1], out=work.loss)
+    gain -= loss
+    gain[0] = 0.0
+    return gain
 
 
 @functools.cache
@@ -122,13 +145,11 @@ def _fast_len(n: int) -> int:
 
 @functools.cache
 def _arms_grid(na: int, nm: int):
-    """Arm column, no-big-coagulation partner rows and FFT shape of an na x nm window."""
-    a = _frozen(np.arange(na)[:, None])
-    # a partner of a arms keeps a' <= A_max + 2 - a, and a' <= A_max
-    a_cap = _frozen(np.minimum(na - 1, na + 1 - np.arange(na)))
+    """Arm column and FFT shape of an na x nm window."""
+    a = _frozen(np.arange(na, dtype=float)[:, None])
     # 2 na rows hold the self-convolution's 2 na - 1 and the row na + 1 read
     # in _rhs_arms, also for na = 2
-    return a, a_cap, (_fast_len(2 * na), _fast_len(2 * nm - 1))
+    return a, (_fast_len(2 * na), _fast_len(2 * nm - 1))
 
 
 class _ArmsWork:
@@ -139,21 +160,21 @@ class _ArmsWork:
     """
 
     def __init__(self, na: int, nm: int):
-        _, _, (la, lm) = _arms_grid(na, nm)
+        _, (la, lm) = _arms_grid(na, nm)
         self.d = np.empty((na, nm))
         # the rows na .. la - 1 stay zero: the transform along a pads with them
         self.padded = np.zeros((la, lm // 2 + 1), dtype=complex)
         self.spectrum = np.empty_like(self.padded)
         self.rows = np.empty((na, lm))
         self.cum = np.empty((na, nm))
-        self.partners = np.empty((na, nm))
+        self.loss = np.empty((na, nm))
 
 
 def _rhs_arms(
     t: float, c: np.ndarray, flavor: str, A0: float, work: _ArmsWork | None = None
 ) -> np.ndarray:
     na, nm = c.shape
-    a, a_cap, (_, lm) = _arms_grid(na, nm)
+    a, (_, lm) = _arms_grid(na, nm)
     if work is None:
         work = _ArmsWork(na, nm)
     d = np.multiply(a, c, out=work.d)  # arm-weighted concentrations
@@ -169,14 +190,16 @@ def _rhs_arms(
     gain = rows[:, :nm] * 0.5
     if flavor == "gel-interacting":
         # exact total arm count, gel included
-        loss = np.multiply(d, A0 / (1.0 + t * A0), out=work.cum)
+        loss = np.multiply(d, A0 / (1.0 + t * A0), out=work.loss)
     else:
-        # partner must keep both coordinates inside the window:
-        # a' <= a_cap[a] and m' <= M_max - m, the columns of cum reversed
-        cum = np.cumsum(d, axis=0, out=work.cum)
-        np.cumsum(cum, axis=1, out=cum)
-        partners = np.take(cum, a_cap, axis=0, out=work.partners)
-        loss = np.multiply(d, partners[:, ::-1], out=cum)
+        # partner must keep both coordinates inside the window: m' <= M_max - m,
+        # the columns of cum reversed, and a' <= min(A_max, A_max + 2 - a),
+        # the row na - 1 for a <= 2 and the row na + 1 - a above
+        cum = np.add.accumulate(d, axis=0, out=work.cum)
+        np.add.accumulate(cum, axis=1, out=cum)
+        loss = work.loss
+        np.multiply(d[:2], cum[na - 1, ::-1], out=loss[:2])
+        np.multiply(d[2:], cum[na - 1 : 1 : -1, ::-1], out=loss[2:])
     gain -= loss
     return gain
 
@@ -184,7 +207,7 @@ def _rhs_arms(
 def _rhs(t, c, *, arms, flavor, total, work=None):
     if arms:
         return _rhs_arms(t, c, flavor, total, work)
-    return _rhs_classic(c, flavor, total)
+    return _rhs_classic(c, flavor, total, work)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +227,8 @@ def integrate(
     """
     if flavor not in FLAVORS:
         raise DomainError(f"flavor must be one of {FLAVORS}")
+    if not math.isfinite(initial.t):
+        raise DomainError(f"the initial time must be finite, got {initial.t}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"dt must be finite and positive, got {dt}")
     t_grid = [float(t) for t in t_grid]
@@ -215,7 +240,7 @@ def integrate(
         raise UsageError("t_grid starts before the initial state")
     arms = initial.c.ndim == 2
     total = initial.arm_count if arms else initial.mass
-    work = _ArmsWork(*initial.c.shape) if arms else None
+    work = (_ArmsWork if arms else _ClassicWork)(*initial.c.shape)
 
     t = initial.t
     c = initial.c.copy()
@@ -258,17 +283,21 @@ def integrate(
                 h = min(dt, target - t)
                 c = step(t, c, h)
                 t += h
-                if not np.isfinite(c).all():
+                # a NaN entry makes both NaN
+                low, high = c.min(), c.max()
+                if not (math.isfinite(low) and math.isfinite(high)):
                     raise SolverError(
                         f"concentrations are no longer finite at t={t:.6g}; reduce dt"
                     )
-                low = c.min()
                 if low < -1e-9:
                     raise SolverError(
                         f"concentration went negative ({low:.3e}) at t={t:.6g}; "
                         "reduce dt or enlarge the truncation window"
                     )
-                np.maximum(c, 0.0, out=c)
+                if low < 0.0:
+                    # np.maximum(x, 0.0) returns every x >= 0, -0.0 included,
+                    # unchanged, so the clip is needed only here
+                    np.maximum(c, 0.0, out=c)
         gel = initial.gel_mass
         if mass0 is not None:
             gel += mass0 - _mass(c)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from gelsolve import oracle
-from gelsolve.errors import DomainError, UsageError
+from gelsolve.errors import DomainError, SolverError, UsageError
 from gelsolve.measures import ArmMeasure, Discrete, Monodisperse
 from gelsolve.models import Flory, FloryArms, Smoluchowski, SmoluchowskiArms
 from gelsolve.oracle import (
     FLAVORS,
+    OracleState,
     _ArmsWork,
+    _ClassicWork,
     _fast_len,
     _rhs,
     _rhs_arms,
@@ -98,10 +100,52 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(initial_classic(Monodisperse(), 20), grid, dt)
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_initial_time_rejected_before_any_step(self, t0, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("integrate stepped")
+
+        monkeypatch.setattr(oracle, "_rhs", no_step)
+        init = OracleState(t=t0, c=initial_classic(Monodisperse(), 20).c)
+        with pytest.raises(DomainError):
+            integrate(init, [0.5], 1e-2)
+
+    @pytest.mark.parametrize("arms", [False, True])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (math.inf, "concentrations are no longer finite at t=0.01; reduce dt"),
+            (-math.inf, "concentrations are no longer finite at t=0.01; reduce dt"),
+            (math.nan, "concentrations are no longer finite at t=0.01; reduce dt"),
+            (
+                -1e-6,
+                "concentration went negative (-1.000e-08) at t=0.01; "
+                "reduce dt or enlarge the truncation window",
+            ),
+        ],
+        ids=["inf", "-inf", "nan", "negative"],
+    )
+    def test_a_bad_step_is_a_solver_error(self, value, message, arms, monkeypatch):
+        # the first step's state is checked before any other: a non-finite
+        # entry first, then one below -1e-9
+        monkeypatch.setattr(oracle, "_rhs", lambda t, c, **kwargs: np.full_like(c, value))
+        init = initial_arms(ARM, 6, 12) if arms else initial_classic(Monodisperse(), 20)
+        with pytest.raises(SolverError) as raised:
+            integrate(init, [0.05], 1e-2)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("arms", [False, True])
+    def test_small_negatives_are_clipped_to_zero(self, arms, monkeypatch):
+        monkeypatch.setattr(oracle, "_rhs", lambda t, c, **kwargs: np.full_like(c, -1e-12))
+        init = initial_arms(ARM, 6, 12) if arms else initial_classic(Monodisperse(), 20)
+        (out,) = integrate(init, [0.05], 1e-2)
+        assert out.c.min() == 0.0
+        assert not np.signbit(out.c).any()
+
     @pytest.mark.parametrize("arms", [False, True])
     def test_one_step_is_the_rk4_combination(self, arms):
         # each step sums ((k1 + 2 k2) + 2 k3) + k4 in place, bit for bit, and
-        # the arms steps evaluate into integrate's work arrays
+        # the steps evaluate into integrate's work arrays
         init = initial_arms(ARM, 6, 12) if arms else initial_classic(Monodisperse(), 30)
         h, total = 0.3, (init.arm_count if arms else init.mass)
         for flavor in FLAVORS:
@@ -170,6 +214,27 @@ def _convolved_rhs_classic(c, flavor, M0):
     return gain, loss, out
 
 
+def _allocating_rhs_classic(c, flavor, M0):
+    """The classic right-hand side with fresh arrays and np.cumsum, no work arrays."""
+    n = c.size
+    w = np.arange(n) * c
+    padded = np.zeros(2 * n - 1)
+    padded[n - 1 :] = w
+    gain = 0.5 * np.correlate(padded, w[::-1], "valid")
+    if flavor == "gel-interacting":
+        loss = w * M0
+    else:
+        loss = w * np.cumsum(w)[::-1]
+    out = gain - loss
+    out[0] = 0.0
+    return out
+
+
+def _underflow_state():
+    """A 400-cell state at t = 0.1, where most tail products underflow."""
+    return integrate(initial_classic(Monodisperse(), 399), [0.1], 1e-2)[0].c
+
+
 class TestClassicRhs:
     @staticmethod
     def _check(c, flavor, M0):
@@ -195,11 +260,41 @@ class TestClassicRhs:
 
     @pytest.mark.parametrize("flavor", ["no-big-coagulation", "gel-interacting"])
     def test_matches_where_the_tail_products_underflow(self, flavor):
-        c = integrate(initial_classic(Monodisperse(), 399), [0.1], 1e-2)[0].c
+        c = _underflow_state()
         w = np.arange(c.size) * c
         # c(m) ~ t^(m-1): the discarded outputs of the full convolution underflow
         assert (np.convolve(w, w)[c.size :] < np.finfo(float).tiny).mean() > 0.5
         assert self._check(c, flavor, 1.0) > 100
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("n", [2, 3, 31, 401])
+    def test_matches_the_allocating_form_bit_for_bit(self, n, flavor):
+        c = np.random.default_rng(n).random(n)
+        assert np.array_equal(_rhs_classic(c, flavor, 1.3), _allocating_rhs_classic(c, flavor, 1.3))
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_matches_the_allocating_form_where_products_underflow(self, flavor):
+        c = _underflow_state()
+        assert np.array_equal(_rhs_classic(c, flavor, 1.0), _allocating_rhs_classic(c, flavor, 1.0))
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("n", [2, 3, 31, 401])
+    def test_a_used_work_gives_the_same_result(self, n, flavor):
+        rng = np.random.default_rng(n)
+        c = rng.random(n)
+        work = _ClassicWork(n)
+        _rhs_classic(rng.random(n), flavor, 0.7, work)
+        assert np.array_equal(_rhs_classic(c, flavor, 1.3), _rhs_classic(c, flavor, 1.3, work))
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_result_is_not_a_work_array(self, flavor):
+        rng = np.random.default_rng(3)
+        c1 = rng.random(31)
+        work = _ClassicWork(31)
+        k = _rhs_classic(c1, flavor, 1.3, work)
+        assert not any(np.shares_memory(k, buf) for buf in vars(work).values())
+        _rhs_classic(rng.random(31), flavor, 1.3, work)
+        assert np.array_equal(k, _allocating_rhs_classic(c1, flavor, 1.3))
 
 
 def _rfft2_rhs_arms(t, c, flavor, A0):
@@ -217,6 +312,15 @@ def _rfft2_rhs_arms(t, c, flavor, A0):
         m_cap = (nm - 1) - np.arange(nm)
         loss = d * cum[a_cap[:, None], m_cap[None, :]]
     return gain - loss
+
+
+def _take_loss_arms(c):
+    """The no-big-coagulation arms loss by np.cumsum and np.take of the capped rows."""
+    na, nm = c.shape
+    d = np.arange(na)[:, None] * c
+    cum = np.cumsum(np.cumsum(d, axis=0), axis=1)
+    a_cap = np.minimum(na - 1, na + 1 - np.arange(na))
+    return d * np.take(cum, a_cap, axis=0)[:, ::-1]
 
 
 def _direct_rhs_arms(t, c, flavor, A0):
@@ -256,6 +360,15 @@ class TestArmsRhs:
         c = np.random.default_rng(sum(shape)).random(shape)
         assert np.array_equal(
             _rhs_arms(0.7, c, flavor, 1.3), _rfft2_rhs_arms(0.7, c, flavor, 1.3)
+        )
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (47, 47)])
+    def test_loss_matches_the_take_form_bit_for_bit(self, shape):
+        c = np.random.default_rng(sum(shape)).random(shape)
+        # with no partners the gel-interacting loss is zero, leaving the gain
+        gain = _rhs_arms(0.7, c, "gel-interacting", 0.0)
+        assert np.array_equal(
+            _rhs_arms(0.7, c, "no-big-coagulation", 1.3), gain - _take_loss_arms(c)
         )
 
     @pytest.mark.parametrize("flavor", FLAVORS)

@@ -1,12 +1,15 @@
 """tools/replay.py --compare counts the values two replays disagree on.
 
 Output claims rest on this comparison, so it is checked here on small
-hand-written replay files.
+hand-written replay files.  --timing is checked on a short replay: it must not
+change what the replay writes.
 """
 import importlib.util
 import json
 import math
 from pathlib import Path
+
+import pytest
 
 REPLAY = Path(__file__).resolve().parents[1] / "tools" / "replay.py"
 # one CLI answer and one library answer, floats written as their repr
@@ -90,3 +93,24 @@ def test_csv_answers_report_each_column(tmp_path, capsys):
     # unchanged CSV answers list their columns at 0; library answers add none
     code, report = _compare(tmp_path, capsys, LINES, LINES)
     assert report["max_rel_diff_by_column"] == {"t": 0.0, "M": 0.0}
+
+
+def test_timing_goes_to_stderr_and_leaves_stdout_alone(capsys):
+    # the smallest classic stream, replayed with and without it
+    import gelsolve
+
+    src = str(Path(gelsolve.__file__).resolve().parent.parent)
+    args = ["--workload", "classic", "--seed", "1", "--seconds", "0", "--src", src]
+    replay = _replay_module()
+    assert replay.main(args) == 0
+    plain = capsys.readouterr()
+    assert replay.main(args + ["--timing"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out and plain.err == ""
+    *groups, total = [json.loads(line) for line in timed.err.splitlines()]
+    assert total["requests"] == len(plain.out.splitlines())
+    assert sum(g["requests"] for g in groups) == total["requests"]
+    assert sum(g["seconds"] for g in groups) == pytest.approx(total["seconds"])
+    assert {(g["kind"], g["model"]) for g in groups} >= {
+        ("trajectory", "smoluchowski"), ("trajectory", "flory"), ("moments", None)
+    }

@@ -16,6 +16,12 @@ finds the files equal.  --compare reports how many requests and values
 differ, how many requests of each kind differ, and the largest relative
 difference, overall and in each column of the CSV answers (columns of one
 name pooled over every request that prints them).
+
+--timing also writes to stderr, for each (kind, model) of the stream, the
+number of requests and the in-process seconds spent serving them, one JSON
+line each, then their total; stdout is the same with or without it:
+
+    python3 tools/replay.py --workload validate --seed 1 --timing > /dev/null
 """
 from __future__ import annotations
 
@@ -24,6 +30,7 @@ import json
 import math
 import re
 import sys
+import time
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -44,7 +51,19 @@ def _exact(value):
     return value
 
 
-def replay(workload, seed, seconds, src, stream):
+def _model(req):
+    """The model a request names: a library batch's, or its CLI --model, else None."""
+    if req["call"] == "lib":
+        return req["model"]
+    argv = req["argv"]
+    return argv[argv.index("--model") + 1] if "--model" in argv else None
+
+
+def replay(workload, seed, seconds, src, stream, timing=None):
+    """Write one line per request to stream; add each request's serving time to timing.
+
+    timing, when given, is a dict from (kind, model) to [requests, seconds].
+    """
     sys.path.insert(0, str(PERFBENCH))
     import server
     import streams
@@ -52,11 +71,16 @@ def replay(workload, seed, seconds, src, stream):
     pkg = server.load(str(Path(src).resolve()))
     for req in streams.build(workload, seed, seconds):
         line = {"id": req["id"], "kind": req["kind"]}
+        start = time.perf_counter()
         try:
             rc, result = server.serve(pkg, req)
         except Exception as exc:  # recorded, so both sides can be compared
             line["error"] = f"{type(exc).__name__}: {exc}"
-        else:
+        if timing is not None:
+            group = timing.setdefault((req["kind"], _model(req)), [0, 0.0])
+            group[0] += 1
+            group[1] += time.perf_counter() - start
+        if "error" not in line:
             line["rc"] = rc
             if isinstance(result, str):
                 line["out"] = result
@@ -158,6 +182,20 @@ def compare(path_a, path_b, stream):
     return 0 if requests == 0 else 1
 
 
+def write_timing(timing, stream):
+    """One JSON line per (kind, model), sorted, then the total over all of them."""
+    total = sum(seconds for _, seconds in timing.values())
+    for (kind, model), (requests, seconds) in sorted(
+        timing.items(), key=lambda item: (item[0][0], item[0][1] or "")
+    ):
+        stream.write(json.dumps(
+            {"kind": kind, "model": model, "requests": requests, "seconds": seconds}
+        ) + "\n")
+    stream.write(json.dumps({
+        "requests": sum(requests for requests, _ in timing.values()), "seconds": total,
+    }) + "\n")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
@@ -166,16 +204,21 @@ def main(argv=None):
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--src", default="src", help="directory holding gelsolve/")
     parser.add_argument("--output", help="write here instead of stdout")
+    parser.add_argument("--timing", action="store_true",
+                        help="write requests and seconds per (kind, model) to stderr")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare, sys.stdout)
     if args.workload is None:
         parser.error("--workload is required unless --compare is given")
+    timing = {} if args.timing else None
     if args.output:
         with open(args.output, "w") as f:
-            replay(args.workload, args.seed, args.seconds, args.src, f)
+            replay(args.workload, args.seed, args.seconds, args.src, f, timing)
     else:
-        replay(args.workload, args.seed, args.seconds, args.src, sys.stdout)
+        replay(args.workload, args.seed, args.seconds, args.src, sys.stdout, timing)
+    if timing is not None:
+        write_timing(timing, sys.stderr)
     return 0
 
 
