@@ -35,7 +35,6 @@ from .models import (
     Model,
     Smoluchowski,
     SmoluchowskiArms,
-    asymptotics_report,
     make_model,
     mass_right_derivative_at_gel,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "SolverError",
     "UsageError",
     "arms_concentrations",
-    "asymptotics_report",
     "concentrations",
     "conv_power",
     "ell_smolu",

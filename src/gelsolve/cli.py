@@ -22,10 +22,9 @@ import numpy as np
 from .errors import ConfigError, GelsolveError, UsageError
 from .measures import arm_measure_from_config, mass_measure_from_config
 from .models import MODEL_NAMES, make_model
-from .oracle import FLAVORS, compare, initial_arms, initial_classic, integrate
+from .oracle import compare, initial_arms, initial_classic, integrate
 from .series import arms_concentrations, concentrations, limiting_concentrations
 
-ARMS_MODELS = ("smoluchowski-arms", "flory-arms")
 #: Most oracle steps, t_end / dt, that `validate` takes.  A step took 0.06-0.15 ms
 #: on classic windows of 200-400 masses and 0.25-0.49 ms on arms windows of
 #: 30 x 30 to 46 x 46 (min of 9 runs of 100 steps, one core of a shared 2-core
@@ -72,6 +71,10 @@ def _load_config_file(path) -> dict:
         raise ConfigError(
             "config 'solver' takes no settings: every root is solved to 1e-12 relative"
         )
+    if "flavor" in data:
+        raise ConfigError(
+            "config 'flavor' takes no setting: validate's oracle follows the model"
+        )
     return data
 
 
@@ -89,7 +92,7 @@ def _measure_spec(args, cfg) -> dict:
 def _build_measure(args, cfg, model_name):
     spec = _measure_spec(args, cfg)
     try:
-        if model_name in ARMS_MODELS:
+        if MODEL_NAMES[model_name].is_arms:
             return arm_measure_from_config(spec)
         return mass_measure_from_config(spec)
     except GelsolveError as exc:
@@ -103,9 +106,10 @@ def _build_model(args, cfg, name, closed_form=False):
     integer-lattice measure (classic models) or monodisperse arm data.
     """
     measure = _build_measure(args, cfg, name)
-    if closed_form and name in ARMS_MODELS and not measure.is_monodisperse:
+    arms = MODEL_NAMES[name].is_arms
+    if closed_form and arms and not measure.is_monodisperse:
         raise ConfigError(f"{args.command} need monodisperse arm data")
-    if closed_form and name not in ARMS_MODELS and not measure.is_lattice:
+    if closed_form and not arms and not measure.is_lattice:
         raise ConfigError(f"{args.command} need an integer-lattice initial measure")
     try:
         return make_model(name, measure)
@@ -247,7 +251,7 @@ def _cmd_concentrations(args, cfg, out) -> int:
         raise ConfigError(f"bad time: {exc}") from exc
     if not (math.isfinite(t) and t >= 0.0):
         raise ConfigError(f"time must be finite and >= 0, got {t}")
-    if name in ARMS_MODELS:
+    if model.is_arms:
         a_max = _size(args, cfg, "amax", "a_max", 40, 0)
         m_max = _size(args, cfg, "mmax", "m_max", 40, 1)
         conc = arms_concentrations(model, t, a_max, m_max)
@@ -267,7 +271,7 @@ def _cmd_concentrations(args, cfg, out) -> int:
 
 def _cmd_limits(args, cfg, out) -> int:
     name = _model_name(args, cfg)
-    if name not in ARMS_MODELS:
+    if not MODEL_NAMES[name].is_arms:
         raise ConfigError("limits are defined for the arms models only")
     model = _build_model(args, cfg, name, closed_form=True)
     m_max = _size(args, cfg, "mmax", "m_max", 20, 1)
@@ -289,11 +293,6 @@ def _cmd_limits(args, cfg, out) -> int:
 def _cmd_validate(args, cfg, out) -> int:
     name = _model_name(args, cfg)
     model = _build_model(args, cfg, name)
-    flavor = args.flavor or cfg.get("flavor") or (
-        "gel-interacting" if name.startswith("flory") else "no-big-coagulation"
-    )
-    if flavor not in FLAVORS:
-        raise ConfigError(f"flavor must be one of {FLAVORS}")
     t_end = _positive(args, cfg, "t_end", "t_end", 1.0)
     dt = _positive(args, cfg, "dt", "dt", 1e-3)
     if t_end / dt > MAX_STEPS:
@@ -303,7 +302,7 @@ def _cmd_validate(args, cfg, out) -> int:
     tol = _positive(args, cfg, "tol", "tol", 1e-3)
     m_max = _size(args, cfg, "mmax", "m_max", 200, 1)
     times = list(np.linspace(0.0, t_end, 11))
-    arms = name in ARMS_MODELS
+    arms = model.is_arms
     a_max = _size(args, cfg, "amax", "a_max", 120, 0) if arms else None
     try:  # initial data outside the oracle's window
         init = (
@@ -312,6 +311,8 @@ def _cmd_validate(args, cfg, out) -> int:
         )
     except GelsolveError as exc:
         raise ConfigError(str(exc)) from exc
+    # the oracle's truncation for the model (see oracle)
+    flavor = "gel-interacting" if name.startswith("flory") else "no-big-coagulation"
     traj = integrate(init, times, dt, flavor=flavor)
     if arms:
         oracle_vals = [st.arm_count for st in traj]
@@ -377,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="compare against the ODE oracle")
     common(p)
-    p.add_argument("--flavor", choices=FLAVORS)
     p.add_argument("--t-end", type=float, dest="t_end")
     p.add_argument("--dt", type=float)
     p.add_argument("--tol", type=float)

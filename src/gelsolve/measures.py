@@ -52,17 +52,17 @@ class MassMeasure:
 
 
 class Discrete(MassMeasure):
-    """Finite collection of atoms (mass, weight), masses and weights > 0."""
+    """Finite collection of atoms (mass, weight), masses and weights finite and > 0."""
 
     def __init__(self, atoms: Sequence[tuple[float, float]]):
         atoms = tuple((float(m), float(w)) for m, w in atoms)
         if not atoms:
             raise DomainError("discrete measure must have at least one atom")
         for m, w in atoms:
-            if m <= 0.0:
-                raise DomainError(f"atom mass {m} must be > 0")
-            if w <= 0.0:
-                raise DomainError(f"atom weight {w} must be > 0")
+            if not 0.0 < m < INF:
+                raise DomainError(f"atom mass {m} must be finite and > 0")
+            if not 0.0 < w < INF:
+                raise DomainError(f"atom weight {w} must be finite and > 0")
         self.atoms = atoms
         self._moments = None
 
@@ -210,8 +210,8 @@ class ArmMeasure:
                 raise DomainError(f"arm count {a} must be >= 0")
             if m < 1:
                 raise DomainError(f"mass {m} must be >= 1")
-            if w < 0.0:
-                raise DomainError(f"weight {w} must be >= 0")
+            if not 0.0 <= w < INF:
+                raise DomainError(f"weight {w} must be finite and >= 0")
             if w > 0.0:
                 clean[(a, m)] = clean.get((a, m), 0.0) + w
         if not clean:
@@ -306,7 +306,7 @@ def _malformed_spec(spec):
         yield
     except GelsolveError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DomainError(f"bad measure spec {spec!r}: {exc!r}") from exc
 
 

@@ -61,9 +61,6 @@ class Model:
         """The solved state at t, kept for the next query (see `_solved_once`)."""
         raise NotImplementedError
 
-    def ell(self, t: float) -> float:
-        return self.state(t).ell
-
     def arms_count(self, t: float) -> float:
         raise DomainError(f"{self.name} has no arm structure")
 
@@ -110,7 +107,7 @@ class _Classic(Model):
     def h_inverse(self, t: float, x: float, y: float = 1.0) -> float:
         if not 0.0 <= x <= 1.0:
             raise DomainError(f"x={x} outside [0, 1]")
-        ell = self.ell(t)
+        ell = self.state(t).ell
         if x == 0.0:
             return 0.0
         if x == 1.0:
@@ -131,7 +128,7 @@ class Smoluchowski(_Classic):
 
     def anchor(self, t: float) -> float:
         # s = ell_t, where the map peaks past the gel time
-        return self.ell(t)
+        return self.state(t).ell
 
     def second_moment(self, t: float) -> float:
         check_time(t)
@@ -169,7 +166,7 @@ class Flory(_Classic):
             return K / (1.0 - t * K)
         if t == self.t_gel:
             return INF
-        l = self.ell(t)
+        l = self.state(t).ell
         return self.measure.g0(l, 1) / self._branch(t, self.anchor(t))(l)[1]
 
 
@@ -234,7 +231,7 @@ class _Arms(Model):
             # h_t(1) = ell_t by definition; past the gel time of the gel-inert
             # model 1 is the flat peak of phi, where bisection would lose half
             # the digits to rounding
-            return self.ell(t)
+            return self.state(t).ell
         if x == 0.0 and self.measure.k0(0.0, y) == 0.0:
             return 0.0  # phi_t(0, y) = 0: the root is the end of the bracket
         return self._increasing_root(alpha, beta, y, x)
@@ -387,36 +384,3 @@ def mass_right_derivative_at_gel(measure) -> float:
         return -INF if vals[-1] < 0.0 else INF
     return math.nan
 
-
-# ---------------------------------------------------------------------------
-# Long-time asymptotics
-
-def asymptotics_report(model: Model) -> dict:
-    """Empirical check of the decay law of the mass for large times."""
-    if isinstance(model, Smoluchowski):
-        m0 = model.measure.moments().m0
-        grid = [10.0, 100.0, 1000.0, 10000.0]
-        vals = [1.0 / (t * model.mass(t)) for t in grid]
-        return {"m0": m0, "constant": vals[-1], "rate": "1/(t*M_t) -> m0"}
-    if isinstance(model, Flory):
-        m0 = model.measure.moments().m0
-        if m0 > 0.0:
-            grid = [20.0, 25.0, 30.0]
-            vals = [model.mass(t) * math.exp(m0 * t) for t in grid]
-            return {
-                "m0": m0,
-                "constant": vals[-1],
-                "rate": "M_t * e^{m0 t} -> m0 * mu0({m0})",
-            }
-        # only a one-sided bound is available; report the empirical power
-        t1, t2 = 50.0, 500.0
-        slope = (math.log(model.mass(t2)) - math.log(model.mass(t1))) / (
-            math.log(t2) - math.log(t1)
-        )
-        return {
-            "m0": 0.0,
-            "constant": math.nan,
-            "rate": f"power-law decay, empirical exponent {slope:.3f} "
-            "(super-exponential lower bound only)",
-        }
-    raise DomainError("asymptotics report covers the classic models only")

@@ -352,6 +352,44 @@ class TestValidate:
         assert code == 1
 
 
+    @pytest.mark.parametrize("model, measure, flavor", [
+        ("flory", MONO, "gel-interacting"),
+        ("flory-arms", ARMS, "gel-interacting"),
+        ("smoluchowski", MONO, "no-big-coagulation"),
+        ("smoluchowski-arms", ARMS, "no-big-coagulation"),
+    ])
+    def test_oracle_truncation_follows_the_model(self, capsys, monkeypatch, model, measure, flavor):
+        flavors = []
+        real = gelsolve.cli.integrate
+
+        def recorded(*args, **kwargs):
+            flavors.append(kwargs["flavor"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gelsolve.cli, "integrate", recorded)
+        run(
+            capsys,
+            "validate", "--model", model, "--measure", measure,
+            "--t-end", "0.1", "--dt", "0.01", "--mmax", "10", "--amax", "5",
+        )
+        assert flavors == [flavor]
+
+    def test_flavor_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--model", "smoluchowski", "--measure", MONO,
+                  "--flavor", "gel-interacting"])
+        assert exc.value.code == 2
+        assert "--flavor" in capsys.readouterr().err
+
+    def test_flavor_in_config_is_a_config_error(self, capsys, tmp_path):
+        # a stale setting is not ignored in silence
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"flavor": "gel-interacting"}))
+        assert_config_error(capsys, (
+            "validate", "--config", str(path), "--model", "smoluchowski", "--measure", MONO,
+            "--t-end", "0.1", "--dt", "0.01", "--mmax", "10",
+        ))
+
     def test_overflowing_step_is_one_line(self):
         # dt = 1e307 overflows the oracle's state; a fresh interpreter shows
         # every line that numpy's warnings would add to stderr
@@ -551,6 +589,30 @@ def assert_config_error(capsys, argv):
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+class TestNonFiniteMeasureData:
+    # JSON's NaN and Infinity literals parse to floats; no measure takes them
+    @pytest.mark.parametrize("argv", [
+        ("concentrations", "--model", "smoluchowski", "--t", "0.5", "--order", "4",
+         "--measure", '{"type":"discrete","atoms":[[NaN,1]]}'),
+        ("concentrations", "--model", "smoluchowski", "--t", "0.5", "--order", "4",
+         "--measure", '{"type":"discrete","atoms":[[Infinity,1]]}'),
+        ("trajectory", "--model", "flory", "--t-end", "2", "--count", "3",
+         "--measure", '{"type":"discrete","atoms":[[1,NaN]]}'),
+        ("trajectory", "--model", "smoluchowski", "--t-end", "2", "--count", "3",
+         "--measure", '{"type":"discrete","atoms":[[1,Infinity]]}'),
+        ("moments", "--measure", '{"type":"arm-law","mu":{"0":0.5,"1":0.25,"3":NaN}}'),
+        ("trajectory", "--model", "flory-arms", "--t-end", "2", "--count", "3",
+         "--measure", '{"type":"arm-law","mu":{"0":0.5,"1":0.25,"3":Infinity}}'),
+        ("trajectory", "--model", "smoluchowski-arms", "--t-end", "2", "--count", "3",
+         "--measure", '{"type":"arms","triples":[[1,1,0.5],[3,1,NaN]]}'),
+        ("moments", "--measure", '{"type":"arms","triples":[[Infinity,1,1]]}'),
+        ("moments", "--measure", '{"type":"arms","triples":[[1,Infinity,1]]}'),
+    ], ids=["mass-nan", "mass-inf", "weight-nan", "weight-inf", "arm-law-nan",
+            "arm-law-inf", "triple-weight-nan", "triple-arms-inf", "triple-mass-inf"])
+    def test_is_a_config_error(self, capsys, argv):
+        assert_config_error(capsys, argv)
 
 
 class TestSizes:
@@ -755,9 +817,6 @@ def test_any_validate_ends_in_an_exit_code_and_one_line(data):
             "--tol", repr(10.0 ** data.draw(st.floats(-12.0, 1.0)))]
     if arms:
         argv += ["--amax", str(data.draw(st.integers(3, 8)))]
-    flavor = data.draw(st.sampled_from([None, "no-big-coagulation", "gel-interacting"]))
-    if flavor:
-        argv += ["--flavor", flavor]
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):

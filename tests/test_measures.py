@@ -122,6 +122,13 @@ class TestValidation:
         with pytest.raises(DomainError):
             Discrete([(1.0, -1.0)])
 
+    @pytest.mark.parametrize("atom", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_non_finite_atom(self, atom):
+        with pytest.raises(DomainError, match="must be finite"):
+            Discrete([(1.0, 0.5), atom])
+
     def test_lattice_weights(self):
         w = Discrete([(1, 0.5), (3, 0.25)]).lattice_weights(4)
         assert list(w) == [0.0, 0.5, 0.0, 0.25, 0.0]
@@ -171,6 +178,12 @@ class TestArmMeasure:
     def test_requires_positive_arm_count(self):
         with pytest.raises(DomainError):
             ArmMeasure({(0, 1): 1.0})
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight(self, weight):
+        # a nan weight was dropped, and the rest of the law solved
+        with pytest.raises(DomainError, match="must be finite"):
+            ArmMeasure.monodisperse({0: 0.5, 1: 0.25, 3: weight})
 
     def test_arm_law_roundtrip(self):
         arm = ArmMeasure.monodisperse(MU)

@@ -4,15 +4,17 @@ The `python` block is executed, and each `gelsolve ...` command of the CLI
 block goes through `cli.main`.  The README states exit code 0 for success,
 and every command it shows is meant to succeed.  A name that leaves the
 library, or a flag that leaves the CLI, while the README still shows it
-fails here.
+fails here, and so does a CLI option that the README never names.
 """
 import re
 import shlex
 from pathlib import Path
 
+import argparse
+
 import pytest
 
-from gelsolve.cli import main
+from gelsolve.cli import build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -44,3 +46,19 @@ def test_cli_command_exits_zero(argv, capsys):
 def test_every_cli_example_is_collected():
     # moments, trajectory, two concentrations, limits, validate
     assert len(_commands()) == 6
+
+
+def _long_options():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted({
+        option
+        for command in sub.choices.values()
+        for action in command._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    })
+
+
+@pytest.mark.parametrize("option", _long_options())
+def test_every_cli_option_is_documented(option):
+    assert re.search(rf"{option}(?![\w-])", README), f"README never names {option}"

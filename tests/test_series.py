@@ -533,7 +533,7 @@ class TestLimits:
         lim = limiting_concentrations(model, 8)
         slow = not gel and mu.get(1, 0.0) == 0.0
         assert lim.p_or_c == pytest.approx(
-            model.ell(t), rel=1e-4, abs=t ** (-1 / 3) if slow else 1e-5
+            model.state(t).ell, rel=1e-4, abs=t ** (-1 / 3) if slow else 1e-5
         )
         assert lim.M_inf == pytest.approx(model.mass(t), rel=1e-4)
         row = arms_concentrations(model, t, 0, 8)[0]
