@@ -73,7 +73,7 @@ def _load_config_file(path) -> dict:
         )
     if "flavor" in data:
         raise ConfigError(
-            "config 'flavor' takes no setting: validate's oracle follows the model"
+            "config 'flavor' takes no setting: validate's oracle has one truncation"
         )
     return data
 
@@ -311,9 +311,7 @@ def _cmd_validate(args, cfg, out) -> int:
         )
     except GelsolveError as exc:
         raise ConfigError(str(exc)) from exc
-    # the oracle's truncation for the model (see oracle)
-    flavor = "gel-interacting" if name.startswith("flory") else "no-big-coagulation"
-    traj = integrate(init, times, dt, flavor=flavor)
+    traj = integrate(init, times, dt)
     if arms:
         oracle_vals = [st.arm_count for st in traj]
         analytic_vals = [model.arms_count(t) for t in times]

@@ -205,6 +205,11 @@ class ArmMeasure:
     def __init__(self, weights: Mapping[tuple[int, int], float]):
         clean: dict[tuple[int, int], float] = {}
         for (a, m), w in weights.items():
+            # int() would truncate a fraction: 1.5 arms would be taken as 1
+            if not (float(a).is_integer() and float(m).is_integer()):
+                raise DomainError(
+                    f"arm count {a!r} and mass {m!r} must be whole numbers"
+                )
             a, m, w = int(a), int(m), float(w)
             if a < 0:
                 raise DomainError(f"arm count {a} must be >= 0")
@@ -299,6 +304,13 @@ def conv_power(nu, m: int, max_index: int):
 # ---------------------------------------------------------------------------
 # Config-file loading
 
+def _number(value):
+    """value, unless it is a JSON true or false, which float() would take as 1 or 0."""
+    if isinstance(value, bool):
+        raise DomainError(f"measure value {str(value).lower()} is not a number")
+    return value
+
+
 @contextmanager
 def _malformed_spec(spec):
     """Report a missing key or a value of the wrong shape as a DomainError."""
@@ -328,9 +340,9 @@ def mass_measure_from_config(spec) -> MassMeasure:
         if kind == "exponential":
             return ExponentialDensity()
         if kind == "powerlaw":
-            return PowerLawDensity(spec["p"])
+            return PowerLawDensity(_number(spec["p"]))
         if kind == "discrete":
-            return Discrete([(m, w) for m, w in spec["atoms"]])
+            return Discrete([(_number(m), _number(w)) for m, w in spec["atoms"]])
     raise DomainError(f"unknown mass-measure type {kind!r}")
 
 
@@ -346,8 +358,9 @@ def arm_measure_from_config(spec) -> ArmMeasure:
     kind = spec["type"]
     with _malformed_spec(spec):
         if kind == "arms":
-            return ArmMeasure({(a, m): w for a, m, w in spec["triples"]})
+            triples = [map(_number, triple) for triple in spec["triples"]]
+            return ArmMeasure({(a, m): w for a, m, w in triples})
         if kind == "arm-law":
-            mu = {int(a): float(w) for a, w in spec["mu"].items()}
+            mu = {int(a): float(_number(w)) for a, w in spec["mu"].items()}
             return ArmMeasure.monodisperse(mu)
     raise DomainError(f"unknown arm-measure type {kind!r}")

@@ -4,12 +4,12 @@ Nothing here touches the analytic machinery; the right-hand sides are written
 straight from the coagulation rates on a finite mass (or arms x mass) lattice,
 so agreement with the solver is meaningful evidence.
 
-Two truncation flavors:
-  * "no-big-coagulation": any merger that would leave the lattice is dropped
-    outright (approximates the gel-inert model);
-  * "gel-interacting": over-threshold production is routed into a gel-mass
-    accumulator and the loss term uses the full conserved initial mass
-    (approximates the gel-interacting model).
+One truncation: a merger whose product would leave the lattice sends its
+mass to the gel, and the loss term takes the conserved total of the initial
+state, gel included.  The window's equations are then closed and exact for the
+gel-interacting (Flory) models at every time, and for the gel-inert
+(Smoluchowski) models before the gel time, where the two are the same
+equations.  Past the gel time the truncation follows Flory's models only.
 """
 from __future__ import annotations
 
@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import DomainError, SolverError, UsageError
 from .measures import ArmMeasure, MassMeasure
-
-FLAVORS = ("no-big-coagulation", "gel-interacting")
 
 
 @dataclass
@@ -99,12 +97,11 @@ class _ClassicWork:
         # w behind n - 1 zeros that are never written
         self.padded = np.zeros(2 * n - 1)
         self.w = self.padded[n - 1 :]
-        self.cum = np.empty(n)
         self.loss = np.empty(n)
 
 
 def _rhs_classic(
-    c: np.ndarray, flavor: str, M0: float, work: _ClassicWork | None = None
+    c: np.ndarray, M0: float, work: _ClassicWork | None = None
 ) -> np.ndarray:
     n = c.size
     if work is None:
@@ -116,15 +113,8 @@ def _rhs_classic(
     # slow subnormal path while c(m) ~ t^(m-1) is small.
     gain = np.correlate(work.padded, w[::-1], "valid")
     gain *= 0.5
-    if flavor == "gel-interacting":
-        # gel keeps interacting: total partner mass is conserved
-        loss = np.multiply(w, M0, out=work.loss)
-    else:
-        # partner restricted to masses that keep the product on the lattice;
-        # the unused m = 0 slot is zeroed below
-        cum = np.add.accumulate(w, out=work.cum)
-        loss = np.multiply(w, cum[::-1], out=work.loss)
-    gain -= loss
+    # gel keeps interacting: total partner mass is conserved
+    gain -= np.multiply(w, M0, out=work.loss)
     gain[0] = 0.0
     return gain
 
@@ -166,12 +156,11 @@ class _ArmsWork:
         self.padded = np.zeros((la, lm // 2 + 1), dtype=complex)
         self.spectrum = np.empty_like(self.padded)
         self.rows = np.empty((na, lm))
-        self.cum = np.empty((na, nm))
         self.loss = np.empty((na, nm))
 
 
 def _rhs_arms(
-    t: float, c: np.ndarray, flavor: str, A0: float, work: _ArmsWork | None = None
+    t: float, c: np.ndarray, A0: float, work: _ArmsWork | None = None
 ) -> np.ndarray:
     na, nm = c.shape
     a, (_, lm) = _arms_grid(na, nm)
@@ -188,45 +177,26 @@ def _rhs_arms(
     np.fft.ifft(spectrum, axis=0, out=spectrum)
     rows = np.fft.irfft(spectrum[2 : na + 2], lm, axis=1, out=work.rows)
     gain = rows[:, :nm] * 0.5
-    if flavor == "gel-interacting":
-        # exact total arm count, gel included
-        loss = np.multiply(d, A0 / (1.0 + t * A0), out=work.loss)
-    else:
-        # partner must keep both coordinates inside the window: m' <= M_max - m,
-        # the columns of cum reversed, and a' <= min(A_max, A_max + 2 - a),
-        # the row na - 1 for a <= 2 and the row na + 1 - a above
-        cum = np.add.accumulate(d, axis=0, out=work.cum)
-        np.add.accumulate(cum, axis=1, out=cum)
-        loss = work.loss
-        np.multiply(d[:2], cum[na - 1, ::-1], out=loss[:2])
-        np.multiply(d[2:], cum[na - 1 : 1 : -1, ::-1], out=loss[2:])
-    gain -= loss
+    # exact total arm count, gel included
+    gain -= np.multiply(d, A0 / (1.0 + t * A0), out=work.loss)
     return gain
 
 
-def _rhs(t, c, *, arms, flavor, total, work=None):
+def _rhs(t, c, *, arms, total, work=None):
     if arms:
-        return _rhs_arms(t, c, flavor, total, work)
-    return _rhs_classic(c, flavor, total, work)
+        return _rhs_arms(t, c, total, work)
+    return _rhs_classic(c, total, work)
 
 
 # ---------------------------------------------------------------------------
 # Integration
 
-def integrate(
-    initial: OracleState,
-    t_grid,
-    dt: float,
-    *,
-    flavor: str = "no-big-coagulation",
-) -> list[OracleState]:
+def integrate(initial: OracleState, t_grid, dt: float) -> list[OracleState]:
     """Fixed-step 4th-order integration, sampled at the sorted t_grid.
 
-    The gel-interacting loss term takes the conserved total of the initial
-    state: its mass (classic) or its arm count (arms).
+    The loss term takes the conserved total of the initial state: its mass
+    (classic) or its arm count (arms).
     """
-    if flavor not in FLAVORS:
-        raise DomainError(f"flavor must be one of {FLAVORS}")
     if not math.isfinite(initial.t):
         raise DomainError(f"the initial time must be finite, got {initial.t}")
     if not (math.isfinite(dt) and dt > 0.0):
@@ -248,7 +218,7 @@ def integrate(
     out: list[OracleState] = []
 
     def rhs(t, c):
-        return _rhs(t, c, arms=arms, flavor=flavor, total=total, work=work)
+        return _rhs(t, c, arms=arms, total=total, work=work)
 
     def step(t, c, h):
         half = 0.5 * h
@@ -272,9 +242,6 @@ def integrate(
         k2 += c
         return k2
 
-    # the mass that leaves the window goes to the gel, so the gel mass at a
-    # sampled time is what the window has lost since the initial state
-    mass0 = initial.mass if flavor == "gel-interacting" else None
     for target in t_grid:
         # a step too long for the state overflows: the SolverError below
         # reports it, not two lines of numpy warnings
@@ -298,9 +265,9 @@ def integrate(
                     # np.maximum(x, 0.0) returns every x >= 0, -0.0 included,
                     # unchanged, so the clip is needed only here
                     np.maximum(c, 0.0, out=c)
-        gel = initial.gel_mass
-        if mass0 is not None:
-            gel += mass0 - _mass(c)
+        # the mass that leaves the window goes to the gel, so the gel mass at
+        # a sampled time is what the window has lost since the initial state
+        gel = initial.gel_mass + (initial.mass - _mass(c))
         out.append(OracleState(t=target, c=c.copy(), gel_mass=gel))
     return out
 

@@ -93,14 +93,13 @@ def test_criterion_05_oracle_pre_gel(report):
     model = Smoluchowski(mono)
     times = list(np.linspace(0.0, 0.9, 10))
     traj = integrate(initial_classic(mono, 200), times, 1e-3)
+    # pre-gel the window's equations are exact: its mass is the closed-form
+    # window sum, and its concentrations are the closed forms
     for t, st in zip(times, traj):
-        assert abs(st.mass - model.mass(t)) <= 1e-4
-    # pre-gel the two flavors describe the same dynamics; the gel-interacting
-    # truncation keeps the loss term exact, so it is the sharper reference
+        window = (np.arange(201) * concentrations(model, t, 200)).sum()
+        assert abs(st.mass - window) <= 1e-4
     for t in (0.25, 0.5, 0.9):
-        st = integrate(
-            initial_classic(mono, 200), [t], 1e-3, flavor="gel-interacting"
-        )[0]
+        st = integrate(initial_classic(mono, 200), [t], 1e-3)[0]
         c = concentrations(model, t, 30)
         for m in range(1, 31):
             assert abs(c[m] - st.c[m]) <= 1e-6
@@ -111,9 +110,7 @@ def test_criterion_06_oracle_post_gel(report):
     mono = Monodisperse()
     model = Flory(mono)
     times = list(np.linspace(0.0, 3.0, 11))  # avoids hitting T_gel exactly
-    traj = integrate(
-        initial_classic(mono, 400), times, 1e-3, flavor="gel-interacting"
-    )
+    traj = integrate(initial_classic(mono, 400), times, 1e-3)
     for t, st in zip(times, traj):
         assert abs(st.mass - model.mass(t)) <= 1e-3
         assert abs(st.gel_mass + st.mass - 1.0) <= 1e-8

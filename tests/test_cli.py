@@ -351,20 +351,21 @@ class TestValidate:
         )
         assert code == 1
 
-
-    @pytest.mark.parametrize("model, measure, flavor", [
-        ("flory", MONO, "gel-interacting"),
-        ("flory-arms", ARMS, "gel-interacting"),
-        ("smoluchowski", MONO, "no-big-coagulation"),
-        ("smoluchowski-arms", ARMS, "no-big-coagulation"),
+    @pytest.mark.parametrize("model, measure, shape", [
+        ("flory", MONO, (11,)),
+        ("flory-arms", ARMS, (6, 11)),
+        ("smoluchowski", MONO, (11,)),
+        ("smoluchowski-arms", ARMS, (6, 11)),
     ])
-    def test_oracle_truncation_follows_the_model(self, capsys, monkeypatch, model, measure, flavor):
-        flavors = []
+    def test_oracle_truncation_follows_the_model(self, capsys, monkeypatch, model, measure, shape):
+        # every model gets the one truncation, called once, without a flavor
+        # keyword; the model's family picks the window it integrates
+        shapes = []
         real = gelsolve.cli.integrate
 
-        def recorded(*args, **kwargs):
-            flavors.append(kwargs["flavor"])
-            return real(*args, **kwargs)
+        def recorded(initial, t_grid, dt):
+            shapes.append(initial.c.shape)
+            return real(initial, t_grid, dt)
 
         monkeypatch.setattr(gelsolve.cli, "integrate", recorded)
         run(
@@ -372,7 +373,24 @@ class TestValidate:
             "validate", "--model", model, "--measure", measure,
             "--t-end", "0.1", "--dt", "0.01", "--mmax", "10", "--amax", "5",
         )
-        assert flavors == [flavor]
+        assert shapes == [shape]
+
+    @pytest.mark.parametrize("models, measure, window, t_end", [
+        (("smoluchowski", "flory"), MONO, ("--mmax", "30"), "0.9"),
+        (("smoluchowski-arms", "flory-arms"), ARMS, ("--amax", "20", "--mmax", "20"), "1.5"),
+    ], ids=["classic", "arms"])
+    def test_gel_inert_and_gel_interacting_agree_before_t_gel(
+        self, capsys, models, measure, window, t_end
+    ):
+        # the oracle has one truncation, and before T_gel the two models are
+        # the same equations: validate prints the same bytes for both
+        outs = [
+            run(capsys, "validate", "--model", model, "--measure", measure, *window,
+                "--t-end", t_end, "--dt", "0.01", "--tol", "1")
+            for model in models
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
 
     def test_flavor_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -613,6 +631,23 @@ class TestNonFiniteMeasureData:
             "arm-law-inf", "triple-weight-nan", "triple-arms-inf", "triple-mass-inf"])
     def test_is_a_config_error(self, capsys, argv):
         assert_config_error(capsys, argv)
+
+
+class TestNonIntegralOrBooleanMeasureData:
+    # int() truncated 1.5 arms to 1 and float() read true as 1
+    @pytest.mark.parametrize("measure", [
+        '{"type":"arms","triples":[[1.5,1.7,1]]}',
+        '{"type":"arms","triples":[[3,1.5,1]]}',
+        '{"type":"discrete","atoms":[[true,1]]}',
+        '{"type":"arm-law","mu":{"3":true}}',
+    ], ids=["triple-arms", "triple-mass", "atom-mass", "arm-law-weight"])
+    def test_is_a_config_error(self, capsys, measure):
+        assert_config_error(capsys, ("moments", "--measure", measure))
+
+    def test_integral_float_arm_count_is_taken(self, capsys):
+        code, out = run(capsys, "moments", "--measure", '{"type":"arms","triples":[[3.0,1,1]]}')
+        assert code == 0
+        assert json.loads(out)["A0"] == 3.0
 
 
 class TestSizes:

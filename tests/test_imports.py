@@ -1,4 +1,8 @@
-"""The library needs numpy only: no scipy in its source, and none loaded by the CLI."""
+"""The library needs numpy only: no scipy in its source, and none loaded by the CLI.
+
+The oracle stays independent of the solver: it imports no module with its formulas.
+"""
+import ast
 import json
 import os
 import subprocess
@@ -49,3 +53,26 @@ def test_cli_loads_no_scipy():
 def test_source_mentions_no_scipy():
     src = Path(gelsolve.__file__).resolve().parent
     assert [p.name for p in sorted(src.glob("*.py")) if "scipy" in p.read_text()] == []
+
+
+def _imported_modules(path):
+    """The modules a source file imports, its relative imports read inside gelsolve."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["gelsolve" if node.level else None, node.module]))
+            if module == "gelsolve":
+                # from . import x, from gelsolve import x: x may be a module
+                names.update(f"gelsolve.{alias.name}" for alias in node.names)
+            else:
+                names.add(module)
+    return names
+
+
+def test_oracle_imports_no_solver_module():
+    # its docstring promises that the oracle shares no formulas with the solver
+    oracle = Path(gelsolve.__file__).resolve().parent / "oracle.py"
+    ours = {m for m in _imported_modules(oracle) if m.split(".")[0] == "gelsolve"}
+    assert ours <= {"gelsolve.errors", "gelsolve.measures"}

@@ -185,6 +185,15 @@ class TestArmMeasure:
         with pytest.raises(DomainError, match="must be finite"):
             ArmMeasure.monodisperse({0: 0.5, 1: 0.25, 3: weight})
 
+    @pytest.mark.parametrize("a, m", [(1.5, 1), (1, 1.7), (math.inf, 1), (1, math.nan)])
+    def test_fractional_arm_count_or_mass(self, a, m):
+        # int() truncated 1.5 arms to 1, so another measure was solved
+        with pytest.raises(DomainError, match="must be whole numbers"):
+            ArmMeasure({(a, m): 1.0})
+
+    def test_integral_floats_are_counts(self):
+        assert ArmMeasure({(3.0, 2.0): 0.5}).weights == {(3, 2): 0.5}
+
     def test_arm_law_roundtrip(self):
         arm = ArmMeasure.monodisperse(MU)
         assert arm.arm_law() == MU
@@ -256,6 +265,30 @@ class TestConfigLoading:
             {"type": "arm-law", "mu": {"0": 0.5, "1": 0.25, "3": 0.25}}
         )
         assert b.arm_law() == MU
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "discrete", "atoms": [[True, 1]]},
+        {"type": "discrete", "atoms": [[1, 0.5], [2, True]]},
+        {"type": "powerlaw", "p": True},
+    ], ids=["atom-mass", "atom-weight", "powerlaw-p"])
+    def test_boolean_is_not_a_mass_measure_number(self, spec):
+        # float(True) is 1: the atom [true, 1] was solved as [1, 1]
+        with pytest.raises(DomainError, match="measure value true is not a number"):
+            mass_measure_from_config(spec)
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "arms", "triples": [[True, 1, 1]]},
+        {"type": "arms", "triples": [[1, True, 1]]},
+        {"type": "arms", "triples": [[1, 1, 0.5], [3, 1, False]]},
+        {"type": "arm-law", "mu": {"3": True}},
+    ], ids=["triple-arms", "triple-mass", "triple-weight", "arm-law-weight"])
+    def test_boolean_is_not_an_arm_measure_number(self, spec):
+        with pytest.raises(DomainError, match="is not a number"):
+            arm_measure_from_config(spec)
+
+    def test_fractional_triple_is_rejected(self):
+        with pytest.raises(DomainError, match="arm count 1.5 and mass 1.7 must be whole"):
+            arm_measure_from_config({"type": "arms", "triples": [[1.5, 1.7, 1]]})
 
     def test_rejects_junk(self):
         with pytest.raises(DomainError):

@@ -8,7 +8,6 @@ from gelsolve.errors import DomainError, SolverError, UsageError
 from gelsolve.measures import ArmMeasure, Discrete, Monodisperse
 from gelsolve.models import Flory, FloryArms, Smoluchowski, SmoluchowskiArms
 from gelsolve.oracle import (
-    FLAVORS,
     OracleState,
     _ArmsWork,
     _ClassicWork,
@@ -21,6 +20,7 @@ from gelsolve.oracle import (
     initial_classic,
     integrate,
 )
+from gelsolve.series import arms_concentrations, concentrations
 
 MU = {0: 0.5, 1: 0.25, 3: 0.25}
 ARM = ArmMeasure.monodisperse(MU)
@@ -52,20 +52,18 @@ class TestIntegrate:
         assert out.gel_mass == 0.0
 
     def test_pre_gel_mass_conserved(self):
-        init = initial_classic(Monodisperse(), 200)
-        traj = integrate(init, [0.3, 0.6, 0.9], 1e-3)
-        for st in traj:
-            assert st.mass == pytest.approx(1.0, abs=1e-4)
-
-    def test_flavors_agree_pre_gel(self):
-        init = initial_classic(Monodisperse(), 100)
-        a = integrate(init, [0.5], 1e-3)[0]
-        b = integrate(init, [0.5], 1e-3, flavor="gel-interacting")[0]
-        assert np.max(np.abs(a.c - b.c)) < 1e-8
+        # before T_gel = 1 the window's equations are exact: its mass is the
+        # closed-form window sum, what the window loses is in larger clusters
+        model = Smoluchowski(Monodisperse())
+        times = [0.3, 0.6, 0.9]
+        traj = integrate(initial_classic(Monodisperse(), 200), times, 1e-3)
+        for t, st in zip(times, traj):
+            window = (np.arange(201) * concentrations(model, t, 200)).sum()
+            assert abs(st.mass - window) <= 1e-9
 
     def test_gel_bookkeeping_exact(self):
         init = initial_classic(Monodisperse(), 150)
-        traj = integrate(init, [1.0, 2.0, 3.0], 1e-3, flavor="gel-interacting")
+        traj = integrate(init, [1.0, 2.0, 3.0], 1e-3)
         for st in traj:
             assert st.gel_mass + st.mass == pytest.approx(1.0, abs=1e-10)
             assert st.gel_mass >= 0.0
@@ -74,7 +72,7 @@ class TestIntegrate:
         model = Flory(Monodisperse())
         init = initial_classic(Monodisperse(), 400)
         times = [2.0, 3.0]
-        traj = integrate(init, times, 1e-3, flavor="gel-interacting")
+        traj = integrate(init, times, 1e-3)
         for t, st in zip(times, traj):
             assert st.mass == pytest.approx(model.mass(t), abs=1e-3)
 
@@ -82,8 +80,6 @@ class TestIntegrate:
         init = initial_classic(Monodisperse(), 20)
         with pytest.raises(DomainError):
             integrate(init, [1.0], 0.0)
-        with pytest.raises(DomainError):
-            integrate(init, [1.0], 1e-2, flavor="magic")
         with pytest.raises(UsageError):
             integrate(initial_classic(Monodisperse(), 20), [-1.0], 1e-2)
 
@@ -148,23 +144,22 @@ class TestIntegrate:
         # the steps evaluate into integrate's work arrays
         init = initial_arms(ARM, 6, 12) if arms else initial_classic(Monodisperse(), 30)
         h, total = 0.3, (init.arm_count if arms else init.mass)
-        for flavor in FLAVORS:
 
-            def rhs(t, c):
-                return _rhs(t, c, arms=arms, flavor=flavor, total=total)
+        def rhs(t, c):
+            return _rhs(t, c, arms=arms, total=total)
 
-            def step(t, c):
-                k1 = rhs(t, c)
-                k2 = rhs(t + 0.5 * h, c + 0.5 * h * k1)
-                k3 = rhs(t + 0.5 * h, c + 0.5 * h * k2)
-                k4 = rhs(t + h, c + h * k3)
-                return np.clip(c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, None)
+        def step(t, c):
+            k1 = rhs(t, c)
+            k2 = rhs(t + 0.5 * h, c + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, c + 0.5 * h * k2)
+            k4 = rhs(t + h, c + h * k3)
+            return np.clip(c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, None)
 
-            first = step(0.0, init.c)
-            second = step(h, first)
-            out = integrate(init, [h, 2 * h], h, flavor=flavor)
-            assert np.array_equal(out[0].c, first)
-            assert np.array_equal(out[1].c, second)
+        first = step(0.0, init.c)
+        second = step(h, first)
+        out = integrate(init, [h, 2 * h], h)
+        assert np.array_equal(out[0].c, first)
+        assert np.array_equal(out[1].c, second)
 
     def test_fourth_order_convergence(self):
         init = initial_classic(Monodisperse(), 50)
@@ -177,18 +172,23 @@ class TestIntegrate:
 
 class TestArmsIntegrate:
     def test_arm_count_matches_analytic_pre_gel(self):
+        # before T_gel = 2 the window's equations are exact: its arm count is
+        # the closed-form window sum.  Column m = 1 is mu(a) alpha_t^-a, built
+        # here, since arms_concentrations holds the initial law there.
         model = SmoluchowskiArms(ARM)
         times = [0.5, 1.0, 1.5]
         traj = integrate(initial_arms(ARM, 120, 120), times, 5e-3)
+        a = np.arange(121)
         for t, st in zip(times, traj):
-            assert st.arm_count == pytest.approx(model.arms_count(t), abs=1e-3)
+            c = arms_concentrations(model, t, 120, 120)
+            alpha = model.coeffs(t)[0]
+            c[:, 1] = [MU.get(k, 0.0) * alpha**-k for k in a]
+            assert abs(st.arm_count - (a[:, None] * c).sum()) <= 1e-9
 
     def test_gel_interacting_post_gel(self):
         model = FloryArms(ARM)
         times = [3.0, 4.0]
-        traj = integrate(
-            initial_arms(ARM, 120, 120), times, 5e-3, flavor="gel-interacting"
-        )
+        traj = integrate(initial_arms(ARM, 120, 120), times, 5e-3)
         for t, st in zip(times, traj):
             assert st.arm_count == pytest.approx(model.arms_count(t), abs=2e-3)
 
@@ -197,7 +197,7 @@ class TestArmsIntegrate:
         assert (traj[0].c >= 0.0).all()
 
 
-def _convolved_rhs_classic(c, flavor, M0):
+def _convolved_rhs_classic(c, M0):
     """The classic right-hand side with the gain cut from the full self-convolution.
 
     Returns the gain, the loss and their difference with entry 0 zeroed.
@@ -205,27 +205,20 @@ def _convolved_rhs_classic(c, flavor, M0):
     n = c.size
     w = np.arange(n) * c
     gain = 0.5 * np.convolve(w, w)[:n]
-    if flavor == "gel-interacting":
-        loss = w * M0
-    else:
-        loss = w * np.cumsum(w)[::-1]
+    loss = w * M0
     out = gain - loss
     out[0] = 0.0
     return gain, loss, out
 
 
-def _allocating_rhs_classic(c, flavor, M0):
-    """The classic right-hand side with fresh arrays and np.cumsum, no work arrays."""
+def _allocating_rhs_classic(c, M0):
+    """The classic right-hand side with fresh arrays, no work arrays."""
     n = c.size
     w = np.arange(n) * c
     padded = np.zeros(2 * n - 1)
     padded[n - 1 :] = w
     gain = 0.5 * np.correlate(padded, w[::-1], "valid")
-    if flavor == "gel-interacting":
-        loss = w * M0
-    else:
-        loss = w * np.cumsum(w)[::-1]
-    out = gain - loss
+    out = gain - w * M0
     out[0] = 0.0
     return out
 
@@ -237,14 +230,14 @@ def _underflow_state():
 
 class TestClassicRhs:
     @staticmethod
-    def _check(c, flavor, M0):
+    def _check(c, M0):
         # the kept sums may add in another order: each of the n terms of an
         # entry's gain and loss rounds once more, at most n eps of their size
         # where the reference is a normal double, and at most n of the
         # smallest subnormal where it is not
         n = c.size
-        gain, loss, expected = _convolved_rhs_classic(c, flavor, M0)
-        out = _rhs_classic(c, flavor, M0)
+        gain, loss, expected = _convolved_rhs_classic(c, M0)
+        out = _rhs_classic(c, M0)
         assert out[0] == 0.0
         normal = np.abs(expected) >= np.finfo(float).tiny
         err = np.abs(out - expected)
@@ -252,78 +245,56 @@ class TestClassicRhs:
         assert (err[~normal] <= n * np.finfo(float).smallest_subnormal).all()
         return normal.sum()
 
-    @pytest.mark.parametrize("flavor", ["no-big-coagulation", "gel-interacting"])
     @pytest.mark.parametrize("n", [2, 3, 31, 401])
-    def test_matches_the_cut_full_convolution(self, n, flavor):
+    def test_matches_the_cut_full_convolution(self, n):
         c = np.random.default_rng(n).random(n)
-        self._check(c, flavor, 1.3)
+        self._check(c, 1.3)
 
-    @pytest.mark.parametrize("flavor", ["no-big-coagulation", "gel-interacting"])
-    def test_matches_where_the_tail_products_underflow(self, flavor):
+    def test_matches_where_the_tail_products_underflow(self):
         c = _underflow_state()
         w = np.arange(c.size) * c
         # c(m) ~ t^(m-1): the discarded outputs of the full convolution underflow
         assert (np.convolve(w, w)[c.size :] < np.finfo(float).tiny).mean() > 0.5
-        assert self._check(c, flavor, 1.0) > 100
+        assert self._check(c, 1.0) > 100
 
-    @pytest.mark.parametrize("flavor", FLAVORS)
     @pytest.mark.parametrize("n", [2, 3, 31, 401])
-    def test_matches_the_allocating_form_bit_for_bit(self, n, flavor):
+    def test_matches_the_allocating_form_bit_for_bit(self, n):
         c = np.random.default_rng(n).random(n)
-        assert np.array_equal(_rhs_classic(c, flavor, 1.3), _allocating_rhs_classic(c, flavor, 1.3))
+        assert np.array_equal(_rhs_classic(c, 1.3), _allocating_rhs_classic(c, 1.3))
 
-    @pytest.mark.parametrize("flavor", FLAVORS)
-    def test_matches_the_allocating_form_where_products_underflow(self, flavor):
+    def test_matches_the_allocating_form_where_products_underflow(self):
         c = _underflow_state()
-        assert np.array_equal(_rhs_classic(c, flavor, 1.0), _allocating_rhs_classic(c, flavor, 1.0))
+        assert np.array_equal(_rhs_classic(c, 1.0), _allocating_rhs_classic(c, 1.0))
 
-    @pytest.mark.parametrize("flavor", FLAVORS)
     @pytest.mark.parametrize("n", [2, 3, 31, 401])
-    def test_a_used_work_gives_the_same_result(self, n, flavor):
+    def test_a_used_work_gives_the_same_result(self, n):
         rng = np.random.default_rng(n)
         c = rng.random(n)
         work = _ClassicWork(n)
-        _rhs_classic(rng.random(n), flavor, 0.7, work)
-        assert np.array_equal(_rhs_classic(c, flavor, 1.3), _rhs_classic(c, flavor, 1.3, work))
+        _rhs_classic(rng.random(n), 0.7, work)
+        assert np.array_equal(_rhs_classic(c, 1.3), _rhs_classic(c, 1.3, work))
 
-    @pytest.mark.parametrize("flavor", FLAVORS)
-    def test_result_is_not_a_work_array(self, flavor):
+    def test_result_is_not_a_work_array(self):
         rng = np.random.default_rng(3)
         c1 = rng.random(31)
         work = _ClassicWork(31)
-        k = _rhs_classic(c1, flavor, 1.3, work)
+        k = _rhs_classic(c1, 1.3, work)
         assert not any(np.shares_memory(k, buf) for buf in vars(work).values())
-        _rhs_classic(rng.random(31), flavor, 1.3, work)
-        assert np.array_equal(k, _allocating_rhs_classic(c1, flavor, 1.3))
+        _rhs_classic(rng.random(31), 1.3, work)
+        assert np.array_equal(k, _allocating_rhs_classic(c1, 1.3))
 
 
-def _rfft2_rhs_arms(t, c, flavor, A0):
+def _rfft2_rhs_arms(t, c, A0):
     """The arms right-hand side with the whole square inverted by irfft2."""
     na, nm = c.shape
     d = np.arange(na)[:, None] * c
     shape = (_fast_len(2 * na), _fast_len(2 * nm - 1))
     spectrum = np.fft.rfft2(d, shape)
     gain = 0.5 * np.fft.irfft2(spectrum * spectrum, shape)[2 : na + 2, :nm]
-    if flavor == "gel-interacting":
-        loss = d * (A0 / (1.0 + t * A0))
-    else:
-        cum = np.cumsum(np.cumsum(d, axis=0), axis=1)
-        a_cap = np.minimum(na - 1, na + 1 - np.arange(na))
-        m_cap = (nm - 1) - np.arange(nm)
-        loss = d * cum[a_cap[:, None], m_cap[None, :]]
-    return gain - loss
+    return gain - d * (A0 / (1.0 + t * A0))
 
 
-def _take_loss_arms(c):
-    """The no-big-coagulation arms loss by np.cumsum and np.take of the capped rows."""
-    na, nm = c.shape
-    d = np.arange(na)[:, None] * c
-    cum = np.cumsum(np.cumsum(d, axis=0), axis=1)
-    a_cap = np.minimum(na - 1, na + 1 - np.arange(na))
-    return d * np.take(cum, a_cap, axis=0)[:, ::-1]
-
-
-def _direct_rhs_arms(t, c, flavor, A0):
+def _direct_rhs_arms(t, c, A0):
     """The arms right-hand side by direct sums over pairs and partners."""
     na, nm = c.shape
     d = np.arange(na)[:, None] * c
@@ -332,63 +303,33 @@ def _direct_rhs_arms(t, c, flavor, A0):
         for a2 in range(na):
             if 2 <= a1 + a2 <= na + 1:
                 gain[a1 + a2 - 2] += 0.5 * np.convolve(d[a1], d[a2])[:nm]
-    if flavor == "gel-interacting":
-        loss = d * (A0 / (1.0 + t * A0))
-    else:
-        loss = np.zeros_like(c)
-        for a in range(na):
-            for m in range(nm):
-                partners = d[: min(na - 1, na + 1 - a) + 1, : nm - m]
-                loss[a, m] = d[a, m] * partners.sum()
-    return gain, gain - loss
+    return gain, gain - d * (A0 / (1.0 + t * A0))
 
 
 class TestArmsRhs:
-    @pytest.mark.parametrize("flavor", ["no-big-coagulation", "gel-interacting"])
     @pytest.mark.parametrize(
         "shape", [(8, 8), (31, 20), (47, 47), (2, 2), (2, 9), (9, 2)]
     )
-    def test_transform_matches_direct_sums(self, shape, flavor):
+    def test_transform_matches_direct_sums(self, shape):
         c = np.random.default_rng(sum(shape)).random(shape)
-        gain, expected = _direct_rhs_arms(0.7, c, flavor, 1.3)
-        diff = np.abs(_rhs_arms(0.7, c, flavor, 1.3) - expected).max()
+        gain, expected = _direct_rhs_arms(0.7, c, 1.3)
+        diff = np.abs(_rhs_arms(0.7, c, 1.3) - expected).max()
         assert diff <= 1e-13 * np.abs(gain).max()
 
-    @pytest.mark.parametrize("flavor", ["no-big-coagulation", "gel-interacting"])
     @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (8, 8), (31, 20), (46, 46)])
-    def test_matches_the_two_dimensional_transform_bit_for_bit(self, shape, flavor):
+    def test_matches_the_two_dimensional_transform_bit_for_bit(self, shape):
         c = np.random.default_rng(sum(shape)).random(shape)
-        assert np.array_equal(
-            _rhs_arms(0.7, c, flavor, 1.3), _rfft2_rhs_arms(0.7, c, flavor, 1.3)
-        )
+        assert np.array_equal(_rhs_arms(0.7, c, 1.3), _rfft2_rhs_arms(0.7, c, 1.3))
 
-    @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (47, 47)])
-    def test_loss_matches_the_take_form_bit_for_bit(self, shape):
-        c = np.random.default_rng(sum(shape)).random(shape)
-        # with no partners the gel-interacting loss is zero, leaving the gain
-        gain = _rhs_arms(0.7, c, "gel-interacting", 0.0)
-        assert np.array_equal(
-            _rhs_arms(0.7, c, "no-big-coagulation", 1.3), gain - _take_loss_arms(c)
-        )
-
-    @pytest.mark.parametrize("flavor", FLAVORS)
-    def test_result_is_not_a_work_array(self, flavor):
+    def test_result_is_not_a_work_array(self):
         rng = np.random.default_rng(3)
         c1 = rng.random((8, 8))
         work = _ArmsWork(8, 8)
-        k = _rhs_arms(0.7, c1, flavor, 1.3, work)
+        k = _rhs_arms(0.7, c1, 1.3, work)
         assert not any(np.shares_memory(k, buf) for buf in vars(work).values())
-        _rhs_arms(0.2, rng.random((8, 8)), flavor, 1.3, work)
-        _rhs_arms(0.2, rng.random((5, 11)), flavor, 1.3, _ArmsWork(5, 11))
-        assert np.array_equal(k, _rfft2_rhs_arms(0.7, c1, flavor, 1.3))
-
-    def test_no_big_coagulation_keeps_mass_inside_the_window(self):
-        # two 3-arm monomers merge into (4, 2), one of the two top arm rows of
-        # a 6 x 12 window: its gain must balance the pair's loss
-        c = np.zeros((6, 12))
-        c[3, 1] = 1.0
-        rhs = _rhs_arms(0.0, c, "no-big-coagulation", 3.0)
-        assert abs((np.arange(12) * rhs).sum()) <= 1e-12
+        _rhs_arms(0.2, rng.random((8, 8)), 1.3, work)
+        _rhs_arms(0.2, rng.random((5, 11)), 1.3, _ArmsWork(5, 11))
+        assert np.array_equal(k, _rfft2_rhs_arms(0.7, c1, 1.3))
 
 
 class TestCompare:

@@ -347,10 +347,9 @@ class TestArmsConcentrations:
         # nu(0) = mu(1) = 0: no cluster of mass >= 2 has fewer than two free
         # arms, but the a >= 2 rows do not vanish
         law = ArmMeasure.monodisperse({0: 0.5, 2: 0.25, 3: 0.25})
-        for flavor in ("gel-interacting", "no-big-coagulation"):
-            gel = flavor == "gel-interacting"
+        ref = integrate(initial_arms(law, 60, 60), [0.5], 1e-2)[0].c
+        for gel in (False, True):
             out = arms_concentrations(_arms(gel, law), 0.5, 4, 4)
-            ref = integrate(initial_arms(law, 60, 60), [0.5], 1e-2, flavor=flavor)[0].c
             assert out[2, 2:5] == pytest.approx(
                 [0.014565, 0.0022408, 0.00034474], rel=1e-4
             )
