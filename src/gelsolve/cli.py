@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
@@ -265,7 +266,9 @@ def _cmd_concentrations(args, cfg, out) -> int:
         return 0
     order = _size(args, cfg, "order", "order", 64, 1)
     c = concentrations(model, t, order)
-    emit_csv(("m", "c"), enumerate(c[1 : order + 1].tolist(), 1), out)
+    # one template with every m already written: "1,%.17g\n2,%.17g\n..."
+    lines = "".join(["%d,%%.17g\n" % m for m in range(1, order + 1)])
+    out.write("m,c\n" + lines % tuple(c[1 : order + 1].tolist()))
     return 0
 
 
@@ -395,12 +398,18 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _load_config_file(args.config) if args.config else {}
-        out = open(args.output, "w") if args.output else sys.stdout
+        if not args.output:
+            return COMMANDS[args.command](args, cfg, sys.stdout)
+        # the file is opened once the command has returned, so a failed
+        # request leaves an existing file as it was
+        buffer = io.StringIO()
+        code = COMMANDS[args.command](args, cfg, buffer)
         try:
-            return COMMANDS[args.command](args, cfg, out)
-        finally:
-            if args.output:
-                out.close()
+            with open(args.output, "w") as f:
+                f.write(buffer.getvalue())
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {args.output}: {exc}") from exc
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -108,7 +108,8 @@ def ps_revert(phi: PowerSeries) -> PowerSeries:
 # ---------------------------------------------------------------------------
 # Classic-model concentrations as a Poisson mixture
 
-#: Band cells (k, m) whose Poisson weights one pass of `_add_block` takes.
+#: Band cells (k, m) whose Poisson weights one pass of `_add_block` takes,
+#: where the window holds two or more atoms.
 _BLOCK = 4096
 
 
@@ -144,17 +145,18 @@ def _log_weights(size: int) -> np.ndarray:
     return table
 
 
-def _add_block(c: np.ndarray, lam: np.ndarray, k1: int, rows: list) -> None:
+def _add_block(c: np.ndarray, lam: np.ndarray, k1: int, cells: np.ndarray,
+               sizes: np.ndarray) -> None:
     """c[m] += Pois(k - 1; lam[m]) / k * row_k[m - k] for the rows k = k1, k1 + 1, ...
 
-    The band cells of all rows are weighed at once, as flat arrays; np.add.at
-    adds them in flat order, so each c[m] takes its terms in increasing k.
+    cells holds the rows one after another and sizes their lengths.  The
+    cells are weighed at once, as flat arrays; np.add.at adds them in flat
+    order, so each c[m] takes its terms in increasing k.
     """
     n = c.size - 1  # the largest k
     log_weights = _log_weights(1 << (n - 1).bit_length())
-    sizes = np.array([row.size for row in rows])
-    ks = np.arange(k1, k1 + len(rows))
-    m = np.arange(sizes.sum()) + np.repeat(ks - (np.cumsum(sizes) - sizes), sizes)
+    ks = np.arange(k1, k1 + sizes.size)
+    m = np.arange(cells.size) + np.repeat(ks - (np.cumsum(sizes) - sizes), sizes)
     i = np.repeat(ks - 1.0, sizes)
     lam_m = lam[m]
     diff = i - lam_m  # lam <= 2^50 keeps diff/lam above -1
@@ -162,11 +164,11 @@ def _add_block(c: np.ndarray, lam: np.ndarray, k1: int, rows: list) -> None:
     np.log1p(w, out=w)
     w *= i
     np.subtract(diff, w, out=w)
-    w -= np.repeat(log_weights[k1 - 1 : k1 - 1 + len(rows)], sizes)
+    w -= np.repeat(log_weights[k1 - 1 : k1 - 1 + sizes.size], sizes)
     if k1 == 1:
-        w[: rows[0].size] = -lam_m[: rows[0].size]
+        w[: sizes[0]] = -lam_m[: sizes[0]]
     np.exp(w, out=w)
-    w *= np.concatenate(rows)
+    w *= cells
     np.add.at(c, m, w)
 
 
@@ -177,7 +179,10 @@ def concentrations(model, t: float, n: int) -> np.ndarray:
     Buermann's [w^m] e^{m t (g0(s w) - S)} gives the Borel-Tanner form of the
     multiplicative kernel (Aldous, Bernoulli 5 (1999) 3-48): c_t(m) =
     (1/(m^2 t)) sum_k Pois(k; m t S) q^{*k}(m) = (S/m) sum_k Pois(k-1; m t S)
-    q^{*k}(m)/k.  No term is negative; values below 2^-1022 come back as 0.
+    q^{*k}(m)/k.  When the window's only atom is at 1, row k is the single
+    cell q(1)^k at m = k: the n rows are weighed in one pass, in O(n) time,
+    with no convolution.  Otherwise each k convolves its row once more with
+    q.  No term is negative; values below 2^-1022 come back as 0.
     """
     if n < 1:
         raise DomainError("series order must be >= 1")
@@ -190,21 +195,24 @@ def concentrations(model, t: float, n: int) -> np.ndarray:
     # normalised by S, not by the truncated sum, when atoms lie beyond n
     q = np.trim_zeros(mu0 * j * s**j / S, "b")[1:]  # q(1), q(2), ...
     c = np.zeros(n + 1)
-    row = np.ones(1)  # q^{*k}(k + i) at i: q^{*k} vanishes below k
     # Pois(k <= n; lam) underflows once lam > 2^50, so the cap changes no
     # weight; a subnormal lam overflows diff/lam, zeroing subnormal weights
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lam = np.minimum(j * (t * S), 2.0**50)
-        rows, cells = [], 0  # the rows k1 .. k of the open block
-        for k in range(1, n + 1 if q.size else 1):  # no atom up to n: c = 0
-            row = np.convolve(row, q)[: n + 1 - k]
-            rows.append(row)
-            cells += row.size
-            if cells >= _BLOCK:
-                _add_block(c, lam, k + 1 - len(rows), rows)
-                rows, cells = [], 0
-        if rows:
-            _add_block(c, lam, n + 1 - len(rows), rows)
+        if q.size == 1:  # the products of the length-1 convolutions, in order
+            _add_block(c, lam, 1, np.multiply.accumulate(np.full(n, q[0])),
+                       np.ones(n, dtype=int))
+        elif q.size > 1:  # else no atom up to n: c = 0
+            row = np.ones(1)  # q^{*k}(k + i) at i: q^{*k} vanishes below k
+            rows, cells = [], 0  # the rows k1 .. k of the open block
+            for k in range(1, n + 1):
+                row = np.convolve(row, q)[: n + 1 - k]
+                rows.append(row)
+                cells += row.size
+                if cells >= _BLOCK or k == n:
+                    sizes = np.array([r.size for r in rows])
+                    _add_block(c, lam, k + 1 - len(rows), np.concatenate(rows), sizes)
+                    rows, cells = [], 0
     c[1:] *= S / j[1:]
     c[c < np.finfo(float).tiny] = 0.0
     return c

@@ -220,6 +220,38 @@ class TestTrajectory:
         assert len(err.splitlines()) == 1 and "underflows" in err
 
 
+class TestOutputFile:
+    def test_failed_request_leaves_the_file_as_it_was(self, capsys, tmp_path):
+        path = tmp_path / "keep.csv"
+        path.write_text("earlier output\n")
+        code = main([
+            "trajectory", "--model", "flory", "--measure", '{"type":"bogus"}',
+            "--t-end", "2", "--output", str(path),
+        ])
+        assert code == 2 and capsys.readouterr().err.startswith("config error:")
+        assert path.read_text() == "earlier output\n"
+
+    @pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+    def test_unwritable_path_is_one_config_error(self, capsys, tmp_path, where):
+        path = tmp_path if where == "a directory" else tmp_path / "missing" / "x.json"
+        code = main(["moments", "--measure", MONO, "--output", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: cannot write output file {path}:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_failed_validation_still_writes_its_table(self, capsys, tmp_path):
+        # the window mass up to m = 20 falls short of the model's mass: exit 1
+        path = tmp_path / "validate.csv"
+        args = ["validate", "--model", "smoluchowski", "--measure", MONO,
+                "--t-end", "0.9", "--dt", "0.01", "--mmax", "20"]
+        code, out = run(capsys, *args)
+        assert code == 1
+        assert main(args + ["--output", str(path)]) == 1
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == out
+
+
 class TestConcentrations:
     def test_classic(self, capsys):
         code, out = run(
@@ -289,7 +321,7 @@ class TestConcentrations:
         assert code == 0
         assert out == _old_csv(("a", "m", "c"), rows)
 
-    @pytest.mark.parametrize("order", [1, 7])
+    @pytest.mark.parametrize("order", [1, 7, 300])
     def test_classic_table_matches_per_cell_rows(self, capsys, order):
         code, out = run(
             capsys,

@@ -111,6 +111,8 @@ def test_timing_goes_to_stderr_and_leaves_stdout_alone(capsys):
     assert total["requests"] == len(plain.out.splitlines())
     assert sum(g["requests"] for g in groups) == total["requests"]
     assert sum(g["seconds"] for g in groups) == pytest.approx(total["seconds"])
-    assert {(g["kind"], g["model"]) for g in groups} >= {
-        ("trajectory", "smoluchowski"), ("trajectory", "flory"), ("moments", None)
+    assert {(g["kind"], g["model"], g["measure"]) for g in groups} >= {
+        ("trajectory", "smoluchowski", "monodisperse"), ("trajectory", "flory", "discrete"),
+        ("concentrations", "flory", "monodisperse"),
+        ("concentrations", "smoluchowski", "discrete"), ("moments", None, "powerlaw"),
     }

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gelsolve import series
 from gelsolve.errors import DomainError
 from gelsolve.measures import ArmMeasure, Discrete, ExponentialDensity, Monodisperse
 from gelsolve.models import Flory, FloryArms, Smoluchowski, SmoluchowskiArms
@@ -323,6 +324,32 @@ class TestBlockedWeights:
             assert np.array_equal(
                 concentrations(model, t, 4500), _per_k_concentrations(model, t, 4500)
             )
+
+    @pytest.mark.parametrize("when", ["1e-300", "0.5 T_gel", "T_gel", "3 T_gel", "1e100"])
+    @pytest.mark.parametrize("gel", [True, False], ids=["flory", "smoluchowski"])
+    @pytest.mark.parametrize(
+        "law, n",
+        [(Monodisperse(), 4500), (Discrete([(1, 0.5), (600, 0.5)]), 500)],
+        ids=["monodisperse-4500", "atom-600-beyond-500"],
+    )
+    def test_one_atom_window_matches_the_per_k_loop(self, law, n, gel, when):
+        # rows of one cell q(1)^k; with the atom at 600 beyond the order,
+        # S counts it and q(1) = 1/2 s / S is not 1
+        model = _classic(gel, law)
+        t_gel = model.t_gel
+        t = {"1e-300": 1e-300, "0.5 T_gel": 0.5 * t_gel, "T_gel": t_gel,
+             "3 T_gel": 3.0 * t_gel, "1e100": 1e100}[when]
+        assert np.array_equal(
+            concentrations(model, t, n), _per_k_concentrations(model, t, n)
+        )
+
+    def test_one_atom_window_convolves_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.convolve called")
+
+        monkeypatch.setattr(series.np, "convolve", refuse)
+        c = concentrations(Flory(Monodisperse()), 0.5, 512)
+        assert c[1] == pytest.approx(math.exp(-0.5), rel=1e-14)
 
 
 class TestArmsConcentrations:

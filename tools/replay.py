@@ -17,9 +17,10 @@ differ, how many requests of each kind differ, and the largest relative
 difference, overall and in each column of the CSV answers (columns of one
 name pooled over every request that prints them).
 
---timing also writes to stderr, for each (kind, model) of the stream, the
-number of requests and the in-process seconds spent serving them, one JSON
-line each, then their total; stdout is the same with or without it:
+--timing also writes to stderr, for each (kind, model, measure type) of the
+stream, the number of requests and the in-process seconds spent serving
+them, one JSON line each, then their total; stdout is the same with or
+without it:
 
     python3 tools/replay.py --workload validate --seed 1 --timing > /dev/null
 """
@@ -62,7 +63,8 @@ def _model(req):
 def replay(workload, seed, seconds, src, stream, timing=None):
     """Write one line per request to stream; add each request's serving time to timing.
 
-    timing, when given, is a dict from (kind, model) to [requests, seconds].
+    timing, when given, is a dict from (kind, model, measure type) to
+    [requests, seconds].
     """
     sys.path.insert(0, str(PERFBENCH))
     import server
@@ -77,7 +79,8 @@ def replay(workload, seed, seconds, src, stream, timing=None):
         except Exception as exc:  # recorded, so both sides can be compared
             line["error"] = f"{type(exc).__name__}: {exc}"
         if timing is not None:
-            group = timing.setdefault((req["kind"], _model(req)), [0, 0.0])
+            key = (req["kind"], _model(req), req["measure"]["type"])
+            group = timing.setdefault(key, [0, 0.0])
             group[0] += 1
             group[1] += time.perf_counter() - start
         if "error" not in line:
@@ -183,14 +186,15 @@ def compare(path_a, path_b, stream):
 
 
 def write_timing(timing, stream):
-    """One JSON line per (kind, model), sorted, then the total over all of them."""
+    """One JSON line per (kind, model, measure type), sorted, then the total over all."""
     total = sum(seconds for _, seconds in timing.values())
-    for (kind, model), (requests, seconds) in sorted(
-        timing.items(), key=lambda item: (item[0][0], item[0][1] or "")
+    for (kind, model, measure), (requests, seconds) in sorted(
+        timing.items(), key=lambda item: (item[0][0], item[0][1] or "", item[0][2])
     ):
-        stream.write(json.dumps(
-            {"kind": kind, "model": model, "requests": requests, "seconds": seconds}
-        ) + "\n")
+        stream.write(json.dumps({
+            "kind": kind, "model": model, "measure": measure,
+            "requests": requests, "seconds": seconds,
+        }) + "\n")
     stream.write(json.dumps({
         "requests": sum(requests for requests, _ in timing.values()), "seconds": total,
     }) + "\n")
@@ -205,7 +209,8 @@ def main(argv=None):
     parser.add_argument("--src", default="src", help="directory holding gelsolve/")
     parser.add_argument("--output", help="write here instead of stdout")
     parser.add_argument("--timing", action="store_true",
-                        help="write requests and seconds per (kind, model) to stderr")
+                        help="write requests and seconds per (kind, model, measure "
+                             "type) to stderr")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare, sys.stdout)
