@@ -343,8 +343,18 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError instead of exiting.
+
+    add_subparsers builds each subcommand's parser with this class too.
+    """
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gelsolve",
         description="Global solver for four coagulation models with gelation.",
     )
@@ -395,8 +405,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = _load_config_file(args.config) if args.config else {}
         if not args.output:
             return COMMANDS[args.command](args, cfg, sys.stdout)

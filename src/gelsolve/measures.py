@@ -5,6 +5,11 @@ the parametric families carry hand-derived closed forms so no quadrature is
 needed when evaluating them.  Arm measures expose the bivariate generating
 function k0(x, y) = sum_a,m a c0(a,m) x^(a-1) y^m and its first two
 x-derivatives.
+
+Discrete and ArmMeasure evaluate from coefficient tables built at the first
+evaluation: per order, each atom's coefficient and exponents.  A call forms
+each term as the formula's product, left to right, and adds the terms from
+the int 0 in atom order.
 """
 from __future__ import annotations
 
@@ -64,14 +69,12 @@ class Discrete(MassMeasure):
             if not 0.0 < w < INF:
                 raise DomainError(f"atom weight {w} must be finite and > 0")
         self.atoms = atoms
+        self.is_lattice = all(m == int(m) for m, _ in atoms)
         self._moments = None
+        self._terms = None
 
     def __repr__(self):
         return f"Discrete({list(self.atoms)!r})"
-
-    @property
-    def is_lattice(self) -> bool:
-        return all(m == int(m) for m, _ in self.atoms)
 
     def moments(self) -> Moments:
         # summed on the first call, not in __init__: a measure only built pays nothing
@@ -83,6 +86,19 @@ class Discrete(MassMeasure):
             )
         return self._moments
 
+    def _tables(self):
+        # (coefficient, exponent) per atom and order: w m x^m, w m^2 x^(m-1),
+        # w m^2 (m-1) x^(m-2); built at the first evaluation, so a measure
+        # only built pays nothing
+        if self._terms is None:
+            atoms = self.atoms
+            self._terms = (
+                tuple((w * m, m) for m, w in atoms),
+                tuple((w * m * m, m - 1.0) for m, w in atoms),
+                tuple((w * m * m * (m - 1.0), m - 2.0) for m, w in atoms),
+            )
+        return self._terms
+
     def lattice_weights(self, n: int) -> np.ndarray:
         if not self.is_lattice:
             raise DomainError("measure has non-integer atom masses")
@@ -93,16 +109,14 @@ class Discrete(MassMeasure):
         return out
 
     def g0(self, x: float, order: int = 0) -> float:
-        _check_unit_interval(x)
-        if order == 0:
-            return sum(w * m * x**m for m, w in self.atoms)
+        if not 0.0 <= x <= 1.0:
+            _check_unit_interval(x)
         if order == 1:
             if x == 0.0:
                 if any(m < 1.0 for m, _ in self.atoms):
                     return INF
                 return sum(w for m, w in self.atoms if m == 1.0)
-            return sum(w * m * m * x ** (m - 1.0) for m, w in self.atoms)
-        if order == 2:
+        elif order == 2:
             if x == 0.0:
                 # m^2 (m-1) x^(m-2): atoms below mass 2 blow up (signed).
                 pos = any(1.0 < m < 2.0 for m, _ in self.atoms)
@@ -116,10 +130,12 @@ class Discrete(MassMeasure):
                 return sum(
                     w * m * m * (m - 1.0) for m, w in self.atoms if m == 2.0
                 )
-            return sum(
-                w * m * m * (m - 1.0) * x ** (m - 2.0) for m, w in self.atoms
-            )
-        raise DomainError(f"order must be 0, 1 or 2, got {order}")
+        elif order != 0:
+            raise DomainError(f"order must be 0, 1 or 2, got {order}")
+        total = 0
+        for c, e in self._tables()[order]:
+            total += c * x**e
+        return total
 
 
 class Monodisperse(Discrete):
@@ -142,7 +158,8 @@ class ExponentialDensity(MassMeasure):
         return Moments(M0=1.0, K=2.0, m0=0.0)
 
     def g0(self, x: float, order: int = 0) -> float:
-        _check_unit_interval(x)
+        if not 0.0 <= x <= 1.0:
+            _check_unit_interval(x)
         if x == 0.0:
             return 0.0 if order == 0 else (INF if order == 1 else -INF)
         u = 1.0 - math.log(x)
@@ -170,15 +187,24 @@ class PowerLawDensity(MassMeasure):
                 f"power-law exponent p={p} must lie in (1, 2) for <mu0, m^1> < inf"
             )
         self.p = p
+        self._gammas = None
 
     def __repr__(self):
         return f"PowerLawDensity(p={self.p})"
+
+    def _gamma_table(self):
+        # Gamma(2-p), Gamma(3-p), Gamma(4-p), computed at the first evaluation
+        if self._gammas is None:
+            p = self.p
+            self._gammas = (math.gamma(2.0 - p), math.gamma(3.0 - p), math.gamma(4.0 - p))
+        return self._gammas
 
     def moments(self) -> Moments:
         return Moments(M0=INF, K=INF, m0=0.0)
 
     def g0(self, x: float, order: int = 0) -> float:
-        _check_unit_interval(x)
+        if not 0.0 <= x <= 1.0:
+            _check_unit_interval(x)
         p = self.p
         if x == 0.0:
             return 0.0 if order == 0 else INF
@@ -186,16 +212,14 @@ class PowerLawDensity(MassMeasure):
             # -ln x = 0 and p - 2 < 0: monotone limit is +inf for all orders
             return INF
         u = -math.log(x)
+        gamma2, gamma3, gamma4 = self._gamma_table()
         if order == 0:
-            return math.gamma(2.0 - p) * u ** (p - 2.0)
+            return gamma2 * u ** (p - 2.0)
         if order == 1:
-            return math.gamma(3.0 - p) * u ** (p - 3.0) / x
+            return gamma3 * u ** (p - 3.0) / x
         if order == 2:
             # divided by x twice: x * x underflows to 0 below about 1.5e-154
-            return (
-                math.gamma(4.0 - p) * u ** (p - 4.0)
-                - math.gamma(3.0 - p) * u ** (p - 3.0)
-            ) / x / x
+            return (gamma4 * u ** (p - 4.0) - gamma3 * u ** (p - 3.0)) / x / x
         raise DomainError(f"order must be 0, 1 or 2, got {order}")
 
 
@@ -228,6 +252,8 @@ class ArmMeasure:
         self.K = sum(a * (a - 1) * w for (a, _), w in clean.items())
         self.M0 = sum(m * w for (_, m), w in clean.items())
         self.total = sum(clean.values())
+        self.is_monodisperse = all(m == 1 for _, m in clean)
+        self._terms = None
 
     def __repr__(self):
         return f"ArmMeasure({self.weights!r})"
@@ -237,28 +263,35 @@ class ArmMeasure:
         """All particles of mass 1, arms distributed by the law mu."""
         return cls({(a, 1): w for a, w in mu.items()})
 
-    @property
-    def is_monodisperse(self) -> bool:
-        return all(m == 1 for _, m in self.weights)
-
     def arm_law(self) -> dict[int, float]:
         if not self.is_monodisperse:
             raise DomainError("arm law defined only for monodisperse initial data")
         return {a: w for (a, _), w in sorted(self.weights.items())}
 
+    def _tables(self):
+        # per order o, (a (a-1) ... (a-o) c0(a, m), a-1-o, m) for the atoms
+        # with a > o; then (c0(a, m), a) for K0.  Built at the first evaluation.
+        if self._terms is None:
+            items = self.weights.items()
+            self._terms = tuple(
+                tuple((math.perm(a, o + 1) * w, a - 1 - o, m) for (a, m), w in items if a > o)
+                for o in range(3)
+            ) + (tuple((w, a) for (a, _), w in items),)
+        return self._terms
+
     def k0(self, x: float, y: float = 1.0, order: int = 0) -> float:
         """k0 or its first or second x-derivative at (x, y)."""
-        _check_unit_interval(x, "x")
-        _check_unit_interval(y, "y")
+        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+            _check_unit_interval(x, "x")
+            _check_unit_interval(y, "y")
         if order not in (0, 1, 2):
             raise DomainError(f"order must be 0, 1 or 2, got {order}")
         # a (a-1) ... (a-order) c0(a, m) x^(a-1-order) y^m; k0'' vanishes
-        # identically iff every particle has <= 2 arms
-        return sum(
-            math.perm(a, order + 1) * w * x ** (a - 1 - order) * y**m
-            for (a, m), w in self.weights.items()
-            if a > order
-        )
+        # identically iff every particle has <= 2 arms, and is then the int 0
+        total = 0
+        for c, e, m in self._tables()[order]:
+            total += c * x**e * y**m
+        return total
 
     def k0_mass(self, x: float) -> float:
         """K0(x) = sum mu(a) x^a, whose derivative is k0(x, 1); nan unless monodisperse.
@@ -267,8 +300,12 @@ class ArmMeasure:
         """
         if not self.is_monodisperse:
             return math.nan
-        _check_unit_interval(x, "x")
-        return sum(w * x**a for (a, _), w in self.weights.items())
+        if not 0.0 <= x <= 1.0:
+            _check_unit_interval(x, "x")
+        total = 0
+        for w, a in self._tables()[3]:
+            total += w * x**a
+        return total
 
     def nu(self) -> np.ndarray:
         """Size-biased offspring law nu(k) = (k+1) mu(k+1), k = 0..amax-1.

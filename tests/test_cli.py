@@ -425,11 +425,11 @@ class TestValidate:
         assert outs[0][0] == 0
 
     def test_flavor_flag_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["validate", "--model", "smoluchowski", "--measure", MONO,
-                  "--flavor", "gel-interacting"])
-        assert exc.value.code == 2
-        assert "--flavor" in capsys.readouterr().err
+        assert main(["validate", "--model", "smoluchowski", "--measure", MONO,
+                     "--flavor", "gel-interacting"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "--flavor" in err
 
     def test_flavor_in_config_is_a_config_error(self, capsys, tmp_path):
         # a stale setting is not ignored in silence
@@ -720,6 +720,30 @@ class TestSizes:
             "concentrations", "--config", str(path), "--model", "flory",
             "--measure", MONO, "--t", "0.5",
         ))
+
+
+class TestUsageErrors:
+    # argparse printed a usage block and raised SystemExit, which no caller
+    # that catches Exception survives
+    @pytest.mark.parametrize("argv, named", [
+        (("concentrations", "--model", "flory", "--measure", MONO, "--t", "abc"), "'abc'"),
+        (("moments", "--measure", MONO, "--bogus", "1"), "--bogus"),
+        (("bogus",), "'bogus'"),
+        ((), "command"),
+    ], ids=["bad-float", "unknown-flag", "unknown-subcommand", "no-subcommand"])
+    def test_malformed_command_line_is_one_usage_line(self, capsys, argv, named):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: gelsolve")
+        assert captured.err.count("\n") == 1
+        assert named in captured.err
+
+    def test_help_still_prints_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trajectory", "--help"])
+        assert exc.value.code == 0
+        assert "--t-end" in capsys.readouterr().out
 
 
 class TestValidateFlags:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gelsolve.errors import DomainError
 from gelsolve.measures import (
@@ -297,3 +299,176 @@ class TestConfigLoading:
             mass_measure_from_config("monodisperse")
         with pytest.raises(DomainError):
             arm_measure_from_config({"type": "monodisperse"})
+
+
+# ---------------------------------------------------------------------------
+# The kernels against the written sums they replaced: every term is the same
+# product, and the terms are added left to right from the int 0, so an empty
+# sum stays 0 and each value matches bit for bit.
+
+def _left_to_right(terms):
+    total = 0
+    for term in terms:
+        total += term
+    return total
+
+
+def _check(x, name="x"):
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"{name}={x!r} outside [0, 1]")
+
+
+def _written_discrete_g0(atoms, x, order):
+    _check(x)
+    if order == 0:
+        return _left_to_right(w * m * x**m for m, w in atoms)
+    if order == 1:
+        if x == 0.0:
+            if any(m < 1.0 for m, _ in atoms):
+                return math.inf
+            return _left_to_right(w for m, w in atoms if m == 1.0)
+        return _left_to_right(w * m * m * x ** (m - 1.0) for m, w in atoms)
+    if order == 2:
+        if x == 0.0:
+            pos = any(1.0 < m < 2.0 for m, _ in atoms)
+            neg = any(m < 1.0 for m, _ in atoms)
+            if pos and neg:
+                return math.nan
+            if pos:
+                return math.inf
+            if neg:
+                return -math.inf
+            return _left_to_right(w * m * m * (m - 1.0) for m, w in atoms if m == 2.0)
+        return _left_to_right(w * m * m * (m - 1.0) * x ** (m - 2.0) for m, w in atoms)
+    raise DomainError(f"order must be 0, 1 or 2, got {order}")
+
+
+def _written_powerlaw_g0(p, x, order):
+    _check(x)
+    if x == 0.0:
+        return 0.0 if order == 0 else math.inf
+    if x == 1.0:
+        return math.inf
+    u = -math.log(x)
+    if order == 0:
+        return math.gamma(2.0 - p) * u ** (p - 2.0)
+    if order == 1:
+        return math.gamma(3.0 - p) * u ** (p - 3.0) / x
+    if order == 2:
+        return (
+            math.gamma(4.0 - p) * u ** (p - 4.0) - math.gamma(3.0 - p) * u ** (p - 3.0)
+        ) / x / x
+    raise DomainError(f"order must be 0, 1 or 2, got {order}")
+
+
+def _written_k0(weights, x, y, order):
+    _check(x, "x")
+    _check(y, "y")
+    if order not in (0, 1, 2):
+        raise DomainError(f"order must be 0, 1 or 2, got {order}")
+    return _left_to_right(
+        math.perm(a, order + 1) * w * x ** (a - 1 - order) * y**m
+        for (a, m), w in weights.items()
+        if a > order
+    )
+
+
+def _written_k0_mass(weights, x):
+    if not all(m == 1 for _, m in weights):
+        return math.nan
+    _check(x, "x")
+    return _left_to_right(w * x**a for (a, _), w in weights.items())
+
+
+def _outcome(fn, *args):
+    """repr of the value, so that the int 0 and 0.0 differ, or the error raised.
+
+    x^(m-2) overflows for x near 0 and a mass below 2; both forms raise then.
+    """
+    try:
+        return repr(fn(*args))
+    except (DomainError, OverflowError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+ORDERS = st.integers(0, 3)
+# the corners, points inside, and points off [0, 1] (nan included)
+POINTS = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, -0.5, 1.5, math.nan, -math.inf, math.inf]),
+    st.floats(0.0, 1.0),
+)
+MASSES = st.one_of(
+    st.floats(0.01, 0.99),
+    st.floats(1.01, 1.99),
+    st.just(2.0),
+    st.integers(1, 60).map(float),
+    st.floats(2.01, 60.0),
+)
+ATOMS = st.lists(st.tuples(MASSES, st.floats(1e-3, 10.0)), min_size=1, max_size=6)
+TRIPLES = st.lists(
+    st.tuples(st.integers(0, 9), st.integers(1, 6), st.floats(1e-3, 10.0)),
+    min_size=1, max_size=6,
+)
+
+
+class TestKernelsMatchTheWrittenSums:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(atoms=ATOMS, x=POINTS, order=ORDERS)
+    def test_discrete_g0(self, atoms, x, order):
+        measure = Discrete(atoms)
+        assert _outcome(measure.g0, x, order) == _outcome(
+            _written_discrete_g0, measure.atoms, x, order
+        )
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(p=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True), x=POINTS,
+           order=ORDERS)
+    def test_powerlaw_g0(self, p, x, order):
+        measure = PowerLawDensity(p)
+        assert _outcome(measure.g0, x, order) == _outcome(_written_powerlaw_g0, p, x, order)
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(triples=TRIPLES, monodisperse=st.booleans(), x=POINTS, y=POINTS, order=ORDERS)
+    def test_arm_k0_and_k0_mass(self, triples, monodisperse, x, y, order):
+        assume(any(a > 0 for a, _, _ in triples))
+        measure = ArmMeasure({(a, 1 if monodisperse else m): w for a, m, w in triples})
+        weights = measure.weights
+        assert _outcome(measure.k0, x, y, order) == _outcome(_written_k0, weights, x, y, order)
+        assert _outcome(measure.k0_mass, x) == _outcome(_written_k0_mass, weights, x)
+
+    def test_an_empty_sum_stays_the_int_zero(self):
+        # k0'' of a law with at most two arms per particle
+        assert repr(ArmMeasure.monodisperse({1: 0.5, 2: 0.5}).k0(0.5, 1.0, 2)) == "0"
+
+
+class _Evaluated(Exception):
+    pass
+
+
+def test_building_a_measure_evaluates_nothing(monkeypatch):
+    # the coefficient tables are built at the first evaluation, so a measure
+    # that is only built (the benchmark's set-up) pays for none of them
+    def evaluated(*args):
+        raise _Evaluated
+
+    monkeypatch.setattr(math, "perm", evaluated)
+    monkeypatch.setattr(math, "gamma", evaluated)
+    arm = ArmMeasure.monodisperse(MU)
+    power = PowerLawDensity(1.5)
+    with pytest.raises(_Evaluated):
+        arm.k0(0.5)
+    with pytest.raises(_Evaluated):
+        power.g0(0.5)
+
+
+@pytest.mark.parametrize("measure, flag, value", [
+    (Discrete([(1.0, 0.5), (3.0, 0.5)]), "is_lattice", True),
+    (Discrete([(1.0, 0.5), (2.5, 0.5)]), "is_lattice", False),
+    (ExponentialDensity(), "is_lattice", False),
+    (ArmMeasure.monodisperse(MU), "is_monodisperse", True),
+    (ArmMeasure({(1, 1): 0.5, (3, 2): 0.5}), "is_monodisperse", False),
+], ids=["lattice", "off-lattice", "density", "monodisperse", "mixed-masses"])
+def test_data_flags_are_read_once(measure, flag, value):
+    # set when the measure is built: reading one scans nothing
+    assert getattr(measure, flag) is value
+    assert not isinstance(getattr(type(measure), flag, None), property)
