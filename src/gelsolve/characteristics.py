@@ -12,20 +12,22 @@ slope come from one quadrature: folded into `bisect_increasing` (in x or in
 1/(x - c)) it took 4.7 quadratures per state instead of 3.5 on a 2-core box
 (124 against 94 us, and the arms-postgel benchmark's wall time rose 9 %), and
 with a 4-eps stop it fell back to bisection, up to 11.4 quadratures per
-state.  Only numpy is needed.
+state.  The root solves are scalar Python and load no numpy; the arms flow
+past the gel time works on numpy arrays, so its first such state imports
+numpy (through `measures.np`).
 """
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError, ModelError, SolverError
-from .measures import ArmMeasure, MassMeasure
+from .measures import ArmMeasure, MassMeasure, np
 
 INF = math.inf
-_TINY = float(np.finfo(float).tiny)  # the smallest normal double
+_TINY = sys.float_info.min  # the smallest normal double
 #: Newton steps whose log(x_next / x) agree to this fraction make a linear phase.
 _LINEAR = 0.1
 
@@ -176,13 +178,26 @@ def _tangency_coeffs(measure: ArmMeasure):
     return d, xx
 
 
-#: 12-point Gauss-Legendre rule for each panel of t(ell), moved to [0, 1].
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+#: 12-point Gauss-Legendre rule for each panel of t(ell), moved to [0, 1]:
+#: 0.5 (x + 1) and 0.5 w of numpy.polynomial.legendre.leggauss(12), written
+#: out so that importing the module runs no numpy; a flow makes them arrays
+#: at its first post-gel state.
+_GL_NODES = (
+    0.009219682876640378, 0.0479413718147626, 0.11504866290284765,
+    0.20634102285669126, 0.31608425050090994, 0.43738329574426554,
+    0.5626167042557344, 0.6839157494990901, 0.7936589771433087,
+    0.8849513370971523, 0.9520586281852375, 0.9907803171233596,
+)
+_GL_WEIGHTS = (
+    0.023587668193255706, 0.05346966299765953, 0.08003916427167321,
+    0.10158371336153287, 0.1167462682691773, 0.12457352290670134,
+    0.12457352290670134, 0.1167462682691773, 0.10158371336153287,
+    0.08003916427167321, 0.05346966299765953, 0.023587668193255706,
+)
 #: Panels of t(ell) lie between the dyadic points c + (1 - c) 2^-k, k <= _PANELS.
 _PANELS = 60
 _NEWTON_ITER = 100
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 class ArmsFlow:
@@ -232,12 +247,13 @@ class ArmsFlow:
 
     def _quad(self, lo: float, hi: float, at: float):
         """(int_lo^hi k0''/D^2 dx, k0''/D^2 at `at`), from one evaluation."""
-        x = np.empty(_GL_NODES.size + 1)
-        np.multiply(_GL_NODES, hi - lo, out=x[:-1])
+        nodes, weights = self._rule
+        x = np.empty(nodes.size + 1)
+        np.multiply(nodes, hi - lo, out=x[:-1])
         x[:-1] += lo
         x[-1] = at
         f = self._integrand(x)[1]
-        return (hi - lo) * float(f[:-1] @ _GL_WEIGHTS), float(f[-1])
+        return (hi - lo) * float(f[:-1] @ weights), float(f[-1])
 
     def _panel(self, t: float):
         """k with t(x_k) < t <= t(x_(k+1)), summing panels as needed; None past the last."""
@@ -245,6 +261,7 @@ class ArmsFlow:
             c = ell_infinity(self.measure)
             self._d, self._xx = _tangency_coeffs(self.measure)
             self._exponents = np.arange(float(self._d.size))
+            self._rule = np.array(_GL_NODES), np.array(_GL_WEIGHTS)
             x = c + (1.0 - c) * 2.0 ** -np.arange(_PANELS + 1.0)
             d, f = self._integrand(x)
             # the points that rounding merges with c or with each other end the panels
@@ -257,7 +274,7 @@ class ArmsFlow:
             times.append(times[-1] + self._quad(edges[k + 1], edges[k], edges[k])[0])
         if times[-1] < t:
             return None
-        return int(np.searchsorted(times, t)) - 1
+        return bisect.bisect_left(times, t) - 1
 
     def _ell(self, t: float) -> float:
         k = self._panel(t)

@@ -18,10 +18,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .errors import ConfigError, GelsolveError, UsageError
-from .measures import arm_measure_from_config, mass_measure_from_config
+from .measures import arm_measure_from_config, mass_measure_from_config, np
 from .models import MODEL_NAMES, make_model
 from .oracle import compare, initial_arms, initial_classic, integrate
 from .series import arms_concentrations, concentrations, limiting_concentrations
@@ -38,11 +36,13 @@ def fmt(value: float) -> str:
 
 
 def _jsonable(obj):
+    # no numpy type is named, so `moments` loads no numpy; numpy's float64
+    # subclasses float, and arrays reach here as lists
     if isinstance(obj, dict):
         return {k: _jsonable(obj[k]) for k in obj}
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         v = float(obj)
         return v if math.isfinite(v) else fmt(v)
     return obj
@@ -136,6 +136,23 @@ def _number(key, value):
     return value
 
 
+def _linspace(start: float, end: float, count: int) -> list:
+    """np.linspace(start, end, count) as a list, to the bit, without numpy (count >= 2).
+
+    Point i is i * step + start and the last is end.  When the step underflows
+    to 0, numpy forms i / (count - 1) * (end - start) + start instead.
+    """
+    div = count - 1
+    delta = end - start
+    step = delta / div
+    if step == 0.0:
+        grid = [i / div * delta + start for i in range(count)]
+    else:
+        grid = [i * step + start for i in range(count)]
+    grid[-1] = end
+    return grid
+
+
 def _time_grid(args, cfg):
     grid = cfg.get("time_grid", {})
     if not isinstance(grid, dict):
@@ -162,7 +179,7 @@ def _time_grid(args, cfg):
     if not (math.isfinite(end) and end > start >= 0.0):
         raise ConfigError("time grid needs finite end > start >= 0")
     if spacing == "linear":
-        return np.linspace(start, end, count).tolist()
+        return _linspace(start, end, count)
     if spacing == "geometric":
         if start <= 0.0:
             raise ConfigError("geometric spacing needs start > 0")
@@ -304,7 +321,7 @@ def _cmd_validate(args, cfg, out) -> int:
         )
     tol = _positive(args, cfg, "tol", "tol", 1e-3)
     m_max = _size(args, cfg, "mmax", "m_max", 200, 1)
-    times = list(np.linspace(0.0, t_end, 11))
+    times = _linspace(0.0, t_end, 11)
     arms = model.is_arms
     a_max = _size(args, cfg, "amax", "a_max", 120, 0) if arms else None
     try:  # initial data outside the oracle's window

@@ -10,17 +10,44 @@ Discrete and ArmMeasure evaluate from coefficient tables built at the first
 evaluation: per order, each atom's coefficient and exponents.  A call forms
 each term as the formula's product, left to right, and adds the terms from
 the int 0 in atom order.
+
+This module owns the package's one numpy binding, `np`, which every other
+module imports from here.  If numpy is not imported yet, `np` is a module
+that imports it at its first attribute access (importlib's LazyLoader), so
+building measures and the scalar solves load no numpy.  A plain `import
+numpy` anywhere else reads that module's `__spec__` and so imports numpy on
+the spot.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import DomainError, GelsolveError
+
+
+def _lazy_numpy():
+    """numpy if it is imported, else a module in sys.modules that imports it when first read."""
+    module = sys.modules.get("numpy")
+    if module is not None:
+        return module
+    # None also when sys.modules["numpy"] is None, the entry that blocks the import
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 INF = math.inf
 

@@ -17,10 +17,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, SolverError, UsageError
-from .measures import ArmMeasure, MassMeasure
+from .measures import ArmMeasure, MassMeasure, np
 
 
 @dataclass

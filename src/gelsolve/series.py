@@ -15,12 +15,10 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # bound here only for perfbench/tracing.py:TARGETS, which wraps these names
 from .characteristics import bisect_increasing, ell_smolu  # noqa: F401
 from .errors import DomainError
-from .measures import conv_power
+from .measures import conv_power, np
 
 
 class PowerSeries:

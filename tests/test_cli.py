@@ -12,11 +12,11 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gelsolve
-from gelsolve.cli import emit_csv, emit_json, fmt, main
+from gelsolve.cli import _linspace, emit_csv, emit_json, fmt, main
 from gelsolve.measures import arm_measure_from_config, mass_measure_from_config
 from gelsolve.models import make_model
 from gelsolve.series import arms_concentrations, concentrations
@@ -631,6 +631,23 @@ class TestConfigHandling:
         ts = [float(l.split(",")[0]) for l in out.strip().splitlines()[1:]]
         ratios = [b / a for a, b in zip(ts, ts[1:])]
         assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
+
+
+GRID_ENDS = st.one_of(
+    st.floats(0.0, 1e308), st.floats(0.0, 1e-300), st.sampled_from([0.0, 5e-324, 1e-323])
+)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(ends=st.lists(GRID_ENDS, min_size=2, max_size=2, unique=True), count=st.integers(2, 300))
+@example(ends=[0.0, 5e-324], count=3)  # the step underflows to 0
+@example(ends=[0.0, 5e-324], count=4)  # and i * step would differ from numpy's
+@example(ends=[1.0, 1.0 + 2.0**-52], count=4)
+def test_linear_grid_is_numpy_linspace_to_the_bit(ends, count):
+    start, end = sorted(ends)
+    grid = _linspace(start, end, count)
+    assert all(type(t) is float for t in grid)
+    assert [t.hex() for t in grid] == [t.hex() for t in np.linspace(start, end, count).tolist()]
 
 
 def assert_config_error(capsys, argv):

@@ -1,5 +1,10 @@
 """The library needs numpy only: no scipy in its source, and none loaded by the CLI.
 
+numpy itself is imported at the first array operation, not at `import
+gelsolve`: `gelsolve.measures.np` is a lazy module until then, so building
+measures, `moments` and linear `trajectory` on the scalar paths load no numpy
+module.  With numpy imported first, `np` is numpy itself.
+
 The oracle stays independent of the solver: it imports no module with its formulas.
 """
 import ast
@@ -9,7 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import gelsolve
+from gelsolve.characteristics import _GL_NODES, _GL_WEIGHTS
 
 SCRIPT = r"""
 import contextlib, io, json, sys
@@ -20,6 +28,7 @@ def scipy_modules():
 import gelsolve.cli
 
 after_import = scipy_modules()
+numpy_after_import = sorted(m for m in sys.modules if m.startswith("numpy."))
 ARMS = '{"type":"arm-law","mu":{"0":0.5,"1":0.25,"3":0.25}}'  # T_gel = 2
 model = ("--model", "smoluchowski-arms", "--measure", ARMS)
 codes = []
@@ -32,22 +41,121 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(gelsolve.cli.main(list(argv)))
-print(json.dumps({"import": after_import, "served": scipy_modules(), "codes": codes}))
+print(json.dumps({
+    "import": after_import, "numpy_import": numpy_after_import,
+    "served": scipy_modules(), "codes": codes,
+}))
 """
 
 
-def test_cli_loads_no_scipy():
+def _run(script):
+    """The JSON that script prints, run in a fresh interpreter on this gelsolve."""
     src = str(Path(gelsolve.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
         timeout=300, check=True,
     )
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_cli_loads_no_scipy():
+    result = _run(SCRIPT)
     assert result["import"] == []
+    assert result["numpy_import"] == []  # the lazy entry "numpy" alone
     assert result["served"] == []
     assert result["codes"] == [0, 0, 0, 0]
+
+
+SCALAR_SCRIPT = r"""
+import contextlib, io, json, sys
+
+def numpy_modules():
+    return sorted(m for m in sys.modules if m.startswith("numpy."))
+
+import gelsolve.cli
+from gelsolve.measures import arm_measure_from_config, mass_measure_from_config
+
+MASS = [
+    {"type": "monodisperse"}, {"type": "exponential"},
+    {"type": "powerlaw", "p": 1.5}, {"type": "discrete", "atoms": [[1, 0.5], [3, 0.5]]},
+]
+ARMS = [
+    {"type": "arm-law", "mu": {"0": 0.5, "1": 0.25, "3": 0.25}},  # T_gel = 2
+    {"type": "arms", "triples": [[1, 1, 0.5], [3, 2, 0.5]]},
+]
+for spec in MASS:
+    mass_measure_from_config(spec)
+for spec in ARMS:
+    arm_measure_from_config(spec)
+built = numpy_modules()
+
+def trajectory(model, spec, t_end):
+    return ("trajectory", "--model", model, "--measure", json.dumps(spec),
+            "--t-end", str(t_end), "--count", "5")
+
+codes = []
+for argv in (
+    *[("moments", "--measure", json.dumps(spec)) for spec in MASS + ARMS],
+    trajectory("smoluchowski", MASS[0], 3),
+    trajectory("smoluchowski", MASS[1], 3),
+    trajectory("smoluchowski", MASS[2], 3),
+    trajectory("flory", MASS[0], 3),
+    trajectory("flory", MASS[3], 3),
+    trajectory("flory-arms", ARMS[0], 6),
+    trajectory("smoluchowski-arms", ARMS[0], 1.5),
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(gelsolve.cli.main(list(argv)))
+served = numpy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    arrays = gelsolve.cli.main(["concentrations", "--model", "flory", "--measure",
+                                json.dumps(MASS[0]), "--t", "2", "--order", "8"])
+import numpy
+print(json.dumps({
+    "built": built, "served": served, "codes": codes, "arrays": arrays,
+    "numpy_works": int(numpy.arange(4).sum()),
+}))
+"""
+
+
+def test_scalar_commands_load_no_numpy():
+    result = _run(SCALAR_SCRIPT)
+    assert result["built"] == []
+    assert result["served"] == []
+    assert result["codes"] == [0] * 13
+    # the first array operation imports numpy, which then works as numpy
+    assert result["arrays"] == 0
+    assert result["numpy_works"] == 6
+
+
+def test_numpy_imported_first_is_bound_as_is():
+    # how a host that already uses numpy sees it: no lazy module in between
+    result = _run(
+        "import json, sys, types, numpy, gelsolve.cli, gelsolve.measures\n"
+        "np = gelsolve.measures.np\n"
+        "print(json.dumps([np is sys.modules['numpy'], type(np) is types.ModuleType]))"
+    )
+    assert result == [True, True]
+
+
+def test_missing_numpy_is_an_import_error():
+    result = _run(
+        "import json, sys\n"
+        "sys.modules['numpy'] = None  # blocks the import, as if numpy were not installed\n"
+        "try:\n"
+        "    import gelsolve.measures\n"
+        "except ImportError as exc:\n"
+        "    print(json.dumps([type(exc).__name__, exc.name]))\n"
+    )
+    assert result == ["ModuleNotFoundError", "numpy"]
+
+
+def test_gauss_legendre_literals_are_leggauss_to_the_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    assert [x.hex() for x in _GL_NODES] == [x.hex() for x in (0.5 * (nodes + 1.0)).tolist()]
+    assert [w.hex() for w in _GL_WEIGHTS] == [w.hex() for w in (0.5 * weights).tolist()]
 
 
 def test_source_mentions_no_scipy():
