@@ -137,18 +137,11 @@ def _number(key, value):
 
 
 def _linspace(start: float, end: float, count: int) -> list:
-    """np.linspace(start, end, count) as a list, to the bit, without numpy (count >= 2).
-
-    Point i is i * step + start and the last is end.  When the step underflows
-    to 0, numpy forms i / (count - 1) * (end - start) + start instead.
-    """
-    div = count - 1
-    delta = end - start
-    step = delta / div
-    if step == 0.0:
-        grid = [i / div * delta + start for i in range(count)]
-    else:
-        grid = [i * step + start for i in range(count)]
+    """np.linspace(start, end, count).tolist() to the bit; numpy only if the step underflows."""
+    step = (end - start) / (count - 1)
+    if step == 0.0:  # numpy then forms i / (count - 1) * (end - start) + start
+        return np.linspace(start, end, count).tolist()
+    grid = [i * step + start for i in range(count)]
     grid[-1] = end
     return grid
 
@@ -321,7 +314,7 @@ def _cmd_validate(args, cfg, out) -> int:
         )
     tol = _positive(args, cfg, "tol", "tol", 1e-3)
     m_max = _size(args, cfg, "mmax", "m_max", 200, 1)
-    times = _linspace(0.0, t_end, 11)
+    times = list(np.linspace(0.0, t_end, 11))
     arms = model.is_arms
     a_max = _size(args, cfg, "amax", "a_max", 120, 0) if arms else None
     try:  # initial data outside the oracle's window

@@ -12,11 +12,11 @@ each term as the formula's product, left to right, and adds the terms from
 the int 0 in atom order.
 
 This module owns the package's one numpy binding, `np`, which every other
-module imports from here.  If numpy is not imported yet, `np` is a module
-that imports it at its first attribute access (importlib's LazyLoader), so
-building measures and the scalar solves load no numpy.  A plain `import
-numpy` anywhere else reads that module's `__spec__` and so imports numpy on
-the spot.
+module imports from here.  If numpy is already imported, `np` is numpy.
+Otherwise it is a private stand-in whose first attribute read runs `import
+numpy`, so building measures and the scalar solves load no numpy.  Nothing
+is put in sys.modules: numpy's import is the ordinary one, under the import
+lock, for every thread and every other library.
 """
 from __future__ import annotations
 
@@ -30,24 +30,29 @@ from typing import Mapping, Sequence
 from .errors import DomainError, GelsolveError
 
 
-def _lazy_numpy():
-    """numpy if it is imported, else a module in sys.modules that imports it when first read."""
+class _Numpy:
+    """numpy's attributes, importing numpy at the first read; each name read is kept."""
+
+    def __getattr__(self, name):
+        import numpy  # a thread that finds numpy half-imported waits for the rest
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+def _numpy():
+    """numpy if it is imported, else a _Numpy; ModuleNotFoundError if numpy is missing."""
     module = sys.modules.get("numpy")
     if module is not None:
         return module
     # None also when sys.modules["numpy"] is None, the entry that blocks the import
-    spec = importlib.util.find_spec("numpy")
-    if spec is None:
+    if importlib.util.find_spec("numpy") is None:
         raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
-    loader.exec_module(module)
-    return module
+    return _Numpy()
 
 
-np = _lazy_numpy()
+np = _numpy()
 
 INF = math.inf
 

@@ -1,9 +1,10 @@
 """The library needs numpy only: no scipy in its source, and none loaded by the CLI.
 
 numpy itself is imported at the first array operation, not at `import
-gelsolve`: `gelsolve.measures.np` is a lazy module until then, so building
-measures, `moments` and linear `trajectory` on the scalar paths load no numpy
-module.  With numpy imported first, `np` is numpy itself.
+gelsolve`: until then `gelsolve.measures.np` is a private stand-in that
+imports numpy at its first attribute read and puts nothing in sys.modules, so
+building measures, `moments` and linear `trajectory` on the scalar paths load
+no numpy module.  With numpy imported first, `np` is numpy itself.
 
 The oracle stays independent of the solver: it imports no module with its formulas.
 """
@@ -28,7 +29,7 @@ def scipy_modules():
 import gelsolve.cli
 
 after_import = scipy_modules()
-numpy_after_import = sorted(m for m in sys.modules if m.startswith("numpy."))
+numpy_after_import = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 ARMS = '{"type":"arm-law","mu":{"0":0.5,"1":0.25,"3":0.25}}'  # T_gel = 2
 model = ("--model", "smoluchowski-arms", "--measure", ARMS)
 codes = []
@@ -63,7 +64,7 @@ def _run(script):
 def test_cli_loads_no_scipy():
     result = _run(SCRIPT)
     assert result["import"] == []
-    assert result["numpy_import"] == []  # the lazy entry "numpy" alone
+    assert result["numpy_import"] == []
     assert result["served"] == []
     assert result["codes"] == [0, 0, 0, 0]
 
@@ -72,7 +73,7 @@ SCALAR_SCRIPT = r"""
 import contextlib, io, json, sys
 
 def numpy_modules():
-    return sorted(m for m in sys.modules if m.startswith("numpy."))
+    return sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 
 import gelsolve.cli
 from gelsolve.measures import arm_measure_from_config, mass_measure_from_config
@@ -116,6 +117,7 @@ import numpy
 print(json.dumps({
     "built": built, "served": served, "codes": codes, "arrays": arrays,
     "numpy_works": int(numpy.arange(4).sum()),
+    "same_numpy": gelsolve.measures.np.ndarray is numpy.ndarray,
 }))
 """
 
@@ -128,6 +130,7 @@ def test_scalar_commands_load_no_numpy():
     # the first array operation imports numpy, which then works as numpy
     assert result["arrays"] == 0
     assert result["numpy_works"] == 6
+    assert result["same_numpy"]
 
 
 def test_numpy_imported_first_is_bound_as_is():
@@ -138,6 +141,49 @@ def test_numpy_imported_first_is_bound_as_is():
         "print(json.dumps([np is sys.modules['numpy'], type(np) is types.ModuleType]))"
     )
     assert result == [True, True]
+
+
+THREADS_SCRIPT = r"""
+import json, sys, threading
+import gelsolve.measures
+
+assert "numpy" not in sys.modules
+barrier = threading.Barrier(3)
+errors, sums = [], []
+
+def through_gelsolve():
+    barrier.wait()
+    sums.append(int(gelsolve.measures.np.arange(5).sum()))
+
+def through_import():
+    barrier.wait()
+    import numpy
+    sums.append(int(numpy.arange(5).sum()))
+
+def run(target):
+    try:
+        target()
+    except Exception as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=run, args=(f,))
+           for f in (through_gelsolve, through_gelsolve, through_import)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+import numpy
+print(json.dumps({
+    "errors": errors, "sums": sums, "file": bool(getattr(numpy, "__file__", None)),
+    "same": gelsolve.measures.np.arange is numpy.arange,
+}))
+"""
+
+
+def test_first_numpy_reads_from_two_threads_see_all_of_numpy():
+    # gelsolve's np and a plain `import numpy` touch numpy first at once
+    result = _run(THREADS_SCRIPT)
+    assert result == {"errors": [], "sums": [10, 10, 10], "file": True, "same": True}
 
 
 def test_missing_numpy_is_an_import_error():
