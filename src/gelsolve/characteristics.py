@@ -12,9 +12,11 @@ slope come from one quadrature: folded into `bisect_increasing` (in x or in
 1/(x - c)) it took 4.7 quadratures per state instead of 3.5 on a 2-core box
 (124 against 94 us, and the arms-postgel benchmark's wall time rose 9 %), and
 with a 4-eps stop it fell back to bisection, up to 11.4 quadratures per
-state.  The root solves are scalar Python and load no numpy; the arms flow
-past the gel time works on numpy arrays, so its first such state imports
-numpy (through `measures.np`).
+state.  Everything here is scalar Python and loads no numpy.  The arms
+flow sums its integrand k0''/D^2 at 13 points per quadrature, two
+polynomials evaluated by Horner in plain floats: on arrays that small
+numpy's per-call cost outweighed the arithmetic, and a quadrature took
+10.8 us where the plain loop takes 5.2 us (2-core box, best of 5 runs).
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import DomainError, ModelError, SolverError
-from .measures import ArmMeasure, MassMeasure, np
+from .measures import ArmMeasure, MassMeasure
 
 INF = math.inf
 _TINY = sys.float_info.min  # the smallest normal double
@@ -163,25 +165,41 @@ def l_flory(t, measure: MassMeasure):
 # Arms model: the characteristic flow
 
 def _tangency_coeffs(measure: ArmMeasure):
-    """Power-series coefficients in x of D(x) = x k0'(x, 1) - k0(x, 1) and k0''(x, 1).
+    """Horner tuples of D(x) = x k0'(x, 1) - k0(x, 1) and of k0''(x, 1).
 
-    D = sum a (a-2) c0(a, m) x^(a-1) is written out term by term, so only
-    the a = 1 term is subtracted.  D' = x k0'' >= 0 and D(1) = K - A0.
+    Each has the highest power of x first and its zero top coefficients
+    dropped: on laws on {0..3}, k0'' is one constant.  D = sum a (a-2)
+    c0(a, m) x^(a-1) is written out term by term, so only the a = 1 term is
+    subtracted.  D' = x k0'' >= 0 and D(1) = K - A0.
     """
     n = max(a for a, _ in measure.weights) + 1
-    d, xx = np.zeros(n), np.zeros(n)
+    d, xx = [0.0] * n, [0.0] * n
     for (a, _), w in measure.weights.items():
         if a >= 1:
             d[a - 1] += a * (a - 2) * w
         if a >= 3:
             xx[a - 3] += a * (a - 1) * (a - 2) * w
-    return d, xx
+    return _highest_first(d), _highest_first(xx)
+
+
+def _highest_first(coeffs: list) -> tuple:
+    """Power-series coefficients, lowest power first, as a Horner tuple without zero top."""
+    while coeffs and coeffs[-1] == 0.0:
+        coeffs.pop()
+    return tuple(reversed(coeffs))
+
+
+def _horner(coeffs: tuple, x: float) -> float:
+    """The polynomial with `coeffs`, highest power first, at x."""
+    total = 0.0
+    for a in coeffs:
+        total = total * x + a
+    return total
 
 
 #: 12-point Gauss-Legendre rule for each panel of t(ell), moved to [0, 1]:
 #: 0.5 (x + 1) and 0.5 w of numpy.polynomial.legendre.leggauss(12), written
-#: out so that importing the module runs no numpy; a flow makes them arrays
-#: at its first post-gel state.
+#: out so that the flow runs no numpy.
 _GL_NODES = (
     0.009219682876640378, 0.0479413718147626, 0.11504866290284765,
     0.20634102285669126, 0.31608425050090994, 0.43738329574426554,
@@ -194,6 +212,7 @@ _GL_WEIGHTS = (
     0.12457352290670134, 0.1167462682691773, 0.10158371336153287,
     0.08003916427167321, 0.05346966299765953, 0.023587668193255706,
 )
+_GL_RULE = tuple(zip(_GL_NODES, _GL_WEIGHTS))
 #: Panels of t(ell) lie between the dyadic points c + (1 - c) 2^-k, k <= _PANELS.
 _PANELS = 60
 _NEWTON_ITER = 100
@@ -219,14 +238,19 @@ class ArmsFlow:
     D is convex and increasing with its root at c = ell_inf, so t(x) falls
     from +inf at c to T_gel at 1.  The integral is summed with 12-point
     Gauss-Legendre over the panels between x_k = c + (1 - c) 2^-k, which
-    keeps each panel as wide as its distance to the pole at c.  The running
-    sums t(x_k) are built on demand, always in the same order, and kept.
-    ell_t is then a Newton solve of t(ell) = t, with slope -k0''/D^2, inside
-    the panel that brackets t, falling back to bisection when a step leaves
-    the bracket.  Past the last panel ell_t = c to double precision, where
-    G(c) = 0 and alpha_t is reported as inf.  A state is a pure function of
-    t, whatever the order of the queries, and carries the sol mass and arm
-    count too (`arms_state`): it is the gel-inert arms model's state.
+    keeps each panel as wide as its distance to the pole at c.  Edge x_(k+1)
+    is checked when panel k is first needed: it must lie below x_k and above
+    c, with D > 0 and a finite integrand, since rounding can merge the
+    points with c or with each other; the first edge that fails ends the
+    panels.  The edges depend on k alone and the running sums t(x_k) are
+    built in the same order and kept, so a state is a pure function of t,
+    whatever the order of the queries.  ell_t is then a Newton solve of
+    t(ell) = t, with slope -k0''/D^2, inside the panel that brackets t,
+    falling back to bisection when a step leaves the bracket.  Past the last
+    panel ell_t = c to double precision, where G(c) = 0 and alpha_t is
+    reported as inf.  A state carries the sol mass and arm count too
+    (`arms_state`): it is the gel-inert arms model's state.  D and k0'' are
+    Horner sums in plain floats.
     """
 
     def __init__(self, measure: ArmMeasure):
@@ -235,45 +259,55 @@ class ArmsFlow:
         self.measure = measure
         self.t_gel = gel_time(measure)
         self._c = None  # ell_inf, found by the first post-gel query
-        self._edges = None  # x_0 = 1 > x_1 > ... down to the last panel
+        self._edges = []  # x_0 = 1 > x_1 > ... as far as they have been checked
+        self._last_edge = _PANELS  # lowered below the first edge that fails the check
         self._times = [self.t_gel]  # t(x_k), one per panel summed so far
 
-    def _integrand(self, x: np.ndarray):
-        """(D, k0''/D^2) at the points x."""
-        powers = x[:, None] ** self._exponents
-        d = powers @ self._d
-        with np.errstate(divide="ignore", invalid="ignore"):  # D = 0 at c
-            return d, (powers @ self._xx) / (d * d)
+    def _integrand(self, x: float):
+        """(D, k0''/D^2) at x; the second is not finite where D^2 is 0 (at c, or underflowed)."""
+        # `_horner` written out: its 26 calls would add a sixth to a quadrature
+        d = k = 0.0
+        for a in self._d:
+            d = d * x + a
+        for a in self._xx:
+            k = k * x + a
+        dd = d * d
+        return d, k / dd if dd else k * INF
 
     def _quad(self, lo: float, hi: float, at: float):
-        """(int_lo^hi k0''/D^2 dx, k0''/D^2 at `at`), from one evaluation."""
-        nodes, weights = self._rule
-        x = np.empty(nodes.size + 1)
-        np.multiply(nodes, hi - lo, out=x[:-1])
-        x[:-1] += lo
-        x[-1] = at
-        f = self._integrand(x)[1]
-        return (hi - lo) * float(f[:-1] @ weights), float(f[-1])
+        """(int_lo^hi k0''/D^2 dx, k0''/D^2 at `at`)."""
+        integrand = self._integrand
+        width = hi - lo
+        total = 0.0
+        for node, weight in _GL_RULE:
+            total += weight * integrand(node * width + lo)[1]
+        return width * total, integrand(at)[1]
+
+    def _edge(self, k: int) -> bool:
+        """Check edge x_k and keep it; False for it and every later edge once one fails."""
+        if k > self._last_edge:
+            return False
+        c, edges = self._c, self._edges
+        x = c + (1.0 - c) * 2.0**-k
+        d, f = self._integrand(x)
+        if x < (edges[-1] if edges else 2.0) and x > c and d > 0.0 and math.isfinite(f):
+            edges.append(x)
+            return True
+        self._last_edge = k - 1
+        return False
 
     def _panel(self, t: float):
         """k with t(x_k) < t <= t(x_(k+1)), summing panels as needed; None past the last."""
         if self._c is None:
-            c = ell_infinity(self.measure)
             self._d, self._xx = _tangency_coeffs(self.measure)
-            self._exponents = np.arange(float(self._d.size))
-            self._rule = np.array(_GL_NODES), np.array(_GL_WEIGHTS)
-            x = c + (1.0 - c) * 2.0 ** -np.arange(_PANELS + 1.0)
-            d, f = self._integrand(x)
-            # the points that rounding merges with c or with each other end the panels
-            ok = (np.diff(x, prepend=2.0) < 0.0) & (x > c) & (d > 0.0) & np.isfinite(f)
-            self._edges = x[: x.size if ok.all() else int(np.argmin(ok))].tolist()
-            self._c = c
+            self._c = _tangency_root(self._d, self._xx)
+            self._edge(0)
         times, edges = self._times, self._edges
-        while times[-1] < t and len(times) < len(edges):
+        while times[-1] < t:
             k = len(times) - 1
+            if len(edges) < k + 2 and not self._edge(k + 1):
+                return None
             times.append(times[-1] + self._quad(edges[k + 1], edges[k], edges[k])[0])
-        if times[-1] < t:
-            return None
         return bisect.bisect_left(times, t) - 1
 
     def _ell(self, t: float) -> float:
@@ -310,7 +344,7 @@ class ArmsFlow:
             return arms_state(self.measure, t, 1.0, 1.0 + A0 * t, t / (1.0 + A0 * t))
         ell = self._ell(t)
         kp = self.measure.k0(ell, 1.0, 1)
-        d = float(ell**self._exponents @ self._d)
+        d = _horner(self._d, ell)
         # G(ell) = D(ell)/kp is 0 to rounding once ell has reached c
         alpha = kp / d if d > 0.0 else INF
         beta = 1.0 / kp if kp > 0.0 else INF
@@ -329,20 +363,22 @@ def arms_state(measure: ArmMeasure, t, ell, alpha, beta) -> SolutionState:
 
 
 def ell_infinity(measure: ArmMeasure) -> float:
-    """Long-time limit of ell_t: the root c of D(x) = x k0'(x) - k0(x); 1 without gelation.
+    """Long-time limit of ell_t: the root c of D(x) = x k0'(x) - k0(x); 1 without gelation."""
+    if math.isinf(gel_time(measure)):
+        return 1.0
+    return _tangency_root(*_tangency_coeffs(measure))
+
+
+def _tangency_root(d: tuple, xx: tuple) -> float:
+    """The root c of D in [0, 1) from the Horner tuples of D and k0'' (`_tangency_coeffs`).
 
     D increases from D(0) = -mu(1) to D(1) = K - A0 > 0 with slope D' = x k0''.
     With mu(1) = 0, k0(0) = 0 and c = 0 exactly.
     """
-    if math.isinf(gel_time(measure)):
-        return 1.0
-    if measure.k0(0.0, 1.0) == 0.0:
+    if d[-1] == 0.0:  # D(0)
         return 0.0
-    d, xx = _tangency_coeffs(measure)
-    exponents = np.arange(d.size)
 
     def f(x):
-        powers = x**exponents
-        return float(powers @ d), x * float(powers @ xx)
+        return _horner(d, x), x * _horner(xx, x)
 
     return bisect_increasing(f, 0.0, 1.0, 0.0)

@@ -24,8 +24,7 @@ import importlib.util
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, GelsolveError
 
@@ -57,8 +56,7 @@ np = _numpy()
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class Moments:
+class Moments(NamedTuple):
     M0: float  # first moment, may be +inf
     K: float   # second moment, may be +inf
     m0: float  # infimum of the support
@@ -165,8 +163,20 @@ class Discrete(MassMeasure):
         elif order != 0:
             raise DomainError(f"order must be 0, 1 or 2, got {order}")
         total = 0
-        for c, e in self._tables()[order]:
-            total += c * x**e
+        try:
+            for c, e in self._tables()[order]:
+                total += c * x**e
+        except OverflowError:
+            # x^e with e < 0 overflows at tiny x: such a term is its limit,
+            # 0 for a zero coefficient and +-inf otherwise, and opposite
+            # infinities sum to nan, as at x = 0
+            total = 0
+            for c, e in self._tables()[order]:
+                try:
+                    term = c * x**e
+                except OverflowError:
+                    term = math.copysign(INF, c) if c else 0.0
+                total += term
         return total
 
 

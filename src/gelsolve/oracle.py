@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, SolverError, UsageError
 from .measures import ArmMeasure, MassMeasure, np
 
 
-@dataclass
-class OracleState:
+class OracleState(NamedTuple):
     """Truncated concentrations plus gel bookkeeping at one time."""
 
     t: float
@@ -273,8 +272,7 @@ def integrate(initial: OracleState, t_grid, dt: float) -> list[OracleState]:
 # ---------------------------------------------------------------------------
 # Comparison
 
-@dataclass
-class ErrorReport:
+class ErrorReport(NamedTuple):
     quantity: str
     times: list
     abs_errors: list

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # bound here only for perfbench/tracing.py:TARGETS, which wraps these names
 from .characteristics import bisect_increasing, ell_smolu  # noqa: F401
@@ -320,8 +320,7 @@ def _arms_amax(measure, m_max: int) -> int:
 # ---------------------------------------------------------------------------
 # Limiting quantities (t -> infinity)
 
-@dataclass
-class LimitingConcentrations:
+class LimitingConcentrations(NamedTuple):
     """Long-time limits: c_inf[m] for m = 2..m_max, plus the scalar constants.
 
     p_or_c is ell_inf, the long-time ell_t of the model: the smallest root of

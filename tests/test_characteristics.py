@@ -3,9 +3,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gelsolve.characteristics import (
+    _PANELS,
     ArmsFlow,
     bisect_increasing,
     ell_infinity,
@@ -293,8 +296,8 @@ class TestArmsFlow:
         v1 = a.state(4.0).alpha
         v2 = a.state(3.0).alpha
         b = ArmsFlow(ARM)
-        assert b.state(3.0).alpha == pytest.approx(v2, abs=1e-12)
-        assert b.state(4.0).alpha == pytest.approx(v1, abs=1e-12)
+        assert b.state(3.0).alpha == v2
+        assert b.state(4.0).alpha == v1
 
 
 @pytest.mark.parametrize("t", [2.5, 4.0, 6.0, 50.0, 200.0])
@@ -316,6 +319,21 @@ def test_beta_infinity_no_gelation():
     assert SmoluchowskiArms(sub).limit().beta == 1.0
 
 
+def _mp_k0(measure):
+    """k0(x, n), the n-th x-derivative of k0(x, 1), in mpmath numbers."""
+    terms = [(a, mp.mpf(w)) for (a, _), w in measure.weights.items()]
+
+    def k0(x, n):
+        out = mp.mpf(0)
+        for a, w in terms:
+            f = a * math.prod(a - j for j in range(1, n + 1))
+            if f:
+                out += f * w * x ** (a - 1 - n)
+        return out
+
+    return k0
+
+
 def _mp_ell(measure, t, start):
     """ell_t to 40 digits: Newton on t(x) = T_gel + int_x^1 k0''/(x k0' - k0)^2.
 
@@ -324,14 +342,7 @@ def _mp_ell(measure, t, start):
     """
     with mp.workdps(40):
         terms = [(a, mp.mpf(w)) for (a, _), w in measure.weights.items()]
-
-        def k0(x, n):  # n-th x-derivative of k0(x, 1)
-            out = mp.mpf(0)
-            for a, w in terms:
-                f = a * math.prod(a - j for j in range(1, n + 1))
-                if f:
-                    out += f * w * x ** (a - 1 - n)
-            return out
+        k0 = _mp_k0(measure)
 
         def rate(x):
             return k0(x, 2) / (x * k0(x, 1) - k0(x, 0)) ** 2
@@ -358,13 +369,16 @@ def _mp_ell(measure, t, start):
     raise AssertionError("mpmath reference did not converge")
 
 
-@pytest.mark.parametrize("measure", [
+MPMATH_LAWS = pytest.mark.parametrize("measure", [
     ArmMeasure.monodisperse(MU),
     ArmMeasure.monodisperse({0: 0.5, 2: 0.25, 3: 0.25}),  # c = 0, a double root of D
     ArmMeasure.monodisperse({0: 0.99, 1: 1e-4, 3: 0.0099}),
     ArmMeasure.monodisperse({0: 0.3, 1: 0.2, 2: 0.1, 4: 0.1, 6: 0.1, 9: 0.2}),
     ArmMeasure({(1, 1): 0.5, (3, 2): 0.5, (4, 1): 0.1}),  # k0 summed over mass
 ], ids=["readme", "c-zero", "small-c", "nine-arms", "general"])
+
+
+@MPMATH_LAWS
 def test_flow_matches_mpmath_inversion(measure):
     flow = ArmsFlow(measure)
     for dt in (1e-4, 0.03, 1.0, 50.0, 1e4):
@@ -373,12 +387,31 @@ def test_flow_matches_mpmath_inversion(measure):
         assert ell == pytest.approx(float(_mp_ell(measure, t, ell)), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("mu", [
+@MPMATH_LAWS
+def test_alpha_and_arm_count_match_mpmath(measure):
+    # alpha = k0'/D and A = k0/alpha at the 40-digit ell_t
+    flow = ArmsFlow(measure)
+    k0 = _mp_k0(measure)
+    for dt in (1e-4, 0.03, 1.0, 50.0):
+        t = flow.t_gel + dt
+        state = flow.state(t)
+        with mp.workdps(40):
+            ell = _mp_ell(measure, t, state.ell)
+            alpha = k0(ell, 1) / (ell * k0(ell, 1) - k0(ell, 0))
+            arms = k0(ell, 0) / alpha
+        assert state.alpha == pytest.approx(float(alpha), rel=1e-13, abs=0.0)
+        assert state.A == pytest.approx(float(arms), rel=1e-13, abs=0.0)
+
+
+FAR_LAWS = [
     {1: 0.03558438888743941, 2: 0.00435965163122965, 7: 8.269896045254357e-06,
      8: 0.0003140641937152215, 9: 0.004057898610257531},
     {0: 0.4656769825813181, 1: 0.00042142578133980916, 2: 0.6004698144786245,
      5: 0.0004357043082412592, 7: 1.0243419944258223e-05, 9: 1.6703107703724183e-05},
-], ids=["c-0.774", "c-0.501"])
+]
+
+
+@pytest.mark.parametrize("mu", FAR_LAWS, ids=["c-0.774", "c-0.501"])
 def test_far_times_where_a_panel_point_rounds_onto_c(mu):
     law = ArmMeasure.monodisperse(mu)
     flow = ArmsFlow(law)
@@ -387,3 +420,33 @@ def test_far_times_where_a_panel_point_rounds_onto_c(mu):
         st = flow.state(t)
         assert st.ell == pytest.approx(c, rel=1e-12, abs=0.0)
         assert st.alpha > 0.0 and 0.0 < st.beta < math.inf
+
+
+def _eager_edges(flow):
+    """The panel edges as the flow once built them: every x_k at once, cut at the first failure."""
+    c = flow._c
+    x = c + (1.0 - c) * 2.0 ** -np.arange(_PANELS + 1.0)
+    d, f = np.array([flow._integrand(v) for v in x.tolist()]).T
+    ok = (np.diff(x, prepend=2.0) < 0.0) & (x > c) & (d > 0.0) & np.isfinite(f)
+    return x[: x.size if ok.all() else int(np.argmin(ok))].tolist()
+
+
+def _check_edges(law):
+    flow = ArmsFlow(law)
+    flow.state(flow.t_gel + 1e-4)
+    assert len(flow._edges) == len(flow._times) == 2  # only the first panel is summed
+    flow.state(1e300)  # past the last panel: every edge checked
+    assert flow._edges == _eager_edges(flow)
+
+
+@pytest.mark.parametrize("mu", [MU, *FAR_LAWS], ids=["readme", "c-0.774", "c-0.501"])
+def test_lazy_edges_equal_the_eager_rule(mu):
+    _check_edges(ArmMeasure.monodisperse(mu))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(mu=st.dictionaries(st.integers(0, 9), st.floats(1e-6, 1.0), min_size=2, max_size=6))
+def test_lazy_edges_equal_the_eager_rule_on_arm_laws(mu):
+    law = ArmMeasure.monodisperse(mu)
+    assume(math.isfinite(gel_time(law)))
+    _check_edges(law)

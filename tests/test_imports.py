@@ -3,8 +3,9 @@
 numpy itself is imported at the first array operation, not at `import
 gelsolve`: until then `gelsolve.measures.np` is a private stand-in that
 imports numpy at its first attribute read and puts nothing in sys.modules, so
-building measures, `moments` and linear `trajectory` on the scalar paths load
-no numpy module.  With numpy imported first, `np` is numpy itself.
+building measures, `moments`, linear `trajectory` and the gel-inert arms flow
+past T_gel load no numpy module.  With numpy imported first, `np` is numpy
+itself.
 
 The oracle stays independent of the solver: it imports no module with its formulas.
 """
@@ -77,6 +78,7 @@ def numpy_modules():
 
 import gelsolve.cli
 from gelsolve.measures import arm_measure_from_config, mass_measure_from_config
+from gelsolve.models import SmoluchowskiArms
 
 MASS = [
     {"type": "monodisperse"}, {"type": "exponential"},
@@ -106,9 +108,13 @@ for argv in (
     trajectory("flory", MASS[3], 3),
     trajectory("flory-arms", ARMS[0], 6),
     trajectory("smoluchowski-arms", ARMS[0], 1.5),
+    trajectory("smoluchowski-arms", ARMS[0], 6),  # the gel-inert flow past T_gel
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(gelsolve.cli.main(list(argv)))
+gel_inert = SmoluchowskiArms(arm_measure_from_config(ARMS[0]))
+gel_inert.state(3.0)
+gel_inert.limit()
 served = numpy_modules()
 with contextlib.redirect_stdout(io.StringIO()):
     arrays = gelsolve.cli.main(["concentrations", "--model", "flory", "--measure",
@@ -126,11 +132,20 @@ def test_scalar_commands_load_no_numpy():
     result = _run(SCALAR_SCRIPT)
     assert result["built"] == []
     assert result["served"] == []
-    assert result["codes"] == [0] * 13
+    assert result["codes"] == [0] * 14
     # the first array operation imports numpy, which then works as numpy
     assert result["arrays"] == 0
     assert result["numpy_works"] == 6
     assert result["same_numpy"]
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the records are named tuples: dataclasses would bring inspect, ast and dis
+    result = _run(
+        "import json, sys, gelsolve.cli\n"
+        "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))"
+    )
+    assert result == []
 
 
 def test_numpy_imported_first_is_bound_as_is():
