@@ -5,18 +5,20 @@ Every solved quantity is the root of a function monotone on its bracket, and
 the value and the slope together, the solver takes Newton steps from the last
 point when they stay inside the bracket, bisection otherwise, and stops
 at 1e-12 relative to the size of the root, the one tolerance of every root
-the library solves.  The arms flow inverts an explicit integral
-t(ell) summed by Gauss-Legendre quadrature with its own Newton loop.  It keeps
-that loop for its secant start between the panel ends, not because value and
-slope come from one quadrature: folded into `bisect_increasing` (in x or in
-1/(x - c)) it took 4.7 quadratures per state instead of 3.5 on a 2-core box
-(124 against 94 us, and the arms-postgel benchmark's wall time rose 9 %), and
-with a 4-eps stop it fell back to bisection, up to 11.4 quadratures per
-state.  Everything here is scalar Python and loads no numpy.  The arms
-flow sums its integrand k0''/D^2 at 13 points per quadrature, two
-polynomials evaluated by Horner in plain floats: on arrays that small
-numpy's per-call cost outweighed the arithmetic, and a quadrature took
-10.8 us where the plain loop takes 5.2 us (2-core box, best of 5 runs).
+the library solves; a polynomial increasing on [0, 1] gives it value and
+slope from Horner tuples (`polynomial_root`: the root c of D, and the Flory
+arms ell_t and ell_inf, the roots of Q = 1/t and Q = 0).  The arms flow
+inverts an explicit integral t(ell) summed by Gauss-Legendre quadrature with
+its own Newton loop.  It keeps that loop for its secant start between the
+panel ends, not because value and slope come from one quadrature: folded into
+`bisect_increasing` (in x or in 1/(x - c)) it took 4.7 quadratures per state
+instead of 3.5 on a 2-core box (124 against 94 us, and the arms-postgel
+benchmark's wall time rose 9 %), and with a 4-eps stop it fell back to
+bisection, up to 11.4 quadratures per state.  Everything here is scalar Python
+and loads no numpy.  The arms flow sums its integrand k0''/D^2 at 13 points
+per quadrature, two polynomials evaluated by Horner in plain floats: on arrays
+that small numpy's per-call cost outweighed the arithmetic, and a quadrature
+took 10.8 us where the plain loop takes 5.2 us (2-core box, best of 5 runs).
 """
 from __future__ import annotations
 
@@ -164,22 +166,28 @@ def l_flory(t, measure: MassMeasure):
 # ---------------------------------------------------------------------------
 # Arms model: the characteristic flow
 
-def _tangency_coeffs(measure: ArmMeasure):
-    """Horner tuples of D(x) = x k0'(x, 1) - k0(x, 1) and of k0''(x, 1).
+def arms_polynomials(measure: ArmMeasure):
+    """Horner tuples of D(x) = x k0'(x, 1) - k0(x, 1), of k0''(x, 1), of Q and of Q'.
 
     Each has the highest power of x first and its zero top coefficients
-    dropped: on laws on {0..3}, k0'' is one constant.  D = sum a (a-2)
-    c0(a, m) x^(a-1) is written out term by term, so only the a = 1 term is
-    subtracted.  D' = x k0'' >= 0 and D(1) = K - A0.
+    dropped: on laws on {0..3}, k0'' is one constant and Q is linear.  D = sum
+    a (a-2) c0(a, m) x^(a-1) is written out term by term, so only the a = 1
+    term is subtracted.  D' = x k0'' >= 0 and D(1) = K - A0.  A0 x - k0(x, 1)
+    = (1 - x) Q(x), Q(x) = -mu(1) + sum_(j>=1) x^j sum_(a>=j+2) a mu(a) with
+    mu(a) = sum_m c0(a, m): Q increases from Q(0) = D(0) to Q(1) = D(1).
     """
     n = max(a for a, _ in measure.weights) + 1
-    d, xx = [0.0] * n, [0.0] * n
+    d, xx, q = [0.0] * n, [0.0] * n, [0.0] * n
     for (a, _), w in measure.weights.items():
         if a >= 1:
             d[a - 1] += a * (a - 2) * w
         if a >= 3:
             xx[a - 3] += a * (a - 1) * (a - 2) * w
-    return _highest_first(d), _highest_first(xx)
+            for j in range(1, a - 1):
+                q[j] += a * w
+    q[0] = d[0]  # -mu(1)
+    dq = [j * b for j, b in enumerate(q)][1:]
+    return tuple(map(_highest_first, (d, xx, q, dq)))
 
 
 def _highest_first(coeffs: list) -> tuple:
@@ -299,8 +307,8 @@ class ArmsFlow:
     def _panel(self, t: float):
         """k with t(x_k) < t <= t(x_(k+1)), summing panels as needed; None past the last."""
         if self._c is None:
-            self._d, self._xx = _tangency_coeffs(self.measure)
-            self._c = _tangency_root(self._d, self._xx)
+            self._d, self._xx = arms_polynomials(self.measure)[:2]
+            self._c = polynomial_root(self._d, self._xx + (0.0,), 0.0)
             self._edge(0)
         times, edges = self._times, self._edges
         while times[-1] < t:
@@ -366,19 +374,21 @@ def ell_infinity(measure: ArmMeasure) -> float:
     """Long-time limit of ell_t: the root c of D(x) = x k0'(x) - k0(x); 1 without gelation."""
     if math.isinf(gel_time(measure)):
         return 1.0
-    return _tangency_root(*_tangency_coeffs(measure))
+    d, xx = arms_polynomials(measure)[:2]
+    return polynomial_root(d, xx + (0.0,), 0.0)  # D' = x k0''
 
 
-def _tangency_root(d: tuple, xx: tuple) -> float:
-    """The root c of D in [0, 1) from the Horner tuples of D and k0'' (`_tangency_coeffs`).
+def polynomial_root(p: tuple, dp: tuple, target: float) -> float:
+    """The root of p(x) = target in [0, 1) from the Horner tuples of p and p'.
 
-    D increases from D(0) = -mu(1) to D(1) = K - A0 > 0 with slope D' = x k0''.
-    With mu(1) = 0, k0(0) = 0 and c = 0 exactly.
+    p increases on [0, 1] with p(0) <= target < p(1).  At p(0) == target the
+    root is 0 itself, the end of the bracket, which bisection only nears: c =
+    0 exactly for D, and the Flory arms limit is 0, when mu(1) = 0.
     """
-    if d[-1] == 0.0:  # D(0)
+    if p[-1] == target:  # p(0)
         return 0.0
 
     def f(x):
-        return _horner(d, x), x * _horner(xx, x)
+        return _horner(p, x), _horner(dp, x)
 
-    return bisect_increasing(f, 0.0, 1.0, 0.0)
+    return bisect_increasing(f, 0.0, 1.0, target)

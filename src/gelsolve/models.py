@@ -12,6 +12,7 @@ import math
 from .characteristics import (
     ArmsFlow,
     SolutionState,
+    arms_polynomials,
     arms_state,
     bisect_increasing,
     check_time,
@@ -19,6 +20,7 @@ from .characteristics import (
     ell_smolu,
     gel_time,
     l_flory,
+    polynomial_root,
 )
 from .errors import DomainError, ModelError
 from .measures import ArmMeasure, MassMeasure
@@ -206,7 +208,7 @@ class _Arms(Model):
         return branch
 
     def _increasing_root(self, alpha: float, beta: float, y: float, x: float) -> float:
-        """Root of phi = x on the branch where phi increases from phi(0) <= 0, or its top."""
+        """`h_inverse`'s root of phi = x on the branch rising from phi(0) <= 0, or its top."""
         k0 = self.measure.k0
         branch = self._branch(alpha, beta, y)
         top = 1.0
@@ -303,31 +305,29 @@ class FloryArms(_Arms):
         alpha = 1.0 + self.measure.A0 * t
         return alpha, t / alpha
 
-    def limit(self) -> SolutionState:
-        """ell_inf is the smallest root of k0(x) = A0 x; beta_inf = lim t/alpha_t = 1/A0.
+    @functools.cached_property
+    def _q(self):
+        """Horner tuples of Q, where A0 x - k0(x, 1) = (1 - x) Q(x), and of Q'."""
+        return arms_polynomials(self.measure)[2:]
 
-        f(x) = A0 x - k0(x) is concave with f(0) = -mu(1) <= 0 and f(1) = 0.
-        With gelation (K > A0) f increases up to its peak inside (0, 1), and
-        the root is on that branch; without it the root is 1.  With mu(1) = 0
-        the root is 0 itself, the end of the bracket, which bisection only nears.
-        f is the arms map at alpha = A0, beta = 1/A0.
+    def limit(self) -> SolutionState:
+        """ell_inf is the root of Q (`_q`); beta_inf = lim t/alpha_t = 1/A0.
+
+        Q increases from Q(0) = -mu(1) <= 0 to Q(1) = K - A0, so with gelation
+        (K > A0) it has one root in [0, 1), exactly 0 when mu(1) = 0; without
+        gelation ell_inf is 1.
         """
-        A0 = self.measure.A0
-        if math.isinf(self.t_gel):
-            ell = 1.0
-        elif self.measure.k0(0.0, 1.0) == 0.0:
-            ell = 0.0
-        else:
-            ell = self._increasing_root(A0, 1.0 / A0, 1.0, 0.0)
-        return SolutionState(t=INF, ell=ell, beta=1.0 / A0, M=self.measure.k0_mass(ell))
+        ell = 1.0 if math.isinf(self.t_gel) else polynomial_root(*self._q, 0.0)
+        return SolutionState(t=INF, ell=ell, beta=1.0 / self.measure.A0,
+                             M=self.measure.k0_mass(ell))
 
     @_solved_once
     def state(self, t: float) -> SolutionState:
-        """ell_t is the smallest root of phi_t(., 1) = 1, and 1 up to the gel time."""
+        """ell_t is the root of Q = 1/t past T_gel, as phi_t - 1 = (1 - x)(t Q - 1); else 1."""
         alpha, beta = self.coeffs(t)
         ell = 1.0
         if t > self.t_gel:
-            ell = self._increasing_root(alpha, beta, 1.0, 1.0)
+            ell = polynomial_root(*self._q, 1.0 / t)
         return arms_state(self.measure, t, ell, alpha, beta)
 
     gen_fun = _Arms.gen_fun

@@ -23,7 +23,7 @@ from gelsolve.measures import (
     Monodisperse,
     PowerLawDensity,
 )
-from gelsolve.models import SmoluchowskiArms
+from gelsolve.models import FloryArms, SmoluchowskiArms
 
 MU = {0: 0.5, 1: 0.25, 3: 0.25}
 ARM = ArmMeasure.monodisperse(MU)
@@ -450,3 +450,88 @@ def test_lazy_edges_equal_the_eager_rule_on_arm_laws(mu):
     law = ArmMeasure.monodisperse(mu)
     assume(math.isfinite(gel_time(law)))
     _check_edges(law)
+
+
+# FloryArms past the gel time, against its definition: ell_t is the smallest
+# root of phi_t(x) = alpha x - t k0(x) = 1, on the branch below the top of the
+# concave phi_t, and ell_inf the smallest root of A0 x - k0(x) = 0.
+
+def _mp_increasing_root(f, lo, hi):
+    """The root of f, increasing on (lo, hi), by 210 halvings: 60 digits on [0, 1]."""
+    for _ in range(210):
+        mid = (lo + hi) / 2
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def _mp_flory_arms(measure, t):
+    """(ell, <c_t, a^2>) of FloryArms at t to 60 digits; t = inf gives (ell_inf, nan).
+
+    ell solves a x - b k0(x) = c below the top k0'(x) = a/b, with (a, b, c) =
+    (1 + A0 t, t, 1), or (A0, 1, 0) at t = inf.
+    """
+    with mp.workdps(60):
+        k0 = _mp_k0(measure)
+        A0 = sum(a * mp.mpf(w) for (a, _), w in measure.weights.items())
+        if t == math.inf:
+            a, b, c = A0, mp.mpf(1), mp.mpf(0)
+        else:
+            a, b, c = 1 + A0 * mp.mpf(t), mp.mpf(t), mp.mpf(1)
+        top = _mp_increasing_root(lambda x: k0(x, 1) - a / b, mp.mpf(0), mp.mpf(1))
+        ell = _mp_increasing_root(lambda x: a * x - b * k0(x, 0) - c, mp.mpf(0), top)
+        if t == math.inf:
+            return ell, math.nan
+        kp, beta = k0(ell, 1), b / a
+        return ell, kp / (a * a * (1 - beta * kp)) + k0(ell, 0) / a
+
+
+_WEIGHT = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def gelling_arm_data(draw):
+    """Arm data on {0..amax}, amax 3..8, with K > A0: monodisperse laws and general triples.
+
+    A fifth of them have mu(1) = 0.
+    """
+    amax = draw(st.integers(3, 8))
+    masses = st.integers(1, 3) if draw(st.booleans()) else st.just(1)
+    no_mu1 = draw(st.integers(0, 4)) == 0
+    weights = {(amax, draw(masses)): draw(st.floats(1e-3, 1.0))}
+    for arms in range(amax + 1):
+        for m, w in draw(st.lists(st.tuples(masses, _WEIGHT), max_size=2)):
+            if not (arms == 1 and no_mu1):
+                weights[(arms, m)] = weights.get((arms, m), 0.0) + w
+    measure = ArmMeasure(weights)
+    assume(measure.K > measure.A0)
+    return measure
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(measure=gelling_arm_data())
+def test_flory_arms_roots_match_their_definition(measure):
+    model = FloryArms(measure)
+    for ratio in (1 + 1e-6, 1.001, 1.5, 4.0, 1e3, 1e8):
+        t = model.t_gel * ratio
+        ell = model.state(t).ell
+        assert ell == pytest.approx(float(_mp_flory_arms(measure, t)[0]), rel=1e-12, abs=0.0)
+    ell_inf = model.limit().ell
+    if measure.k0(0.0) == 0.0:  # mu(1) = 0
+        assert ell_inf == 0.0
+    else:
+        assert ell_inf == pytest.approx(
+            float(_mp_flory_arms(measure, math.inf)[0]), rel=1e-12, abs=0.0
+        )
+
+
+def test_flory_arms_second_moment_just_past_the_gel_time():
+    # 1.00003 T_gel on a law from the arms-closed benchmark stream, where phi_t
+    # is nearly flat at ell_t
+    law = ArmMeasure.monodisperse({0: 0.23452407276920453, 1: 0.1652272118555979,
+                                   2: 0.06596031627529694, 3: 0.23428405186460274})
+    t = 1.8600947156221455
+    expected = float(_mp_flory_arms(law, t)[1])
+    assert FloryArms(law).second_moment(t) == pytest.approx(expected, rel=1e-10, abs=0.0)

@@ -187,7 +187,7 @@ class TestSolveOnce:
         (lambda: Smoluchowski(Discrete([(1, 0.5), (2, 0.25)])), gelsolve.models, "ell_smolu"),
         (lambda: Flory(Discrete([(1, 0.5), (2, 0.25)])), gelsolve.models, "l_flory"),
         (lambda: SmoluchowskiArms(ARM), ArmsFlow, "state"),
-        (lambda: FloryArms(ARM), FloryArms, "_increasing_root"),
+        (lambda: FloryArms(ARM), gelsolve.models, "polynomial_root"),
     ], ids=["smoluchowski", "flory", "smoluchowski-arms", "flory-arms"])
     def test_interleaved_times_match_fresh_models(self, monkeypatch, make, holder, name):
         # past T_gel at t1, t2, t1: each change of time solves once, and no
@@ -235,20 +235,18 @@ class TestSolveOnce:
         getattr(SmoluchowskiArms(ARM), method)(4.0, 0.4)
         assert len(calls) == 1
 
-    def test_post_gel_flory_arms_second_moment_bisects_twice(self, monkeypatch):
-        # once for the top of the increasing branch, once for ell on it
-        import gelsolve.models
+    def test_post_gel_flory_arms_second_moment_bisects_once(self, monkeypatch):
+        # ell_t is one root of Q = 1/t, and the long-time ell one root of Q = 0;
+        # counted through every binding of the solver the two can reach
+        import gelsolve.characteristics
 
         calls = []
-        real = gelsolve.models.bisect_increasing
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(gelsolve.models, "bisect_increasing", counted)
+        for module in (gelsolve.characteristics, gelsolve.models):
+            calls.append(self._count(monkeypatch, module, "bisect_increasing"))
         assert math.isfinite(FloryArms(ARM).second_moment(4.0))
-        assert len(calls) == 2
+        assert sum(map(len, calls)) == 1
+        FloryArms(ARM).limit()
+        assert sum(map(len, calls)) == 2
 
 
 class TestRootEvaluations:

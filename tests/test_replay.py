@@ -76,6 +76,22 @@ def test_differing_requests_are_counted_by_kind(tmp_path, capsys):
     assert code == 0 and report["differing_by_kind"] == {}
 
 
+def test_differing_requests_are_counted_by_model(tmp_path, capsys):
+    # a request that names no model is counted under null
+    named = [dict(LINES[0], kind="batch", model="flory-arms"),
+             dict(LINES[1], kind="batch", model="flory"),
+             dict(LINES[1], id=2, kind="batch", model=None)]
+    moved = json.loads(json.dumps(named))
+    moved[0]["out"] = "t,M\n0,1\n0.5,0.7500000001\n"
+    code, report = _compare(tmp_path, capsys, named, moved)
+    assert code == 1
+    assert report["differing_by_model"] == {"flory-arms": 1, "flory": 0, "null": 0}
+    assert report["differing_by_kind"] == {"batch": 1}
+    # replays written without models still compare, with no breakdown
+    code, report = _compare(tmp_path, capsys, LINES, LINES)
+    assert code == 0 and report["differing_by_model"] == {}
+
+
 def test_csv_answers_report_each_column(tmp_path, capsys):
     # an oracle value one ulp off moves abs_error from 0: a relative
     # difference of 1 in that column alone
@@ -107,6 +123,8 @@ def test_timing_goes_to_stderr_and_leaves_stdout_alone(capsys):
     assert replay.main(args + ["--timing"]) == 0
     timed = capsys.readouterr()
     assert timed.out == plain.out and plain.err == ""
+    assert {json.loads(line)["model"] for line in plain.out.splitlines()} >= {
+        "smoluchowski", "flory", None}
     *groups, total = [json.loads(line) for line in timed.err.splitlines()]
     assert total["requests"] == len(plain.out.splitlines())
     assert sum(g["requests"] for g in groups) == total["requests"]

@@ -9,13 +9,14 @@ Run from the repository root:
 The stream comes from perfbench/streams.py and each request is answered by
 perfbench/server.py's `serve`, in one interpreter that imports gelsolve from
 --src; both are only read.  Each request gives one JSON line: its id, the
-kind (mass, concentrations, limits, ...), the exit code and the output (CLI
-stdout as text, library results with every float written as its repr), or
-the exception it raised.  Two replays agree bit for bit exactly when `cmp`
-finds the files equal.  --compare reports how many requests and values
-differ, how many requests of each kind differ, and the largest relative
-difference, overall and in each column of the CSV answers (columns of one
-name pooled over every request that prints them).
+kind (mass, concentrations, limits, ...), the model it names (null if none),
+the exit code and the output (CLI stdout as text, library results with every
+float written as its repr), or the exception it raised.  Two replays agree
+bit for bit exactly when `cmp` finds the files equal.  --compare reports how
+many requests and values differ, how many requests of each kind and of each
+model differ, and the largest relative difference, overall and in each column
+of the CSV answers (columns of one name pooled over every request that prints
+them).
 
 --timing also writes to stderr, for each (kind, model, measure type) of the
 stream, the number of requests and the in-process seconds spent serving
@@ -72,14 +73,14 @@ def replay(workload, seed, seconds, src, stream, timing=None):
 
     pkg = server.load(str(Path(src).resolve()))
     for req in streams.build(workload, seed, seconds):
-        line = {"id": req["id"], "kind": req["kind"]}
+        line = {"id": req["id"], "kind": req["kind"], "model": _model(req)}
         start = time.perf_counter()
         try:
             rc, result = server.serve(pkg, req)
         except Exception as exc:  # recorded, so both sides can be compared
             line["error"] = f"{type(exc).__name__}: {exc}"
         if timing is not None:
-            key = (req["kind"], _model(req), req["measure"]["type"])
+            key = (req["kind"], line["model"], req["measure"]["type"])
             group = timing.setdefault(key, [0, 0.0])
             group[0] += 1
             group[1] += time.perf_counter() - start
@@ -149,10 +150,13 @@ def compare(path_a, path_b, stream):
     requests = values = differing = 0
     worst, worst_id = 0.0, None
     by_kind = {}  # differing requests of each kind, over the lines that carry one
+    by_model = {}  # the same for the model a request names
     by_column = {}  # largest relative difference in each CSV column
     for a, b in zip(lines_a, lines_b):
         if "kind" in a:
             by_kind[a["kind"]] = by_kind.get(a["kind"], 0) + (a != b)
+        if "model" in a:
+            by_model[a["model"]] = by_model.get(a["model"], 0) + (a != b)
         cols_a, cols_b = _columns(a), _columns(b)
         if a == b:
             values += len(_values(a))
@@ -179,7 +183,8 @@ def compare(path_a, path_b, stream):
     stream.write(json.dumps({
         "requests": len(lines_a), "values": values,
         "differing_requests": requests, "differing_values": differing,
-        "differing_by_kind": by_kind, "max_rel_diff": worst, "worst_request": worst_id,
+        "differing_by_kind": by_kind, "differing_by_model": by_model,
+        "max_rel_diff": worst, "worst_request": worst_id,
         "max_rel_diff_by_column": by_column,
     }) + "\n")
     return 0 if requests == 0 else 1
