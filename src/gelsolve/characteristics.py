@@ -167,27 +167,37 @@ def l_flory(t, measure: MassMeasure):
 # Arms model: the characteristic flow
 
 def arms_polynomials(measure: ArmMeasure):
-    """Horner tuples of D(x) = x k0'(x, 1) - k0(x, 1), of k0''(x, 1), of Q and of Q'.
+    """Horner tuples of D(x) = x k0'(x, 1) - k0(x, 1) and of k0''(x, 1).
 
     Each has the highest power of x first and its zero top coefficients
-    dropped: on laws on {0..3}, k0'' is one constant and Q is linear.  D = sum
-    a (a-2) c0(a, m) x^(a-1) is written out term by term, so only the a = 1
-    term is subtracted.  D' = x k0'' >= 0 and D(1) = K - A0.  A0 x - k0(x, 1)
-    = (1 - x) Q(x), Q(x) = -mu(1) + sum_(j>=1) x^j sum_(a>=j+2) a mu(a) with
-    mu(a) = sum_m c0(a, m): Q increases from Q(0) = D(0) to Q(1) = D(1).
+    dropped: on laws on {0..3}, k0'' is one constant.  D = sum a (a-2) c0(a,
+    m) x^(a-1) is written out term by term, so only the a = 1 term is
+    subtracted.  D' = x k0'' >= 0 and D(1) = K - A0.
     """
     n = max(a for a, _ in measure.weights) + 1
-    d, xx, q = [0.0] * n, [0.0] * n, [0.0] * n
+    d, xx = [0.0] * n, [0.0] * n
     for (a, _), w in measure.weights.items():
         if a >= 1:
             d[a - 1] += a * (a - 2) * w
         if a >= 3:
             xx[a - 3] += a * (a - 1) * (a - 2) * w
-            for j in range(1, a - 1):
-                q[j] += a * w
-    q[0] = d[0]  # -mu(1)
-    dq = [j * b for j, b in enumerate(q)][1:]
-    return tuple(map(_highest_first, (d, xx, q, dq)))
+    return _highest_first(d), _highest_first(xx)
+
+
+def flory_polynomials(measure: ArmMeasure):
+    """Horner tuples, as in `arms_polynomials`, of Q and Q' for `FloryArms`.
+
+    A0 x - k0(x, 1) = (1 - x) Q(x), Q(x) = -mu(1) + sum_(j>=1) x^j
+    sum_(a>=j+2) a mu(a) with mu(a) = sum_m c0(a, m): Q increases from Q(0) =
+    D(0) to Q(1) = D(1).  On laws on {0..3}, Q is linear.
+    """
+    q = [0.0] * (max(a for a, _ in measure.weights) + 1)
+    for (a, _), w in measure.weights.items():
+        if a == 1:
+            q[0] -= w  # -mu(1)
+        for j in range(1, a - 1):
+            q[j] += a * w
+    return tuple(map(_highest_first, (q, [j * b for j, b in enumerate(q)][1:])))
 
 
 def _highest_first(coeffs: list) -> tuple:
@@ -307,7 +317,7 @@ class ArmsFlow:
     def _panel(self, t: float):
         """k with t(x_k) < t <= t(x_(k+1)), summing panels as needed; None past the last."""
         if self._c is None:
-            self._d, self._xx = arms_polynomials(self.measure)[:2]
+            self._d, self._xx = arms_polynomials(self.measure)
             self._c = polynomial_root(self._d, self._xx + (0.0,), 0.0)
             self._edge(0)
         times, edges = self._times, self._edges
@@ -374,7 +384,7 @@ def ell_infinity(measure: ArmMeasure) -> float:
     """Long-time limit of ell_t: the root c of D(x) = x k0'(x) - k0(x); 1 without gelation."""
     if math.isinf(gel_time(measure)):
         return 1.0
-    d, xx = arms_polynomials(measure)[:2]
+    d, xx = arms_polynomials(measure)
     return polynomial_root(d, xx + (0.0,), 0.0)  # D' = x k0''
 
 

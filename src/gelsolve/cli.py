@@ -8,15 +8,20 @@ reads back to the same double (M_inf 0.5925925925925927), and non-finite
 values as the strings "inf" / "-inf" / "nan", since the format has no such
 numbers.  Each table and each JSON document is formatted whole and written
 with one call.
+
+The command line follows argparse's rules without argparse: `--flag value` or
+`--flag=value`, a unique prefix (`--help` too) for its flag, the last of repeated
+values, and a value may start with "-" only as a negative number (-1, -.5) or
+with a space in it.  -h/--help prints the usage and exits 0.
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import io
 import json
 import math
+import re
 import sys
+import types
 
 from .errors import ConfigError, GelsolveError, UsageError
 from .measures import arm_measure_from_config, mass_measure_from_config, np
@@ -129,13 +134,6 @@ def _model_name(args, cfg) -> str:
     return name
 
 
-def _number(key, value):
-    """value, unless it is a JSON boolean, which float() and int() would take as 1 or 0."""
-    if isinstance(value, bool):
-        raise ConfigError(f"bad {key}: {value!r} is not a number")
-    return value
-
-
 def _linspace(start: float, end: float, count: int) -> list:
     """np.linspace(start, end, count).tolist() to the bit; numpy only if the step underflows."""
     step = (end - start) / (count - 1)
@@ -150,27 +148,15 @@ def _time_grid(args, cfg):
     grid = cfg.get("time_grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("config 'time_grid' must be a JSON object")
-    grid = dict(grid)
-    for key, flag in (
-        ("start", "t_start"),
-        ("end", "t_end"),
-        ("count", "count"),
-        ("spacing", "spacing"),
-    ):
-        v = getattr(args, flag, None)
-        if v is not None:
-            grid[key] = v
     try:
-        start = float(_number("start", grid.get("start", 0.0)))
-        end = float(_number("end", grid["end"]))
-        count = int(_number("count", grid.get("count", 81)))
-        spacing = grid.get("spacing", "linear")
-    except (KeyError, TypeError, ValueError) as exc:
+        start = float(_setting(args, grid, "t_start", "start", 0.0))
+        end = float(_setting(args, grid, "t_end", "end", math.nan))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad time grid: {exc}") from exc
-    if count < 2:
-        raise ConfigError("time grid needs count >= 2")
+    count = _size(args, grid, "count", "count", 81, 2)
     if not (math.isfinite(end) and end > start >= 0.0):
         raise ConfigError("time grid needs finite end > start >= 0")
+    spacing = grid.get("spacing", "linear") if args.spacing is None else args.spacing
     if spacing == "linear":
         return _linspace(start, end, count)
     if spacing == "geometric":
@@ -181,9 +167,15 @@ def _time_grid(args, cfg):
 
 
 def _setting(args, cfg, flag, key, default):
-    """The flag's value if given, else the config file's, else the default; a number."""
+    """The flag's value if given, else the config file's, else the default; a number.
+
+    A JSON boolean is no number, though float() and int() take it as 1 or 0.
+    """
     value = getattr(args, flag, None)
-    return _number(key, value if value is not None else cfg.get(key, default))
+    value = value if value is not None else cfg.get(key, default)
+    if isinstance(value, bool):
+        raise ConfigError(f"bad {key}: {value!r} is not a number")
+    return value
 
 
 def _size(args, cfg, flag, key, default, least):
@@ -192,7 +184,7 @@ def _size(args, cfg, flag, key, default, least):
         if int(value) != float(value):
             raise ValueError(f"{value!r} is not a whole number")
         value = int(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {key}: {exc}") from exc
     if value < least:
         raise ConfigError(f"{key} must be >= {least}, got {value}")
@@ -203,7 +195,7 @@ def _positive(args, cfg, flag, key, default):
     value = _setting(args, cfg, flag, key, default)
     try:
         value = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {key}: {exc}") from exc
     if not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"{key} must be finite and > 0, got {value}")
@@ -258,7 +250,7 @@ def _cmd_concentrations(args, cfg, out) -> int:
         raise ConfigError("no time given (--t or config 't')")
     try:
         t = float(t)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad time: {exc}") from exc
     if not (math.isfinite(t) and t >= 0.0):
         raise ConfigError(f"time must be finite and >= 0, got {t}")
@@ -344,86 +336,104 @@ def _cmd_validate(args, cfg, out) -> int:
     return 0 if report.passed else 1
 
 
-COMMANDS = {
-    "moments": _cmd_moments,
-    "trajectory": _cmd_trajectory,
-    "concentrations": _cmd_concentrations,
-    "limits": _cmd_limits,
-    "validate": _cmd_validate,
-}
+#: Every option, written once: flag -> (dest, converter, choices, help).
+OPTIONS = {flag: (flag[2:].replace("-", "_"), *spec) for flag, *spec in (
+    ("--config", str, None, "JSON config file; flags override it"),
+    ("--model", str, tuple(sorted(MODEL_NAMES)), None),
+    ("--measure", str, None, "initial measure as inline JSON"),
+    ("--output", str, None, "write to this file instead of stdout"),
+    ("--t-start", float, None, None), ("--t-end", float, None, None),
+    ("--count", int, None, None), ("--spacing", str, ("linear", "geometric"), None),
+    ("--t", float, None, None), ("--order", int, None, "series order (classic models)"),
+    ("--amax", int, None, None), ("--mmax", int, None, None),
+    ("--dt", float, None, None), ("--tol", float, None, None),
+)}
+#: name -> (handler, one-line help, {flag: OPTIONS entry}); "-h" and "--help" map to None.
+COMMANDS = {name: (run, text, dict.fromkeys(("-h", "--help")) | {
+    flag: OPTIONS[flag] for flag in [*OPTIONS][:4] + ["--" + f for f in own.split()]
+}) for name, run, text, own in (
+    ("moments", _cmd_moments, "moments of the initial measure", ""),
+    ("trajectory", _cmd_trajectory, "solved quantities on a time grid",
+     "t-start t-end count spacing"),
+    ("concentrations", _cmd_concentrations, "c_t(m) or c_t(a,m) at one time",
+     "t order amax mmax"),
+    ("limits", _cmd_limits, "long-time limits (arms models)", "mmax"),
+    ("validate", _cmd_validate, "compare against the ODE oracle", "t-end dt tol mmax amax"),
+)}
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"  # a value, as in argparse; compiled at first use
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors raise UsageError instead of exiting.
-
-    add_subparsers builds each subcommand's parser with this class too.
-    """
-
-    def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="gelsolve",
-        description="Global solver for four coagulation models with gelation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--model", choices=sorted(MODEL_NAMES))
-        p.add_argument("--measure", help="initial measure as inline JSON")
-        p.add_argument("--output", help="write to this file instead of stdout")
-
-    p = sub.add_parser("moments", help="moments of the initial measure")
-    common(p)
-
-    p = sub.add_parser("trajectory", help="solved quantities on a time grid")
-    common(p)
-    p.add_argument("--t-start", type=float, dest="t_start")
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--count", type=int)
-    p.add_argument("--spacing", choices=("linear", "geometric"))
-
-    p = sub.add_parser("concentrations", help="c_t(m) or c_t(a,m) at one time")
-    common(p)
-    p.add_argument("--t", type=float)
-    p.add_argument("--order", type=int, help="series order (classic models)")
-    p.add_argument("--amax", type=int)
-    p.add_argument("--mmax", type=int)
-
-    p = sub.add_parser("limits", help="long-time limits (arms models)")
-    common(p)
-    p.add_argument("--mmax", type=int)
-
-    p = sub.add_parser("validate", help="compare against the ODE oracle")
-    common(p)
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--mmax", type=int)
-    p.add_argument("--amax", type=int)
-
-    return parser
+def _flag(token, options, prog):
+    """None if token is a value, else (flag, its "=" value or None); flag None if unknown."""
+    if token[:1] != "-" or token == "-":
+        return None
+    flag, eq, value = token.partition("=")
+    hits = [flag] if flag in options else [  # a unique prefix stands for its flag
+        f for f in options if token != "--" and token[1] == "-" and f.startswith(flag)]
+    if len(hits) > 1:
+        raise UsageError(f"{prog}: ambiguous option: {token} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], value if eq else None
+    return None if re.match(_NEGATIVE, token) or " " in token else (None, None)
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built at the first call, not at import; parse_args keeps no state
-    return build_parser()
+def _help(command=None):
+    """Print the commands, or one command's options with their help; exit 0."""
+    rows = [(n, t) for n, (_, t, _) in COMMANDS.items()] if command is None else [
+        (f, t or ", ".join(c or ())) for f, (_, _, c, t) in [*COMMANDS[command][2].items()][2:]]
+    print(f"usage: gelsolve {command or 'COMMAND'} [-h | --help] [OPTIONS]\n",
+          *(f"  {a:<16}{b}".rstrip() for a, b in rows), sep="\n")
+    raise SystemExit(0)
+
+
+def parse_args(argv=None):
+    """The command line (see the module docstring) as `command` and each of its options."""
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv:
+        raise UsageError("gelsolve: the following arguments are required: command")
+    if argv[0] in ("-h", "--h", "--he", "--hel", "--help"):
+        _help()
+    if argv[0] not in COMMANDS:
+        raise UsageError(f"gelsolve: argument command: invalid choice: {argv[0]!r} "
+                         f"(choose from {', '.join(map(repr, COMMANDS))})")
+    command, rest = argv[0], iter(argv[1:])
+    prog, options, values, extras = "gelsolve " + command, COMMANDS[command][2], {}, []
+    for token in rest:
+        flag, value = _flag(token, options, prog) or (None, None)
+        if flag is None or options[flag] is None and value is not None:
+            extras.append(token)  # a stray value, an unknown flag, -- or --help=...
+            continue
+        if options[flag] is None:
+            _help(command)
+        if value is None:
+            value = next(rest, "--")
+            if _flag(value, options, prog):
+                raise UsageError(f"{prog}: argument {flag}: expected one argument")
+        dest, convert, choices, _ = options[flag]
+        try:  # argparse drops an "=--" value and keeps an empty list
+            values[dest] = [] if value == "--" else convert(value)
+        except ValueError:
+            raise UsageError(f"{prog}: argument {flag}: invalid {convert.__name__} "
+                             f"value: {value!r}") from None
+        if choices and value != "--" and values[dest] not in choices:
+            raise UsageError(f"{prog}: argument {flag}: invalid choice: {values[dest]!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
+    if extras:
+        raise UsageError("gelsolve: unrecognized arguments: " + " ".join(extras))
+    return types.SimpleNamespace(command=command, **{
+        spec[0]: values.get(spec[0]) for spec in options.values() if spec})
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = parse_args(argv)
         cfg = _load_config_file(args.config) if args.config else {}
         if not args.output:
-            return COMMANDS[args.command](args, cfg, sys.stdout)
+            return COMMANDS[args.command][0](args, cfg, sys.stdout)
         # the file is opened once the command has returned, so a failed
         # request leaves an existing file as it was
         buffer = io.StringIO()
-        code = COMMANDS[args.command](args, cfg, buffer)
+        code = COMMANDS[args.command][0](args, cfg, buffer)
         try:
             with open(args.output, "w") as f:
                 f.write(buffer.getvalue())

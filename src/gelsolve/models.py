@@ -12,12 +12,12 @@ import math
 from .characteristics import (
     ArmsFlow,
     SolutionState,
-    arms_polynomials,
     arms_state,
     bisect_increasing,
     check_time,
     ell_infinity,
     ell_smolu,
+    flory_polynomials,
     gel_time,
     l_flory,
     polynomial_root,
@@ -308,7 +308,7 @@ class FloryArms(_Arms):
     @functools.cached_property
     def _q(self):
         """Horner tuples of Q, where A0 x - k0(x, 1) = (1 - x) Q(x), and of Q'."""
-        return arms_polynomials(self.measure)[2:]
+        return flory_polynomials(self.measure)
 
     def limit(self) -> SolutionState:
         """ell_inf is the root of Q (`_q`); beta_inf = lim t/alpha_t = 1/A0.

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from gelsolve import characteristics, models
 from gelsolve.characteristics import (
     _PANELS,
     ArmsFlow,
@@ -290,6 +291,18 @@ class TestArmsFlow:
         above = flow.state(2.0 + 1e-6)
         assert above.alpha == pytest.approx(below.alpha, abs=1e-5)
         assert above.ell == pytest.approx(1.0, abs=1e-2)
+
+    def test_flow_never_builds_the_flory_polynomials(self, monkeypatch):
+        # the flow and ell_inf need only D and k0''; Q and Q' serve FloryArms
+        def refuse(measure):
+            raise AssertionError("Q built outside FloryArms")
+
+        monkeypatch.setattr(characteristics, "flory_polynomials", refuse)
+        monkeypatch.setattr(models, "flory_polynomials", refuse)
+        assert SmoluchowskiArms(ARM).state(3.0).ell < 1.0  # past T_gel = 2
+        assert ell_infinity(ARM) == pytest.approx(3.0 ** -0.5, rel=1e-12)  # root of D
+        with pytest.raises(AssertionError, match="outside FloryArms"):
+            FloryArms(ARM).state(3.0)  # the name patched is the one in use
 
     def test_out_of_order_queries_consistent(self):
         a = ArmsFlow(ARM)

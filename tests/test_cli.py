@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -16,9 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gelsolve
-from gelsolve.cli import _linspace, emit_csv, emit_json, fmt, main
+from gelsolve.cli import COMMANDS, OPTIONS, _linspace, emit_csv, emit_json, fmt, main, parse_args
+from gelsolve.errors import UsageError
 from gelsolve.measures import arm_measure_from_config, mass_measure_from_config
-from gelsolve.models import make_model
+from gelsolve.models import MODEL_NAMES, make_model
 from gelsolve.series import arms_concentrations, concentrations
 
 MONO = '{"type":"monodisperse"}'
@@ -738,6 +740,25 @@ class TestSizes:
             "--measure", MONO, "--t", "0.5",
         ))
 
+    @pytest.mark.parametrize("argv, cfg", [
+        (("validate",), '{"m_max": 1e400}'),
+        (("concentrations", "--t", "0.5"), '{"order": Infinity}'),
+        (("trajectory",), '{"time_grid": {"end": 2.0, "count": 1e400}}'),
+        (("trajectory",), '{"time_grid": {"end": 2.0, "count": 3.9}}'),
+        (("concentrations",), '{"t": 1%s}' % ("0" * 400)),
+        (("validate",), '{"dt": 1%s}' % ("0" * 400)),
+        (("trajectory",), '{"time_grid": {"end": 1%s}}' % ("0" * 400)),
+    ], ids=["m-max-1e400", "order-infinity", "count-1e400", "count-fractional",
+            "t-400-digits", "dt-400-digits", "end-400-digits"])
+    def test_number_out_of_range_in_config_is_a_config_error(self, capsys, tmp_path, argv, cfg):
+        # int() of an infinity and float() of a 400-digit integer overflow, and
+        # int() would truncate a fractional count
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg)
+        assert_config_error(capsys, (
+            *argv, "--config", str(path), "--model", "flory", "--measure", MONO,
+        ))
+
 
 class TestUsageErrors:
     # argparse printed a usage block and raised SystemExit, which no caller
@@ -763,6 +784,142 @@ class TestUsageErrors:
         assert "--t-end" in capsys.readouterr().out
 
 
+class _Parser(argparse.ArgumentParser):
+    """The reference for `parse_args`: the argparse parser that the option table replaced."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="gelsolve",
+        description="Global solver for four coagulation models with gelation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--model", choices=sorted(MODEL_NAMES))
+        p.add_argument("--measure", help="initial measure as inline JSON")
+        p.add_argument("--output", help="write to this file instead of stdout")
+
+    p = sub.add_parser("moments", help="moments of the initial measure")
+    common(p)
+
+    p = sub.add_parser("trajectory", help="solved quantities on a time grid")
+    common(p)
+    p.add_argument("--t-start", type=float, dest="t_start")
+    p.add_argument("--t-end", type=float, dest="t_end")
+    p.add_argument("--count", type=int)
+    p.add_argument("--spacing", choices=("linear", "geometric"))
+
+    p = sub.add_parser("concentrations", help="c_t(m) or c_t(a,m) at one time")
+    common(p)
+    p.add_argument("--t", type=float)
+    p.add_argument("--order", type=int, help="series order (classic models)")
+    p.add_argument("--amax", type=int)
+    p.add_argument("--mmax", type=int)
+
+    p = sub.add_parser("limits", help="long-time limits (arms models)")
+    common(p)
+    p.add_argument("--mmax", type=int)
+
+    p = sub.add_parser("validate", help="compare against the ODE oracle")
+    common(p)
+    p.add_argument("--t-end", type=float, dest="t_end")
+    p.add_argument("--dt", type=float)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--mmax", type=int)
+    p.add_argument("--amax", type=int)
+
+    return parser
+
+
+def _is_help(token):
+    # -h, a -h cluster, or --help or a prefix of it, with or without "=value"
+    return token.startswith("-h") or token.partition("=")[0] in ("--h", "--he", "--hel", "--help")
+
+
+_VALUES = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from([*MODEL_NAMES, "linear", "geometric", *COMMANDS]),
+    st.sampled_from(["-1", "-.5", "-0.5", "-1e-3", "-1.", "-x", "-", "", "--", "---", "--=1",
+                     "x y", "-x y", " 3 ", "3.0", "1_0", "-1\n", "inf", "nan", "abc"]),
+    st.text("-=.e1x ", max_size=5),  # junk
+)
+
+
+def _value_of(flag):
+    """Strings that the flag's converter and choices take."""
+    _, convert, choices, _ = OPTIONS[flag]
+    if choices:
+        return st.sampled_from(choices)
+    return {int: st.integers(-10**6, 10**6).map(str), float: st.floats().map(repr)}.get(
+        convert, st.text(max_size=6))
+
+
+def _outcome(parse, argv):
+    try:
+        return {k: repr(v) for k, v in vars(parse(argv)).items()}  # repr: nan equals nan
+    except UsageError:
+        return UsageError
+
+
+class TestParseArgs:
+    @settings(max_examples=1500, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_argparse_parser(self, data):
+        # a command (or a bogus one, or none), then flags of it or of others,
+        # whole or as prefixes, each with a value, "=value", no value or a stray
+        command = data.draw(st.sampled_from([*COMMANDS, *COMMANDS, "bogus", "", "-x", "--", "-1"]))
+        argv = [] if data.draw(st.integers(0, 30)) == 0 else [command]
+        flags = [f for f in COMMANDS.get(command, (None, None, OPTIONS))[2] if not _is_help(f)]
+        for _ in range(data.draw(st.integers(0, 5))):
+            whole = data.draw(st.sampled_from(flags if data.draw(st.integers(0, 5)) else [*OPTIONS]))
+            flag = whole[:data.draw(st.integers(3, len(whole) + 6))]  # it or a prefix of it
+            value = data.draw(_value_of(whole) if data.draw(st.integers(0, 2)) else _VALUES)
+            form = data.draw(st.integers(0, 11))
+            argv += ([flag] if form == 0 else [value] if form == 1
+                     else [flag, value] if form < 6 else [f"{flag}={value}"])
+        assert _outcome(parse_args, argv) == _outcome(build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ("trajectory", "--t-e", "1", "--t-e=2", "--t-start", "-0.5", "--count", "4"),
+        ("concentrations", "--mm", "3", "--t=.5", "--mo", "flory", "--me", "-x y"),
+        ("validate", "--t-end", "1e308", "--dt", "-.5", "--output=", "--config", ""),
+        ("moments", "--config=--", "--mo=--", "--output=--"),  # each an empty list
+    ])
+    def test_prefixes_equals_and_negative_values(self, argv):
+        assert _outcome(parse_args, list(argv)) == _outcome(build_parser().parse_args, list(argv))
+        assert _outcome(parse_args, list(argv)) is not UsageError
+
+    @pytest.mark.parametrize("argv", [
+        ("trajectory", "--t", "1"), ("concentrations", "--m", "1"),
+        ("trajectory", "--count", "3.0"), ("trajectory", "--spacing", "log"),
+        ("trajectory", "--t-start", "-1e-3"), ("moments", "--measure", "-x"),
+        ("moments", "--output", "-x"), ("moments", "--"), ("moments", "-x"),
+        ("moments", "stray"), ("moments", "--help=1"), ("bogus",), ("",), (),
+    ])
+    def test_rejected_by_both(self, argv):
+        assert _outcome(parse_args, list(argv)) is UsageError
+        assert _outcome(build_parser().parse_args, list(argv)) is UsageError
+
+    @pytest.mark.parametrize("argv", [[], *([c] for c in COMMANDS)], ids=["top", *COMMANDS])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_prints_to_stdout_and_exits_zero(self, capsys, argv, flag):
+        for parse in (build_parser().parse_args, parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse([*argv, flag])
+            assert exc.value.code == 0
+        captured = capsys.readouterr()  # the help of parse_args follows argparse's
+        assert captured.err == ""
+        names = COMMANDS[argv[0]][2] if argv else COMMANDS
+        ours = captured.out[captured.out.rindex("usage: gelsolve"):]
+        assert all(name in ours for name in names if name != "-h")
+
+
 class TestValidateFlags:
     @pytest.mark.parametrize(
         "flag, value", [("--dt", "-0.1"), ("--tol", "0"), ("--t-end", "nan")]
@@ -784,8 +941,8 @@ class TestValidateFlags:
 
 class TestRepeatedMain:
     def test_calls_in_a_row_match_fresh_interpreters(self, capsys):
-        # the parser is built once per process; no flag may leak into the
-        # next call (the second call relies on the default order of 64)
+        # no flag may leak into the next call (the second call relies on the
+        # default order of 64)
         calls = [
             ("concentrations", "--model", "flory", "--measure", MONO,
              "--t", "0.5", "--order", "5"),

@@ -148,6 +148,15 @@ def test_cli_import_loads_no_dataclasses():
     assert result == []
 
 
+def test_cli_import_loads_no_argparse():
+    # the command line is read from cli's option table; argparse brings gettext
+    result = _run(
+        "import json, sys, gelsolve.cli\n"
+        "print(json.dumps([m for m in ('argparse', 'gettext') if m in sys.modules]))"
+    )
+    assert result == []
+
+
 def test_numpy_imported_first_is_bound_as_is():
     # how a host that already uses numpy sees it: no lazy module in between
     result = _run(

@@ -10,11 +10,9 @@ import re
 import shlex
 from pathlib import Path
 
-import argparse
-
 import pytest
 
-from gelsolve.cli import build_parser, main
+from gelsolve.cli import COMMANDS, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -48,13 +46,12 @@ def test_every_cli_example_is_collected():
     assert len(_commands()) == 6
 
 
-def _long_options():
-    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+def _long_options(command=None):
+    """The long options of one command (all commands by default) in the option table."""
     return sorted({
         option
-        for command in sub.choices.values()
-        for action in command._actions
-        for option in action.option_strings
+        for name, (_, _, options) in COMMANDS.items() if command in (None, name)
+        for option in options
         if option.startswith("--") and option != "--help"
     })
 
@@ -62,3 +59,13 @@ def _long_options():
 @pytest.mark.parametrize("option", _long_options())
 def test_every_cli_option_is_documented(option):
     assert re.search(rf"{option}(?![\w-])", README), f"README never names {option}"
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_help_names_every_option(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for option in _long_options(command):
+        assert re.search(rf"{option}(?![\w-])", out), f"{command} --help never names {option}"
