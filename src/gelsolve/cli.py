@@ -30,8 +30,8 @@ from .oracle import compare, initial_arms, initial_classic, integrate
 from .series import arms_concentrations, concentrations, limiting_concentrations
 
 #: Most oracle steps, t_end / dt, that `validate` takes.  A step took 0.06-0.15 ms
-#: on classic windows of 200-400 masses and 0.25-0.49 ms on arms windows of
-#: 30 x 30 to 46 x 46 (min of 9 runs of 100 steps, one core of a shared 2-core
+#: on classic windows of 200-400 masses and 0.02-0.03 ms on arms windows of
+#: 31-121 arm counts (min of 9 runs of 100 steps, one core of a shared 2-core
 #: x86-64 machine).
 MAX_STEPS = 10**6
 
@@ -305,19 +305,17 @@ def _cmd_validate(args, cfg, out) -> int:
             f"t_end / dt = {t_end / dt:.6g} oracle steps, more than {MAX_STEPS}"
         )
     tol = _positive(args, cfg, "tol", "tol", 1e-3)
-    m_max = _size(args, cfg, "mmax", "m_max", 200, 1)
+    if model.is_arms:  # the oracle runs on the arm marginal: --mmax has no effect
+        initial, size = initial_arms, _size(args, cfg, "amax", "a_max", 120, 0)
+    else:
+        initial, size = initial_classic, _size(args, cfg, "mmax", "m_max", 200, 1)
     times = list(np.linspace(0.0, t_end, 11))
-    arms = model.is_arms
-    a_max = _size(args, cfg, "amax", "a_max", 120, 0) if arms else None
     try:  # initial data outside the oracle's window
-        init = (
-            initial_arms(model.measure, a_max, m_max) if arms
-            else initial_classic(model.measure, m_max)
-        )
+        init = initial(model.measure, size)
     except GelsolveError as exc:
         raise ConfigError(str(exc)) from exc
     traj = integrate(init, times, dt)
-    if arms:
+    if init.arms:
         oracle_vals = [st.arm_count for st in traj]
         analytic_vals = [model.arms_count(t) for t in times]
         quantity = "arms"
@@ -427,6 +425,10 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
+        for flag, spec in COMMANDS[args.command][2].items():
+            if spec and getattr(args, spec[0]) == []:  # "=--", read as argparse does
+                raise UsageError(
+                    f"gelsolve {args.command}: argument {flag}: expected one argument")
         cfg = _load_config_file(args.config) if args.config else {}
         if not args.output:
             return COMMANDS[args.command][0](args, cfg, sys.stdout)

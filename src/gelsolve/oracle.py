@@ -1,15 +1,20 @@
 """Brute-force validation: direct integration of the truncated kinetic ODEs.
 
 Nothing here touches the analytic machinery; the right-hand sides are written
-straight from the coagulation rates on a finite mass (or arms x mass) lattice,
-so agreement with the solver is meaningful evidence.
+straight from the coagulation rates on a finite lattice, so agreement with the
+solver is meaningful evidence.  The classic models run on the masses
+0..m_max.  The arms models run on the arm marginal u(a) = sum_m c(a, m),
+a = 0..a_max: their rate a1 a2 does not depend on mass, so u obeys a closed
+equation, the classic one with its gain shifted by 2, and needs no mass window.
 
-One truncation: a merger whose product would leave the lattice sends its
-mass to the gel, and the loss term takes the conserved total of the initial
-state, gel included.  The window's equations are then closed and exact for the
-gel-interacting (Flory) models at every time, and for the gel-inert
-(Smoluchowski) models before the gel time, where the two are the same
-equations.  Past the gel time the truncation follows Flory's models only.
+One truncation: a merger whose product would leave the lattice sends it to
+the gel, and the loss term takes the conserved total of the initial state
+(mass, or arm count A0 / (1 + A0 t)), gel included.  The classic window's
+equations are then closed and exact for the gel-interacting (Flory) models
+at every time, and for the gel-inert (Smoluchowski) models before the gel
+time, where the two are the same equations.  The arms window misses only the
+clusters beyond a_max that a one-arm partner brings back into it.  Past the
+gel time the truncation follows Flory's models only.
 """
 from __future__ import annotations
 
@@ -22,21 +27,30 @@ from .measures import ArmMeasure, MassMeasure, np
 
 
 class OracleState(NamedTuple):
-    """Truncated concentrations plus gel bookkeeping at one time."""
+    """Truncated concentrations plus gel bookkeeping at one time.
+
+    A classic state holds c(m), indexed by mass, and gel_mass, the mass that
+    has left its window.  An arms state (arms=True) holds the arm marginal
+    u(a) = sum_m c(a, m), indexed by free arms: it has no masses, so its
+    gel_mass is nan and its mass is undefined.
+    """
 
     t: float
-    c: np.ndarray  # 1-D (index m) for classic, 2-D (a, m) for arms
+    c: np.ndarray
     gel_mass: float = 0.0
+    arms: bool = False
 
     @property
     def mass(self) -> float:
+        if self.arms:
+            raise DomainError("mass not defined for arms states")
         return _mass(self.c)
 
     @property
     def arm_count(self) -> float:
-        if self.c.ndim != 2:
+        if not self.arms:
             raise DomainError("arm count only defined for arms states")
-        return float((self.c * np.arange(self.c.shape[0])[:, None]).sum())
+        return _mass(self.c)
 
 
 def initial_classic(measure: MassMeasure, m_max: int) -> OracleState:
@@ -45,144 +59,76 @@ def initial_classic(measure: MassMeasure, m_max: int) -> OracleState:
     return OracleState(t=0.0, c=measure.lattice_weights(m_max))
 
 
-def initial_arms(measure: ArmMeasure, a_max: int, m_max: int) -> OracleState:
-    if m_max < 2 or a_max < 1:
-        raise DomainError("need a_max >= 1 and m_max >= 2")
-    c = np.zeros((a_max + 1, m_max + 1))
+def initial_arms(measure: ArmMeasure, a_max: int) -> OracleState:
+    """The arm marginal of any arm data: its weights summed over m for each a."""
+    if a_max < 1:
+        raise DomainError("a_max must be >= 1")
+    c = np.zeros(a_max + 1)
     for (a, m), w in measure.weights.items():
-        if a > a_max or m > m_max:
+        if a > a_max:
             raise DomainError(
                 f"initial atom (a={a}, m={m}) outside the truncation window"
             )
-        c[a, m] += w
-    return OracleState(t=0.0, c=c)
+        c[a] += w
+    return OracleState(t=0.0, c=c, arms=True)
 
 
 # ---------------------------------------------------------------------------
-# Right-hand sides
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """array made read-only: the cached arrays below are shared by every call."""
-    array.flags.writeable = False
-    return array
-
+# Right-hand side
 
 @functools.cache
-def _masses(n: int) -> np.ndarray:
-    """The masses 0..n-1 of a classic state of n cells, as floats.
+def _indices(n: int) -> np.ndarray:
+    """The indices 0..n-1 of an n-cell state, masses or free arms, as floats.
 
     Floats, not integers: a product with them then needs no cast per call.
+    The array is read-only, since every call shares it.
     """
-    return _frozen(np.arange(n, dtype=float))
+    indices = np.arange(n, dtype=float)
+    indices.flags.writeable = False
+    return indices
 
 
 def _mass(c: np.ndarray) -> float:
-    """sum m c(m) of a classic state, or sum m c(a, m) of an arms state."""
-    if c.ndim == 1:
-        return float(np.dot(_masses(c.size), c))
-    return float((c * _masses(c.shape[1])).sum())
+    """The index-weighted sum: sum m c(m) of a classic state, sum a u(a) of an arms state."""
+    return float(np.dot(_indices(c.size), c))
 
 
-class _ClassicWork:
-    """Work arrays for the right-hand side of one n-cell classic window.
+class _Work:
+    """Work arrays for the right-hand side of one n-cell window.
 
     integrate holds one for the whole call; each evaluation overwrites it, and
     only the returned right-hand side is a fresh array.
     """
 
-    def __init__(self, n: int):
-        # w behind n - 1 zeros that are never written
-        self.padded = np.zeros(2 * n - 1)
-        self.w = self.padded[n - 1 :]
+    def __init__(self, n: int, arms: bool):
+        shift = 2 if arms else 0
+        # w behind n - 1 zeros and before shift zeros, which are never written
+        padded = np.zeros(2 * n - 1 + shift)
+        self.w = padded[n - 1 : 2 * n - 1]
+        self.window = padded[shift : 2 * n - 1 + shift]
         self.loss = np.empty(n)
 
 
-def _rhs_classic(
-    c: np.ndarray, M0: float, work: _ClassicWork | None = None
-) -> np.ndarray:
+def _rhs(t, c, *, arms, total, work=None):
+    """dc/dt = 1/2 (w * w)(k + shift) - w(k) total(t), with w(k) = k c(k), for k < n.
+
+    Classic: k is the mass, shift 0 and total(t) = M0, since the gel keeps
+    interacting and the total partner mass is conserved.  Arms: k is the
+    number of free arms of the marginal, shift 2 (a merger joins two arms) and
+    total(t) = A0 / (1 + A0 t), the exact arm count, gel included.
+    """
     n = c.size
     if work is None:
-        work = _ClassicWork(n)
-    w = np.multiply(_masses(n), c, out=work.w)  # mass-weighted concentrations
-    # the n kept sums of the self-convolution, sum_j w(j) w(m - j) for m < n:
-    # w behind n - 1 zeros, correlated with w reversed.  The full convolution's
-    # other n - 1 outputs are tail-by-tail products, which underflow to the
-    # slow subnormal path while c(m) ~ t^(m-1) is small.
-    gain = np.correlate(work.padded, w[::-1], "valid")
+        work = _Work(n, arms)
+    w = np.multiply(_indices(n), c, out=work.w)
+    # the n kept sums of the self-convolution, sum_j w(j) w(k + shift - j):
+    # the window of w behind its zeros, correlated with w reversed.  The full
+    # convolution's other outputs are tail-by-tail products, which underflow
+    # to the slow subnormal path while c(m) ~ t^(m-1) is small.
+    gain = np.correlate(work.window, w[::-1], "valid")
     gain *= 0.5
-    # gel keeps interacting: total partner mass is conserved
-    gain -= np.multiply(w, M0, out=work.loss)
-    gain[0] = 0.0
+    gain -= np.multiply(w, total / (1.0 + t * total) if arms else total, out=work.loss)
     return gain
-
-
-@functools.cache
-def _fast_len(n: int) -> int:
-    """Smallest 5-smooth integer >= n, a length numpy's FFT handles fast."""
-    m = n
-    while True:
-        r = m
-        for p in (2, 3, 5):
-            while r % p == 0:
-                r //= p
-        if r == 1:
-            return m
-        m += 1
-
-
-@functools.cache
-def _arms_grid(na: int, nm: int):
-    """Arm column and FFT shape of an na x nm window."""
-    a = _frozen(np.arange(na, dtype=float)[:, None])
-    # 2 na rows hold the self-convolution's 2 na - 1 and the row na + 1 read
-    # in _rhs_arms, also for na = 2
-    return a, (_fast_len(2 * na), _fast_len(2 * nm - 1))
-
-
-class _ArmsWork:
-    """Work arrays for the right-hand side of one na x nm arms window.
-
-    integrate holds one for the whole call; each evaluation overwrites it, and
-    only the returned right-hand side is a fresh array.
-    """
-
-    def __init__(self, na: int, nm: int):
-        _, (la, lm) = _arms_grid(na, nm)
-        self.d = np.empty((na, nm))
-        # the rows na .. la - 1 stay zero: the transform along a pads with them
-        self.padded = np.zeros((la, lm // 2 + 1), dtype=complex)
-        self.spectrum = np.empty_like(self.padded)
-        self.rows = np.empty((na, lm))
-        self.loss = np.empty((na, nm))
-
-
-def _rhs_arms(
-    t: float, c: np.ndarray, A0: float, work: _ArmsWork | None = None
-) -> np.ndarray:
-    na, nm = c.shape
-    a, (_, lm) = _arms_grid(na, nm)
-    if work is None:
-        work = _ArmsWork(na, nm)
-    d = np.multiply(a, c, out=work.d)  # arm-weighted concentrations
-    # the self-convolution d * d: one forward transform (along m, then a),
-    # squared, and back along a.  The merger of (a1,m1),(a2,m2) lands at
-    # (a1+a2-2, m1+m2), inside the window for every a1 + a2 <= na + 1, so only
-    # the rows 2 .. na + 1 go back along m.
-    np.fft.rfft(d, lm, axis=1, out=work.padded[:na])
-    spectrum = np.fft.fft(work.padded, axis=0, out=work.spectrum)
-    np.multiply(spectrum, spectrum, out=spectrum)
-    np.fft.ifft(spectrum, axis=0, out=spectrum)
-    rows = np.fft.irfft(spectrum[2 : na + 2], lm, axis=1, out=work.rows)
-    gain = rows[:, :nm] * 0.5
-    # exact total arm count, gel included
-    gain -= np.multiply(d, A0 / (1.0 + t * A0), out=work.loss)
-    return gain
-
-
-def _rhs(t, c, *, arms, total, work=None):
-    if arms:
-        return _rhs_arms(t, c, total, work)
-    return _rhs_classic(c, total, work)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +151,9 @@ def integrate(initial: OracleState, t_grid, dt: float) -> list[OracleState]:
     t_grid.sort()
     if t_grid and t_grid[0] < initial.t:
         raise UsageError("t_grid starts before the initial state")
-    arms = initial.c.ndim == 2
-    total = initial.arm_count if arms else initial.mass
-    work = (_ArmsWork if arms else _ClassicWork)(*initial.c.shape)
+    arms = initial.arms
+    total = _mass(initial.c)
+    work = _Work(initial.c.size, arms)
 
     t = initial.t
     c = initial.c.copy()
@@ -264,8 +210,8 @@ def integrate(initial: OracleState, t_grid, dt: float) -> list[OracleState]:
                     np.maximum(c, 0.0, out=c)
         # the mass that leaves the window goes to the gel, so the gel mass at
         # a sampled time is what the window has lost since the initial state
-        gel = initial.gel_mass + (initial.mass - _mass(c))
-        out.append(OracleState(t=target, c=c.copy(), gel_mass=gel))
+        gel = math.nan if arms else initial.gel_mass + (total - _mass(c))
+        out.append(OracleState(t=target, c=c.copy(), gel_mass=gel, arms=arms))
     return out
 
 

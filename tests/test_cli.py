@@ -387,13 +387,14 @@ class TestValidate:
 
     @pytest.mark.parametrize("model, measure, shape", [
         ("flory", MONO, (11,)),
-        ("flory-arms", ARMS, (6, 11)),
+        ("flory-arms", ARMS, (6,)),
         ("smoluchowski", MONO, (11,)),
-        ("smoluchowski-arms", ARMS, (6, 11)),
+        ("smoluchowski-arms", ARMS, (6,)),
     ])
     def test_oracle_truncation_follows_the_model(self, capsys, monkeypatch, model, measure, shape):
         # every model gets the one truncation, called once, without a flavor
-        # keyword; the model's family picks the window it integrates
+        # keyword; the model's family picks the window it integrates: masses
+        # up to --mmax, or the arm marginal up to --amax, where --mmax does nothing
         shapes = []
         real = gelsolve.cli.integrate
 
@@ -408,6 +409,25 @@ class TestValidate:
             "--t-end", "0.1", "--dt", "0.01", "--mmax", "10", "--amax", "5",
         )
         assert shapes == [shape]
+
+    @pytest.mark.parametrize("mmax", [None, "10", "120"])
+    def test_general_arm_data_validates(self, capsys, mmax):
+        # the arm marginal takes any arm data, at any mass, and --mmax has no
+        # effect on it
+        triples = '{"type":"arms","triples":[[1,1,0.4],[3,50,0.2]]}'
+        argv = ["validate", "--model", "flory-arms", "--measure", triples,
+                "--t-end", "0.3", "--dt", "1e-3", "--amax", "40"]
+        code, out = run(capsys, *argv, *(("--mmax", mmax) if mmax else ()))
+        assert code == 0
+        errors = [float(line.split(",")[3]) for line in out.splitlines()[1:]]
+        assert len(errors) == 11 and max(errors) <= 1e-13
+
+    def test_mmax_has_no_effect_on_arms(self, capsys):
+        argv = ("validate", "--model", "smoluchowski-arms", "--measure", ARMS,
+                "--t-end", "1", "--dt", "0.01", "--amax", "20", "--tol", "1")
+        outs = [run(capsys, *argv, *m) for m in ((), ("--mmax", "1"), ("--mmax", "500"))]
+        assert outs[0][0] == 0
+        assert outs[1] == outs[0] and outs[2] == outs[0]
 
     @pytest.mark.parametrize("models, measure, window, t_end", [
         (("smoluchowski", "flory"), MONO, ("--mmax", "30"), "0.9"),
@@ -776,6 +796,25 @@ class TestUsageErrors:
         assert captured.err.startswith("usage error: gelsolve")
         assert captured.err.count("\n") == 1
         assert named in captured.err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("moments", "--measure=--"), "--measure"),
+        (("moments", "--config=--", "--measure", MONO), "--config"),
+        (("trajectory", "--model=--", "--measure", MONO, "--t-end", "1"), "--model"),
+        (("moments", "--measure", MONO, "--output=--"), "--output"),
+        (("validate", "--model", "flory", "--measure", MONO, "--t-end=--"), "--t-end"),
+    ], ids=["measure", "config", "model", "output", "number"])
+    def test_empty_value_is_a_usage_error(self, capsys, tmp_path, monkeypatch, argv, flag):
+        # "--flag=--" leaves an empty value, as argparse's removal of "--"
+        # does; it is no measure, file or model, and no flag acts as if absent
+        monkeypatch.chdir(tmp_path)
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage error: gelsolve {argv[0]}: argument {flag}: expected one argument\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_still_prints_and_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -157,6 +157,24 @@ def test_cli_import_loads_no_argparse():
     assert result == []
 
 
+def test_arms_validate_loads_no_fft():
+    # the arms oracle runs on the arm marginal, with the classic correlation
+    result = _run(
+        "import contextlib, io, json, sys, gelsolve.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = gelsolve.cli.main(['validate', '--model', 'flory-arms', '--measure',\n"
+        "        '{\"type\":\"arm-law\",\"mu\":{\"0\":0.5,\"1\":0.25,\"3\":0.25}}',\n"
+        "        '--t-end', '3', '--dt', '0.01', '--amax', '30', '--tol', '1'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if 'fft' in m)]))"
+    )
+    assert result == [0, []]
+
+
+def test_oracle_source_names_no_fft():
+    oracle = Path(gelsolve.__file__).resolve().parent / "oracle.py"
+    assert "fft" not in oracle.read_text().lower()
+
+
 def test_numpy_imported_first_is_bound_as_is():
     # how a host that already uses numpy sees it: no lazy module in between
     result = _run(

@@ -9,12 +9,8 @@ from gelsolve.measures import ArmMeasure, Discrete, Monodisperse
 from gelsolve.models import Flory, FloryArms, Smoluchowski, SmoluchowskiArms
 from gelsolve.oracle import (
     OracleState,
-    _ArmsWork,
-    _ClassicWork,
-    _fast_len,
+    _Work,
     _rhs,
-    _rhs_arms,
-    _rhs_classic,
     compare,
     initial_arms,
     initial_classic,
@@ -33,15 +29,35 @@ class TestInitialStates:
         assert st.mass == pytest.approx(1.25)
 
     def test_arms(self):
-        st = initial_arms(ARM, 10, 10)
-        assert st.c[0, 1] == 0.5 and st.c[3, 1] == 0.25
+        st = initial_arms(ARM, 10)
+        assert st.arms and st.c.shape == (11,)
+        assert st.c[0] == 0.5 and st.c[3] == 0.25
         assert st.arm_count == pytest.approx(1.0)
+
+    def test_arms_sums_general_data_over_mass(self):
+        # any {"type":"arms"} data: each a holds its weights summed over m,
+        # at any mass
+        st = initial_arms(ArmMeasure({(1, 1): 0.4, (3, 50): 0.2, (3, 7): 0.1}), 4)
+        assert st.c.tolist() == [0.0, 0.4, 0.0, 0.2 + 0.1, 0.0]
+        assert st.arm_count == pytest.approx(1.3)
 
     def test_window_too_small(self):
         with pytest.raises(DomainError):
             initial_classic(Monodisperse(), 1)
         with pytest.raises(DomainError):
-            initial_arms(ARM, 2, 10)  # a=3 atom does not fit
+            initial_arms(ARM, 2)  # a=3 atom does not fit
+        with pytest.raises(DomainError):
+            initial_arms(ARM, 0)
+
+    def test_arms_state_has_no_mass(self):
+        # the arm marginal holds no masses: gel_mass is nan, mass undefined
+        st = initial_arms(ARM, 10)
+        for out in integrate(st, [0.0, 1.0, 3.0], 1e-2):
+            assert out.arms and math.isnan(out.gel_mass)
+            with pytest.raises(DomainError):
+                out.mass
+        with pytest.raises(DomainError):
+            initial_classic(Monodisperse(), 10).arm_count
 
 
 class TestIntegrate:
@@ -125,7 +141,7 @@ class TestIntegrate:
         # the first step's state is checked before any other: a non-finite
         # entry first, then one below -1e-9
         monkeypatch.setattr(oracle, "_rhs", lambda t, c, **kwargs: np.full_like(c, value))
-        init = initial_arms(ARM, 6, 12) if arms else initial_classic(Monodisperse(), 20)
+        init = initial_arms(ARM, 6) if arms else initial_classic(Monodisperse(), 20)
         with pytest.raises(SolverError) as raised:
             integrate(init, [0.05], 1e-2)
         assert str(raised.value) == message
@@ -133,7 +149,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("arms", [False, True])
     def test_small_negatives_are_clipped_to_zero(self, arms, monkeypatch):
         monkeypatch.setattr(oracle, "_rhs", lambda t, c, **kwargs: np.full_like(c, -1e-12))
-        init = initial_arms(ARM, 6, 12) if arms else initial_classic(Monodisperse(), 20)
+        init = initial_arms(ARM, 6) if arms else initial_classic(Monodisperse(), 20)
         (out,) = integrate(init, [0.05], 1e-2)
         assert out.c.min() == 0.0
         assert not np.signbit(out.c).any()
@@ -142,7 +158,7 @@ class TestIntegrate:
     def test_one_step_is_the_rk4_combination(self, arms):
         # each step sums ((k1 + 2 k2) + 2 k3) + k4 in place, bit for bit, and
         # the steps evaluate into integrate's work arrays
-        init = initial_arms(ARM, 6, 12) if arms else initial_classic(Monodisperse(), 30)
+        init = initial_arms(ARM, 6) if arms else initial_classic(Monodisperse(), 30)
         h, total = 0.3, (init.arm_count if arms else init.mass)
 
         def rhs(t, c):
@@ -172,29 +188,46 @@ class TestIntegrate:
 
 class TestArmsIntegrate:
     def test_arm_count_matches_analytic_pre_gel(self):
-        # before T_gel = 2 the window's equations are exact: its arm count is
-        # the closed-form window sum.  Column m = 1 is mu(a) alpha_t^-a, built
-        # here, since arms_concentrations holds the initial law there.
+        # before T_gel = 2 the marginal's equations are exact but for the
+        # clusters beyond a_max that a one-arm partner brings back, which
+        # a_max = 960 makes negligible (at 480 the arm count is 1.4e-6 off at
+        # t = 1.5).  Its arm count is then A_t, and its rows a <= 120 hold the
+        # closed-form window sum over every mass (m <= 400 here, the tail past
+        # m = 300 below 1e-10).  Column m = 1 is mu(a) alpha_t^-a, built here,
+        # since arms_concentrations holds the initial law there.
         model = SmoluchowskiArms(ARM)
         times = [0.5, 1.0, 1.5]
-        traj = integrate(initial_arms(ARM, 120, 120), times, 5e-3)
+        traj = integrate(initial_arms(ARM, 960), times, 5e-3)
         a = np.arange(121)
         for t, st in zip(times, traj):
-            c = arms_concentrations(model, t, 120, 120)
+            assert abs(st.arm_count - model.arms_count(t)) <= 1e-9
+            c = arms_concentrations(model, t, 120, 400)
+            assert (a[:, None] * c)[:, 300:].sum() < 1e-10
             alpha = model.coeffs(t)[0]
             c[:, 1] = [MU.get(k, 0.0) * alpha**-k for k in a]
-            assert abs(st.arm_count - (a[:, None] * c).sum()) <= 1e-9
+            assert abs((a * st.c[:121]).sum() - (a[:, None] * c).sum()) <= 1e-9
 
     def test_gel_interacting_post_gel(self):
         model = FloryArms(ARM)
         times = [3.0, 4.0]
-        traj = integrate(initial_arms(ARM, 120, 120), times, 5e-3)
+        traj = integrate(initial_arms(ARM, 120), times, 5e-3)
         for t, st in zip(times, traj):
             assert st.arm_count == pytest.approx(model.arms_count(t), abs=2e-3)
 
     def test_nonnegative_concentrations(self):
-        traj = integrate(initial_arms(ARM, 60, 60), [1.0], 5e-3)
+        traj = integrate(initial_arms(ARM, 60), [1.0], 5e-3)
         assert (traj[0].c >= 0.0).all()
+
+    def test_marginal_matches_the_two_dimensional_oracle(self, arms_oracle_2d):
+        # at t = T_gel / 2 the (a, m) equations summed over m are the
+        # marginal's, step for step: the arm counts differ only by rounding
+        # and by the arms carried past the m-window, which holds less than
+        # 1e-13 in its last 20 columns
+        a_max, m_max, t = 12, 80, 0.5 * SmoluchowskiArms(ARM).t_gel
+        (st,) = integrate(initial_arms(ARM, a_max), [t], 1e-2)
+        weighted = np.arange(a_max + 1)[:, None] * arms_oracle_2d(ARM, a_max, m_max, t, 1e-2)
+        assert weighted[:, -20:].sum() < 1e-13
+        assert abs(st.arm_count - weighted.sum()) <= 1e-12
 
 
 def _convolved_rhs_classic(c, M0):
@@ -226,6 +259,10 @@ def _allocating_rhs_classic(c, M0):
 def _underflow_state():
     """A 400-cell state at t = 0.1, where most tail products underflow."""
     return integrate(initial_classic(Monodisperse(), 399), [0.1], 1e-2)[0].c
+
+
+def _rhs_classic(c, M0, work=None):
+    return _rhs(0.0, c, arms=False, total=M0, work=work)
 
 
 class TestClassicRhs:
@@ -270,66 +307,70 @@ class TestClassicRhs:
     def test_a_used_work_gives_the_same_result(self, n):
         rng = np.random.default_rng(n)
         c = rng.random(n)
-        work = _ClassicWork(n)
+        work = _Work(n, False)
         _rhs_classic(rng.random(n), 0.7, work)
         assert np.array_equal(_rhs_classic(c, 1.3), _rhs_classic(c, 1.3, work))
 
     def test_result_is_not_a_work_array(self):
         rng = np.random.default_rng(3)
         c1 = rng.random(31)
-        work = _ClassicWork(31)
+        work = _Work(31, False)
         k = _rhs_classic(c1, 1.3, work)
         assert not any(np.shares_memory(k, buf) for buf in vars(work).values())
         _rhs_classic(rng.random(31), 1.3, work)
         assert np.array_equal(k, _allocating_rhs_classic(c1, 1.3))
 
 
-def _rfft2_rhs_arms(t, c, A0):
-    """The arms right-hand side with the whole square inverted by irfft2."""
-    na, nm = c.shape
-    d = np.arange(na)[:, None] * c
-    shape = (_fast_len(2 * na), _fast_len(2 * nm - 1))
-    spectrum = np.fft.rfft2(d, shape)
-    gain = 0.5 * np.fft.irfft2(spectrum * spectrum, shape)[2 : na + 2, :nm]
-    return gain - d * (A0 / (1.0 + t * A0))
+def _direct_rhs_marginal(t, u, A0):
+    """The arm marginal's right-hand side by a direct sum over a1 + a2 = a + 2.
 
-
-def _direct_rhs_arms(t, c, A0):
-    """The arms right-hand side by direct sums over pairs and partners."""
-    na, nm = c.shape
-    d = np.arange(na)[:, None] * c
-    gain = np.zeros_like(c)
-    for a1 in range(na):
-        for a2 in range(na):
-            if 2 <= a1 + a2 <= na + 1:
-                gain[a1 + a2 - 2] += 0.5 * np.convolve(d[a1], d[a2])[:nm]
-    return gain, gain - d * (A0 / (1.0 + t * A0))
+    Returns the gain and the right-hand side.
+    """
+    n = u.size
+    w = np.arange(n) * u
+    gain = np.zeros(n)
+    for a in range(n):
+        for a1 in range(max(0, a + 3 - n), min(n, a + 3)):
+            gain[a] += 0.5 * w[a1] * w[a + 2 - a1]
+    return gain, gain - w * (A0 / (1.0 + t * A0))
 
 
 class TestArmsRhs:
-    @pytest.mark.parametrize(
-        "shape", [(8, 8), (31, 20), (47, 47), (2, 2), (2, 9), (9, 2)]
-    )
-    def test_transform_matches_direct_sums(self, shape):
-        c = np.random.default_rng(sum(shape)).random(shape)
-        gain, expected = _direct_rhs_arms(0.7, c, 1.3)
-        diff = np.abs(_rhs_arms(0.7, c, 1.3) - expected).max()
-        assert diff <= 1e-13 * np.abs(gain).max()
+    @pytest.mark.parametrize("a_max", [1, 2, 3, 9, 45])
+    def test_matches_the_direct_sum(self, a_max):
+        # at a_max 1 and 2 the shift of 2 reaches past the n - 1 leading zeros
+        n = a_max + 1
+        u = np.random.default_rng(a_max).random(n)
+        gain, expected = _direct_rhs_marginal(0.7, u, 1.3)
+        loss = np.arange(n) * u * (1.3 / (1.0 + 0.7 * 1.3))
+        out = _rhs(0.7, u, arms=True, total=1.3)
+        assert (np.abs(out - expected) <= n * np.finfo(float).eps * (gain + loss)).all()
 
-    @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (8, 8), (31, 20), (46, 46)])
-    def test_matches_the_two_dimensional_transform_bit_for_bit(self, shape):
-        c = np.random.default_rng(sum(shape)).random(shape)
-        assert np.array_equal(_rhs_arms(0.7, c, 1.3), _rfft2_rhs_arms(0.7, c, 1.3))
+    def test_two_arm_merger_lands_two_rows_down(self):
+        # w = a u = (0, 1, 1): (1) + (1) -> (0), (2) + (1) -> (1) and
+        # (2) + (2) -> (2), each loss w(a) A_0 = 2 w(a) at t = 0
+        u = np.array([0.0, 1.0, 0.5])
+        out = _rhs(0.0, u, arms=True, total=2.0)
+        assert out.tolist() == [0.5, 1.0 - 2.0, 0.5 - 2.0]
+
+    @pytest.mark.parametrize("n", [2, 3, 31])
+    def test_a_used_work_gives_the_same_result(self, n):
+        rng = np.random.default_rng(n)
+        u = rng.random(n)
+        work = _Work(n, True)
+        _rhs(0.2, rng.random(n), arms=True, total=0.7, work=work)
+        assert np.array_equal(
+            _rhs(0.7, u, arms=True, total=1.3), _rhs(0.7, u, arms=True, total=1.3, work=work)
+        )
 
     def test_result_is_not_a_work_array(self):
         rng = np.random.default_rng(3)
-        c1 = rng.random((8, 8))
-        work = _ArmsWork(8, 8)
-        k = _rhs_arms(0.7, c1, 1.3, work)
+        u1 = rng.random(8)
+        work = _Work(8, True)
+        k = _rhs(0.7, u1, arms=True, total=1.3, work=work)
         assert not any(np.shares_memory(k, buf) for buf in vars(work).values())
-        _rhs_arms(0.2, rng.random((8, 8)), 1.3, work)
-        _rhs_arms(0.2, rng.random((5, 11)), 1.3, _ArmsWork(5, 11))
-        assert np.array_equal(k, _rfft2_rhs_arms(0.7, c1, 1.3))
+        _rhs(0.2, rng.random(8), arms=True, total=1.3, work=work)
+        assert np.array_equal(k, _rhs(0.7, u1, arms=True, total=1.3))
 
 
 class TestCompare:

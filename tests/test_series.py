@@ -10,7 +10,6 @@ from gelsolve import series
 from gelsolve.errors import DomainError
 from gelsolve.measures import ArmMeasure, Discrete, ExponentialDensity, Monodisperse
 from gelsolve.models import Flory, FloryArms, Smoluchowski, SmoluchowskiArms
-from gelsolve.oracle import initial_arms, integrate
 from gelsolve.series import (
     PowerSeries,
     arms_concentrations,
@@ -370,11 +369,13 @@ class TestArmsConcentrations:
         assert out[0, 1] == 0.5
         assert out[3, 1] == 0.25
 
-    def test_degenerate_nu(self):
+    def test_degenerate_nu(self, arms_oracle_2d):
         # nu(0) = mu(1) = 0: no cluster of mass >= 2 has fewer than two free
-        # arms, but the a >= 2 rows do not vanish
+        # arms, but the a >= 2 rows do not vanish.  Nor does a merger lower a
+        # cluster's arm count, so the 2-D window a, m <= 12 holds these cells
+        # exactly (to 7e-18 of a 61 x 61 window).
         law = ArmMeasure.monodisperse({0: 0.5, 2: 0.25, 3: 0.25})
-        ref = integrate(initial_arms(law, 60, 60), [0.5], 1e-2)[0].c
+        ref = arms_oracle_2d(law, 12, 12, 0.5, 1e-2)
         for gel in (False, True):
             out = arms_concentrations(_arms(gel, law), 0.5, 4, 4)
             assert out[2, 2:5] == pytest.approx(
