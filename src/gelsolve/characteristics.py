@@ -1,6 +1,6 @@
 """Root-finding and quadrature behind the method of characteristics.
 
-Every solved quantity is the root of a function monotone on its bracket, and
+Every solved quantity is the one crossing of a target on its bracket, and
 `bisect_increasing` is the one solver for all of them: each caller returns
 the value and the slope together, the solver takes Newton steps from the last
 point when they stay inside the bracket, bisection otherwise, and stops
@@ -53,9 +53,11 @@ class SolutionState(NamedTuple):
 
 
 def bisect_increasing(f, lo, hi, target, *, tol=1e-12, max_iter=200):
-    """Root of f(x)[0] = target for f(x) = (value, slope), value nondecreasing.
+    """Root of f(x)[0] = target for f(x) = (value, slope).
 
-    The bracket is (lo, hi), 0 <= lo < hi.  Only interior points are
+    The bracket is (lo, hi), 0 <= lo < hi, and the value is below target on
+    (lo, root) and at or above it on (root, hi), as for a nondecreasing value;
+    the solver only compares it with target.  Only interior points are
     evaluated, so f may be infinite or undefined at the endpoints.  The first
     point is the midpoint.  The next is the Newton step from the last point
     if the slope is finite and positive, the step lands inside the bracket,
@@ -144,23 +146,22 @@ def ell_smolu(t, measure: MassMeasure):
 
 
 def l_flory(t, measure: MassMeasure):
-    """Smallest root of x = e^{-t (M0 - g0(x))}; equals 1 pre-gel."""
+    """Smallest root of x = e^{-t (M0 - g0(x))}: in (0, 1) past T_gel, 1 pre-gel."""
     mom = measure.moments()
     if math.isinf(mom.M0):
         raise ModelError("Flory's equation requires finite initial mass")
     check_time(t)
     if t <= gel_time(measure):
         return 1.0
-    hi = ell_smolu(t, measure)
 
-    # x - image(x) increases on (0, hi): its slope 1 - t g0'(x) image(x) falls
-    # to 1 - 1/phi(hi) > 0 at the peak hi of phi(x) = x / image(x).  It is
-    # nearly linear near 0, where Newton lands close to a small root at once.
+    # f(x) = x - image(x) is concave, as g0 is convex, with f(0+) < 0 and f(ell_t)
+    # = f(1) = 0: f < 0 on (0, ell_t) and f > 0 on (ell_t, 1).  It is nearly
+    # linear near 0, where Newton lands close to a small root at once.
     def f(x):
         image = math.exp(-t * (mom.M0 - measure.g0(x)))  # <= 1: cannot overflow
         return x - image, 1.0 - t * measure.g0(x, 1) * image
 
-    return bisect_increasing(f, 0.0, hi, 0.0)
+    return bisect_increasing(f, 0.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,10 @@ class _Arms(Model):
     Both variants have the characteristic map phi_t(x, y) = alpha_t (x -
     beta_t k0(x, y)); a subclass states how alpha_t, beta_t and ell_t follow
     from t (`state`), and their limits as t -> inf (`limit`).  `coeffs` reads
-    (alpha_t, beta_t) from the state.  The per-class `state`, `gen_fun` and
+    (alpha_t, beta_t) from the state.  h_t(x, y) lies in [0, ell_t]: phi_t(.,
+    1) rises there to 1 (the gel-inert map peaks at ell_t, the Flory map past
+    it), and for y <= 1 phi_t(., y) >= phi_t(., 1) rises at least as fast, as
+    k0 and k0' grow with y.  The per-class `state`, `gen_fun` and
     `second_moment` are where perfbench/tracing.py wraps each model.
     """
 
@@ -207,36 +210,21 @@ class _Arms(Model):
 
         return branch
 
-    def _increasing_root(self, alpha: float, beta: float, y: float, x: float) -> float:
-        """`h_inverse`'s root of phi = x on the branch rising from phi(0) <= 0, or its top."""
-        k0 = self.measure.k0
-        branch = self._branch(alpha, beta, y)
-        top = 1.0
-        if branch(1.0)[1] < 0.0:  # phi'(1) < 0: the branch ends inside, at phi' = 0
-
-            def minus_slope(z):
-                return alpha * (beta * k0(z, y, 1) - 1.0), alpha * beta * k0(z, y, 2)
-
-            top = bisect_increasing(minus_slope, 0.0, 1.0, 0.0)
-        if x >= branch(top)[0]:
-            return top
-        return bisect_increasing(branch, 0.0, top, x)
-
     def phi(self, t: float, x: float, y: float = 1.0) -> float:
         return self._branch(*self.coeffs(t), y)(x)[0]
 
     def h_inverse(self, t: float, x: float, y: float = 1.0) -> float:
         if not 0.0 <= x <= 1.0:
             raise DomainError(f"x={x} outside [0, 1]")
-        alpha, beta = self.coeffs(t)
+        st = self.state(t)
         if x == 1.0 and y == 1.0:
             # h_t(1) = ell_t by definition; past the gel time of the gel-inert
             # model 1 is the flat peak of phi, where bisection would lose half
             # the digits to rounding
-            return self.state(t).ell
+            return st.ell
         if x == 0.0 and self.measure.k0(0.0, y) == 0.0:
             return 0.0  # phi_t(0, y) = 0: the root is the end of the bracket
-        return self._increasing_root(alpha, beta, y, x)
+        return bisect_increasing(self._branch(st.alpha, st.beta, y), 0.0, st.ell, x)
 
     def gen_fun(self, t: float, x: float, y: float = 1.0) -> float:
         return self.measure.k0(self.h_inverse(t, x, y), y) / self.coeffs(t)[0]

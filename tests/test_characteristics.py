@@ -20,6 +20,7 @@ from gelsolve.characteristics import (
 from gelsolve.errors import DomainError, ModelError, SolverError
 from gelsolve.measures import (
     ArmMeasure,
+    Discrete,
     ExponentialDensity,
     Monodisperse,
     PowerLawDensity,
@@ -223,6 +224,49 @@ class TestLFlory:
         t = 40.0
         l = l_flory(t, Monodisperse())
         assert l == pytest.approx(math.exp(-t * (1.0 - l)), rel=1e-10)
+
+
+# Flory's ell_t against 40 digits, solved in u = -ln x: u - t (M0 - g0(e^-u))
+# is below 0 on (0, u_t) and above it past u_t.  Each law is (measure,
+# g0(e^-u)), so M0 = g0(e^0).
+LATTICE = Discrete([(1, 0.5), (2, 0.3), (5, 0.2)])
+FLORY_LAWS = pytest.mark.parametrize("law", [
+    (Monodisperse(), lambda u: mp.exp(-u)),
+    (ExponentialDensity(), lambda u: (1 + u) ** -2),
+    (LATTICE, lambda u: sum(mp.mpf(w) * m * mp.exp(-m * u) for m, w in LATTICE.atoms)),
+], ids=["monodisperse", "exponential", "lattice"])
+
+
+def _mp_l_flory(law, t):
+    g0 = law[1]
+    with mp.workdps(40):
+        t, M0 = mp.mpf(t), g0(mp.mpf(0))
+        lo, hi = mp.mpf(0), t * M0 + 1
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if mid - t * (M0 - g0(mid)) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return mp.exp(-(lo + hi) / 2)
+
+
+@FLORY_LAWS
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(s=st.floats(0.0, 1.0))
+def test_l_flory_matches_mpmath(law, s):
+    # t from 1.001 T_gel to t M0 = 700, geometrically
+    measure = law[0]
+    t_lo, t_hi = 1.001 * gel_time(measure), 700.0 / measure.moments().M0
+    t = t_lo * (t_hi / t_lo) ** s
+    assert l_flory(t, measure) == pytest.approx(float(_mp_l_flory(law, t)), rel=1e-12, abs=0.0)
+
+
+@FLORY_LAWS
+def test_l_flory_just_past_the_gel_time(law):
+    # a near-double root: the bound is set by its conditioning
+    t = (1.0 + 1e-6) * gel_time(law[0])
+    assert l_flory(t, law[0]) == pytest.approx(float(_mp_l_flory(law, t)), rel=1e-9, abs=0.0)
 
 
 class TestGH:
@@ -548,3 +592,42 @@ def test_flory_arms_second_moment_just_past_the_gel_time():
     t = 1.8600947156221455
     expected = float(_mp_flory_arms(law, t)[1])
     assert FloryArms(law).second_moment(t) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+def _mp_h_inverse(measure, state, x, y):
+    """h_t(x, y) to 50 digits: phi_t(., y) = x bisected on [0, ell_t], from the state's floats."""
+    with mp.workdps(50):
+        alpha, beta, ell = (mp.mpf(v) for v in (state.alpha, state.beta, state.ell))
+        terms = [(a, m, mp.mpf(w)) for (a, m), w in measure.weights.items() if a > 0]
+        x, y = mp.mpf(x), mp.mpf(y)
+
+        def f(z):
+            return alpha * (z - beta * sum(a * w * z ** (a - 1) * y**m for a, m, w in terms)) - x
+
+        if f(mp.mpf(0)) >= 0:
+            return mp.mpf(0)
+        return _mp_increasing_root(f, mp.mpf(0), ell)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    measure=gelling_arm_data(),
+    ratio=st.floats(0.1, 1e3),
+    x=st.one_of(st.just(0.0), st.floats(1e-3, 0.98)),
+    y=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_arms_h_inverse_matches_its_definition(measure, ratio, x, y):
+    # h_t(x, y) on the bracket [0, ell_t], for y < 1 as well as y = 1
+    for model in (SmoluchowskiArms(measure), FloryArms(measure)):
+        t = ratio * model.t_gel
+        expected = float(_mp_h_inverse(measure, model.state(t), x, y))
+        assert model.h_inverse(t, x, y) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("t", [1e17, 1e300])
+def test_far_time_arms_h_inverse_lies_in_its_bracket(t):
+    # past the flow's last panel alpha_t is inf, and the root still lies in [0, ell_t]
+    model = SmoluchowskiArms(ARM)
+    ell = model.state(t).ell
+    for x in (0.02, 0.4, 0.98):
+        assert 0.0 <= model.h_inverse(t, x) <= ell

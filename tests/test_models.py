@@ -235,6 +235,35 @@ class TestSolveOnce:
         getattr(SmoluchowskiArms(ARM), method)(4.0, 0.4)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("law", [Discrete([(1, 0.5), (2, 0.25)]), ExponentialDensity()],
+                             ids=["lattice", "exponential"])
+    def test_post_gel_flory_state_is_one_root_solve(self, monkeypatch, law):
+        # ell_t is bracketed by (0, 1): no Smoluchowski root to bound it
+        import gelsolve.characteristics
+
+        solves, smolu = [], []
+        for module in (gelsolve.characteristics, gelsolve.models):
+            solves.append(self._count(monkeypatch, module, "bisect_increasing"))
+            smolu.append(self._count(monkeypatch, module, "ell_smolu"))
+        model = Flory(law)
+        model.state(3.0 * model.t_gel)
+        assert sum(map(len, solves)) == 1
+        assert sum(map(len, smolu)) == 0
+
+    @pytest.mark.parametrize("y", [1.0, 0.5])
+    @pytest.mark.parametrize("cls", [SmoluchowskiArms, FloryArms])
+    def test_post_gel_arms_h_inverse_is_one_root_solve(self, monkeypatch, cls, y):
+        # the root is bracketed by [0, ell_t] from the solved state: no top of the branch
+        import gelsolve.characteristics
+
+        model = cls(ARM)
+        t = 3.0 * model.t_gel
+        model.state(t)
+        calls = [self._count(monkeypatch, module, "bisect_increasing")
+                 for module in (gelsolve.characteristics, gelsolve.models)]
+        model.h_inverse(t, 0.4, y)
+        assert sum(map(len, calls)) == 1
+
     def test_post_gel_flory_arms_second_moment_bisects_once(self, monkeypatch):
         # ell_t is one root of Q = 1/t, and the long-time ell one root of Q = 0;
         # counted through every binding of the solver the two can reach
@@ -286,11 +315,17 @@ class TestRootEvaluations:
         for model in models:
             if model.is_arms:
                 model.limit()
-            for factor in np.geomspace(0.3, 30.0, 5):
-                t = factor * (model.t_gel or 1.0)  # the power law gels at 0
+            # the power law gels at 0
+            times = [factor * (model.t_gel or 1.0) for factor in np.geomspace(0.3, 30.0, 5)]
+            if isinstance(model, Flory):  # near-double roots, and ell_t near 1e-304
+                times += [(1.0 + 1e-9) * model.t_gel, (1.0 + 1e-6) * model.t_gel,
+                          700.0 / model.measure.moments().M0]
+            for t in times:
                 model.state(t)
                 for x in np.linspace(0.02, 0.98, 5):
                     model.h_inverse(t, x)
+                    if model.is_arms:
+                        model.h_inverse(t, x, 0.5)
         assert len(counts) > 200
         assert np.mean(counts) <= 12
         assert max(counts) <= 60
@@ -309,7 +344,7 @@ class TestRootEvaluations:
 
     @pytest.mark.parametrize("t", [2.5, 4.0, 20.0])
     def test_post_gel_arms_roots_take_newton_steps(self, monkeypatch, t):
-        # the top of the concave branch, phi' = 0, has the slope alpha beta k0''
+        # ell_t (a root of Q = 1/t for FloryArms) and h_t, bracketed by [0, ell_t]
         n = self._count_k0(monkeypatch)
         for solve in (
             lambda: FloryArms(ARM).state(t),
