@@ -115,8 +115,6 @@ def gel_time(measure) -> float:
         return 0.0 if math.isinf(K) else 1.0 / K
     if isinstance(measure, ArmMeasure):
         A0, K = measure.A0, measure.K
-        if math.isinf(K):
-            return 0.0
         if K <= A0:
             return INF
         return 1.0 / (K - A0)
@@ -273,8 +271,6 @@ class ArmsFlow:
     """
 
     def __init__(self, measure: ArmMeasure):
-        if math.isinf(measure.A0):
-            raise ModelError("arms flow requires A0 < +inf")
         self.measure = measure
         self.t_gel = gel_time(measure)
         self._c = None  # ell_inf, found by the first post-gel query

@@ -23,7 +23,7 @@ import re
 import sys
 import types
 
-from .errors import ConfigError, GelsolveError, UsageError
+from .errors import ConfigError, DomainError, GelsolveError, ModelError, UsageError
 from .measures import arm_measure_from_config, mass_measure_from_config, np
 from .models import MODEL_NAMES, make_model
 from .oracle import compare, initial_arms, initial_classic, integrate
@@ -65,6 +65,12 @@ def emit_csv(header, rows, stream) -> None:
 # ---------------------------------------------------------------------------
 # Configuration
 
+#: The keys a config file may hold, and those its "time_grid" object may hold.
+CONFIG_KEYS = ("model", "initial", "time_grid", "t", "order", "a_max", "m_max",
+               "t_end", "dt", "tol")
+GRID_KEYS = ("start", "end", "count", "spacing")
+
+
 def _load_config_file(path) -> dict:
     try:
         with open(path) as f:
@@ -73,14 +79,13 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    if "solver" in data:
-        raise ConfigError(
-            "config 'solver' takes no settings: every root is solved to 1e-12 relative"
-        )
-    if "flavor" in data:
-        raise ConfigError(
-            "config 'flavor' takes no setting: validate's oracle has one truncation"
-        )
+    grid = data.get("time_grid", {})
+    if not isinstance(grid, dict):
+        raise ConfigError("config 'time_grid' must be a JSON object")
+    for keys, known in ((data, CONFIG_KEYS), (grid, GRID_KEYS)):
+        for key in keys:
+            if key not in known:
+                raise ConfigError(f"unknown config key {key!r}; known: {', '.join(known)}")
     return data
 
 
@@ -95,32 +100,12 @@ def _measure_spec(args, cfg) -> dict:
     raise ConfigError("no initial measure given (--measure or config 'initial')")
 
 
-def _build_measure(args, cfg, model_name):
+def _build_model(args, cfg, name):
+    """The request's model; the library rejects data the model cannot take."""
     spec = _measure_spec(args, cfg)
-    try:
-        if MODEL_NAMES[model_name].is_arms:
-            return arm_measure_from_config(spec)
-        return mass_measure_from_config(spec)
-    except GelsolveError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_model(args, cfg, name, closed_form=False):
-    """The request's model; data it cannot take is a configuration error.
-
-    closed_form: the request reads series or closed forms, which need an
-    integer-lattice measure (classic models) or monodisperse arm data.
-    """
-    measure = _build_measure(args, cfg, name)
-    arms = MODEL_NAMES[name].is_arms
-    if closed_form and arms and not measure.is_monodisperse:
-        raise ConfigError(f"{args.command} need monodisperse arm data")
-    if closed_form and not arms and not measure.is_lattice:
-        raise ConfigError(f"{args.command} need an integer-lattice initial measure")
-    try:
-        return make_model(name, measure)
-    except GelsolveError as exc:
-        raise ConfigError(str(exc)) from exc
+    if MODEL_NAMES[name].is_arms:
+        return make_model(name, arm_measure_from_config(spec))
+    return make_model(name, mass_measure_from_config(spec))
 
 
 def _model_name(args, cfg) -> str:
@@ -146,16 +131,9 @@ def _linspace(start: float, end: float, count: int) -> list:
 
 def _time_grid(args, cfg):
     grid = cfg.get("time_grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError("config 'time_grid' must be a JSON object")
-    try:
-        start = float(_setting(args, grid, "t_start", "start", 0.0))
-        end = float(_setting(args, grid, "t_end", "end", math.nan))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad time grid: {exc}") from exc
-    count = _size(args, grid, "count", "count", 81, 2)
-    if not (math.isfinite(end) and end > start >= 0.0):
-        raise ConfigError("time grid needs finite end > start >= 0")
+    start = _number(args, grid, "t_start", "start", 0.0, 0.0)
+    end = _number(args, grid, "t_end", "end", None, start, above=True)
+    count = _number(args, grid, "count", "count", 81, 2, whole=True)
     spacing = grid.get("spacing", "linear") if args.spacing is None else args.spacing
     if spacing == "linear":
         return _linspace(start, end, count)
@@ -166,39 +144,28 @@ def _time_grid(args, cfg):
     raise ConfigError(f"unknown spacing {spacing!r}")
 
 
-def _setting(args, cfg, flag, key, default):
-    """The flag's value if given, else the config file's, else the default; a number.
+def _number(args, cfg, flag, key, default, least, *, whole=False, above=False):
+    """The flag's value if given, else the config file's, else the default, checked.
 
-    A JSON boolean is no number, though float() and int() take it as 1 or 0.
+    A whole number (an int) must be >= least; any other number is a float,
+    finite and >= least, or > least if `above`.  A JSON boolean is no number,
+    though float() and int() take it as 1 or 0.
     """
     value = getattr(args, flag, None)
     value = value if value is not None else cfg.get(key, default)
-    if isinstance(value, bool):
-        raise ConfigError(f"bad {key}: {value!r} is not a number")
-    return value
-
-
-def _size(args, cfg, flag, key, default, least):
-    value = _setting(args, cfg, flag, key, default)
+    if value is None:
+        raise ConfigError(f"no {key} given (--{flag.replace('_', '-')} or config '{key}')")
     try:
-        if int(value) != float(value):
+        if isinstance(value, bool):
+            raise ValueError(f"{value!r} is not a number")
+        if whole and int(value) != float(value):
             raise ValueError(f"{value!r} is not a whole number")
-        value = int(value)
+        value = int(value) if whole else float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {key}: {exc}") from exc
-    if value < least:
-        raise ConfigError(f"{key} must be >= {least}, got {value}")
-    return value
-
-
-def _positive(args, cfg, flag, key, default):
-    value = _setting(args, cfg, flag, key, default)
-    try:
-        value = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad {key}: {exc}") from exc
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{key} must be finite and > 0, got {value}")
+    if not (math.isfinite(value) and (value > least if above else value >= least)):
+        bound = ">" if above else ">="
+        raise ConfigError(f"{key} must be finite and {bound} {least}, got {value}")
     return value
 
 
@@ -244,19 +211,11 @@ def _cmd_trajectory(args, cfg, out) -> int:
 
 def _cmd_concentrations(args, cfg, out) -> int:
     name = _model_name(args, cfg)
-    model = _build_model(args, cfg, name, closed_form=True)
-    t = _setting(args, cfg, "t", "t", None)
-    if t is None:
-        raise ConfigError("no time given (--t or config 't')")
-    try:
-        t = float(t)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad time: {exc}") from exc
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ConfigError(f"time must be finite and >= 0, got {t}")
+    model = _build_model(args, cfg, name)
+    t = _number(args, cfg, "t", "t", None, 0.0)
     if model.is_arms:
-        a_max = _size(args, cfg, "amax", "a_max", 40, 0)
-        m_max = _size(args, cfg, "mmax", "m_max", 40, 1)
+        a_max = _number(args, cfg, "amax", "a_max", 40, 0, whole=True)
+        m_max = _number(args, cfg, "mmax", "m_max", 40, 1, whole=True)
         conc = arms_concentrations(model, t, a_max, m_max)
         # the lines "a,m,c" of row a come from one template, in which a and
         # every m are already written: "a,1,%.17g\na,2,%.17g\n..."
@@ -266,7 +225,7 @@ def _cmd_concentrations(args, cfg, out) -> int:
             for a, row in enumerate(conc[:, 1 : m_max + 1].tolist())
         ]))
         return 0
-    order = _size(args, cfg, "order", "order", 64, 1)
+    order = _number(args, cfg, "order", "order", 64, 1, whole=True)
     c = concentrations(model, t, order)
     # one template with every m already written: "1,%.17g\n2,%.17g\n..."
     lines = "".join(["%d,%%.17g\n" % m for m in range(1, order + 1)])
@@ -278,8 +237,8 @@ def _cmd_limits(args, cfg, out) -> int:
     name = _model_name(args, cfg)
     if not MODEL_NAMES[name].is_arms:
         raise ConfigError("limits are defined for the arms models only")
-    model = _build_model(args, cfg, name, closed_form=True)
-    m_max = _size(args, cfg, "mmax", "m_max", 20, 1)
+    model = _build_model(args, cfg, name)
+    m_max = _number(args, cfg, "mmax", "m_max", 20, 1, whole=True)
     lim = limiting_concentrations(model, m_max)
     emit_json(
         {
@@ -298,22 +257,20 @@ def _cmd_limits(args, cfg, out) -> int:
 def _cmd_validate(args, cfg, out) -> int:
     name = _model_name(args, cfg)
     model = _build_model(args, cfg, name)
-    t_end = _positive(args, cfg, "t_end", "t_end", 1.0)
-    dt = _positive(args, cfg, "dt", "dt", 1e-3)
+    t_end = _number(args, cfg, "t_end", "t_end", 1.0, 0.0, above=True)
+    dt = _number(args, cfg, "dt", "dt", 1e-3, 0.0, above=True)
     if t_end / dt > MAX_STEPS:
         raise ConfigError(
             f"t_end / dt = {t_end / dt:.6g} oracle steps, more than {MAX_STEPS}"
         )
-    tol = _positive(args, cfg, "tol", "tol", 1e-3)
+    tol = _number(args, cfg, "tol", "tol", 1e-3, 0.0, above=True)
     if model.is_arms:  # the oracle runs on the arm marginal: --mmax has no effect
-        initial, size = initial_arms, _size(args, cfg, "amax", "a_max", 120, 0)
+        size = _number(args, cfg, "amax", "a_max", 120, 0, whole=True)
+        init = initial_arms(model.measure, size)
     else:
-        initial, size = initial_classic, _size(args, cfg, "mmax", "m_max", 200, 1)
+        size = _number(args, cfg, "mmax", "m_max", 200, 1, whole=True)
+        init = initial_classic(model.measure, size)
     times = list(np.linspace(0.0, t_end, 11))
-    try:  # initial data outside the oracle's window
-        init = initial(model.measure, size)
-    except GelsolveError as exc:
-        raise ConfigError(str(exc)) from exc
     traj = integrate(init, times, dt)
     if init.arms:
         oracle_vals = [st.arm_count for st in traj]
@@ -442,13 +399,13 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot write output file {args.output}: {exc}") from exc
         return code
-    except ConfigError as exc:
+    except (ConfigError, DomainError, ModelError) as exc:  # input the request cannot take
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except GelsolveError as exc:
+    except GelsolveError as exc:  # a SolverError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

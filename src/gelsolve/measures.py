@@ -109,11 +109,11 @@ class Discrete(MassMeasure):
     def moments(self) -> Moments:
         # summed on the first call, not in __init__: a measure only built pays nothing
         if self._moments is None:
-            self._moments = Moments(
-                M0=sum(w * m for m, w in self.atoms),
-                K=sum(w * m * m for m, w in self.atoms),
-                m0=min(m for m, _ in self.atoms),
-            )
+            M0 = sum(w * m for m, w in self.atoms)
+            K = sum(w * m * m for m, w in self.atoms)
+            if INF in (M0, K):  # both: below mass 1, M0 can overflow while K does not
+                raise DomainError(f"the moments overflow a double: M0={M0}, K={K}")
+            self._moments = Moments(M0=M0, K=K, m0=min(m for m, _ in self.atoms))
         return self._moments
 
     def _tables(self):
@@ -294,6 +294,9 @@ class ArmMeasure:
         self.K = sum(a * (a - 1) * w for (a, _), w in clean.items())
         self.M0 = sum(m * w for (_, m), w in clean.items())
         self.total = sum(clean.values())
+        if INF in (self.A0, self.K, self.M0, self.total):
+            raise DomainError(f"the arm data's sums overflow a double: A0={self.A0}, "
+                              f"K={self.K}, M0={self.M0}, total={self.total}")
         self.is_monodisperse = all(m == 1 for _, m in clean)
         self._terms = None
 

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -17,11 +18,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gelsolve
-from gelsolve.cli import COMMANDS, OPTIONS, _linspace, emit_csv, emit_json, fmt, main, parse_args
-from gelsolve.errors import UsageError
-from gelsolve.measures import arm_measure_from_config, mass_measure_from_config
+from gelsolve.cli import (
+    COMMANDS, OPTIONS, _linspace, _number, emit_csv, emit_json, fmt, main, parse_args,
+)
+from gelsolve.errors import ConfigError, DomainError, ModelError, SolverError, UsageError
+from gelsolve.measures import (
+    ExponentialDensity, arm_measure_from_config, mass_measure_from_config,
+)
 from gelsolve.models import MODEL_NAMES, make_model
-from gelsolve.series import arms_concentrations, concentrations
+from gelsolve.oracle import initial_arms
+from gelsolve.series import arms_concentrations, concentrations, limiting_concentrations
 
 MONO = '{"type":"monodisperse"}'
 ARMS = '{"type":"arm-law","mu":{"0":0.5,"1":0.25,"3":0.25}}'
@@ -681,7 +687,8 @@ def assert_config_error(capsys, argv):
 
 
 class TestNonFiniteMeasureData:
-    # JSON's NaN and Infinity literals parse to floats; no measure takes them
+    # JSON's NaN and Infinity literals parse to floats; no measure takes them,
+    # nor finite atoms whose sums overflow (that was "root underflows", exit 1)
     @pytest.mark.parametrize("argv", [
         ("concentrations", "--model", "smoluchowski", "--t", "0.5", "--order", "4",
          "--measure", '{"type":"discrete","atoms":[[NaN,1]]}'),
@@ -698,8 +705,14 @@ class TestNonFiniteMeasureData:
          "--measure", '{"type":"arms","triples":[[1,1,0.5],[3,1,NaN]]}'),
         ("moments", "--measure", '{"type":"arms","triples":[[Infinity,1,1]]}'),
         ("moments", "--measure", '{"type":"arms","triples":[[1,Infinity,1]]}'),
+        ("trajectory", "--model", "smoluchowski", "--t-end", "1", "--count", "3",
+         "--measure", '{"type":"discrete","atoms":[[1,1e308],[2,1e308]]}'),
+        ("trajectory", "--model", "flory-arms", "--t-end", "1", "--count", "3",
+         "--measure", '{"type":"arm-law","mu":{"0":1e308,"3":1e308}}'),
+        ("moments", "--measure", '{"type":"discrete","atoms":[[0.9,1e308],[0.9,1e308]]}'),
     ], ids=["mass-nan", "mass-inf", "weight-nan", "weight-inf", "arm-law-nan",
-            "arm-law-inf", "triple-weight-nan", "triple-arms-inf", "triple-mass-inf"])
+            "arm-law-inf", "triple-weight-nan", "triple-arms-inf", "triple-mass-inf",
+            "discrete-moments-overflow", "arm-law-sums-overflow", "first-moment-overflow"])
     def test_is_a_config_error(self, capsys, argv):
         assert_config_error(capsys, argv)
 
@@ -1128,3 +1141,163 @@ def test_any_validate_ends_in_an_exit_code_and_one_line(data):
         code = main(argv)
     assert code in (0, 1, 2)
     assert len(err.getvalue().splitlines()) <= 1
+
+
+class TestUnknownConfigKeys:
+    # a misspelt key used to be ignored in silence: the run took the default
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("limits", {"model": "flory-arms", "initial": json.loads(ARMS), "mmax": 3}, "mmax"),
+        ("trajectory", {"model": "flory", "initial": json.loads(MONO),
+                        "time_grid": {"end": 2.0, "count": 5}, "cout": 9}, "cout"),
+        ("trajectory", {"model": "flory", "initial": json.loads(MONO),
+                        "time_grid": {"end": 2.0, "cout": 9}}, "cout"),
+        ("moments", {"initial": json.loads(MONO), "time_grid": {"stop": 1}}, "stop"),
+    ], ids=["limits-mmax", "trajectory-cout", "time-grid-cout", "moments-time-grid-stop"])
+    def test_is_a_config_error_naming_the_key(self, capsys, tmp_path, command, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert repr(key) in err
+
+    def test_every_known_key_is_taken(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "model": "flory", "initial": json.loads(MONO), "t": 0.5, "order": 3,
+            "a_max": 2, "m_max": 3, "t_end": 1.0, "dt": 0.01, "tol": 1.0,
+            "time_grid": {"start": 0.0, "end": 1.0, "count": 3, "spacing": "linear"},
+        }))
+        for command in ("trajectory", "concentrations", "validate", "moments"):
+            assert main([command, "--config", str(path)]) == 0, capsys.readouterr().err
+
+
+def _raiser(exc):
+    def handler(args, cfg, out):
+        raise exc
+    return handler
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigError, 2, "config error: "),
+    (UsageError, 2, "usage error: "),
+    (DomainError, 2, "config error: "),
+    (ModelError, 2, "config error: "),
+    (SolverError, 1, "error: "),
+])
+def test_exit_code_follows_the_error_class(capsys, monkeypatch, error, code, prefix):
+    _, text, options = COMMANDS["moments"]
+    monkeypatch.setitem(COMMANDS, "moments", (_raiser(error("the message")), text, options))
+    assert main(["moments"]) == code
+    assert capsys.readouterr().err == prefix + "the message\n"
+
+
+@pytest.mark.parametrize("argv, library_call", [
+    (("concentrations", "--model", "smoluchowski", "--measure", '{"type":"exponential"}',
+      "--t", "0.5"),
+     lambda: concentrations(make_model("smoluchowski", ExponentialDensity()), 0.5, 64)),
+    (("concentrations", "--model", "flory-arms", "--measure", GENERAL_ARMS, "--t", "1"),
+     lambda: arms_concentrations(
+         make_model("flory-arms", arm_measure_from_config(json.loads(GENERAL_ARMS))), 1.0, 40, 40)),
+    (("limits", "--model", "smoluchowski-arms", "--measure", GENERAL_ARMS),
+     lambda: limiting_concentrations(make_model(
+         "smoluchowski-arms", arm_measure_from_config(json.loads(GENERAL_ARMS))), 20)),
+    (("validate", "--model", "flory-arms", "--measure", ARMS, "--amax", "2"),
+     lambda: initial_arms(arm_measure_from_config(json.loads(ARMS)), 2)),
+], ids=["concentrations-exponential", "concentrations-general-arms", "limits-general-arms",
+        "validate-atom-outside-amax"])
+def test_data_a_command_cannot_take_reports_the_library_message(capsys, argv, library_call):
+    with pytest.raises(DomainError) as exc:
+        library_call()
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err == f"config error: {exc.value}\n"
+
+
+# --- the one number reader, held to the readers it replaced -----------------
+
+def _old_setting(args, cfg, flag, key, default):
+    value = getattr(args, flag, None)
+    value = value if value is not None else cfg.get(key, default)
+    if isinstance(value, bool):
+        raise ConfigError(f"bad {key}: {value!r} is not a number")
+    return value
+
+
+def _old_size(args, cfg, flag, key, default, least):
+    value = _old_setting(args, cfg, flag, key, default)
+    try:
+        if int(value) != float(value):
+            raise ValueError(f"{value!r} is not a whole number")
+        value = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
+    if value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
+    return value
+
+
+def _old_positive(args, cfg, flag, key, default):
+    value = _old_setting(args, cfg, flag, key, default)
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{key} must be finite and > 0, got {value}")
+    return value
+
+
+def _old_time(args, cfg):
+    t = _old_setting(args, cfg, "t", "t", None)
+    if t is None:
+        raise ConfigError("no time given (--t or config 't')")
+    try:
+        t = float(t)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad time: {exc}") from exc
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ConfigError(f"time must be finite and >= 0, got {t}")
+    return t
+
+
+def _read(read):
+    """(type, value) of what read() returns, or "ConfigError" if it raises that."""
+    try:
+        value = read()
+    except ConfigError:
+        return "ConfigError"
+    return type(value), value
+
+
+FLAG_VALUES = st.one_of(
+    st.none(), st.integers(-5, 5), st.integers(), DOUBLES,
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 2.5, 3.0]),
+)
+CONFIG_VALUES = st.one_of(
+    st.booleans(), st.none(), DOUBLES, st.integers(-5, 5), st.integers(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 10**400, -(10**400), 2**53 + 1, 0.5, 2.7,
+                     3.0, 1e400]),
+    st.integers(-5, 5).map(str), DOUBLES.map(repr), st.text(max_size=4),
+    st.sampled_from(["inf", "nan", " 3 ", "1_0", "2.0", "-1", "x", "", "1e400", "0x1"]),
+    st.lists(st.integers(0, 3), max_size=2), st.just({"a": 1}),
+)
+
+
+@settings(max_examples=1500, derandomize=True, deadline=None)
+@given(
+    flag=FLAG_VALUES, config=st.one_of(st.just(None), CONFIG_VALUES),
+    missing=st.booleans(), least=st.sampled_from([0, 1, 2]),
+    default=st.sampled_from([0, 1, 40, 1e-3, 1.0]),
+)
+def test_number_reads_as_the_readers_it_replaced(flag, config, missing, least, default):
+    # missing: the config file lacks the key, else it holds `config` (null too)
+    cfg = {} if missing else {"k": config}
+    args = types.SimpleNamespace(f=flag, t=flag)
+    t_cfg = {} if missing else {"t": config}
+    size = _read(lambda: _old_size(args, cfg, "f", "k", int(default), least))
+    assert _read(lambda: _number(args, cfg, "f", "k", int(default), least, whole=True)) == size
+    positive = _read(lambda: _old_positive(args, cfg, "f", "k", default))
+    assert _read(lambda: _number(args, cfg, "f", "k", default, 0.0, above=True)) == positive
+    time = _read(lambda: _old_time(args, t_cfg))
+    assert _read(lambda: _number(args, t_cfg, "t", "t", None, 0.0)) == time

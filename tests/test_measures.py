@@ -46,6 +46,17 @@ class TestMoments:
         assert mom.M0 == sum(w * m for m, w in atoms)
         assert mom.K == sum(w * m * m for m, w in atoms)
 
+    @pytest.mark.parametrize("atoms", [
+        [(1.0, 1e308), (2.0, 1e308)],  # both sums overflow
+        [(2.0, 1e308)],  # K only
+        [(0.9, 1e308), (0.9, 1e308)],  # M0 only: below mass 1, K = 1.62e308
+    ], ids=["both", "second-moment", "first-moment"])
+    def test_finite_atoms_whose_moments_overflow(self, atoms):
+        # an infinite M0 or K from finite atoms is no admissible datum
+        measure = Discrete(atoms)  # the sums are formed at the first call
+        with pytest.raises(DomainError, match="overflow"):
+            measure.moments()
+
 
 class TestG0:
     def test_monodisperse_is_identity(self):
@@ -181,6 +192,16 @@ class TestArmMeasure:
     def test_requires_positive_arm_count(self):
         with pytest.raises(DomainError):
             ArmMeasure({(0, 1): 1.0})
+
+    @pytest.mark.parametrize("weights", [
+        {(0, 1): 1e308, (3, 1): 1e308},  # A0, K, M0 and total
+        {(1, 1): 1e308, (1, 2): 1e308},  # A0, M0 and total
+        {(0, 1): 1e308, (1, 1): 1e308},  # total only
+        {(1, 1): 1.0, (200, 1): 1e305},  # K only
+    ], ids=["all", "first-moments", "total", "second-moment"])
+    def test_finite_weights_whose_sums_overflow(self, weights):
+        with pytest.raises(DomainError, match="overflow"):
+            ArmMeasure(weights)
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf])
     def test_non_finite_weight(self, weight):

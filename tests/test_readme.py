@@ -4,7 +4,8 @@ The `python` block is executed, and each `gelsolve ...` command of the CLI
 block goes through `cli.main`.  The README states exit code 0 for success,
 and every command it shows is meant to succeed.  A name that leaves the
 library, or a flag that leaves the CLI, while the README still shows it
-fails here, and so does a CLI option that the README never names.
+fails here, and so does a CLI option that the README never names, or a
+config key list that differs from the one the CLI checks a config file against.
 """
 import re
 import shlex
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gelsolve.cli import COMMANDS, main
+from gelsolve.cli import COMMANDS, CONFIG_KEYS, GRID_KEYS, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -69,3 +70,13 @@ def test_command_help_names_every_option(command, capsys):
     out = capsys.readouterr().out
     for option in _long_options(command):
         assert re.search(rf"{option}(?![\w-])", out), f"{command} --help never names {option}"
+
+
+def test_config_keys_are_documented():
+    # the README's list of the keys a config file may hold is the list the
+    # CLI checks a config file against, in the same order
+    top, grid = re.search(
+        r"It may hold only the keys (.*?), and its `time_grid` object only (.*?):", README, re.S
+    ).groups()
+    assert re.findall(r"`(\w+)`", top) == list(CONFIG_KEYS)
+    assert re.findall(r"`(\w+)`", grid) == list(GRID_KEYS)
