@@ -8,17 +8,15 @@ at 1e-12 relative to the size of the root, the one tolerance of every root
 the library solves; a polynomial increasing on [0, 1] gives it value and
 slope from Horner tuples (`polynomial_root`: the root c of D, and the Flory
 arms ell_t and ell_inf, the roots of Q = 1/t and Q = 0).  The arms flow
-inverts an explicit integral t(ell) summed by Gauss-Legendre quadrature with
-its own Newton loop.  It keeps that loop for its secant start between the
-panel ends, not because value and slope come from one quadrature: folded into
-`bisect_increasing` (in x or in 1/(x - c)) it took 4.7 quadratures per state
-instead of 3.5 on a 2-core box (124 against 94 us, and the arms-postgel
-benchmark's wall time rose 9 %), and with a 4-eps stop it fell back to
-bisection, up to 11.4 quadratures per state.  Everything here is scalar Python
-and loads no numpy.  The arms flow sums its integrand k0''/D^2 at 13 points
-per quadrature, two polynomials evaluated by Horner in plain floats: on arrays
-that small numpy's per-call cost outweighed the arithmetic, and a quadrature
-took 10.8 us where the plain loop takes 5.2 us (2-core box, best of 5 runs).
+inverts an explicit integral t(u), u = ell - c, summed by Gauss-Legendre
+quadrature, with its own Newton loop for its secant start between the panel
+ends: folded into `bisect_increasing` (in x or in 1/(x - c)) it took 4.7
+quadratures per state instead of 3.5 on a 2-core box (124 against 94 us;
+arms-postgel wall time +9 %), and with a 4-eps stop up to 11.4.  Everything
+here is scalar Python and loads no numpy: the flow's integrand k0''/D^2 is
+two Horner sums in plain floats, and on 12-point arrays numpy's per-call cost
+outweighed the arithmetic (a quadrature took 10.8 us where the plain loop
+takes 5.2 us; 2-core box, best of 5 runs).
 """
 from __future__ import annotations
 
@@ -206,7 +204,7 @@ def _highest_first(coeffs: list) -> tuple:
     return tuple(reversed(coeffs))
 
 
-def _horner(coeffs: tuple, x: float) -> float:
+def horner(coeffs: tuple, x: float) -> float:
     """The polynomial with `coeffs`, highest power first, at x."""
     total = 0.0
     for a in coeffs:
@@ -214,7 +212,7 @@ def _horner(coeffs: tuple, x: float) -> float:
     return total
 
 
-#: 12-point Gauss-Legendre rule for each panel of t(ell), moved to [0, 1]:
+#: 12-point Gauss-Legendre rule for each panel of t(u), moved to [0, 1]:
 #: 0.5 (x + 1) and 0.5 w of numpy.polynomial.legendre.leggauss(12), written
 #: out so that the flow runs no numpy.
 _GL_NODES = (
@@ -230,10 +228,22 @@ _GL_WEIGHTS = (
     0.08003916427167321, 0.05346966299765953, 0.023587668193255706,
 )
 _GL_RULE = tuple(zip(_GL_NODES, _GL_WEIGHTS))
-#: Panels of t(ell) lie between the dyadic points c + (1 - c) 2^-k, k <= _PANELS.
-_PANELS = 60
 _NEWTON_ITER = 100
 _EPS = sys.float_info.epsilon
+
+
+def _taylor_shift(coeffs: tuple, c: float) -> tuple:
+    """The Horner tuple of p(c + u) in u from that of p(x), by repeated synthetic division.
+
+    Each pass divides by x - c and leaves its remainder, the next Taylor
+    coefficient, last.  For c >= 0 it only adds products, so nonnegative
+    coefficients of p above its constant give sums of nonnegative terms.
+    """
+    p = list(coeffs)
+    for n in range(len(p) - 1, 0, -1):
+        for i in range(1, n + 1):
+            p[i] += c * p[i - 1]
+    return tuple(p)
 
 
 class ArmsFlow:
@@ -253,103 +263,88 @@ class ArmsFlow:
         t(x) = T_gel + int_x^1 k0''(s) / D(s)^2 ds.
 
     D is convex and increasing with its root at c = ell_inf, so t(x) falls
-    from +inf at c to T_gel at 1.  The integral is summed with 12-point
-    Gauss-Legendre over the panels between x_k = c + (1 - c) 2^-k, which
-    keeps each panel as wide as its distance to the pole at c.  Edge x_(k+1)
-    is checked when panel k is first needed: it must lie below x_k and above
-    c, with D > 0 and a finite integrand, since rounding can merge the
-    points with c or with each other; the first edge that fails ends the
-    panels.  The edges depend on k alone and the running sums t(x_k) are
-    built in the same order and kept, so a state is a pure function of t,
-    whatever the order of the queries.  ell_t is then a Newton solve of
-    t(ell) = t, with slope -k0''/D^2, inside the panel that brackets t,
-    falling back to bisection when a step leaves the bracket.  Past the last
-    panel ell_t = c to double precision, where G(c) = 0 and alpha_t is
-    reported as inf.  A state carries the sol mass and arm count too
-    (`arms_state`): it is the gel-inert arms model's state.  D and k0'' are
-    Horner sums in plain floats.
+    from +inf at c to T_gel at 1.  The flow's variable is u = ell - c: the
+    first post-gel query Taylor-shifts the Horner tuples of D and k0'' to c
+    (`_taylor_shift`), sets D's constant term to exactly 0 and integrates
+    k0'' into k0'.  Only the a = 1 term of D is negative, and it is
+    constant, so every other coefficient is a sum of nonnegative terms: no
+    Horner sum in u cancels or underflows early as u -> 0, and alpha = k0' /
+    D keeps full relative precision at every time.  The integral is summed with 12-point Gauss-Legendre over the
+    panels between u_k = (1 - c) 2^-k, exact in binary and each as wide as
+    its distance to the pole at u = 0; the running sums t(u_k) are built in
+    order as far as a query needs and kept, so a state is a pure function
+    of t, whatever the order of the queries.  u_t is then a Newton solve of
+    t(u) = t, with slope -k0''/D^2, inside the panel that brackets t,
+    falling back to bisection when a step leaves the bracket.  Once u_k is
+    no longer a normal double, past t of about 1e308 on laws with weights
+    near 1, ell_t is reported as c and alpha_t, then 1e307 or more, as inf.
+    A state carries the sol mass and arm count too (`arms_state`): it is
+    the gel-inert arms model's state.
     """
 
     def __init__(self, measure: ArmMeasure):
         self.measure = measure
         self.t_gel = gel_time(measure)
         self._c = None  # ell_inf, found by the first post-gel query
-        self._edges = []  # x_0 = 1 > x_1 > ... as far as they have been checked
-        self._last_edge = _PANELS  # lowered below the first edge that fails the check
-        self._times = [self.t_gel]  # t(x_k), one per panel summed so far
+        self._times = [self.t_gel]  # t(u_k), one per panel summed so far
 
-    def _integrand(self, x: float):
-        """(D, k0''/D^2) at x; the second is not finite where D^2 is 0 (at c, or underflowed)."""
-        # `_horner` written out: its 26 calls would add a sixth to a quadrature
+    def _polys(self, u: float):
+        """(D(c + u), k0''(c + u)), both Horner sums in u."""
+        # `horner` written out: its 26 calls would add a sixth to a quadrature
         d = k = 0.0
         for a in self._d:
-            d = d * x + a
+            d = d * u + a
         for a in self._xx:
-            k = k * x + a
-        dd = d * d
-        return d, k / dd if dd else k * INF
+            k = k * u + a
+        return d, k
 
-    def _quad(self, lo: float, hi: float, at: float):
-        """(int_lo^hi k0''/D^2 dx, k0''/D^2 at `at`)."""
-        integrand = self._integrand
+    def _quad(self, lo: float, hi: float) -> float:
+        """int_lo^hi k0''/D^2 du, each term ordered so that nothing over- or underflows early."""
+        polys = self._polys
         width = hi - lo
         total = 0.0
         for node, weight in _GL_RULE:
-            total += weight * integrand(node * width + lo)[1]
-        return width * total, integrand(at)[1]
+            d, k = polys(node * width + lo)
+            total += weight * (width / d) * k / d
+        return total
 
-    def _edge(self, k: int) -> bool:
-        """Check edge x_k and keep it; False for it and every later edge once one fails."""
-        if k > self._last_edge:
-            return False
-        c, edges = self._c, self._edges
-        x = c + (1.0 - c) * 2.0**-k
-        d, f = self._integrand(x)
-        if x < (edges[-1] if edges else 2.0) and x > c and d > 0.0 and math.isfinite(f):
-            edges.append(x)
-            return True
-        self._last_edge = k - 1
-        return False
-
-    def _panel(self, t: float):
-        """k with t(x_k) < t <= t(x_(k+1)), summing panels as needed; None past the last."""
+    def _u(self, t: float) -> float:
+        """u_t = ell_t - c, or 0 once the panel ends are no longer normal doubles."""
         if self._c is None:
-            self._d, self._xx = arms_polynomials(self.measure)
-            self._c = polynomial_root(self._d, self._xx + (0.0,), 0.0)
-            self._edge(0)
-        times, edges = self._times, self._edges
+            d, xx = arms_polynomials(self.measure)
+            self._c = c = polynomial_root(d, xx + (0.0,), 0.0)
+            self._d = _taylor_shift(d, c)[:-1] + (0.0,)  # D(c) = 0
+            self._xx = xx = _taylor_shift(xx, c)
+            # k0'(c + u) = k0'(c) + int_0^u k0''(c + s) ds: no term underflows early
+            kp = [a / (len(xx) - i) for i, a in enumerate(xx)]
+            self._kp = (*kp, self.measure.k0(c, 1.0, 1))
+            self._u0 = 1.0 - c
+        times = self._times
         while times[-1] < t:
-            k = len(times) - 1
-            if len(edges) < k + 2 and not self._edge(k + 1):
-                return None
-            times.append(times[-1] + self._quad(edges[k + 1], edges[k], edges[k])[0])
-        return bisect.bisect_left(times, t) - 1
-
-    def _ell(self, t: float) -> float:
-        k = self._panel(t)
-        if k is None:
-            return self._c
-        c, hi, lo = self._c, self._edges[k], self._edges[k + 1]
-        t_hi, t_lo = self._times[k], self._times[k + 1]
-        # start where t is linear in 1/(x - c), as it is near a simple root of D
-        s_hi, s_lo = 1.0 / (hi - c), 1.0 / (lo - c)
-        x = c + 1.0 / (s_hi + (t - t_hi) / (t_lo - t_hi) * (s_lo - s_hi))
-        x_top = hi
+            hi = math.ldexp(self._u0, 1 - len(times))  # u_k, the next panel's top
+            if hi < _TINY:
+                return 0.0
+            times.append(times[-1] + self._quad(0.5 * hi, hi))
+        j = bisect.bisect_left(times, t) - 1  # t(u_j) < t <= t(u_(j+1))
+        top = hi = math.ldexp(self._u0, -j)
+        lo, t_hi = 0.5 * hi, times[j]
+        # start where t is linear in 1/u, as it is near a simple root of D
+        u = hi / (1.0 + (t - t_hi) / (times[j + 1] - t_hi))
         for _ in range(_NEWTON_ITER):
-            if not lo < x < hi:
-                x = 0.5 * (lo + hi)
-            part, slope = self._quad(x, x_top, x)
-            excess = t_hi + part - t  # t(x) - t, decreasing in x
+            if not lo < u < hi:
+                u = 0.5 * (lo + hi)
+            d, k = self._polys(u)
+            excess = t_hi + self._quad(u, top) - t  # t(u) - t, decreasing in u
             if excess > 0.0:
-                lo = x
+                lo = u
             elif excess < 0.0:
-                hi = x
+                hi = u
             else:
-                return x
-            x_next = x + excess / slope
-            if abs(x_next - x) <= 4.0 * _EPS * x or hi - lo <= 4.0 * _EPS * hi:
-                return x_next if lo <= x_next <= hi else x
-            x = x_next
+                return u
+            u_next = u + excess * d / k * d
+            if abs(u_next - u) <= 4.0 * _EPS * u or hi - lo <= 4.0 * _EPS * hi:
+                return u_next if lo <= u_next <= hi else u
+            u = u_next
         raise SolverError(f"arms flow: no convergence at t={t}")
 
     def state(self, t: float) -> SolutionState:
@@ -357,11 +352,10 @@ class ArmsFlow:
         A0 = self.measure.A0
         if t <= self.t_gel:
             return arms_state(self.measure, t, 1.0, 1.0 + A0 * t, t / (1.0 + A0 * t))
-        ell = self._ell(t)
-        kp = self.measure.k0(ell, 1.0, 1)
-        d = _horner(self._d, ell)
-        # G(ell) = D(ell)/kp is 0 to rounding once ell has reached c
-        alpha = kp / d if d > 0.0 else INF
+        u = self._u(t)
+        ell = self._c + u
+        kp = horner(self._kp, u)
+        alpha = kp / horner(self._d, u) if u else INF  # u = 0: alpha_t >= 1e307
         beta = 1.0 / kp if kp > 0.0 else INF
         return arms_state(self.measure, t, ell, alpha, beta)
 
@@ -396,6 +390,6 @@ def polynomial_root(p: tuple, dp: tuple, target: float) -> float:
         return 0.0
 
     def f(x):
-        return _horner(p, x), _horner(dp, x)
+        return horner(p, x), horner(dp, x)
 
     return bisect_increasing(f, 0.0, 1.0, target)

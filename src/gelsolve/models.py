@@ -19,6 +19,7 @@ from .characteristics import (
     ell_smolu,
     flory_polynomials,
     gel_time,
+    horner,
     l_flory,
     polynomial_root,
 )
@@ -235,11 +236,10 @@ class _Arms(Model):
     def mass(self, t: float) -> float:
         return self.state(t).M
 
-    def _second_moment(self, t: float) -> float:
-        """<c_t, a^2> = d/dx k_t at (1, 1) plus the arm count."""
-        st = self.state(t)
+    def _second_moment(self, st: SolutionState, bracket: float | None = None) -> float:
+        """<c_t, a^2> = d/dx k_t at (1, 1) plus the arm count; bracket = 1 - beta k0'(ell)."""
         kp = self.measure.k0(st.ell, 1.0, 1)
-        bracket = 1.0 - st.beta * kp
+        bracket = 1.0 - st.beta * kp if bracket is None else bracket
         if bracket <= 0.0:
             return INF
         return kp / (st.alpha * st.alpha * bracket) + st.A
@@ -280,7 +280,7 @@ class SmoluchowskiArms(_Arms):
         # from T_gel on phi_t peaks at ell: 1 - beta k0'(ell) is 0 up to rounding
         if t >= self.t_gel:
             return INF
-        return self._second_moment(t)
+        return self._second_moment(self.state(t))
 
 
 class FloryArms(_Arms):
@@ -322,11 +322,14 @@ class FloryArms(_Arms):
 
     def second_moment(self, t: float) -> float:
         check_time(t)
-        # at T_gel the top of the increasing branch is ell = 1: 1 - beta K is 0
-        # up to rounding
+        # 1 - beta k0'(ell) is 0 up to rounding at T_gel, where ell = 1 tops the
+        # increasing branch; past it Q(ell) = 1/t makes it beta (1 - ell) Q'(ell)
         if t == self.t_gel:
             return INF
-        return self._second_moment(t)
+        if t < self.t_gel:
+            return self._second_moment(self.state(t))
+        st = self.state(t)
+        return self._second_moment(st, st.beta * (1.0 - st.ell) * horner(self._q[1], st.ell))
 
 
 MODEL_NAMES = {

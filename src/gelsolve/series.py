@@ -230,7 +230,8 @@ def _closed_form(nu, state, a_max, m_max) -> np.ndarray:
     before it, and every factor joins the exponent, so none overflows.
     Before the gel time x = 1 and nu_x = nu/A0.  x = 0 (a limit with
     mu(1) = 0) gives zeros; row 0 takes no arm factor, also where 1/alpha
-    is 0 or, for a limit, alpha is undefined.
+    is 0 (the gel-inert flow past the normal doubles, t of about 1e308) or,
+    for a limit, alpha is undefined.
     """
     out = np.zeros((a_max + 1, m_max + 1))
     x = state.ell

@@ -68,3 +68,113 @@ def _arms_oracle_2d(measure, a_max, m_max, t, dt):
 def arms_oracle_2d():
     """The test-local two-dimensional arms oracle, c(a, m) at one time."""
     return _arms_oracle_2d
+
+
+def _mp_arms_flow(measure, t):
+    """(c, u_t, alpha_t, A_t) of the gel-inert arms flow at t > T_gel, to 40 digits.
+
+    Solved in u = ell_t - c, where c is the root of D = x k0' - k0: D(c + u)
+    and k0''(c + u) are the Taylor sums sum_j d_j u^j and sum_j k_j u^j at
+    c, with d_0 = 0, and t(u) = T_gel + int_u^(1-c) k/d^2.  Near u = 0,
+    d = u^n P(u) and k/d^2 = u^(-2n) R(u) with R = k/P^2 a power series
+    that converges well on [0, rho]; the integral over [u, rho] is summed
+    term by term, the one over [rho, 1 - c] by mp.quad on panels as wide as
+    their distance to the pole.  Neither cancels, so 40 digits are enough
+    at every t, up to 1e308.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        mu = {}
+        for (a, _), w in measure.weights.items():
+            mu[a] = mu.get(a, 0) + mp.mpf(w)
+
+        def taylor(factor, shift):
+            # the coefficients at c of sum_a factor(a) mu(a) x^(a - shift)
+            top = max(mu) - shift
+            return [
+                sum(factor(a) * w * mp.binomial(a - shift, j) * c ** (a - shift - j)
+                    for a, w in mu.items() if a - shift >= j and factor(a))
+                for j in range(top + 1)
+            ]
+
+        def k0(x, n):
+            return sum(a * mp.ff(a - 1, n) * w * x ** (a - 1 - n)
+                       for a, w in mu.items() if a - 1 >= n)
+
+        def D(x):
+            return x * k0(x, 1) - k0(x, 0)
+
+        c = mp.mpf(0)
+        if mu.get(1):
+            c = mp.findroot(D, (mp.mpf(0), mp.mpf(1)), solver="anderson")
+        d = taylor(lambda a: a * (a - 2), 1)
+        d[0] = mp.mpf(0)
+        k = taylor(lambda a: a * (a - 1) * (a - 2), 3)
+        n = next(j for j, v in enumerate(d) if v)
+        P = d[n:]
+        Q = [sum(P[i] * P[j - i] for i in range(len(P)) if 0 <= j - i < len(P))
+             for j in range(2 * len(P) - 1)]  # P^2
+        # the zeros of P lie beyond |P(0)| / (|P(0)| + max |P_j|): rho is a quarter of that
+        rho = min(P[0] / (P[0] + max(P[1:], default=0)) / 4, (1 - c) / 2)
+        terms = 100  # (1/4)^100 is far below 1e-40
+        R = []
+        for j in range(terms):
+            kj = k[j] if j < len(k) else 0
+            R.append((kj - sum(Q[i] * R[j - i] for i in range(1, min(j, len(Q) - 1) + 1))) / Q[0])
+
+        def poly(coeffs, u):
+            return mp.polyval(coeffs[::-1], u)
+
+        def rate(u):
+            return poly(k, u) / poly(d, u) ** 2
+
+        def integral(lo, hi):
+            points = [lo]  # panels as wide as their distance to the pole at 0
+            while points[-1] < hi:
+                points.append(min(2 * points[-1], hi))
+            return mp.quad(rate, points)
+
+        top = 1 - c
+        t_rho = integral(rho, top)
+
+        def t_of(u):
+            if u >= rho:
+                return 1 / D(mp.mpf(1)) + integral(u, top)
+            series = mp.mpf(0)
+            for j, r in enumerate(R):
+                e = j - 2 * n + 1
+                series += r * (mp.log(rho / u) if e == 0 else (rho**e - u**e) / e)
+            return 1 / D(mp.mpf(1)) + t_rho + series
+
+        # Newton on log t(u) = log t in v = log u, where it is nearly linear,
+        # kept inside a bracket [v_lo, v_hi] with t(e^v_lo) > t > t(e^v_hi)
+        target = mp.log(mp.mpf(t))
+        v_hi = mp.log(top)
+        v_lo = v_hi - 1
+        while mp.log(t_of(mp.exp(v_lo))) < target:
+            v_hi, v_lo = v_lo, v_lo - 2 * (v_hi - v_lo)
+        v = (v_lo + v_hi) / 2
+        for _ in range(200):
+            u = mp.exp(v)
+            tu = t_of(u)
+            g = mp.log(tu) - target
+            if g > 0:
+                v_lo = v
+            else:
+                v_hi = v
+            step = g * tu / (rate(u) * u)
+            if abs(step) < 1e-30 * max(1, abs(v)):
+                u = mp.exp(v + step)
+                alpha = k0(c + u, 1) / poly(d, u)
+                return c, u, alpha, k0(c + u, 0) / alpha
+            v += step
+            if not v_lo < v < v_hi:
+                v = (v_lo + v_hi) / 2
+    raise AssertionError("mpmath reference did not converge")
+
+
+@pytest.fixture
+def mp_arms_flow():
+    """The 40-digit reference of the gel-inert arms flow, solved in u = ell_t - c."""
+    return _mp_arms_flow

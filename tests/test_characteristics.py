@@ -3,13 +3,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gelsolve import characteristics, models
 from gelsolve.characteristics import (
-    _PANELS,
     ArmsFlow,
     bisect_increasing,
     ell_infinity,
@@ -391,81 +390,47 @@ def _mp_k0(measure):
     return k0
 
 
-def _mp_ell(measure, t, start):
-    """ell_t to 40 digits: Newton on t(x) = T_gel + int_x^1 k0''/(x k0' - k0)^2.
-
-    t(x) is decreasing and convex, so the iteration settles on its one root
-    whatever the start; it starts at the value under test only to save steps.
-    """
-    with mp.workdps(40):
-        terms = [(a, mp.mpf(w)) for (a, _), w in measure.weights.items()]
-        k0 = _mp_k0(measure)
-
-        def rate(x):
-            return k0(x, 2) / (x * k0(x, 1) - k0(x, 0)) ** 2
-
-        A0 = sum(a * w for a, w in terms)
-        K = sum(a * (a - 1) * w for a, w in terms)
-        c = mp.mpf(0)
-        if k0(c, 0) != 0:
-            c = mp.findroot(lambda x: x * k0(x, 1) - k0(x, 0), (mp.mpf(0), mp.mpf(1)),
-                            solver="anderson")
-
-        def t_of(x):
-            points = [x]  # panels as wide as their distance to the pole at c
-            while points[-1] < 1:
-                points.append(min(c + 2 * (points[-1] - c), mp.mpf(1)))
-            return 1 / (K - A0) + mp.quad(rate, points)
-
-        x, target = mp.mpf(start), mp.mpf(t)
-        for _ in range(50):
-            step = (t_of(x) - target) / rate(x)
-            x += step
-            if abs(step) < mp.mpf(10) ** -32 * x:
-                return x
-    raise AssertionError("mpmath reference did not converge")
-
-
-MPMATH_LAWS = pytest.mark.parametrize("measure", [
-    ArmMeasure.monodisperse(MU),
-    ArmMeasure.monodisperse({0: 0.5, 2: 0.25, 3: 0.25}),  # c = 0, a double root of D
-    ArmMeasure.monodisperse({0: 0.99, 1: 1e-4, 3: 0.0099}),
-    ArmMeasure.monodisperse({0: 0.3, 1: 0.2, 2: 0.1, 4: 0.1, 6: 0.1, 9: 0.2}),
-    ArmMeasure({(1, 1): 0.5, (3, 2): 0.5, (4, 1): 0.1}),  # k0 summed over mass
-], ids=["readme", "c-zero", "small-c", "nine-arms", "general"])
-
-
-@MPMATH_LAWS
-def test_flow_matches_mpmath_inversion(measure):
-    flow = ArmsFlow(measure)
-    for dt in (1e-4, 0.03, 1.0, 50.0, 1e4):
-        t = flow.t_gel + dt
-        ell = flow.state(t).ell
-        assert ell == pytest.approx(float(_mp_ell(measure, t, ell)), rel=1e-12, abs=0.0)
-
-
-@MPMATH_LAWS
-def test_alpha_and_arm_count_match_mpmath(measure):
-    # alpha = k0'/D and A = k0/alpha at the 40-digit ell_t
-    flow = ArmsFlow(measure)
-    k0 = _mp_k0(measure)
-    for dt in (1e-4, 0.03, 1.0, 50.0):
-        t = flow.t_gel + dt
-        state = flow.state(t)
-        with mp.workdps(40):
-            ell = _mp_ell(measure, t, state.ell)
-            alpha = k0(ell, 1) / (ell * k0(ell, 1) - k0(ell, 0))
-            arms = k0(ell, 0) / alpha
-        assert state.alpha == pytest.approx(float(alpha), rel=1e-13, abs=0.0)
-        assert state.A == pytest.approx(float(arms), rel=1e-13, abs=0.0)
-
-
 FAR_LAWS = [
     {1: 0.03558438888743941, 2: 0.00435965163122965, 7: 8.269896045254357e-06,
      8: 0.0003140641937152215, 9: 0.004057898610257531},
     {0: 0.4656769825813181, 1: 0.00042142578133980916, 2: 0.6004698144786245,
      5: 0.0004357043082412592, 7: 1.0243419944258223e-05, 9: 1.6703107703724183e-05},
 ]
+
+
+MPMATH_LAWS = pytest.mark.parametrize("measure", [
+    ArmMeasure.monodisperse(MU),
+    ArmMeasure.monodisperse({0: 0.5, 2: 0.25, 3: 0.25}),  # c = 0, a double root of D
+    ArmMeasure.monodisperse({0: 0.3, 2: 0.4, 3: 0.3}),  # c = 0
+    ArmMeasure.monodisperse({0: 0.99, 1: 1e-4, 3: 0.0099}),
+    ArmMeasure.monodisperse({0: 0.3, 1: 1e-4, 2: 0.3, 3: 0.3}),
+    ArmMeasure.monodisperse(FAR_LAWS[1]),
+    ArmMeasure.monodisperse({0: 0.3, 1: 0.2, 2: 0.1, 4: 0.1, 6: 0.1, 9: 0.2}),
+    ArmMeasure({(1, 1): 0.5, (3, 2): 0.5, (4, 1): 0.1}),  # k0 summed over mass
+], ids=["readme", "c-zero", "c-zero-2", "small-c", "small-mu1", "c-0.501", "nine-arms",
+        "general"])
+
+
+@MPMATH_LAWS
+def test_flow_matches_mpmath_inversion(measure, mp_arms_flow):
+    flow = ArmsFlow(measure)
+    for dt in (1e-4, 0.03, 1.0, 50.0, 1e4):
+        t = flow.t_gel + dt
+        c, u, _, _ = mp_arms_flow(measure, t)
+        assert flow.state(t).ell == pytest.approx(float(c + u), rel=1e-12, abs=0.0)
+
+
+@MPMATH_LAWS
+def test_alpha_and_arm_count_match_mpmath(measure, mp_arms_flow):
+    # alpha = k0'/D and A = k0/alpha at the 40-digit u_t = ell_t - c, from
+    # just past T_gel to t = 1e300, where alpha_t is about t itself
+    flow = ArmsFlow(measure)
+    for dt in (1e-4, 0.03, 1.0, 50.0, 1e9, 1e12, 1e16, 1e17, 1e100, 1e300):
+        t = flow.t_gel + dt
+        state = flow.state(t)
+        _, _, alpha, arms = mp_arms_flow(measure, t)
+        assert state.alpha == pytest.approx(float(alpha), rel=1e-13, abs=0.0)
+        assert state.A == pytest.approx(float(arms), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("mu", FAR_LAWS, ids=["c-0.774", "c-0.501"])
@@ -479,34 +444,34 @@ def test_far_times_where_a_panel_point_rounds_onto_c(mu):
         assert st.alpha > 0.0 and 0.0 < st.beta < math.inf
 
 
-def _eager_edges(flow):
-    """The panel edges as the flow once built them: every x_k at once, cut at the first failure."""
-    c = flow._c
-    x = c + (1.0 - c) * 2.0 ** -np.arange(_PANELS + 1.0)
-    d, f = np.array([flow._integrand(v) for v in x.tolist()]).T
-    ok = (np.diff(x, prepend=2.0) < 0.0) & (x > c) & (d > 0.0) & np.isfinite(f)
-    return x[: x.size if ok.all() else int(np.argmin(ok))].tolist()
-
-
-def _check_edges(law):
-    flow = ArmsFlow(law)
-    flow.state(flow.t_gel + 1e-4)
-    assert len(flow._edges) == len(flow._times) == 2  # only the first panel is summed
-    flow.state(1e300)  # past the last panel: every edge checked
-    assert flow._edges == _eager_edges(flow)
-
-
 @pytest.mark.parametrize("mu", [MU, *FAR_LAWS], ids=["readme", "c-0.774", "c-0.501"])
-def test_lazy_edges_equal_the_eager_rule(mu):
-    _check_edges(ArmMeasure.monodisperse(mu))
+def test_panels_are_summed_only_as_far_as_a_query_needs(mu):
+    flow = ArmsFlow(ArmMeasure.monodisperse(mu))
+    flow.state(flow.t_gel + 1e-4)
+    assert len(flow._times) == 2  # t(u_0) = T_gel and t(u_1): one panel summed
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(mu=st.dictionaries(st.integers(0, 9), st.floats(1e-6, 1.0), min_size=2, max_size=6))
-def test_lazy_edges_equal_the_eager_rule_on_arm_laws(mu):
-    law = ArmMeasure.monodisperse(mu)
-    assume(math.isfinite(gel_time(law)))
-    _check_edges(law)
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-100, 1e100, 1e300])
+def test_flow_is_scale_free(scale):
+    # weights scale * mu give D and k0'' times scale, so t(u) over scale:
+    # alpha(t) = alpha_1(scale t) and A(t) = scale A_1(scale t)
+    unit = ArmsFlow(ARM)
+    flow = ArmsFlow(ArmMeasure.monodisperse({a: scale * w for a, w in MU.items()}))
+    for ratio in (1.001, 1e3):
+        t = ratio * flow.t_gel
+        state, ref = flow.state(t), unit.state(scale * t)
+        assert state.alpha == pytest.approx(ref.alpha, rel=1e-12, abs=0.0)
+        assert state.A == pytest.approx(scale * ref.A, rel=1e-12, abs=0.0)
+
+
+def test_alpha_where_a_power_of_ell_underflows(mp_arms_flow):
+    # mu(1) = 0 and weights near 1e282: at t = 1e300 ell_t is about 6e-98, so
+    # ell^4 underflows, and k0'(ell) = 30 mu(6) ell^4 must not take it first
+    law = ArmMeasure.monodisperse({0: 2.8e-12, 6: 8.4e281})
+    for t in (1e100, 1e300):
+        state = ArmsFlow(law).state(t)
+        _, _, alpha, _ = mp_arms_flow(law, t)
+        assert state.alpha == pytest.approx(float(alpha), rel=1e-13, abs=0.0)
 
 
 # FloryArms past the gel time, against its definition: ell_t is the smallest
@@ -584,6 +549,20 @@ def test_flory_arms_roots_match_their_definition(measure):
         )
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(measure=gelling_arm_data())
+@example(measure=ArmMeasure({(3, 3): 0.27729609865727334, (0, 3): 0.8803134763199665,
+                             (1, 2): 0.7629109343348213}))
+def test_flory_arms_second_moment_at_one_plus_1e_6_t_gel(measure):
+    # the bracket 1 - beta k0'(ell) taken as beta (1 - ell) Q'(ell): only
+    # 1 - ell, with ell's absolute precision, still loses digits.  The example
+    # was 4.1e-9 off when the bracket was the difference.
+    model = FloryArms(measure)
+    t = model.t_gel * (1 + 1e-6)
+    expected = float(_mp_flory_arms(measure, t)[1])
+    assert model.second_moment(t) == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
 def test_flory_arms_second_moment_just_past_the_gel_time():
     # 1.00003 T_gel on a law from the arms-closed benchmark stream, where phi_t
     # is nearly flat at ell_t
@@ -626,7 +605,7 @@ def test_arms_h_inverse_matches_its_definition(measure, ratio, x, y):
 
 @pytest.mark.parametrize("t", [1e17, 1e300])
 def test_far_time_arms_h_inverse_lies_in_its_bracket(t):
-    # past the flow's last panel alpha_t is inf, and the root still lies in [0, ell_t]
+    # far past T_gel phi_t is nearly flat below ell_t, and the root still lies in [0, ell_t]
     model = SmoluchowskiArms(ARM)
     ell = model.state(t).ell
     for x in (0.02, 0.4, 0.98):

@@ -285,9 +285,11 @@ class TestConcentrations:
             table[(int(float(a)), int(float(m)))] = float(c)
         assert table[(0, 2)] == pytest.approx(1 / 64)
 
-    def test_arms_past_the_last_flow_panel(self, capsys):
-        # alpha_t = inf from about t = 5e16 on the README law: row 0 is the
-        # limit and the rows a >= 1 vanish, with no 0 * log(0) = nan on row 0
+    def test_arms_past_the_last_flow_panel(self, capsys, mp_arms_flow):
+        # alpha_t is finite at t = 1e17 on the README law, about 5e16: row 0 is
+        # the limit, and row 1 is the closed form at the 40-digit alpha_t,
+        # (m-1)!/m! beta^(m-1) alpha^-1 nu^{*m}(m-1) with nu = (1/4, 0, 3/4):
+        # 0 at even m, and at m = 3 beta^2 / alpha * 9/64 / 3, beta = 1/(1.5 ell)
         code, out = run(
             capsys,
             "concentrations", "--model", "smoluchowski-arms",
@@ -301,8 +303,12 @@ class TestConcentrations:
             table[(int(a), int(m))] = float(c)
         assert table[(0, 2)] == pytest.approx(0.036084391824351643, rel=1e-12, abs=0.0)
         assert table[(0, 4)] == pytest.approx(0.0060140653040586045, rel=1e-12, abs=0.0)
-        assert not any(table[(1, m)] for m in (2, 3, 4))
-
+        c, u, alpha, _ = mp_arms_flow(arm_measure_from_config(json.loads(ARMS)), 1e17)
+        with mp.workdps(40):
+            beta = 1 / (mp.mpf(1.5) * (c + u))
+            row1 = float(beta**2 / alpha * mp.mpf(9) / 64 / 3)
+        assert table[(1, 2)] == table[(1, 4)] == 0.0
+        assert table[(1, 3)] == pytest.approx(row1, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "model, spec, a_max, m_max",
@@ -434,6 +440,19 @@ class TestValidate:
         outs = [run(capsys, *argv, *m) for m in ((), ("--mmax", "1"), ("--mmax", "500"))]
         assert outs[0][0] == 0
         assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    @pytest.mark.parametrize("model, measure, window", [
+        ("flory", MONO, ("--mmax", "1")),
+        ("smoluchowski-arms", ARMS, ("--amax", "0")),
+    ], ids=["classic", "arms"])
+    def test_window_below_the_oracles_least_is_a_config_error(
+        self, capsys, model, measure, window
+    ):
+        # the oracle needs masses 1 and 2 (classic) or arm counts 0 and 1 (arms)
+        assert_config_error(capsys, (
+            "validate", "--model", model, "--measure", measure, *window,
+            "--t-end", "0.1", "--dt", "0.01",
+        ))
 
     @pytest.mark.parametrize("models, measure, window, t_end", [
         (("smoluchowski", "flory"), MONO, ("--mmax", "30"), "0.9"),

@@ -455,16 +455,30 @@ class TestArmsConcentrations:
                         checked += 1
         assert checked > 5000
 
-    def test_past_the_last_flow_panel(self):
-        # alpha_t = inf from about t = 5e16 on the README law, so 1/alpha_t = 0:
-        # row 0 is the limit, with no 0 * log(0) = nan, and the rows a >= 1 vanish
+    def test_past_the_last_flow_panel(self, mp_arms_flow):
+        # at t = 1e17 on the README law alpha_t is finite, about 5e16: row 0 is
+        # the limit to double precision, and the rows a >= 1 are the closed form
+        # (a+m-2)!/(a! m!) beta^(m-1) alpha^-a nu^{*m}(a+m-2) at the 40-digit
+        # state, with nu = (1/4, 0, 3/4) and beta = 1/k0'(ell) = 1/(1.5 ell)
+        t = 1e17
         model = SmoluchowskiArms(ARM)
-        assert model.coeffs(1e17)[0] == math.inf
-        out = arms_concentrations(model, 1e17, 3, 8)
+        out = arms_concentrations(model, t, 3, 8)
         assert np.isfinite(out).all()
         c_inf = limiting_concentrations(model, 8).c_inf
         assert out[0, 2:] == pytest.approx(c_inf[2:], rel=1e-12, abs=0.0)
-        assert not out[1:, 2:].any()
+        c, u, alpha, _ = mp_arms_flow(ARM, t)
+        assert model.coeffs(t)[0] == pytest.approx(float(alpha), rel=1e-13, abs=0.0)
+        with mp.workdps(40):
+            beta = 1 / (mp.mpf(1.5) * (c + u))
+            for a in range(1, 4):
+                for m in range(2, 9):
+                    k, j = a + m - 2, (a + m - 2) // 2
+                    ref = 0 if k % 2 else (
+                        mp.factorial(k) / (mp.factorial(a) * mp.factorial(m))
+                        * beta ** (m - 1) / alpha**a
+                        * mp.binomial(m, j) * mp.mpf(0.75) ** j * mp.mpf(0.25) ** (m - j)
+                    )
+                    assert out[a, m] == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
     def test_gel_inert_variant_pre_gel(self):
         # pre-gel beta_t = t/(1+t) and alpha_t = 1+t, so the two variants agree
