@@ -112,10 +112,10 @@ def gel_time(measure) -> float:
         K = measure.moments().K
         return 0.0 if math.isinf(K) else 1.0 / K
     if isinstance(measure, ArmMeasure):
-        A0, K = measure.A0, measure.K
-        if K <= A0:
-            return INF
-        return 1.0 / (K - A0)
+        # 1/D(1), D(1) = sum a (a - 2) c0(a, m) with the a = 1 weights taken last, not K - A0
+        d1 = sum(a * (a - 2) * w for (a, _), w in measure.weights.items() if a >= 3)
+        d1 -= sum(w for (a, _), w in measure.weights.items() if a == 1)
+        return 1.0 / d1 if d1 > 0.0 else INF
     raise DomainError(f"unsupported measure type {type(measure).__name__}")
 
 
@@ -163,26 +163,25 @@ def l_flory(t, measure: MassMeasure):
 # ---------------------------------------------------------------------------
 # Arms model: the characteristic flow
 
-def arms_polynomials(measure: ArmMeasure):
-    """Horner tuples of D(x) = x k0'(x, 1) - k0(x, 1) and of k0''(x, 1).
+def arms_polynomials(p: tuple, c: float = 0.0):
+    """Horner tuples in u of D, k0'', k0' and k0 at c + u, from that of K0(c + u).
 
-    Each has the highest power of x first and its zero top coefficients
-    dropped: on laws on {0..3}, k0'' is one constant.  D = sum a (a-2) c0(a,
-    m) x^(a-1) is written out term by term, so only the a = 1 term is
-    subtracted.  D' = x k0'' >= 0 and D(1) = K - A0.
+    k0 = k0(., 1) = K0' and D = x k0' - k0.  With b_j the coefficients of
+    K0(c + u), lowest first, u^j has the coefficient (j+1) b_(j+1) in k0,
+    (j+2)(j+1) b_(j+2) in k0', (j+3)(j+2)(j+1) b_(j+3) in k0'' and (j+1)(j-1)
+    b_(j+1) + c (j+2)(j+1) b_(j+2) in D.  For c >= 0 every b_j of the shift is
+    a sum of nonnegative terms, so only D's constant term, -mu(1) at c = 0,
+    can be negative.  At c = 0, u = x: D' = x k0'' and D(1) = K - A0.
     """
-    n = max(a for a, _ in measure.weights) + 1
-    d, xx = [0.0] * n, [0.0] * n
-    for (a, _), w in measure.weights.items():
-        if a >= 1:
-            d[a - 1] += a * (a - 2) * w
-        if a >= 3:
-            xx[a - 3] += a * (a - 1) * (a - 2) * w
-    return _highest_first(d), _highest_first(xx)
+    n = len(p) - 1  # the largest arm count; p[i] = b_(n-i)
+    k0, kp, kpp = (tuple(math.perm(n - i, o) * b for i, b in enumerate(p[: n + 1 - o]))
+                   for o in (1, 2, 3))
+    d = tuple((n - i) * (n - i - 2) * b + c * v for i, (b, v) in enumerate(zip(p, (0.0, *kp))))
+    return d, kpp, kp, k0
 
 
 def flory_polynomials(measure: ArmMeasure):
-    """Horner tuples, as in `arms_polynomials`, of Q and Q' for `FloryArms`.
+    """Horner tuples of Q and Q' for `FloryArms`, their zero top coefficients dropped.
 
     A0 x - k0(x, 1) = (1 - x) Q(x), Q(x) = -mu(1) + sum_(j>=1) x^j
     sum_(a>=j+2) a mu(a) with mu(a) = sum_m c0(a, m): Q increases from Q(0) =
@@ -194,14 +193,9 @@ def flory_polynomials(measure: ArmMeasure):
             q[0] -= w  # -mu(1)
         for j in range(1, a - 1):
             q[j] += a * w
-    return tuple(map(_highest_first, (q, [j * b for j, b in enumerate(q)][1:])))
-
-
-def _highest_first(coeffs: list) -> tuple:
-    """Power-series coefficients, lowest power first, as a Horner tuple without zero top."""
-    while coeffs and coeffs[-1] == 0.0:
-        coeffs.pop()
-    return tuple(reversed(coeffs))
+    while q and q[-1] == 0.0:
+        q.pop()
+    return tuple(reversed(q)), tuple(reversed([j * b for j, b in enumerate(q)][1:]))
 
 
 def horner(coeffs: tuple, x: float) -> float:
@@ -264,12 +258,13 @@ class ArmsFlow:
 
     D is convex and increasing with its root at c = ell_inf, so t(x) falls
     from +inf at c to T_gel at 1.  The flow's variable is u = ell - c: the
-    first post-gel query Taylor-shifts the Horner tuples of D and k0'' to c
-    (`_taylor_shift`), sets D's constant term to exactly 0 and integrates
-    k0'' into k0'.  Only the a = 1 term of D is negative, and it is
-    constant, so every other coefficient is a sum of nonnegative terms: no
-    Horner sum in u cancels or underflows early as u -> 0, and alpha = k0' /
-    D keeps full relative precision at every time.  The integral is summed with 12-point Gauss-Legendre over the
+    first post-gel query or `limit()` finds c from D in x and Taylor-shifts
+    the law's polynomial K0 to c (`_taylor_shift`), once; D, k0'', k0' and k0
+    in u follow (`arms_polynomials`), and D(c) is set to exactly 0.  Every
+    other coefficient is a sum of nonnegative terms, so no Horner sum in u
+    cancels or underflows early as u -> 0: alpha = k0'/D, beta = 1/k0', the
+    arm count k0/alpha and the sol mass K0 keep full relative precision at
+    every time.  The integral is summed with 12-point Gauss-Legendre over the
     panels between u_k = (1 - c) 2^-k, exact in binary and each as wide as
     its distance to the pole at u = 0; the running sums t(u_k) are built in
     order as far as a query needs and kept, so a state is a pure function
@@ -278,15 +273,27 @@ class ArmsFlow:
     falling back to bisection when a step leaves the bracket.  Once u_k is
     no longer a normal double, past t of about 1e308 on laws with weights
     near 1, ell_t is reported as c and alpha_t, then 1e307 or more, as inf.
-    A state carries the sol mass and arm count too (`arms_state`): it is
-    the gel-inert arms model's state.
+    A state is the gel-inert arms model's state.
     """
 
     def __init__(self, measure: ArmMeasure):
         self.measure = measure
         self.t_gel = gel_time(measure)
-        self._c = None  # ell_inf, found by the first post-gel query
+        self._c = None  # ell_inf, found by the first post-gel query or limit
         self._times = [self.t_gel]  # t(u_k), one per panel summed so far
+
+    def _shift(self) -> None:
+        """Find c and read the Horner tuples in u of every field from K0(c + u), once."""
+        if self._c is not None:
+            return
+        k0 = self.measure.polynomial()
+        d, kpp = arms_polynomials(k0)[:2]
+        self._c = c = polynomial_root(d, kpp + (0.0,), 0.0)  # D' = x k0''
+        shifted = _taylor_shift(k0, c)
+        d, self._kpp, self._kp, self._k0 = arms_polynomials(shifted, c)
+        self._d = d[:-1] + (0.0,)  # D(c) = 0
+        self._mass = shifted if self.measure.is_monodisperse else (math.nan,)  # sol mass
+        self._u0 = 1.0 - c
 
     def _polys(self, u: float):
         """(D(c + u), k0''(c + u)), both Horner sums in u."""
@@ -294,7 +301,7 @@ class ArmsFlow:
         d = k = 0.0
         for a in self._d:
             d = d * u + a
-        for a in self._xx:
+        for a in self._kpp:
             k = k * u + a
         return d, k
 
@@ -310,15 +317,7 @@ class ArmsFlow:
 
     def _u(self, t: float) -> float:
         """u_t = ell_t - c, or 0 once the panel ends are no longer normal doubles."""
-        if self._c is None:
-            d, xx = arms_polynomials(self.measure)
-            self._c = c = polynomial_root(d, xx + (0.0,), 0.0)
-            self._d = _taylor_shift(d, c)[:-1] + (0.0,)  # D(c) = 0
-            self._xx = xx = _taylor_shift(xx, c)
-            # k0'(c + u) = k0'(c) + int_0^u k0''(c + s) ds: no term underflows early
-            kp = [a / (len(xx) - i) for i, a in enumerate(xx)]
-            self._kp = (*kp, self.measure.k0(c, 1.0, 1))
-            self._u0 = 1.0 - c
+        self._shift()
         times = self._times
         while times[-1] < t:
             hi = math.ldexp(self._u0, 1 - len(times))  # u_k, the next panel's top
@@ -349,34 +348,35 @@ class ArmsFlow:
 
     def state(self, t: float) -> SolutionState:
         check_time(t)
-        A0 = self.measure.A0
         if t <= self.t_gel:
-            return arms_state(self.measure, t, 1.0, 1.0 + A0 * t, t / (1.0 + A0 * t))
+            return pre_gel_state(self.measure, t)
         u = self._u(t)
-        ell = self._c + u
         kp = horner(self._kp, u)
         alpha = kp / horner(self._d, u) if u else INF  # u = 0: alpha_t >= 1e307
         beta = 1.0 / kp if kp > 0.0 else INF
-        return arms_state(self.measure, t, ell, alpha, beta)
+        # t, ell, alpha, beta, M, A by position
+        return SolutionState(t, self._c + u, alpha, beta, horner(self._mass, u),
+                             horner(self._k0, u) / alpha)
+
+    def limit(self) -> SolutionState:
+        """The flow at u = 0: ell = c, beta = 1/k0'(c) (inf when it is 0) and M = K0(c)."""
+        if math.isinf(self.t_gel):
+            return pre_gel_state(self.measure, INF)
+        self._shift()
+        kp = self._kp[-1]  # the constant terms are the values at u = 0
+        return SolutionState(INF, self._c, beta=1.0 / kp if kp > 0.0 else INF, M=self._mass[-1])
 
 
-def arms_state(measure: ArmMeasure, t, ell, alpha, beta) -> SolutionState:
-    """An arms model's state at t: the sol mass K0(ell) and the arm count k0(ell, 1)/alpha.
+def pre_gel_state(measure: ArmMeasure, t: float) -> SolutionState:
+    """An arms model's state at t <= T_gel, or its limit (t = inf) without gelation: ell = 1.
 
-    The mass is nan on general arm data, which has no closed form for it.
+    The limit has beta = 1/A0 and no alpha or A.  The sol mass M0 is nan on general arm data.
     """
-    # t, ell, alpha, beta, M, A by position
-    return SolutionState(
-        t, ell, alpha, beta, measure.k0_mass(ell), measure.k0(ell, 1.0) / alpha
-    )
-
-
-def ell_infinity(measure: ArmMeasure) -> float:
-    """Long-time limit of ell_t: the root c of D(x) = x k0'(x) - k0(x); 1 without gelation."""
-    if math.isinf(gel_time(measure)):
-        return 1.0
-    d, xx = arms_polynomials(measure)
-    return polynomial_root(d, xx + (0.0,), 0.0)  # D' = x k0''
+    M = measure.M0 if measure.is_monodisperse else math.nan
+    if t == INF:
+        return SolutionState(t, 1.0, beta=1.0 / measure.A0, M=M)
+    alpha = 1.0 + measure.A0 * t
+    return SolutionState(t, 1.0, alpha, t / alpha, M, measure.A0 / alpha)
 
 
 def polynomial_root(p: tuple, dp: tuple, target: float) -> float:

@@ -266,7 +266,10 @@ class PowerLawDensity(MassMeasure):
 
 
 class ArmMeasure:
-    """Finite-support initial concentrations c0(a, m) on arms x mass."""
+    """Finite-support initial concentrations c0(a, m) on arms x mass.
+
+    At y = 1 the law is one polynomial, K0 (`polynomial`), with K0' = k0(., 1).
+    """
 
     def __init__(self, weights: Mapping[tuple[int, int], float]):
         clean: dict[tuple[int, int], float] = {}
@@ -299,6 +302,7 @@ class ArmMeasure:
                               f"K={self.K}, M0={self.M0}, total={self.total}")
         self.is_monodisperse = all(m == 1 for _, m in clean)
         self._terms = None
+        self._k0_poly = None
 
     def __repr__(self):
         return f"ArmMeasure({self.weights!r})"
@@ -315,13 +319,13 @@ class ArmMeasure:
 
     def _tables(self):
         # per order o, (a (a-1) ... (a-o) c0(a, m), a-1-o, m) for the atoms
-        # with a > o; then (c0(a, m), a) for K0.  Built at the first evaluation.
+        # with a > o.  Built at the first evaluation.
         if self._terms is None:
             items = self.weights.items()
             self._terms = tuple(
                 tuple((math.perm(a, o + 1) * w, a - 1 - o, m) for (a, m), w in items if a > o)
                 for o in range(3)
-            ) + (tuple((w, a) for (a, _), w in items),)
+            )
         return self._terms
 
     def k0(self, x: float, y: float = 1.0, order: int = 0) -> float:
@@ -338,19 +342,17 @@ class ArmMeasure:
             total += c * x**e * y**m
         return total
 
-    def k0_mass(self, x: float) -> float:
-        """K0(x) = sum mu(a) x^a, whose derivative is k0(x, 1); nan unless monodisperse.
+    def polynomial(self) -> tuple:
+        """The Horner tuple of K0(x) = sum_(a,m) c0(a, m) x^a, built at the first call.
 
-        K0(1) = M0, and K0(ell_t) is the sol mass of the arms models.
+        K0' = k0(., 1); on monodisperse data K0(ell_t) is the sol mass.
         """
-        if not self.is_monodisperse:
-            return math.nan
-        if not 0.0 <= x <= 1.0:
-            _check_unit_interval(x, "x")
-        total = 0
-        for w, a in self._tables()[3]:
-            total += w * x**a
-        return total
+        if self._k0_poly is None:
+            coeffs = [0.0] * (max(a for a, _ in self.weights) + 1)
+            for (a, _), w in self.weights.items():
+                coeffs[a] += w
+            self._k0_poly = tuple(reversed(coeffs))
+        return self._k0_poly
 
     def nu(self) -> np.ndarray:
         """Size-biased offspring law nu(k) = (k+1) mu(k+1), k = 0..amax-1.
@@ -358,12 +360,9 @@ class ArmMeasure:
         Its total is A0.  nu(0) = 0, no particle with exactly one arm, leaves
         every cluster of mass >= 2 with at least two free arms.
         """
-        mu = self.arm_law()
-        out = np.zeros(max(max(mu), 1))
-        for a, w in mu.items():
-            if a >= 1:
-                out[a - 1] = a * w
-        return out
+        self.arm_law()  # raises on general data, which has no arm law
+        # the coefficients of k0(x, 1) = K0'(x), lowest power first
+        return np.array([a * w for a, w in enumerate(reversed(self.polynomial()))][1:])
 
 
 def conv_power(nu, m: int, max_index: int):

@@ -12,16 +12,16 @@ import math
 from .characteristics import (
     ArmsFlow,
     SolutionState,
-    arms_state,
+    arms_polynomials,
     bisect_increasing,
     check_time,
-    ell_infinity,
     ell_smolu,
     flory_polynomials,
     gel_time,
     horner,
     l_flory,
     polynomial_root,
+    pre_gel_state,
 )
 from .errors import DomainError, ModelError
 from .measures import ArmMeasure, MassMeasure
@@ -178,12 +178,14 @@ class _Arms(Model):
 
     Both variants have the characteristic map phi_t(x, y) = alpha_t (x -
     beta_t k0(x, y)); a subclass states how alpha_t, beta_t and ell_t follow
-    from t (`state`), and their limits as t -> inf (`limit`).  `coeffs` reads
-    (alpha_t, beta_t) from the state.  h_t(x, y) lies in [0, ell_t]: phi_t(.,
-    1) rises there to 1 (the gel-inert map peaks at ell_t, the Flory map past
-    it), and for y <= 1 phi_t(., y) >= phi_t(., 1) rises at least as fast, as
-    k0 and k0' grow with y.  The per-class `state`, `gen_fun` and
-    `second_moment` are where perfbench/tracing.py wraps each model.
+    from t (`state`), and their limits as t -> inf (`limit`), all read from
+    the law's polynomial K0 at y = 1 (`ArmMeasure.polynomial`); `k0` serves
+    the map at general y.  `coeffs` reads (alpha_t, beta_t) from the state.
+    h_t(x, y) lies in [0, ell_t]: phi_t(., 1) rises there to 1 (the gel-inert
+    map peaks at ell_t, the Flory map past it), and for y <= 1 phi_t(., y) >=
+    phi_t(., 1) rises at least as fast, as k0 and k0' grow with y.  The
+    per-class `state`, `gen_fun` and `second_moment` are where
+    perfbench/tracing.py wraps each model.
     """
 
     is_arms = True
@@ -236,9 +238,8 @@ class _Arms(Model):
     def mass(self, t: float) -> float:
         return self.state(t).M
 
-    def _second_moment(self, st: SolutionState, bracket: float | None = None) -> float:
-        """<c_t, a^2> = d/dx k_t at (1, 1) plus the arm count; bracket = 1 - beta k0'(ell)."""
-        kp = self.measure.k0(st.ell, 1.0, 1)
+    def _second_moment(self, st: SolutionState, kp: float, bracket: float | None = None):
+        """<c_t, a^2> = d/dx k_t at (1, 1) plus the arm count A; kp = k0'(ell)."""
         bracket = 1.0 - st.beta * kp if bracket is None else bracket
         if bracket <= 0.0:
             return INF
@@ -255,19 +256,8 @@ class SmoluchowskiArms(_Arms):
         self.flow = ArmsFlow(measure)
 
     def limit(self) -> SolutionState:
-        """ell_inf is the tangency point k0'(c) = k0(c)/c, and beta_inf = c/k0(c).
-
-        beta_inf is the limit of beta_t = 1/k0'(ell_t).  Without gelation c = 1
-        and beta_t = t/(1 + A0 t) tends to 1/A0 = 1/k0(1) as well.  At c = 0
-        the ratio is 0/0 and its limit is 1/k0'(0), inf when mu(2) = 0 too.
-        """
-        ell = ell_infinity(self.measure)
-        if ell == 0.0:
-            kp = self.measure.k0(0.0, 1.0, 1)
-            beta = 1.0 / kp if kp > 0.0 else INF
-        else:
-            beta = ell / self.measure.k0(ell, 1.0)
-        return SolutionState(t=INF, ell=ell, beta=beta, M=self.measure.k0_mass(ell))
+        """ell_inf is c, the root of D, and beta_inf = 1/k0'(c): the flow at u = 0."""
+        return self.flow.limit()
 
     @_solved_once
     def state(self, t: float) -> SolutionState:
@@ -280,7 +270,7 @@ class SmoluchowskiArms(_Arms):
         # from T_gel on phi_t peaks at ell: 1 - beta k0'(ell) is 0 up to rounding
         if t >= self.t_gel:
             return INF
-        return self._second_moment(self.state(t))
+        return self._second_moment(self.state(t), self.measure.K)  # k0'(1) = K
 
 
 class FloryArms(_Arms):
@@ -295,8 +285,12 @@ class FloryArms(_Arms):
 
     @functools.cached_property
     def _q(self):
-        """Horner tuples of Q, where A0 x - k0(x, 1) = (1 - x) Q(x), and of Q'."""
-        return flory_polynomials(self.measure)
+        """Horner tuples in x of Q, where A0 x - k0(x, 1) = (1 - x) Q(x), Q', the sol
+        mass K0 (nan on general arm data, which has no closed form for it), k0' and k0."""
+        measure = self.measure
+        k0 = measure.polynomial()
+        mass = k0 if measure.is_monodisperse else (math.nan,)
+        return (*flory_polynomials(measure), mass, *arms_polynomials(k0)[2:])
 
     def limit(self) -> SolutionState:
         """ell_inf is the root of Q (`_q`); beta_inf = lim t/alpha_t = 1/A0.
@@ -305,18 +299,22 @@ class FloryArms(_Arms):
         (K > A0) it has one root in [0, 1), exactly 0 when mu(1) = 0; without
         gelation ell_inf is 1.
         """
-        ell = 1.0 if math.isinf(self.t_gel) else polynomial_root(*self._q, 0.0)
-        return SolutionState(t=INF, ell=ell, beta=1.0 / self.measure.A0,
-                             M=self.measure.k0_mass(ell))
+        if math.isinf(self.t_gel):
+            return pre_gel_state(self.measure, INF)
+        q, dq, mass, _, _ = self._q
+        ell = polynomial_root(q, dq, 0.0)
+        return SolutionState(t=INF, ell=ell, beta=1.0 / self.measure.A0, M=horner(mass, ell))
 
     @_solved_once
     def state(self, t: float) -> SolutionState:
         """ell_t is the root of Q = 1/t past T_gel, as phi_t - 1 = (1 - x)(t Q - 1); else 1."""
+        check_time(t)
+        if t <= self.t_gel:
+            return pre_gel_state(self.measure, t)
+        q, dq, mass, _, k0 = self._q
+        ell = polynomial_root(q, dq, 1.0 / t)
         alpha, beta = self.coeffs(t)
-        ell = 1.0
-        if t > self.t_gel:
-            ell = polynomial_root(*self._q, 1.0 / t)
-        return arms_state(self.measure, t, ell, alpha, beta)
+        return SolutionState(t, ell, alpha, beta, M=horner(mass, ell), A=horner(k0, ell) / alpha)
 
     gen_fun = _Arms.gen_fun
 
@@ -327,9 +325,11 @@ class FloryArms(_Arms):
         if t == self.t_gel:
             return INF
         if t < self.t_gel:
-            return self._second_moment(self.state(t))
+            return self._second_moment(self.state(t), self.measure.K)  # k0'(1) = K
         st = self.state(t)
-        return self._second_moment(st, st.beta * (1.0 - st.ell) * horner(self._q[1], st.ell))
+        _, dq, _, kp, _ = self._q
+        return self._second_moment(st, horner(kp, st.ell),
+                                   st.beta * (1.0 - st.ell) * horner(dq, st.ell))
 
 
 MODEL_NAMES = {

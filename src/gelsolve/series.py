@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 # bound here only for perfbench/tracing.py:TARGETS, which wraps these names
 from .characteristics import bisect_increasing, ell_smolu  # noqa: F401
+from .characteristics import horner
 from .errors import DomainError
 from .measures import conv_power, np
 
@@ -298,15 +299,15 @@ def arms_concentrations(model, t: float, a_max: int, m_max: int) -> np.ndarray:
 def arms_mass(model, t: float, *, m_max: int = 150) -> float:
     """Total mass sum m c_t(a, m) of an arms model up to m_max (monodisperse data only).
 
-    The m = 1 layer is summed exactly as mu(a) r^a with r = 1/alpha_t the
-    per-arm decay factor; higher masses come from the closed-form
-    concentrations.
+    The m = 1 layer is summed exactly as K0(r) = sum mu(a) r^a with r =
+    1/alpha_t the per-arm decay factor; higher masses come from the
+    closed-form concentrations.
     """
     measure = model.measure
     conc = arms_concentrations(
         model, t, a_max=_arms_amax(measure, m_max), m_max=m_max
     )
-    total = measure.k0_mass(1.0 / model.coeffs(t)[0])
+    total = horner(measure.polynomial(), 1.0 / model.coeffs(t)[0])
     total += float((conc[:, 2:] * np.arange(2, m_max + 1)).sum())
     return total
 

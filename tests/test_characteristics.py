@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -10,8 +12,9 @@ from scipy.integrate import quad
 from gelsolve import characteristics, models
 from gelsolve.characteristics import (
     ArmsFlow,
+    _taylor_shift,
+    arms_polynomials,
     bisect_increasing,
-    ell_infinity,
     ell_smolu,
     gel_time,
     l_flory,
@@ -343,7 +346,7 @@ class TestArmsFlow:
         monkeypatch.setattr(characteristics, "flory_polynomials", refuse)
         monkeypatch.setattr(models, "flory_polynomials", refuse)
         assert SmoluchowskiArms(ARM).state(3.0).ell < 1.0  # past T_gel = 2
-        assert ell_infinity(ARM) == pytest.approx(3.0 ** -0.5, rel=1e-12)  # root of D
+        assert SmoluchowskiArms(ARM).limit().ell == pytest.approx(3.0 ** -0.5, rel=1e-12)  # root of D
         with pytest.raises(AssertionError, match="outside FloryArms"):
             FloryArms(ARM).state(3.0)  # the name patched is the one in use
 
@@ -421,11 +424,22 @@ def test_flow_matches_mpmath_inversion(measure, mp_arms_flow):
 
 
 @MPMATH_LAWS
+def test_gel_time_matches_mpmath(measure):
+    # 1/D(1), D(1) = sum a (a - 2) c0(a, m): on c-0.501 1/(K - A0) was 2.1e-14 off
+    with mp.workdps(40):
+        d1 = sum(a * (a - 2) * mp.mpf(w) for (a, _), w in measure.weights.items())
+        assert abs(gel_time(measure) * d1 - 1) <= 4e-16
+
+
+#: t - T_gel from just past the gel time to t = 1e300, where alpha_t is about t itself
+FLOW_DTS = (1e-4, 0.03, 1.0, 50.0, 1e9, 1e12, 1e16, 1e17, 1e100, 1e300)
+
+
+@MPMATH_LAWS
 def test_alpha_and_arm_count_match_mpmath(measure, mp_arms_flow):
-    # alpha = k0'/D and A = k0/alpha at the 40-digit u_t = ell_t - c, from
-    # just past T_gel to t = 1e300, where alpha_t is about t itself
+    # alpha = k0'/D and A = k0/alpha at the 40-digit u_t = ell_t - c
     flow = ArmsFlow(measure)
-    for dt in (1e-4, 0.03, 1.0, 50.0, 1e9, 1e12, 1e16, 1e17, 1e100, 1e300):
+    for dt in FLOW_DTS:
         t = flow.t_gel + dt
         state = flow.state(t)
         _, _, alpha, arms = mp_arms_flow(measure, t)
@@ -437,7 +451,7 @@ def test_alpha_and_arm_count_match_mpmath(measure, mp_arms_flow):
 def test_far_times_where_a_panel_point_rounds_onto_c(mu):
     law = ArmMeasure.monodisperse(mu)
     flow = ArmsFlow(law)
-    c = ell_infinity(law)
+    c = SmoluchowskiArms(law).limit().ell
     for t in (1e16, 3.915041124593764e16, 4.83178284091214e19, 1e300):
         st = flow.state(t)
         assert st.ell == pytest.approx(c, rel=1e-12, abs=0.0)
@@ -462,6 +476,69 @@ def test_flow_is_scale_free(scale):
         state, ref = flow.state(t), unit.state(scale * t)
         assert state.alpha == pytest.approx(ref.alpha, rel=1e-12, abs=0.0)
         assert state.A == pytest.approx(scale * ref.A, rel=1e-12, abs=0.0)
+
+
+def test_arm_count_and_sol_mass_where_a_power_of_ell_underflows(mp_arms_flow):
+    # mu(1) = 0 and weights near 1e282: k0(ell) = 6 mu(6) ell^5 and K0(ell)
+    # must take the weight before ell^5 underflows (A_t was 3.5e-5 off at
+    # t = 1e100 and 0 at 1e300)
+    law = ArmMeasure.monodisperse({0: 2.8e-12, 6: 8.4e281})
+    flow = ArmsFlow(law)
+    for dt in FLOW_DTS:
+        t = flow.t_gel + dt
+        state = flow.state(t)
+        c, u, _, arms = mp_arms_flow(law, t)
+        with mp.workdps(40):
+            mass = mp.mpf(2.8e-12) + mp.mpf(8.4e281) * (c + u) ** 6
+        assert state.A == pytest.approx(float(arms), rel=5e-13, abs=0.0)
+        assert state.M == pytest.approx(float(mass), rel=5e-13, abs=0.0)
+
+
+def test_flory_arms_arm_count_where_a_power_of_ell_underflows():
+    # past T_gel = 5e-285, at t = 1e-200 ell_t = 1.98e-83, and ell^5
+    # underflows unless the weight multiplies it first
+    law = ArmMeasure.monodisperse({0: 2.8e-12, 6: 8.4e281})
+    t = 1e-200
+    with mp.workdps(40):
+        a6, t_mp = 6 * mp.mpf(8.4e281), mp.mpf(t)  # Q(x) = 6 mu(6) (x + x^2 + x^3 + x^4)
+        ell = mp.findroot(lambda x: t_mp * a6 * (x + x**2 + x**3 + x**4) - 1, 1 / (a6 * t_mp))
+        expected = a6 * ell**5 / (1 + a6 * t_mp)  # k0(ell)/alpha_t, alpha_t = 1 + A0 t
+    assert FloryArms(law).arms_count(t) == pytest.approx(float(expected), rel=1e-13, abs=0.0)
+
+
+def _exact_taylor(coeffs, c):
+    """The coefficients of f(c + u), lowest first, from those of f(x), lowest first."""
+    return [sum(f * math.comb(e, j) * c ** (e - j) for e, f in enumerate(coeffs) if e >= j)
+            for j in range(len(coeffs))]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(mu=st.dictionaries(st.integers(0, 9), st.floats(1e-3, 1.0), min_size=1),
+       c=st.one_of(st.just(0.0), st.floats(1e-30, 1.0, exclude_max=True)))
+@example(mu={0: 0.5, 1: 0.25, 3: 0.25}, c=3.0 ** -0.5)
+def test_arms_polynomials_match_exact_taylor_coefficients(mu, c):
+    # K0, k0 = K0', k0' and k0'' as exact polynomials in x, D = x k0' - k0,
+    # each shifted to c in Fractions.  c is 0 or at least 1e-30, so that a
+    # weight times c^8 is still a normal double: below that a coefficient
+    # can round to a subnormal or to 0, where no float keeps 8 n eps.
+    assume(any(a > 0 for a in mu))
+    p = ArmMeasure.monodisperse(mu).polynomial()
+    n = len(p) - 1
+    k0s = [[Fraction(0)] * (n + 1)]
+    for a, w in mu.items():
+        k0s[0][a] += Fraction(w)
+    for _ in range(3):  # k0, k0', k0''
+        k0s.append([e * f for e, f in enumerate(k0s[-1])][1:] or [Fraction(0)])
+    _, k, kp, kpp = k0s
+    d = [(kp[e - 1] if 1 <= e <= len(kp) else 0) - (k[e] if e < len(k) else 0)
+         for e in range(n + 1)]
+    exact = [_exact_taylor(f, Fraction(c)) for f in (d, kpp, kp, k)]
+    got = arms_polynomials(_taylor_shift(p, c), c)
+    for g, e in zip(got, exact):
+        g = list(reversed(g))
+        assert len(g) <= len(e) and not any(e[len(g):])
+        for j in range(1, len(g)):  # D(c) cancels: its constant term is left out
+            assert g[j] == pytest.approx(float(e[j]), rel=8 * n * sys.float_info.epsilon, abs=0.0)
 
 
 def test_alpha_where_a_power_of_ell_underflows(mp_arms_flow):

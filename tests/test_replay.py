@@ -105,10 +105,36 @@ def test_csv_answers_report_each_column(tmp_path, capsys):
     assert report["max_rel_diff_by_column"] == {
         "t": 0.0, "analytic": 0.0,
         "oracle": (0.75000000000000011 - 0.75) / 0.75000000000000011, "abs_error": 1.0,
+        "ell": 0.0, "alpha": 0.0,
     }
-    # unchanged CSV answers list their columns at 0; library answers add none
+    # unchanged answers list their names at 0: CSV columns and state fields
     code, report = _compare(tmp_path, capsys, LINES, LINES)
-    assert report["max_rel_diff_by_column"] == {"t": 0.0, "M": 0.0}
+    assert report["max_rel_diff_by_column"] == {"t": 0.0, "M": 0.0, "ell": 0.0, "alpha": 0.0}
+
+
+def test_json_and_library_answers_report_each_key(tmp_path, capsys):
+    # a limits answer is JSON text; a boolean and the bare floats of a
+    # library answer have no name to report under
+    limits = {"T_gel": 2.0, "beta_inf": 1.1547005383792515, "M_inf": 0.5,
+              "p_nu_or_c": 0.5773502691896258, "degenerate": False, "c_inf": [0.25, "inf"]}
+    lines = [{"id": 0, "rc": 0, "out": json.dumps(limits, indent=2, sort_keys=True) + "\n"},
+             LINES[1]]
+    moved = json.loads(json.dumps(lines))
+    moved[0]["out"] = moved[0]["out"].replace("1.1547005383792515", "1.1547005383792517")
+    code, report = _compare(tmp_path, capsys, lines, moved)
+    assert code == 1
+    assert report["differing_values"] == 1
+    beta = (1.1547005383792517 - 1.1547005383792515) / 1.1547005383792517
+    assert report["max_rel_diff_by_column"] == {
+        "T_gel": 0.0, "beta_inf": beta, "M_inf": 0.0, "p_nu_or_c": 0.0, "c_inf": 0.0,
+        "ell": 0.0, "alpha": 0.0,
+    }
+    # a moved state field shows under its name
+    moved = json.loads(json.dumps(lines))
+    moved[1]["out"][0]["ell"] = "0.2500000001"
+    code, report = _compare(tmp_path, capsys, lines, moved)
+    assert report["max_rel_diff_by_column"]["ell"] == (0.2500000001 - 0.25) / 0.2500000001
+    assert report["max_rel_diff_by_column"]["beta_inf"] == 0.0
 
 
 def test_timing_goes_to_stderr_and_leaves_stdout_alone(capsys):

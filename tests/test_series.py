@@ -685,7 +685,10 @@ class TestSolveOnce:
         assert not built
 
     def test_limit_solves_the_tangency_point_once(self, monkeypatch):
-        calls = self._count(monkeypatch, "ell_infinity", ("characteristics", "models"))
-        lim = SmoluchowskiArms(ARM).limit()
+        calls = self._count(monkeypatch, "polynomial_root", ("characteristics",))
+        model = SmoluchowskiArms(ARM)
+        lim = model.limit()
         assert len(calls) == 1
         assert lim.beta == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-14)
+        model.state(4.0)  # past T_gel = 2: the flow reuses the c that limit() found
+        assert len(calls) == 1

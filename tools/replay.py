@@ -14,9 +14,9 @@ the exit code and the output (CLI stdout as text, library results with every
 float written as its repr), or the exception it raised.  Two replays agree
 bit for bit exactly when `cmp` finds the files equal.  --compare reports how
 many requests and values differ, how many requests of each kind and of each
-model differ, and the largest relative difference, overall and in each column
-of the CSV answers (columns of one name pooled over every request that prints
-them).
+model differ, and the largest relative difference, overall and under each
+name: a column of a CSV answer, a key of a JSON answer or a field of a library
+state (values of one name pooled over every request that gives them).
 
 --timing also writes to stderr, for each (kind, model, measure type) of the
 stream, the number of requests and the in-process seconds spent serving
@@ -114,11 +114,43 @@ def _values(line):
     return found
 
 
+def _named(value, name=None, found=None):
+    """The numbers in a JSON value as {key: values}, lists pooled under their key.
+
+    A number under no key (a library result that is a bare float) and a
+    boolean are left out.
+    """
+    found = {} if found is None else found
+    if isinstance(value, dict):
+        for key in sorted(value):
+            _named(value[key], key, found)
+    elif isinstance(value, list):
+        for v in value:
+            _named(v, name, found)
+    elif name is not None and not isinstance(value, bool):
+        try:
+            found.setdefault(name, []).append(float(value))
+        except (TypeError, ValueError):
+            pass
+    return found
+
+
 def _columns(line):
-    """A CSV answer (a header of names, then rows of numbers) as {name: values}, else None."""
+    """An answer's named values as {name: values}, else None.
+
+    A CSV answer (a header of names, then rows of numbers) gives its columns,
+    a JSON answer its keys and a library answer the fields of its states.
+    """
     out = line.get("out")
+    if isinstance(out, list):
+        return _named(out)
     if not isinstance(out, str) or not out:
         return None
+    if out.startswith("{"):
+        try:
+            return _named(json.loads(out))
+        except ValueError:
+            return None
     header, *rows = out.splitlines()
     names = header.split(",")
     if not all(NAME.fullmatch(name) for name in names):
@@ -151,7 +183,7 @@ def compare(path_a, path_b, stream):
     worst, worst_id = 0.0, None
     by_kind = {}  # differing requests of each kind, over the lines that carry one
     by_model = {}  # the same for the model a request names
-    by_column = {}  # largest relative difference in each CSV column
+    by_column = {}  # largest relative difference under each name (`_columns`)
     for a, b in zip(lines_a, lines_b):
         if "kind" in a:
             by_kind[a["kind"]] = by_kind.get(a["kind"], 0) + (a != b)
