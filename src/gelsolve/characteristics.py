@@ -163,21 +163,23 @@ def l_flory(t, measure: MassMeasure):
 # ---------------------------------------------------------------------------
 # Arms model: the characteristic flow
 
-def arms_polynomials(p: tuple, c: float = 0.0):
-    """Horner tuples in u of D, k0'', k0' and k0 at c + u, from that of K0(c + u).
+def derivative(p: tuple, k: int) -> tuple:
+    """The Horner tuple of the k-th derivative of the polynomial with Horner tuple p."""
+    return tuple(math.perm(len(p) - 1 - i, k) * b for i, b in enumerate(p[: len(p) - k]))
 
-    k0 = k0(., 1) = K0' and D = x k0' - k0.  With b_j the coefficients of
-    K0(c + u), lowest first, u^j has the coefficient (j+1) b_(j+1) in k0,
-    (j+2)(j+1) b_(j+2) in k0', (j+3)(j+2)(j+1) b_(j+3) in k0'' and (j+1)(j-1)
-    b_(j+1) + c (j+2)(j+1) b_(j+2) in D.  For c >= 0 every b_j of the shift is
-    a sum of nonnegative terms, so only D's constant term, -mu(1) at c = 0,
-    can be negative.  At c = 0, u = x: D' = x k0'' and D(1) = K - A0.
+
+def arms_polynomials(p: tuple, c: float = 0.0):
+    """Horner tuples in u of D = x k0' - k0 and of k0'' at c + u, from that of K0(c + u).
+
+    With b_j the coefficients of K0(c + u), lowest first, u^j has the
+    coefficient (j+1)(j-1) b_(j+1) + c (j+2)(j+1) b_(j+2) in D; k0 = K0', k0'
+    and k0'' are its `derivative`s.  For c >= 0 every b_j of the shift is a
+    sum of nonnegative terms, so only D(c), -mu(1) at c = 0, can be negative.
     """
     n = len(p) - 1  # the largest arm count; p[i] = b_(n-i)
-    k0, kp, kpp = (tuple(math.perm(n - i, o) * b for i, b in enumerate(p[: n + 1 - o]))
-                   for o in (1, 2, 3))
-    d = tuple((n - i) * (n - i - 2) * b + c * v for i, (b, v) in enumerate(zip(p, (0.0, *kp))))
-    return d, kpp, kp, k0
+    d = tuple((n - i) * (n - i - 2) * b + c * ((n - i + 1) * (n - i) * a)
+              for i, (a, b) in enumerate(zip((0.0, *p), p[:n])))
+    return d, derivative(p, 3)
 
 
 def flory_polynomials(measure: ArmMeasure):
@@ -195,7 +197,8 @@ def flory_polynomials(measure: ArmMeasure):
             q[j] += a * w
     while q and q[-1] == 0.0:
         q.pop()
-    return tuple(reversed(q)), tuple(reversed([j * b for j, b in enumerate(q)][1:]))
+    q = tuple(reversed(q))
+    return q, derivative(q, 1)
 
 
 def horner(coeffs: tuple, x: float) -> float:
@@ -259,21 +262,20 @@ class ArmsFlow:
     D is convex and increasing with its root at c = ell_inf, so t(x) falls
     from +inf at c to T_gel at 1.  The flow's variable is u = ell - c: the
     first post-gel query or `limit()` finds c from D in x and Taylor-shifts
-    the law's polynomial K0 to c (`_taylor_shift`), once; D, k0'', k0' and k0
-    in u follow (`arms_polynomials`), and D(c) is set to exactly 0.  Every
-    other coefficient is a sum of nonnegative terms, so no Horner sum in u
-    cancels or underflows early as u -> 0: alpha = k0'/D, beta = 1/k0', the
-    arm count k0/alpha and the sol mass K0 keep full relative precision at
-    every time.  The integral is summed with 12-point Gauss-Legendre over the
-    panels between u_k = (1 - c) 2^-k, exact in binary and each as wide as
-    its distance to the pole at u = 0; the running sums t(u_k) are built in
-    order as far as a query needs and kept, so a state is a pure function
-    of t, whatever the order of the queries.  u_t is then a Newton solve of
-    t(u) = t, with slope -k0''/D^2, inside the panel that brackets t,
-    falling back to bisection when a step leaves the bracket.  Once u_k is
-    no longer a normal double, past t of about 1e308 on laws with weights
-    near 1, ell_t is reported as c and alpha_t, then 1e307 or more, as inf.
-    A state is the gel-inert arms model's state.
+    the law's polynomial K0 to c once (`_taylor_shift`), for D, k0'', k0' and
+    k0 in u (`arms_polynomials`, `derivative`) with D(c) = 0.  Every other
+    coefficient is a sum of nonnegative terms, so no Horner sum in u cancels
+    or underflows early as u -> 0: alpha = k0'/D, beta = 1/k0', the arm count
+    k0/alpha and the sol mass K0 keep full relative precision at every time.
+    The integral is summed with 12-point Gauss-Legendre over the panels
+    between u_k = (1 - c) 2^-k, exact in binary and each as wide as its
+    distance to the pole at u = 0; the running sums t(u_k) are built in order
+    as far as a query needs and kept, so a state is a pure function of t,
+    whatever the order of the queries.  u_t is then a Newton solve of t(u) =
+    t, with slope -k0''/D^2, inside the panel that brackets t, falling back
+    to bisection when a step leaves the bracket.  Once u_k is no longer a
+    normal double, past t of about 1e308 on laws with weights near 1, ell_t
+    is reported as c and alpha_t, then 1e307 or more, as inf.
     """
 
     def __init__(self, measure: ArmMeasure):
@@ -287,12 +289,13 @@ class ArmsFlow:
         if self._c is not None:
             return
         k0 = self.measure.polynomial()
-        d, kpp = arms_polynomials(k0)[:2]
+        d, kpp = arms_polynomials(k0)
         self._c = c = polynomial_root(d, kpp + (0.0,), 0.0)  # D' = x k0''
         shifted = _taylor_shift(k0, c)
-        d, self._kpp, self._kp, self._k0 = arms_polynomials(shifted, c)
+        d, self._kpp = arms_polynomials(shifted, c)
         self._d = d[:-1] + (0.0,)  # D(c) = 0
-        self._mass = shifted if self.measure.is_monodisperse else (math.nan,)  # sol mass
+        self._kp, self._k0 = derivative(shifted, 2), derivative(shifted, 1)
+        self._mass = self.measure.sol_mass(shifted)
         self._u0 = 1.0 - c
 
     def _polys(self, u: float):
@@ -368,11 +371,8 @@ class ArmsFlow:
 
 
 def pre_gel_state(measure: ArmMeasure, t: float) -> SolutionState:
-    """An arms model's state at t <= T_gel, or its limit (t = inf) without gelation: ell = 1.
-
-    The limit has beta = 1/A0 and no alpha or A.  The sol mass M0 is nan on general arm data.
-    """
-    M = measure.M0 if measure.is_monodisperse else math.nan
+    """An arms model's state at t <= T_gel, or without gelation its limit (t = inf): ell = 1."""
+    (M,) = measure.sol_mass((measure.M0,))  # ell = 1: K0(1) = M0
     if t == INF:
         return SolutionState(t, 1.0, beta=1.0 / measure.A0, M=M)
     alpha = 1.0 + measure.A0 * t

@@ -268,7 +268,8 @@ class PowerLawDensity(MassMeasure):
 class ArmMeasure:
     """Finite-support initial concentrations c0(a, m) on arms x mass.
 
-    At y = 1 the law is one polynomial, K0 (`polynomial`), with K0' = k0(., 1).
+    At y = 1 the law is one polynomial, K0 (`polynomial`), with K0' = k0(., 1);
+    on monodisperse data K0(ell_t) is the arms models' sol mass (`sol_mass`).
     """
 
     def __init__(self, weights: Mapping[tuple[int, int], float]):
@@ -343,16 +344,17 @@ class ArmMeasure:
         return total
 
     def polynomial(self) -> tuple:
-        """The Horner tuple of K0(x) = sum_(a,m) c0(a, m) x^a, built at the first call.
-
-        K0' = k0(., 1); on monodisperse data K0(ell_t) is the sol mass.
-        """
+        """The Horner tuple of K0(x) = sum_(a,m) c0(a, m) x^a, built at the first call."""
         if self._k0_poly is None:
             coeffs = [0.0] * (max(a for a, _ in self.weights) + 1)
             for (a, _), w in self.weights.items():
                 coeffs[a] += w
             self._k0_poly = tuple(reversed(coeffs))
         return self._k0_poly
+
+    def sol_mass(self, p: tuple) -> tuple:
+        """p, a Horner tuple of K0, as the sol mass's; (nan,) on general data: no closed form."""
+        return p if self.is_monodisperse else (math.nan,)
 
     def nu(self) -> np.ndarray:
         """Size-biased offspring law nu(k) = (k+1) mu(k+1), k = 0..amax-1.

@@ -12,9 +12,9 @@ import math
 from .characteristics import (
     ArmsFlow,
     SolutionState,
-    arms_polynomials,
     bisect_increasing,
     check_time,
+    derivative,
     ell_smolu,
     flory_polynomials,
     gel_time,
@@ -285,12 +285,10 @@ class FloryArms(_Arms):
 
     @functools.cached_property
     def _q(self):
-        """Horner tuples in x of Q, where A0 x - k0(x, 1) = (1 - x) Q(x), Q', the sol
-        mass K0 (nan on general arm data, which has no closed form for it), k0' and k0."""
-        measure = self.measure
-        k0 = measure.polynomial()
-        mass = k0 if measure.is_monodisperse else (math.nan,)
-        return (*flory_polynomials(measure), mass, *arms_polynomials(k0)[2:])
+        """Horner tuples in x of Q (A0 x - k0(x, 1) = (1 - x) Q), Q', the sol mass, k0', k0."""
+        k0 = self.measure.polynomial()
+        return (*flory_polynomials(self.measure), self.measure.sol_mass(k0),
+                derivative(k0, 2), derivative(k0, 1))
 
     def limit(self) -> SolutionState:
         """ell_inf is the root of Q (`_q`); beta_inf = lim t/alpha_t = 1/A0.

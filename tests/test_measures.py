@@ -471,6 +471,12 @@ class TestKernelsMatchTheWrittenSums:
             assert horner(measure.polynomial(), x) == pytest.approx(
                 _written_k0_mass(law, x), rel=1e-14, abs=1e-300
             )
+            # the sol mass is K0 on monodisperse data and nan on general data
+            sol_mass = horner(measure.sol_mass(measure.polynomial()), x)
+            assert sol_mass == pytest.approx(
+                _written_k0_mass(weights, x), rel=1e-14, abs=1e-300, nan_ok=True
+            )
+            assert math.isnan(sol_mass) == (not measure.is_monodisperse)
 
     def test_an_empty_sum_stays_the_int_zero(self):
         # k0'' of a law with at most two arms per particle

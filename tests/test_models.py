@@ -490,6 +490,16 @@ class TestArmsModels:
         assert model.mass(4.0) == pytest.approx(0.84865, abs=5e-6)
         assert model.state(4.0).M == model.mass(4.0)
 
+    @pytest.mark.parametrize("cls", [SmoluchowskiArms, FloryArms])
+    def test_sol_mass_is_nan_on_general_arm_data(self, cls):
+        # particles of mass 2 leave the sol mass without a closed form
+        model = cls(ArmMeasure({(1, 1): 0.5, (3, 2): 0.5}))
+        assert model.t_gel == 1.0  # 1/D(1), D(1) = 3 * 1 * 0.5 - 0.5
+        for state in (model.state(0.5), model.state(2.0), model.limit()):
+            assert math.isnan(state.M)
+            assert 0.0 < state.ell <= 1.0
+        assert model.arms_count(2.0) > 0.0
+
     @pytest.mark.parametrize("t", [2.5, 4.0, 6.0, 20.0])
     def test_post_gel_state_is_the_peak_of_phi(self, t):
         # the gel-inert state puts phi_t's maximum, of value 1, at ell

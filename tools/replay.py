@@ -93,45 +93,42 @@ def replay(workload, seed, seconds, src, stream, timing=None):
         stream.write(json.dumps(line, sort_keys=True) + "\n")
 
 
+def _leaves(value, name=None):
+    """(key, leaf) for each leaf of a JSON value, its keys in sorted order.
+
+    A leaf in a list takes the list's key; one under no key has the key None.
+    """
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _leaves(value[key], key)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _leaves(v, name)
+    else:
+        yield name, value
+
+
 def _values(line):
     """Every number in a replayed answer, in order."""
     out = line.get("out")
     if isinstance(out, str):
         return [float(tok) for tok in NUMBER.findall(out)]
-    found = []
-
-    def walk(v):
-        if isinstance(v, dict):
-            for k in sorted(v):
-                walk(v[k])
-        elif isinstance(v, list):
-            for x in v:
-                walk(x)
-        elif isinstance(v, str):
-            found.append(float(v))
-
-    walk(out)
-    return found
+    return [float(v) for _, v in _leaves(out) if isinstance(v, str)]
 
 
-def _named(value, name=None, found=None):
-    """The numbers in a JSON value as {key: values}, lists pooled under their key.
+def _named(value):
+    """The numbers in a JSON value under their keys as {key: values}.
 
     A number under no key (a library result that is a bare float) and a
     boolean are left out.
     """
-    found = {} if found is None else found
-    if isinstance(value, dict):
-        for key in sorted(value):
-            _named(value[key], key, found)
-    elif isinstance(value, list):
-        for v in value:
-            _named(v, name, found)
-    elif name is not None and not isinstance(value, bool):
-        try:
-            found.setdefault(name, []).append(float(value))
-        except (TypeError, ValueError):
-            pass
+    found = {}
+    for name, v in _leaves(value):
+        if name is not None and not isinstance(v, bool):
+            try:
+                found.setdefault(name, []).append(float(v))
+            except (TypeError, ValueError):
+                pass
     return found
 
 
