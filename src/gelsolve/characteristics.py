@@ -32,6 +32,8 @@ INF = math.inf
 _TINY = sys.float_info.min  # the smallest normal double
 #: Newton steps whose log(x_next / x) agree to this fraction make a linear phase.
 _LINEAR = 0.1
+_ROOT_TOL = 1e-12  # the relative stop of every root `bisect_increasing` solves
+_ROOT_MAX_ITER = 200  # the points it evaluates before it gives up
 
 
 class SolutionState(NamedTuple):
@@ -50,7 +52,7 @@ class SolutionState(NamedTuple):
     A: float = math.nan
 
 
-def bisect_increasing(f, lo, hi, target, *, tol=1e-12, max_iter=200):
+def bisect_increasing(f, lo, hi, target):
     """Root of f(x)[0] = target for f(x) = (value, slope).
 
     The bracket is (lo, hi), 0 <= lo < hi, and the value is below target on
@@ -65,27 +67,26 @@ def bisect_increasing(f, lo, hi, target, *, tol=1e-12, max_iter=200):
     a linear phase); otherwise it is the midpoint, geometric while
     hi > 2 lo (lo = 0 read as the smallest normal double, so a root at
     1e-300 costs about ten more points).  The solve stops once
-    hi - lo <= tol * hi or a Newton step moves x by at most tol * x; a root
-    below the smallest normal double is an error.  The library's callers
-    keep the default tol; the keywords are there to test the stop rule.
+    hi - lo <= tol * hi or a Newton step moves x by at most tol * x, tol =
+    `_ROOT_TOL`; a root below the smallest normal double is an error.
     """
     x = 0.5 * (lo + hi)
     last_move = INF
     last_log_ratio = math.nan  # log(x / previous x) after a Newton step
-    for _ in range(max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         fx, d = f(x)
         if fx < target:
             lo = x
         else:
             hi = x
-        if hi - lo <= tol * hi:
+        if hi - lo <= _ROOT_TOL * hi:
             return 0.5 * (lo + hi)
         if hi <= _TINY:
             raise SolverError(f"root underflows: it lies below {_TINY}")
         step = math.nan
         if math.isfinite(d) and d > 0.0:
             step = x - (fx - target) / d
-            if abs(step - x) <= tol * x and lo <= step <= hi:
+            if abs(step - x) <= _ROOT_TOL * x and lo <= step <= hi:
                 return step
         log_ratio = math.nan
         if lo < step < hi and abs(step - x) <= 0.5 * last_move:
@@ -99,7 +100,7 @@ def bisect_increasing(f, lo, hi, target, *, tol=1e-12, max_iter=200):
         last_log_ratio = log_ratio
         x = step
     raise SolverError(
-        f"root solver did not reach tol={tol} in {max_iter} iterations"
+        f"root solver did not reach tol={_ROOT_TOL} in {_ROOT_MAX_ITER} iterations"
     )
 
 
@@ -112,9 +113,9 @@ def gel_time(measure) -> float:
         K = measure.moments().K
         return 0.0 if math.isinf(K) else 1.0 / K
     if isinstance(measure, ArmMeasure):
-        # 1/D(1), D(1) = sum a (a - 2) c0(a, m) with the a = 1 weights taken last, not K - A0
-        d1 = sum(a * (a - 2) * w for (a, _), w in measure.weights.items() if a >= 3)
-        d1 -= sum(w for (a, _), w in measure.weights.items() if a == 1)
+        # 1/D(1), D(1) = sum a (a - 2) mu(a) with mu(1) taken last, not K - A0
+        mu = measure.polynomial()[::-1]  # K0: mu(a) at index a, the top a >= 1 as A0 > 0
+        d1 = sum(a * (a - 2) * w for a, w in enumerate(mu) if a >= 3) - mu[1]
         return 1.0 / d1 if d1 > 0.0 else INF
     raise DomainError(f"unsupported measure type {type(measure).__name__}")
 
@@ -182,21 +183,20 @@ def arms_polynomials(p: tuple, c: float = 0.0):
     return d, derivative(p, 3)
 
 
-def flory_polynomials(measure: ArmMeasure):
-    """Horner tuples of Q and Q' for `FloryArms`, their zero top coefficients dropped.
+def flory_polynomials(p: tuple):
+    """Horner tuples of Q and Q' for `FloryArms` from p, the Horner tuple of K0.
 
     A0 x - k0(x, 1) = (1 - x) Q(x), Q(x) = -mu(1) + sum_(j>=1) x^j
     sum_(a>=j+2) a mu(a) with mu(a) = sum_m c0(a, m): Q increases from Q(0) =
-    D(0) to Q(1) = D(1).  On laws on {0..3}, Q is linear.
+    D(0) to Q(1) = D(1), its top coefficient n mu(n) > 0 for the largest arm
+    count n, >= 3 with gelation.  On laws on {0..3}, Q is linear.
     """
-    q = [0.0] * (max(a for a, _ in measure.weights) + 1)
-    for (a, _), w in measure.weights.items():
-        if a == 1:
-            q[0] -= w  # -mu(1)
-        for j in range(1, a - 1):
-            q[j] += a * w
-    while q and q[-1] == 0.0:
-        q.pop()
+    k = derivative(p, 1)[::-1]  # a mu(a) at index a - 1
+    q = [0.0 - k[0]]  # -mu(1), and +0.0 without it
+    for j in range(2, len(k)):
+        q.append(0.0)
+        for b in k[j:]:  # x^(j-1) gets sum_(a>j) a mu(a), summed from the lowest a
+            q[-1] += b
     q = tuple(reversed(q))
     return q, derivative(q, 1)
 

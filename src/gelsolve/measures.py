@@ -9,7 +9,9 @@ x-derivatives.
 Discrete and ArmMeasure evaluate from coefficient tables built at the first
 evaluation: per order, each atom's coefficient and exponents.  A call forms
 each term as the formula's product, left to right, and adds the terms from
-the int 0 in atom order.
+the int 0 in atom order; in Discrete.g0 a term whose x^e overflows or
+divides by zero, x = 0 included, is its limit.  Outside this module only the
+oracle, kept independent, reads a law's atoms or weights.
 
 This module owns the package's one numpy binding, `np`, which every other
 module imports from here.  If numpy is already imported, `np` is numpy.
@@ -141,40 +143,21 @@ class Discrete(MassMeasure):
     def g0(self, x: float, order: int = 0) -> float:
         if not 0.0 <= x <= 1.0:
             _check_unit_interval(x)
-        if order == 1:
-            if x == 0.0:
-                if any(m < 1.0 for m, _ in self.atoms):
-                    return INF
-                return sum(w for m, w in self.atoms if m == 1.0)
-        elif order == 2:
-            if x == 0.0:
-                # m^2 (m-1) x^(m-2): atoms below mass 2 blow up (signed).
-                pos = any(1.0 < m < 2.0 for m, _ in self.atoms)
-                neg = any(m < 1.0 for m, _ in self.atoms)
-                if pos and neg:
-                    return math.nan
-                if pos:
-                    return INF
-                if neg:
-                    return -INF
-                return sum(
-                    w * m * m * (m - 1.0) for m, w in self.atoms if m == 2.0
-                )
-        elif order != 0:
+        if order not in (0, 1, 2):
             raise DomainError(f"order must be 0, 1 or 2, got {order}")
+        terms = self._tables()[order]
         total = 0
         try:
-            for c, e in self._tables()[order]:
+            for c, e in terms:
                 total += c * x**e
-        except OverflowError:
-            # x^e with e < 0 overflows at tiny x: such a term is its limit,
-            # 0 for a zero coefficient and +-inf otherwise, and opposite
-            # infinities sum to nan, as at x = 0
+        except (OverflowError, ZeroDivisionError):
+            # x^e, e < 0, overflows at tiny x and divides by zero at x = 0: such a term
+            # is its limit, 0 or +-inf by the coefficient's sign; inf - inf is nan
             total = 0
-            for c, e in self._tables()[order]:
+            for c, e in terms:
                 try:
                     term = c * x**e
-                except OverflowError:
+                except (OverflowError, ZeroDivisionError):
                     term = math.copysign(INF, c) if c else 0.0
                 total += term
         return total
@@ -346,10 +329,11 @@ class ArmMeasure:
     def polynomial(self) -> tuple:
         """The Horner tuple of K0(x) = sum_(a,m) c0(a, m) x^a, built at the first call."""
         if self._k0_poly is None:
-            coeffs = [0.0] * (max(a for a, _ in self.weights) + 1)
+            coeffs = [0.0] * (max(self.weights)[0] + 1)  # the largest key has the most arms
             for (a, _), w in self.weights.items():
                 coeffs[a] += w
-            self._k0_poly = tuple(reversed(coeffs))
+            coeffs.reverse()
+            self._k0_poly = tuple(coeffs)
         return self._k0_poly
 
     def sol_mass(self, p: tuple) -> tuple:
@@ -362,7 +346,8 @@ class ArmMeasure:
         Its total is A0.  nu(0) = 0, no particle with exactly one arm, leaves
         every cluster of mass >= 2 with at least two free arms.
         """
-        self.arm_law()  # raises on general data, which has no arm law
+        if not self.is_monodisperse:
+            raise DomainError("arm law defined only for monodisperse initial data")
         # the coefficients of k0(x, 1) = K0'(x), lowest power first
         return np.array([a * w for a, w in enumerate(reversed(self.polynomial()))][1:])
 

@@ -287,7 +287,7 @@ class FloryArms(_Arms):
     def _q(self):
         """Horner tuples in x of Q (A0 x - k0(x, 1) = (1 - x) Q), Q', the sol mass, k0', k0."""
         k0 = self.measure.polynomial()
-        return (*flory_polynomials(self.measure), self.measure.sol_mass(k0),
+        return (*flory_polynomials(k0), self.measure.sol_mass(k0),
                 derivative(k0, 2), derivative(k0, 1))
 
     def limit(self) -> SolutionState:

@@ -303,20 +303,14 @@ def arms_mass(model, t: float, *, m_max: int = 150) -> float:
     1/alpha_t the per-arm decay factor; higher masses come from the
     closed-form concentrations.
     """
-    measure = model.measure
-    conc = arms_concentrations(
-        model, t, a_max=_arms_amax(measure, m_max), m_max=m_max
-    )
-    total = horner(measure.polynomial(), 1.0 / model.coeffs(t)[0])
+    k0 = model.measure.polynomial()
+    n = len(k0) - 1  # K0's degree: the most arms of a particle
+    # a mass-m cluster of such particles has at most m (n - 2) + 2 free arms
+    a_max = max(m_max * max(n - 2, 0) + 2, n)
+    conc = arms_concentrations(model, t, a_max=a_max, m_max=m_max)
+    total = horner(k0, 1.0 / model.coeffs(t)[0])
     total += float((conc[:, 2:] * np.arange(2, m_max + 1)).sum())
     return total
-
-
-def _arms_amax(measure, m_max: int) -> int:
-    # a mass-m cluster built from particles of <= amax arms each has at most
-    # m(amax - 2) + 2 free arms
-    amax_particle = max(a for a, _ in measure.weights)
-    return max(m_max * max(amax_particle - 2, 0) + 2, amax_particle)
 
 
 # ---------------------------------------------------------------------------

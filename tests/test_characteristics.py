@@ -17,6 +17,7 @@ from gelsolve.characteristics import (
     bisect_increasing,
     derivative,
     ell_smolu,
+    flory_polynomials,
     gel_time,
     l_flory,
 )
@@ -49,7 +50,7 @@ def H(measure, u):
     """Right inverse of the increasing G on (0, 1); 1 from G(1) on."""
     if u >= G(measure, 1.0):
         return 1.0
-    return bisect_increasing(lambda x: (G(measure, x), math.nan), 0.0, 1.0, u, tol=1e-12)
+    return bisect_increasing(lambda x: (G(measure, x), math.nan), 0.0, 1.0, u)
 
 
 def alpha_via_gamma(measure, t):
@@ -64,13 +65,13 @@ def alpha_via_gamma(measure, t):
         return quad(rate, a_gel, alpha, limit=200)[0], math.nan
 
     hi = a_gel + measure.A0 * (t - t_gel)  # dalpha/dt <= A0
-    return bisect_increasing(elapsed, a_gel, hi, t - t_gel, tol=1e-12)
+    return bisect_increasing(elapsed, a_gel, hi, t - t_gel)
 
 
 class TestBisection:
     # f returns (value, slope); a nan slope gives plain bisection
     def test_simple_root(self):
-        r = bisect_increasing(lambda x: (x * x, math.nan), 0.0, 2.0, 2.0, tol=1e-12)
+        r = bisect_increasing(lambda x: (x * x, math.nan), 0.0, 2.0, 2.0)
         assert r == pytest.approx(math.sqrt(2.0), abs=1e-11)
 
     def test_endpoint_never_evaluated(self):
@@ -83,7 +84,7 @@ class TestBisection:
 
         for target in (0.5, 1e-3, 1e-300):
             calls = []
-            root = bisect_increasing(f, 0.0, 1.0, target, tol=1e-10)
+            root = bisect_increasing(f, 0.0, 1.0, target)
             assert root == pytest.approx(target, rel=1e-9, abs=0.0)
             assert len(calls) > 10
 
@@ -93,14 +94,13 @@ class TestBisection:
                 raise AssertionError("endpoint touched")
             return x * x, 2.0 * x
 
-        root = bisect_increasing(f, 0.0, 1.0, 0.25, tol=1e-12)
+        root = bisect_increasing(f, 0.0, 1.0, 0.25)
         assert root == pytest.approx(0.5, rel=1e-12)
 
-    def test_nonconvergence(self):
+    def test_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(characteristics, "_ROOT_MAX_ITER", 3)
         with pytest.raises(SolverError):
-            bisect_increasing(
-                lambda x: (x, math.nan), 0.0, 1.0, 0.5, tol=1e-12, max_iter=3
-            )
+            bisect_increasing(lambda x: (x, math.nan), 0.0, 1.0, 0.5)
 
     @pytest.mark.parametrize("slope", [0.0, -1.0, math.inf, math.nan])
     def test_slope_that_is_not_finite_and_positive_only_bisects(self, slope):
@@ -110,7 +110,7 @@ class TestBisection:
             calls.append(x)
             return x, slope
 
-        assert bisect_increasing(f, 0.0, 1.0, 0.3, tol=1e-12) == pytest.approx(0.3)
+        assert bisect_increasing(f, 0.0, 1.0, 0.3) == pytest.approx(0.3)
         assert len(calls) > 30  # no Newton step: about log2(1e12) midpoints
 
 
@@ -120,7 +120,7 @@ class TestNewtonInBracket:
         # log x is concave with a slope of 1/x: a hard case for plain Newton
         for slope in (lambda x: math.nan, lambda x: 1.0 / x):
             x = bisect_increasing(
-                lambda x: (math.log(x), slope(x)), 0.0, 1.0, math.log(root), tol=1e-12
+                lambda x: (math.log(x), slope(x)), 0.0, 1.0, math.log(root)
             )
             assert x == pytest.approx(root, rel=1e-12, abs=0.0)
 
@@ -131,7 +131,7 @@ class TestNewtonInBracket:
             calls.append(x)
             return x**3, 3.0 * x * x
 
-        root = bisect_increasing(f, 0.0, 2.0, 0.125, tol=1e-12)
+        root = bisect_increasing(f, 0.0, 2.0, 0.125)
         assert root == pytest.approx(0.5, rel=1e-14)
         assert len(calls) <= 20
 
@@ -144,16 +144,14 @@ class TestNewtonInBracket:
             calls.append(x)
             return 3.0 * x * x, 6.0 * x
 
-        root = bisect_increasing(f, 0.0, 1.0, w, tol=1e-12)
+        root = bisect_increasing(f, 0.0, 1.0, w)
         assert root == pytest.approx(math.sqrt(w / 3.0), rel=1e-12, abs=0.0)
         assert len(calls) <= 60
 
     def test_root_at_the_bottom_of_the_bracket(self):
         # a relative stop never closes on 0: the solver says so at once
         with pytest.raises(SolverError, match="underflows"):
-            bisect_increasing(
-                lambda x: (x, 1.0), 0.0, 1.0, 0.0, tol=1e-12, max_iter=100
-            )
+            bisect_increasing(lambda x: (x, 1.0), 0.0, 1.0, 0.0)
 
 
 class TestGelTime:
@@ -430,6 +428,78 @@ def test_gel_time_matches_mpmath(measure):
     with mp.workdps(40):
         d1 = sum(a * (a - 2) * mp.mpf(w) for (a, _), w in measure.weights.items())
         assert abs(gel_time(measure) * d1 - 1) <= 4e-16
+
+
+def _scanned_q(measure):
+    """Q's Horner tuple by the scan of the arm data's weights that K0 replaced."""
+    q = [0.0] * (max(a for a, _ in measure.weights) + 1)
+    for (a, _), w in measure.weights.items():
+        if a == 1:
+            q[0] -= w  # -mu(1)
+        for j in range(1, a - 1):
+            q[j] += a * w
+    while q and q[-1] == 0.0:
+        q.pop()
+    return tuple(reversed(q))
+
+
+def _scanned_gel_time(measure):
+    """1/D(1) by the scan of the arm data's weights that K0 replaced."""
+    d1 = sum(a * (a - 2) * w for (a, _), w in measure.weights.items() if a >= 3)
+    d1 -= sum(w for (a, _), w in measure.weights.items() if a == 1)
+    return 1.0 / d1 if d1 > 0.0 else math.inf
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]  # tells -0.0 from 0.0
+
+
+#: 4 n eps for n = 9 arms: a coefficient of Q or Q' merges up to 6 masses per
+#: arm count, scales, and sums up to 7 arm counts, each a relative rounding
+_K0_ROUNDING = 4 * 9 * sys.float_info.epsilon
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    triples=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 6), st.floats(1e-3, 10.0)),
+                     min_size=1, max_size=12),
+    monodisperse=st.booleans(),
+)
+@example(triples=[(0, 1, 0.5), (1, 1, 0.25), (3, 1, 0.25)], monodisperse=True)
+@example(triples=[(1, 1, 0.5), (3, 2, 0.5), (4, 1, 0.1), (1, 3, 0.125)], monodisperse=False)
+def test_flory_q_and_gel_time_come_from_k0(triples, monodisperse):
+    assume(any(a > 0 for a, _, _ in triples))
+    data = {(a, 1 if monodisperse else m): w for a, m, w in triples}
+    if monodisperse:
+        data = dict(sorted(data.items()))  # ascending keys: the scans' order
+    measure = ArmMeasure(data)
+    q, dq = flory_polynomials(measure.polynomial())
+    t_gel = gel_time(measure)
+    n = len(measure.polynomial()) - 1
+    if monodisperse:
+        assert _bits([t_gel]) == _bits([_scanned_gel_time(measure)])
+        if n >= 3:  # Q is not constant: the scan dropped no zero top coefficient
+            scanned = _scanned_q(measure)
+            assert _bits(q) == _bits(scanned)
+            assert _bits(dq) == _bits(derivative(scanned, 1))
+    # every law against the exact sums over its weights, mu(a) = sum_m c0(a, m)
+    mu = {}
+    for (a, _), w in measure.weights.items():
+        mu[a] = mu.get(a, 0) + Fraction(w)
+    exact_q = [-mu.get(1, 0)]
+    exact_q += [sum(a * w for a, w in mu.items() if a >= j + 2) for j in range(1, n - 1)]
+    exact_q.reverse()
+    exact_dq = [(len(exact_q) - 1 - i) * b for i, b in enumerate(exact_q[:-1])]
+    assert len(q) == len(exact_q) and len(dq) == len(exact_dq)
+    for got, want in zip(q + dq, exact_q + exact_dq):
+        assert abs(Fraction(got) - want) <= _K0_ROUNDING * abs(want)
+    # D(1) cancels: its error is relative to the sum of the sizes of its terms
+    positive = sum(a * (a - 2) * w for a, w in mu.items() if a >= 3)
+    d1, slack = positive - mu.get(1, 0), _K0_ROUNDING * (positive + mu.get(1, 0))
+    if t_gel == math.inf:
+        assert d1 <= slack
+    else:
+        assert abs(1 / Fraction(t_gel) - d1) <= slack
 
 
 #: t - T_gel from just past the gel time to t = 1e300, where alpha_t is about t itself

@@ -8,6 +8,7 @@ past T_gel load no numpy module.  With numpy imported first, `np` is numpy
 itself.
 
 The oracle stays independent of the solver: it imports no module with its formulas.
+Outside `measures`, only the oracle reads a law's atoms or weights.
 """
 import ast
 import json
@@ -272,3 +273,17 @@ def test_oracle_imports_no_solver_module():
     oracle = Path(gelsolve.__file__).resolve().parent / "oracle.py"
     ours = {m for m in _imported_modules(oracle) if m.split(".")[0] == "gelsolve"}
     assert ours <= {"gelsolve.errors", "gelsolve.measures"}
+
+
+def _reads_an_attribute(path, names):
+    return any(isinstance(node, ast.Attribute) and node.attr in names
+               for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_only_measures_and_the_oracle_read_a_laws_atoms_or_weights():
+    # every other module reads an initial law through its one evaluator: g0,
+    # k0 or K0; the oracle builds its own initial data, as it stays independent
+    src = Path(gelsolve.__file__).resolve().parent
+    readers = [p.name for p in sorted(src.glob("*.py"))
+               if _reads_an_attribute(p, {"atoms", "weights"})]
+    assert [name for name in readers if name not in ("measures.py", "oracle.py")] == []
