@@ -267,26 +267,16 @@ def _cmd_validate(args, cfg, out) -> int:
     if model.is_arms:  # the oracle runs on the arm marginal: --mmax has no effect
         size = _number(args, cfg, "amax", "a_max", 120, 0, whole=True)
         init = initial_arms(model.measure, size)
+        query, total, quantity = model.arms_count, "arm_count", "arms"
     else:
         size = _number(args, cfg, "mmax", "m_max", 200, 1, whole=True)
         init = initial_classic(model.measure, size)
-    times = list(np.linspace(0.0, t_end, 11))
-    traj = integrate(init, times, dt)
-    if init.arms:
-        oracle_vals = [st.arm_count for st in traj]
-        analytic_vals = [model.arms_count(t) for t in times]
-        quantity = "arms"
-    else:
-        oracle_vals = [st.mass for st in traj]
-        analytic_vals = [model.mass(t) for t in times]
-        quantity = "mass"
-    report = compare(
-        times, analytic_vals, oracle_vals, quantity=quantity, tol=tol
-    )
-    rows = [
-        (t, a, o, e)
-        for t, a, o, e in zip(times, analytic_vals, oracle_vals, report.abs_errors)
-    ]
+        query, total, quantity = model.mass, "mass", "mass"
+    times = _linspace(0.0, t_end, 11)
+    oracle_vals = [getattr(st, total) for st in integrate(init, times, dt)]
+    analytic_vals = [query(t) for t in times]
+    report = compare(times, analytic_vals, oracle_vals, quantity=quantity, tol=tol)
+    rows = zip(times, analytic_vals, oracle_vals, report.abs_errors)
     emit_csv(("t", "analytic", "oracle", "abs_error"), rows, out)
     return 0 if report.passed else 1
 

@@ -296,11 +296,6 @@ class ArmMeasure:
         """All particles of mass 1, arms distributed by the law mu."""
         return cls({(a, 1): w for a, w in mu.items()})
 
-    def arm_law(self) -> dict[int, float]:
-        if not self.is_monodisperse:
-            raise DomainError("arm law defined only for monodisperse initial data")
-        return {a: w for (a, _), w in sorted(self.weights.items())}
-
     def _tables(self):
         # per order o, (a (a-1) ... (a-o) c0(a, m), a-1-o, m) for the atoms
         # with a > o.  Built at the first evaluation.
@@ -347,7 +342,7 @@ class ArmMeasure:
         every cluster of mass >= 2 with at least two free arms.
         """
         if not self.is_monodisperse:
-            raise DomainError("arm law defined only for monodisperse initial data")
+            raise DomainError("the closed forms need monodisperse arm data")
         # the coefficients of k0(x, 1) = K0'(x), lowest power first
         return np.array([a * w for a, w in enumerate(reversed(self.polynomial()))][1:])
 

@@ -180,7 +180,7 @@ class _Arms(Model):
     beta_t k0(x, y)); a subclass states how alpha_t, beta_t and ell_t follow
     from t (`state`), and their limits as t -> inf (`limit`), all read from
     the law's polynomial K0 at y = 1 (`ArmMeasure.polynomial`); `k0` serves
-    the map at general y.  `coeffs` reads (alpha_t, beta_t) from the state.
+    the map at general y.  Every query reads alpha_t and beta_t from `state`.
     h_t(x, y) lies in [0, ell_t]: phi_t(., 1) rises there to 1 (the gel-inert
     map peaks at ell_t, the Flory map past it), and for y <= 1 phi_t(., y) >=
     phi_t(., 1) rises at least as fast, as k0 and k0' grow with y.  The
@@ -194,11 +194,6 @@ class _Arms(Model):
         if not isinstance(measure, ArmMeasure):
             raise ModelError(f"{type(self).__name__} needs an ArmMeasure")
         super().__init__(measure)
-
-    def coeffs(self, t: float) -> tuple[float, float]:
-        """(alpha_t, beta_t)."""
-        st = self.state(t)
-        return st.alpha, st.beta
 
     def limit(self) -> SolutionState:
         """The long-time state: ell_inf, beta_inf and the sol mass K0(ell_inf)."""
@@ -214,7 +209,8 @@ class _Arms(Model):
         return branch
 
     def phi(self, t: float, x: float, y: float = 1.0) -> float:
-        return self._branch(*self.coeffs(t), y)(x)[0]
+        st = self.state(t)
+        return self._branch(st.alpha, st.beta, y)(x)[0]
 
     def h_inverse(self, t: float, x: float, y: float = 1.0) -> float:
         if not 0.0 <= x <= 1.0:
@@ -230,7 +226,7 @@ class _Arms(Model):
         return bisect_increasing(self._branch(st.alpha, st.beta, y), 0.0, st.ell, x)
 
     def gen_fun(self, t: float, x: float, y: float = 1.0) -> float:
-        return self.measure.k0(self.h_inverse(t, x, y), y) / self.coeffs(t)[0]
+        return self.measure.k0(self.h_inverse(t, x, y), y) / self.state(t).alpha
 
     def arms_count(self, t: float) -> float:
         return self.state(t).A
@@ -278,11 +274,6 @@ class FloryArms(_Arms):
 
     name = "flory-arms"
 
-    def coeffs(self, t: float) -> tuple[float, float]:
-        check_time(t)
-        alpha = 1.0 + self.measure.A0 * t
-        return alpha, t / alpha
-
     @functools.cached_property
     def _q(self):
         """Horner tuples in x of Q (A0 x - k0(x, 1) = (1 - x) Q), Q', the sol mass, k0', k0."""
@@ -311,8 +302,9 @@ class FloryArms(_Arms):
             return pre_gel_state(self.measure, t)
         q, dq, mass, _, k0 = self._q
         ell = polynomial_root(q, dq, 1.0 / t)
-        alpha, beta = self.coeffs(t)
-        return SolutionState(t, ell, alpha, beta, M=horner(mass, ell), A=horner(k0, ell) / alpha)
+        alpha = 1.0 + self.measure.A0 * t
+        return SolutionState(t, ell, alpha, t / alpha, M=horner(mass, ell),
+                             A=horner(k0, ell) / alpha)
 
     gen_fun = _Arms.gen_fun
 

@@ -234,6 +234,8 @@ def _closed_form(nu, state, a_max, m_max) -> np.ndarray:
     is 0 (the gel-inert flow past the normal doubles, t of about 1e308) or,
     for a limit, alpha is undefined.
     """
+    if a_max < 0 or m_max < 1:
+        raise DomainError(f"need a_max >= 0 and m_max >= 1, got {a_max} and {m_max}")
     out = np.zeros((a_max + 1, m_max + 1))
     x = state.ell
     if m_max < 2 or x == 0.0:
@@ -283,16 +285,12 @@ def arms_concentrations(model, t: float, a_max: int, m_max: int) -> np.ndarray:
 
     beta_t is the factor per unit of mass and 1/alpha_t the factor per free
     arm.  The formula applies from m = 2 on; the m = 1 column holds the
-    initial data c0(a, 1) = mu(a) untouched.
+    initial data c0(a, 1) = mu(a) untouched, read from K0's coefficients.
     """
     measure = model.measure
-    if not measure.is_monodisperse:
-        raise DomainError("closed-form concentrations need monodisperse arm data")
     out = _closed_form(measure.nu(), model.state(t), a_max, m_max)
-    if m_max >= 1:
-        for a, w in measure.arm_law().items():
-            if a <= a_max:
-                out[a, 1] = w
+    mu = measure.polynomial()[::-1]  # mu(a) at index a
+    out[: len(mu), 1] = mu[: a_max + 1]
     return out
 
 
@@ -308,7 +306,7 @@ def arms_mass(model, t: float, *, m_max: int = 150) -> float:
     # a mass-m cluster of such particles has at most m (n - 2) + 2 free arms
     a_max = max(m_max * max(n - 2, 0) + 2, n)
     conc = arms_concentrations(model, t, a_max=a_max, m_max=m_max)
-    total = horner(k0, 1.0 / model.coeffs(t)[0])
+    total = horner(k0, 1.0 / model.state(t).alpha)
     total += float((conc[:, 2:] * np.arange(2, m_max + 1)).sum())
     return total
 
@@ -339,10 +337,7 @@ def limiting_concentrations(model, m_max: int) -> LimitingConcentrations:
     They are row a = 0 of the closed form at the long-time state, tilted at
     ell_inf, where beta_inf k0(x)/x = 1 for the gel-inert variant.
     """
-    measure = model.measure
-    if not measure.is_monodisperse:
-        raise DomainError("limiting concentrations need monodisperse arm data")
-    nu = measure.nu()
+    nu = model.measure.nu()
     lim = model.limit()
     return LimitingConcentrations(
         c_inf=_closed_form(nu, lim, 0, m_max)[0], beta_inf=lim.beta, p_or_c=lim.ell,

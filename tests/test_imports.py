@@ -287,3 +287,12 @@ def test_only_measures_and_the_oracle_read_a_laws_atoms_or_weights():
     readers = [p.name for p in sorted(src.glob("*.py"))
                if _reads_an_attribute(p, {"atoms", "weights"})]
     assert [name for name in readers if name not in ("measures.py", "oracle.py")] == []
+
+
+def test_only_measures_reads_whether_arm_data_is_monodisperse():
+    # the closed forms learn it through ArmMeasure.nu() and the sol mass
+    # through ArmMeasure.sol_mass(), so the check lives in one module
+    src = Path(gelsolve.__file__).resolve().parent
+    readers = [p.name for p in sorted(src.glob("*.py"))
+               if _reads_an_attribute(p, {"is_monodisperse"})]
+    assert [name for name in readers if name != "measures.py"] == []

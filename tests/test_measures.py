@@ -220,11 +220,12 @@ class TestArmMeasure:
         assert ArmMeasure({(3.0, 2.0): 0.5}).weights == {(3, 2): 0.5}
 
     def test_arm_law_roundtrip(self):
+        # K0's coefficients, lowest first, are the law mu(a) at index a
         arm = ArmMeasure.monodisperse(MU)
-        assert arm.arm_law() == MU
+        assert list(arm.polynomial()[::-1]) == [MU.get(a, 0.0) for a in range(4)]
         mixed = ArmMeasure({(1, 1): 0.5, (2, 3): 0.5})
-        with pytest.raises(DomainError):
-            mixed.arm_law()
+        with pytest.raises(DomainError, match="monodisperse"):
+            mixed.nu()
 
 
 class TestNu:
@@ -289,7 +290,7 @@ class TestConfigLoading:
         b = arm_measure_from_config(
             {"type": "arm-law", "mu": {"0": 0.5, "1": 0.25, "3": 0.25}}
         )
-        assert b.arm_law() == MU
+        assert list(b.polynomial()[::-1]) == [MU.get(a, 0.0) for a in range(4)]
 
     @pytest.mark.parametrize("spec", [
         {"type": "discrete", "atoms": [[True, 1]]},

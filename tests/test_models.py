@@ -404,7 +404,7 @@ TIME_QUERIES = {
     "phi": lambda model, t: model.phi(t, 0.5),
     "h_inverse": lambda model, t: model.h_inverse(t, 0.5),
     "gen_fun": lambda model, t: model.gen_fun(t, 0.5),
-    "anchor-or-coeffs": lambda model, t: (model.coeffs if model.is_arms else model.anchor)(t),
+    "anchor": lambda model, t: model.anchor(t),  # classic models only
     "series": lambda model, t: (
         arms_concentrations(model, t, 4, 4) if model.is_arms else concentrations(model, t, 5)
     ),
@@ -412,11 +412,12 @@ TIME_QUERIES = {
 
 
 @pytest.mark.parametrize("t", [math.nan, -1.0, math.inf])
-@pytest.mark.parametrize("query", list(TIME_QUERIES))
-@pytest.mark.parametrize("model", [
-    Smoluchowski(Monodisperse()), Flory(Monodisperse()),
-    SmoluchowskiArms(ARM), FloryArms(ARM),
-], ids=lambda model: model.name)
+@pytest.mark.parametrize("model, query", [
+    pytest.param(model, query, id=f"{model.name}-{query}")
+    for model in (Smoluchowski(Monodisperse()), Flory(Monodisperse()),
+                  SmoluchowskiArms(ARM), FloryArms(ARM))
+    for query in TIME_QUERIES if not (model.is_arms and query == "anchor")
+])
 def test_time_that_is_nan_or_negative_rejected(model, query, t):
     # +inf too: the long-time state is an arms model's limit()
     message = "time must be finite and >= 0"
@@ -500,13 +501,26 @@ class TestArmsModels:
             assert 0.0 < state.ell <= 1.0
         assert model.arms_count(2.0) > 0.0
 
+    @pytest.mark.parametrize("factor", [0.0, 0.5, 1.0, 2.0, 1e6])
+    def test_flory_arms_alpha_and_beta_in_closed_form(self, factor):
+        # A0 = 1.3 and T_gel = 1/(K - A0) = 2.5: before, at and past it the
+        # state holds alpha_t = 1 + A0 t and beta_t = t / alpha_t to the bit
+        law = ArmMeasure.monodisperse({0: 0.3, 1: 0.35, 2: 0.1, 3: 0.25})
+        model = FloryArms(law)
+        t = factor * model.t_gel
+        st = model.state(t)
+        assert st.alpha == 1.0 + law.A0 * t
+        assert st.beta == t / st.alpha
+        assert (t > model.t_gel) == (st.ell < 1.0)  # past T_gel, the solved branch
+
     @pytest.mark.parametrize("t", [2.5, 4.0, 6.0, 20.0])
     def test_post_gel_state_is_the_peak_of_phi(self, t):
         # the gel-inert state puts phi_t's maximum, of value 1, at ell
         model = SmoluchowskiArms(ARM)
-        ell = model.state(t).ell
+        st = model.state(t)
+        ell = st.ell
         assert abs(model.phi(t, ell, 1.0) - 1.0) <= 1e-12
-        _, slope = model._branch(*model.coeffs(t))(ell)
+        _, slope = model._branch(st.alpha, st.beta)(ell)
         assert abs(slope) <= 1e-12
 
 

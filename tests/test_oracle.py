@@ -203,7 +203,7 @@ class TestArmsIntegrate:
             assert abs(st.arm_count - model.arms_count(t)) <= 1e-9
             c = arms_concentrations(model, t, 120, 400)
             assert (a[:, None] * c)[:, 300:].sum() < 1e-10
-            alpha = model.coeffs(t)[0]
+            alpha = model.state(t).alpha
             c[:, 1] = [MU.get(k, 0.0) * alpha**-k for k in a]
             assert abs((a * st.c[:121]).sum() - (a[:, None] * c).sum()) <= 1e-9
 

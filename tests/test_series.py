@@ -368,6 +368,9 @@ class TestArmsConcentrations:
         out = arms_concentrations(FloryArms(ARM), 3.0, 4, 4)
         assert out[0, 1] == 0.5
         assert out[3, 1] == 0.25
+        # a window below the most arms of a particle cuts the law off
+        narrow = arms_concentrations(FloryArms(ARM), 3.0, 1, 2)
+        assert narrow[:, 1].tolist() == [0.5, 0.25]
 
     def test_degenerate_nu(self, arms_oracle_2d):
         # nu(0) = mu(1) = 0: no cluster of mass >= 2 has fewer than two free
@@ -388,6 +391,19 @@ class TestArmsConcentrations:
         mixed = ArmMeasure({(1, 1): 0.5, (2, 2): 0.5})
         with pytest.raises(DomainError):
             arms_concentrations(SmoluchowskiArms(mixed), 1.0, 4, 4)
+
+    @pytest.mark.parametrize("table", [
+        lambda model: arms_concentrations(model, 1.0, -1, 3),
+        lambda model: arms_concentrations(model, 1.0, 3, 0),
+        lambda model: arms_concentrations(model, 1.0, 3, -1),
+        lambda model: limiting_concentrations(model, 0),
+        lambda model: limiting_concentrations(model, -2),
+    ], ids=["a_max=-1", "m_max=0", "m_max=-1", "limit-m_max=0", "limit-m_max=-2"])
+    @pytest.mark.parametrize("gel", [True, False], ids=["flory-arms", "smoluchowski-arms"])
+    def test_window_below_the_cli_bounds_rejected(self, gel, table):
+        # --amax >= 0 and --mmax >= 1, as on the command line
+        with pytest.raises(DomainError, match="a_max >= 0 and m_max >= 1"):
+            table(_arms(gel, ARM))
 
     @pytest.mark.parametrize("t", [0.7, 2.5, 6.0])
     def test_matches_mpmath_up_to_300(self, t):
@@ -430,7 +446,7 @@ class TestArmsConcentrations:
         # nu^{*m}(2 j) = C(m, j) nu(2)^j nu(0)^(m-j), and odd indices are 0.
         law = ArmMeasure.monodisperse({0: 0.99, 1: 1e-4, 3: 0.0099})
         model = _arms(gel, law)
-        alpha, beta = model.coeffs(t)
+        alpha, beta = model.state(t).alpha, model.state(t).beta
         c = arms_concentrations(model, t, 40, 400)
         nu = law.nu()
         checked = 0
@@ -467,7 +483,7 @@ class TestArmsConcentrations:
         c_inf = limiting_concentrations(model, 8).c_inf
         assert out[0, 2:] == pytest.approx(c_inf[2:], rel=1e-12, abs=0.0)
         c, u, alpha, _ = mp_arms_flow(ARM, t)
-        assert model.coeffs(t)[0] == pytest.approx(float(alpha), rel=1e-13, abs=0.0)
+        assert model.state(t).alpha == pytest.approx(float(alpha), rel=1e-13, abs=0.0)
         with mp.workdps(40):
             beta = 1 / (mp.mpf(1.5) * (c + u))
             for a in range(1, 4):
