@@ -15,6 +15,15 @@ at every time, and for the gel-inert (Smoluchowski) models before the gel
 time, where the two are the same equations.  The arms window misses only the
 clusters beyond a_max that a one-arm partner brings back into it.  Past the
 gel time the truncation follows Flory's models only.
+
+Both run RK4 on the doubled rate g = 2 dc/dt = (w * w)(k + shift) -
+2 w(k) total, with w(k) = k c(k), and write each stage input, as its w,
+straight into the window that np.correlate reads.  The loss rides in the
+kept sums of the classic window: its w(0) = 0 c(0) is always 0, so it holds
+-M0 instead, and each kept sum k >= 1 then holds the gain less
+2 M0 w(k), which is the loss.  The sum at k = 0 holds M0^2 and is set to 0,
+so c(0) stays as it is.  On the arms window a shift of 2 would pair that
+entry with cell 2, a real cell, so there the loss is subtracted.
 """
 from __future__ import annotations
 
@@ -54,9 +63,14 @@ class OracleState(NamedTuple):
 
 
 def initial_classic(measure: MassMeasure, m_max: int) -> OracleState:
+    """The masses 0..m_max of lattice data, every atom inside the window."""
     if m_max < 2:
         raise DomainError("m_max must be >= 2")
-    return OracleState(t=0.0, c=measure.lattice_weights(m_max))
+    c = measure.lattice_weights(m_max)  # drops the atoms past m_max
+    for m, _ in measure.atoms:
+        if m > m_max:
+            raise DomainError(f"initial atom (m={m:g}) outside the truncation window")
+    return OracleState(t=0.0, c=c)
 
 
 def initial_arms(measure: ArmMeasure, a_max: int) -> OracleState:
@@ -93,42 +107,59 @@ def _mass(c: np.ndarray) -> float:
     return float(np.dot(_indices(c.size), c))
 
 
-class _Work:
-    """Work arrays for the right-hand side of one n-cell window.
+class _Window:
+    """w(k) = k y(k) of a stage input y on an n-cell window, laid out for np.correlate.
 
-    integrate holds one for the whole call; each evaluation overwrites it, and
-    only the returned right-hand side is a fresh array.
+    w sits behind n - 1 zeros and before shift zeros, which are never
+    written: window is w with them, reversed is w back to front.
     """
 
-    def __init__(self, n: int, arms: bool):
-        shift = 2 if arms else 0
-        # w behind n - 1 zeros and before shift zeros, which are never written
+    def __init__(self, n: int, shift: int):
         padded = np.zeros(2 * n - 1 + shift)
         self.w = padded[n - 1 : 2 * n - 1]
-        self.window = padded[shift : 2 * n - 1 + shift]
+        self.reversed = self.w[::-1]
+        self.window = padded[shift:]
+
+
+class _Work:
+    """The work arrays of one n-cell window, and the conserved total of its initial state.
+
+    integrate holds one for the whole call: start holds the w of each step's
+    start, the first stage input, and stage the w of the other three; each
+    evaluation returns one fresh array.
+    """
+
+    def __init__(self, n: int, arms: bool, total: float):
+        shift = 2 if arms else 0
+        self.arms = arms
+        self.total = total
+        self.start = _Window(n, shift)
+        self.stage = _Window(n, shift)
         self.loss = np.empty(n)
 
 
-def _rhs(t, c, *, arms, total, work=None):
-    """dc/dt = 1/2 (w * w)(k + shift) - w(k) total(t), with w(k) = k c(k), for k < n.
+def _rhs(t, work, y):
+    """g = 2 dc/dt = (w * w)(k + shift) - 2 w(k) total(t) for k < n, at the stage input y.
 
-    Classic: k is the mass, shift 0 and total(t) = M0, since the gel keeps
-    interacting and the total partner mass is conserved.  Arms: k is the
-    number of free arms of the marginal, shift 2 (a merger joins two arms) and
-    total(t) = A0 / (1 + A0 t), the exact arm count, gel included.
+    y is one of work's windows, holding w(k) = k y(k).  Classic: k is the
+    mass, shift 0 and total(t) = M0, since the gel keeps interacting and the
+    total partner mass is conserved; w(0) = 0 y(0) holds -M0 instead, so the
+    kept sums carry the loss (see the module docstring) and g(0), their M0^2,
+    is set to 0.  Arms: k is the number of free arms of the marginal, shift 2
+    (a merger joins two arms) and total(t) = A0 / (1 + A0 t), the exact arm
+    count, gel included; the loss is subtracted from the kept sums.
     """
-    n = c.size
-    if work is None:
-        work = _Work(n, arms)
-    w = np.multiply(_indices(n), c, out=work.w)
     # the n kept sums of the self-convolution, sum_j w(j) w(k + shift - j):
     # the window of w behind its zeros, correlated with w reversed.  The full
     # convolution's other outputs are tail-by-tail products, which underflow
     # to the slow subnormal path while c(m) ~ t^(m-1) is small.
-    gain = np.correlate(work.window, w[::-1], "valid")
-    gain *= 0.5
-    gain -= np.multiply(w, total / (1.0 + t * total) if arms else total, out=work.loss)
-    return gain
+    g = np.correlate(y.window, y.reversed, "valid")
+    if work.arms:
+        A0 = work.total
+        g -= np.multiply(y.w, 2.0 * A0 / (1.0 + t * A0), out=work.loss)
+    else:
+        g[0] = 0.0
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -153,45 +184,51 @@ def integrate(initial: OracleState, t_grid, dt: float) -> list[OracleState]:
         raise UsageError("t_grid starts before the initial state")
     arms = initial.arms
     total = _mass(initial.c)
-    work = _Work(initial.c.size, arms)
+    indices = _indices(initial.c.size)
+    work = _Work(initial.c.size, arms, total)
+    start, stage = work.start, work.stage
+    start_w, stage_w = start.w, stage.w
 
     t = initial.t
     c = initial.c.copy()
-    y = np.empty_like(c)  # the stage inputs c + (h/2) k1, c + (h/2) k2, c + h k3
     out: list[OracleState] = []
 
-    def rhs(t, c):
-        return _rhs(t, c, arms=arms, total=total, work=work)
+    def step(t, c, h, quarter, half):
+        # RK4 on g = 2 dc/dt: the stage inputs y = c + (h/4) g1, c + (h/4) g2
+        # and c + (h/2) g3 go into the stage window as k y(k), that is
+        # k c(k) + ((h/4) k) g(k), with k c(k) made once per step
+        np.multiply(indices, c, out=start_w)
+        if not arms:
+            start_w[0] = -total
+        g1 = _rhs(t, work, start)
+        np.multiply(quarter, g1, out=stage_w)
+        np.add(stage_w, start_w, out=stage_w)
+        g2 = _rhs(t + 0.5 * h, work, stage)
+        np.multiply(quarter, g2, out=stage_w)
+        np.add(stage_w, start_w, out=stage_w)
+        g3 = _rhs(t + 0.5 * h, work, stage)
+        np.multiply(half, g3, out=stage_w)
+        np.add(stage_w, start_w, out=stage_w)
+        g4 = _rhs(t + h, work, stage)
+        # c + (h/12) ((2 (g2 + g3) + g1) + g4), summed in place in g2
+        g2 += g3
+        g2 *= 2.0
+        g2 += g1
+        g2 += g4
+        g2 *= h / 12.0
+        g2 += c
+        return g2
 
-    def step(t, c, h):
-        half = 0.5 * h
-        k1 = rhs(t, c)
-        np.multiply(k1, half, out=y)
-        np.add(y, c, out=y)
-        k2 = rhs(t + half, y)
-        np.multiply(k2, half, out=y)
-        np.add(y, c, out=y)
-        k3 = rhs(t + half, y)
-        np.multiply(k3, h, out=y)
-        np.add(y, c, out=y)
-        k4 = rhs(t + h, y)
-        # c + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in k2
-        k2 *= 2.0
-        k2 += k1
-        k3 *= 2.0
-        k2 += k3
-        k2 += k4
-        k2 *= h / 6.0
-        k2 += c
-        return k2
-
+    weights_h = None  # the step size the stage weights were made for
     for target in t_grid:
         # a step too long for the state overflows: the SolverError below
         # reports it, not two lines of numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             while t < target - 1e-12:
                 h = min(dt, target - t)
-                c = step(t, c, h)
+                if h != weights_h:  # h changes only at grid times
+                    weights_h, quarter, half = h, indices * (0.25 * h), indices * (0.5 * h)
+                c = step(t, c, h, quarter, half)
                 t += h
                 # a NaN entry makes both NaN
                 low, high = c.min(), c.max()

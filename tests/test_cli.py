@@ -26,13 +26,15 @@ from gelsolve.measures import (
     ExponentialDensity, arm_measure_from_config, mass_measure_from_config,
 )
 from gelsolve.models import MODEL_NAMES, make_model
-from gelsolve.oracle import initial_arms
+from gelsolve.oracle import initial_arms, initial_classic
 from gelsolve.series import arms_concentrations, concentrations, limiting_concentrations
 
 MONO = '{"type":"monodisperse"}'
 ARMS = '{"type":"arm-law","mu":{"0":0.5,"1":0.25,"3":0.25}}'
 GENERAL_ARMS = '{"type":"arms","triples":[[1,1,0.5],[3,2,0.5]]}'
 POWERLAW = '{"type":"powerlaw","p":1.5}'
+# an atom past --mmax 50, which the classic oracle's window cannot hold
+OUTSIDE_MMAX = '{"type":"discrete","atoms":[[1,0.5],[60,0.001]]}'
 
 
 def run(capsys, *argv):
@@ -591,6 +593,8 @@ class TestConfigHandling:
             ("validate", "--model", "flory", "--measure", POWERLAW),
             ("validate", "--model", "flory-arms", "--measure", ARMS,
              "--amax", "2", "--mmax", "10", "--t-end", "0.1", "--dt", "0.01"),
+            ("validate", "--model", "smoluchowski", "--measure", OUTSIDE_MMAX,
+             "--mmax", "50", "--t-end", "0.01", "--dt", "0.001", "--tol", "1"),
             ("trajectory", "--measure", MONO, "--t-end", "1", {"model": ["flory"]}),
             ("trajectory", "--measure", MONO, "--t-end", "1", {"model": {"flory": 1}}),
             ("trajectory", "--model", "flory", "--measure", MONO, {"time_grid": [1]}),
@@ -607,7 +611,8 @@ class TestConfigHandling:
              "limits-general-arms-smoluchowski-arms",
              "concentrations-exponential", "concentrations-non-integer-mass",
              "trajectory-flory-powerlaw", "validate-flory-powerlaw",
-             "validate-arm-atom-outside-amax", "config-model-list",
+             "validate-arm-atom-outside-amax", "validate-atom-outside-mmax",
+             "config-model-list",
              "config-model-object", "config-time-grid-list", "config-time-grid-null",
              "config-time-grid-string"],
     )
@@ -1224,8 +1229,10 @@ def test_exit_code_follows_the_error_class(capsys, monkeypatch, error, code, pre
          "smoluchowski-arms", arm_measure_from_config(json.loads(GENERAL_ARMS))), 20)),
     (("validate", "--model", "flory-arms", "--measure", ARMS, "--amax", "2"),
      lambda: initial_arms(arm_measure_from_config(json.loads(ARMS)), 2)),
+    (("validate", "--model", "smoluchowski", "--measure", OUTSIDE_MMAX, "--mmax", "50"),
+     lambda: initial_classic(mass_measure_from_config(json.loads(OUTSIDE_MMAX)), 50)),
 ], ids=["concentrations-exponential", "concentrations-general-arms", "limits-general-arms",
-        "validate-atom-outside-amax"])
+        "validate-atom-outside-amax", "validate-atom-outside-mmax"])
 def test_data_a_command_cannot_take_reports_the_library_message(capsys, argv, library_call):
     with pytest.raises(DomainError) as exc:
         library_call()

@@ -22,6 +22,40 @@ MU = {0: 0.5, 1: 0.25, 3: 0.25}
 ARM = ArmMeasure.monodisperse(MU)
 
 
+def _rhs_at(t, w, *, arms, total, work=None):
+    """The doubled rate g = 2 dc/dt that oracle._rhs gives at the window w(k) = k y(k).
+
+    w is written into the window of a step's start, of a fresh work unless
+    one is given.
+    """
+    if work is None:
+        work = _Work(w.size, arms, total)
+    work.start.w[:] = w
+    return _rhs(t, work, work.start)
+
+
+def _dcdt(t, c, *, arms, total, work=None):
+    """dc/dt at the state c through oracle._rhs: half the doubled rate at c's window.
+
+    The window is k c(k), with -total at k = 0 on a classic state, as
+    integrate writes a step's start.
+    """
+    w = np.arange(c.size) * c
+    if not arms:
+        w[0] = -total
+    return 0.5 * _rhs_at(t, w, arms=arms, total=total, work=work)
+
+
+def _work_arrays(work):
+    """Every array a work holds."""
+    return [work.loss, *vars(work.start).values(), *vars(work.stage).values()]
+
+
+def _doubled(value):
+    """A stand-in for oracle._rhs whose doubled rate is 2 value in every cell: dc/dt = value."""
+    return lambda t, work, y: np.full(y.w.size, 2.0 * value)
+
+
 class TestInitialStates:
     def test_classic(self):
         st = initial_classic(Discrete([(1, 0.5), (3, 0.25)]), 10)
@@ -48,6 +82,13 @@ class TestInitialStates:
             initial_arms(ARM, 2)  # a=3 atom does not fit
         with pytest.raises(DomainError):
             initial_arms(ARM, 0)
+
+    def test_classic_atom_outside_the_window(self):
+        # the lattice weights up to m_max would drop it, and the oracle would
+        # start from less than the initial mass
+        with pytest.raises(DomainError, match=r"^initial atom \(m=60\) outside"):
+            initial_classic(Discrete([(1, 0.5), (60, 0.001)]), 50)
+        assert initial_classic(Discrete([(1, 0.5), (60, 0.001)]), 60).c[60] == 0.001
 
     def test_arms_state_has_no_mass(self):
         # the arm marginal holds no masses: gel_mass is nan, mass undefined
@@ -140,7 +181,7 @@ class TestIntegrate:
     def test_a_bad_step_is_a_solver_error(self, value, message, arms, monkeypatch):
         # the first step's state is checked before any other: a non-finite
         # entry first, then one below -1e-9
-        monkeypatch.setattr(oracle, "_rhs", lambda t, c, **kwargs: np.full_like(c, value))
+        monkeypatch.setattr(oracle, "_rhs", _doubled(value))
         init = initial_arms(ARM, 6) if arms else initial_classic(Monodisperse(), 20)
         with pytest.raises(SolverError) as raised:
             integrate(init, [0.05], 1e-2)
@@ -148,7 +189,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("arms", [False, True])
     def test_small_negatives_are_clipped_to_zero(self, arms, monkeypatch):
-        monkeypatch.setattr(oracle, "_rhs", lambda t, c, **kwargs: np.full_like(c, -1e-12))
+        monkeypatch.setattr(oracle, "_rhs", _doubled(-1e-12))
         init = initial_arms(ARM, 6) if arms else initial_classic(Monodisperse(), 20)
         (out,) = integrate(init, [0.05], 1e-2)
         assert out.c.min() == 0.0
@@ -156,20 +197,26 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("arms", [False, True])
     def test_one_step_is_the_rk4_combination(self, arms):
-        # each step sums ((k1 + 2 k2) + 2 k3) + k4 in place, bit for bit, and
-        # the steps evaluate into integrate's work arrays
+        # each step runs on the doubled rate g = 2 dc/dt: the stage inputs
+        # enter the window as k c(k) + ((h/4) k) g(k), and the step sums
+        # (2 (g2 + g3) + g1) + g4 in place, bit for bit, with the steps
+        # evaluating into integrate's work arrays
         init = initial_arms(ARM, 6) if arms else initial_classic(Monodisperse(), 30)
         h, total = 0.3, (init.arm_count if arms else init.mass)
+        k = np.arange(init.c.size, dtype=float)
 
-        def rhs(t, c):
-            return _rhs(t, c, arms=arms, total=total)
+        def g(t, w):
+            return _rhs_at(t, w, arms=arms, total=total)
 
         def step(t, c):
-            k1 = rhs(t, c)
-            k2 = rhs(t + 0.5 * h, c + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, c + 0.5 * h * k2)
-            k4 = rhs(t + h, c + h * k3)
-            return np.clip(c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, None)
+            w = k * c
+            if not arms:
+                w[0] = -total
+            g1 = g(t, w)
+            g2 = g(t + 0.5 * h, (0.25 * h * k) * g1 + w)
+            g3 = g(t + 0.5 * h, (0.25 * h * k) * g2 + w)
+            g4 = g(t + h, (0.5 * h * k) * g3 + w)
+            return np.clip(c + (h / 12.0) * (2.0 * (g2 + g3) + g1 + g4), 0.0, None)
 
         first = step(0.0, init.c)
         second = step(h, first)
@@ -230,6 +277,74 @@ class TestArmsIntegrate:
         assert abs(st.arm_count - weighted.sum()) <= 1e-12
 
 
+def _explicit_loss_rk4(initial, t_grid, dt):
+    """The states integrate sampled on t_grid when RK4 ran on dc/dt itself.
+
+    Each stage input y was formed first, its window w = k y(k) second, and
+    the loss w(k) total(t) was subtracted from half the kept sums, never
+    carried in them.
+    """
+    n, arms = initial.c.size, initial.arms
+    k = np.arange(n, dtype=float)
+    total = float(k @ initial.c)
+    shift = 2 if arms else 0
+
+    def rhs(t, c):
+        w = k * c
+        padded = np.zeros(2 * n - 1 + shift)
+        padded[n - 1 : 2 * n - 1] = w
+        gain = 0.5 * np.correlate(padded[shift:], w[::-1], "valid")
+        return gain - w * (total / (1.0 + t * total) if arms else total)
+
+    t, c, out = initial.t, initial.c.copy(), []
+    for target in t_grid:
+        while t < target - 1e-12:
+            h = min(dt, target - t)
+            k1 = rhs(t, c)
+            k2 = rhs(t + 0.5 * h, c + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, c + 0.5 * h * k2)
+            k4 = rhs(t + h, c + h * k3)
+            c = np.maximum(c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0)
+            t += h
+        out.append(c)
+    return out
+
+
+class TestMatchesTheExplicitLossForm:
+    # the doubled rate and the loss in the kept sums change only the
+    # rounding: masses and arm counts agree to 1e-14 at every sampled time
+    @pytest.mark.parametrize(
+        "measure",
+        [Monodisperse(), Discrete([(1, 0.5), (2, 0.25), (3, 0.125), (5, 0.0625)])],
+        ids=["monodisperse", "four-atoms"],
+    )
+    def test_classic_masses(self, measure):
+        t_end = 0.55 * Smoluchowski(measure).t_gel
+        times = np.linspace(0.0, t_end, 11)
+        init = initial_classic(measure, 300)
+        new = integrate(init, times, t_end / 175)
+        old = _explicit_loss_rk4(init, times, t_end / 175)
+        for st, c in zip(new, old):
+            assert st.c[0] == 0.0
+            mass = float(np.arange(c.size) @ c)
+            assert abs(st.mass - mass) <= 1e-14 * mass
+
+    @pytest.mark.parametrize(
+        "mu, a_max",
+        [({0: 0.5, 1: 0.5}, 1), ({0: 0.25, 1: 0.5, 2: 0.25}, 2), (MU, 45)],
+        ids=["a_max-1", "a_max-2", "a_max-45"],
+    )
+    def test_arm_counts(self, mu, a_max):
+        t_end = 1.0
+        times = np.linspace(0.0, t_end, 11)
+        init = initial_arms(ArmMeasure.monodisperse(mu), a_max)
+        new = integrate(init, times, t_end / 175)
+        old = _explicit_loss_rk4(init, times, t_end / 175)
+        for st, c in zip(new, old):
+            count = float(np.arange(c.size) @ c)
+            assert abs(st.arm_count - count) <= 1e-14 * count
+
+
 def _convolved_rhs_classic(c, M0):
     """The classic right-hand side with the gain cut from the full self-convolution.
 
@@ -245,15 +360,19 @@ def _convolved_rhs_classic(c, M0):
 
 
 def _allocating_rhs_classic(c, M0):
-    """The classic right-hand side with fresh arrays, no work arrays."""
+    """The classic right-hand side with fresh arrays, no work arrays.
+
+    The loss rides in the kept sums: w(0) holds -M0, so each sum k >= 1 is
+    the gain less 2 M0 w(k); the doubled rate is halved.
+    """
     n = c.size
     w = np.arange(n) * c
+    w[0] = -M0
     padded = np.zeros(2 * n - 1)
     padded[n - 1 :] = w
-    gain = 0.5 * np.correlate(padded, w[::-1], "valid")
-    out = gain - w * M0
+    out = np.correlate(padded, w[::-1], "valid")
     out[0] = 0.0
-    return out
+    return 0.5 * out
 
 
 def _underflow_state():
@@ -262,7 +381,7 @@ def _underflow_state():
 
 
 def _rhs_classic(c, M0, work=None):
-    return _rhs(0.0, c, arms=False, total=M0, work=work)
+    return _dcdt(0.0, c, arms=False, total=M0, work=work)
 
 
 class TestClassicRhs:
@@ -307,16 +426,20 @@ class TestClassicRhs:
     def test_a_used_work_gives_the_same_result(self, n):
         rng = np.random.default_rng(n)
         c = rng.random(n)
-        work = _Work(n, False)
-        _rhs_classic(rng.random(n), 0.7, work)
+        # a work is made for one total, as for one n: only the state differs
+        work = _Work(n, False, 1.3)
+        _rhs_classic(rng.random(n), 1.3, work)
         assert np.array_equal(_rhs_classic(c, 1.3), _rhs_classic(c, 1.3, work))
 
     def test_result_is_not_a_work_array(self):
         rng = np.random.default_rng(3)
         c1 = rng.random(31)
-        work = _Work(31, False)
-        k = _rhs_classic(c1, 1.3, work)
-        assert not any(np.shares_memory(k, buf) for buf in vars(work).values())
+        work = _Work(31, False, 1.3)
+        w = np.arange(31) * c1
+        w[0] = -1.3
+        k = _rhs_at(0.0, w, arms=False, total=1.3, work=work)
+        assert not any(np.shares_memory(k, buf) for buf in _work_arrays(work))
+        k *= 0.5
         _rhs_classic(rng.random(31), 1.3, work)
         assert np.array_equal(k, _allocating_rhs_classic(c1, 1.3))
 
@@ -343,34 +466,36 @@ class TestArmsRhs:
         u = np.random.default_rng(a_max).random(n)
         gain, expected = _direct_rhs_marginal(0.7, u, 1.3)
         loss = np.arange(n) * u * (1.3 / (1.0 + 0.7 * 1.3))
-        out = _rhs(0.7, u, arms=True, total=1.3)
+        out = _dcdt(0.7, u, arms=True, total=1.3)
         assert (np.abs(out - expected) <= n * np.finfo(float).eps * (gain + loss)).all()
 
     def test_two_arm_merger_lands_two_rows_down(self):
         # w = a u = (0, 1, 1): (1) + (1) -> (0), (2) + (1) -> (1) and
         # (2) + (2) -> (2), each loss w(a) A_0 = 2 w(a) at t = 0
         u = np.array([0.0, 1.0, 0.5])
-        out = _rhs(0.0, u, arms=True, total=2.0)
+        out = _dcdt(0.0, u, arms=True, total=2.0)
         assert out.tolist() == [0.5, 1.0 - 2.0, 0.5 - 2.0]
 
     @pytest.mark.parametrize("n", [2, 3, 31])
     def test_a_used_work_gives_the_same_result(self, n):
         rng = np.random.default_rng(n)
         u = rng.random(n)
-        work = _Work(n, True)
-        _rhs(0.2, rng.random(n), arms=True, total=0.7, work=work)
+        # a work is made for one total, as for one n: the state and time differ
+        work = _Work(n, True, 1.3)
+        _dcdt(0.2, rng.random(n), arms=True, total=1.3, work=work)
         assert np.array_equal(
-            _rhs(0.7, u, arms=True, total=1.3), _rhs(0.7, u, arms=True, total=1.3, work=work)
+            _dcdt(0.7, u, arms=True, total=1.3), _dcdt(0.7, u, arms=True, total=1.3, work=work)
         )
 
     def test_result_is_not_a_work_array(self):
         rng = np.random.default_rng(3)
         u1 = rng.random(8)
-        work = _Work(8, True)
-        k = _rhs(0.7, u1, arms=True, total=1.3, work=work)
-        assert not any(np.shares_memory(k, buf) for buf in vars(work).values())
-        _rhs(0.2, rng.random(8), arms=True, total=1.3, work=work)
-        assert np.array_equal(k, _rhs(0.7, u1, arms=True, total=1.3))
+        work = _Work(8, True, 1.3)
+        k = _rhs_at(0.7, np.arange(8) * u1, arms=True, total=1.3, work=work)
+        assert not any(np.shares_memory(k, buf) for buf in _work_arrays(work))
+        k *= 0.5
+        _dcdt(0.2, rng.random(8), arms=True, total=1.3, work=work)
+        assert np.array_equal(k, _dcdt(0.7, u1, arms=True, total=1.3))
 
 
 class TestCompare:

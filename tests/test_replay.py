@@ -107,9 +107,15 @@ def test_csv_answers_report_each_column(tmp_path, capsys):
         "oracle": (0.75000000000000011 - 0.75) / 0.75000000000000011, "abs_error": 1.0,
         "ell": 0.0, "alpha": 0.0,
     }
+    # the absolute differences show how small that move is
+    assert report["max_abs_diff_by_column"] == {
+        "t": 0.0, "analytic": 0.0, "oracle": 0.75000000000000011 - 0.75,
+        "abs_error": 1.1102230246251565e-16, "ell": 0.0, "alpha": 0.0,
+    }
     # unchanged answers list their names at 0: CSV columns and state fields
     code, report = _compare(tmp_path, capsys, LINES, LINES)
     assert report["max_rel_diff_by_column"] == {"t": 0.0, "M": 0.0, "ell": 0.0, "alpha": 0.0}
+    assert report["max_abs_diff_by_column"] == {"t": 0.0, "M": 0.0, "ell": 0.0, "alpha": 0.0}
 
 
 def test_json_and_library_answers_report_each_key(tmp_path, capsys):
@@ -135,6 +141,18 @@ def test_json_and_library_answers_report_each_key(tmp_path, capsys):
     code, report = _compare(tmp_path, capsys, lines, moved)
     assert report["max_rel_diff_by_column"]["ell"] == (0.2500000001 - 0.25) / 0.2500000001
     assert report["max_rel_diff_by_column"]["beta_inf"] == 0.0
+    assert report["max_abs_diff_by_column"]["ell"] == 0.2500000001 - 0.25
+    assert report["max_abs_diff_by_column"]["beta_inf"] == 0.0
+
+
+def test_a_value_that_turns_infinite_is_an_infinite_difference(tmp_path, capsys):
+    # both ways: relative and absolute; NaN against NaN is no difference
+    lines = [{"id": 0, "rc": 0, "out": "t,x,y\n0,1,nan\n"}]
+    moved = [{"id": 0, "rc": 0, "out": "t,x,y\n0,inf,nan\n"}]
+    code, report = _compare(tmp_path, capsys, lines, moved)
+    assert code == 1
+    assert report["max_rel_diff_by_column"] == {"t": 0.0, "x": math.inf, "y": 0.0}
+    assert report["max_abs_diff_by_column"] == {"t": 0.0, "x": math.inf, "y": 0.0}
 
 
 def test_timing_goes_to_stderr_and_leaves_stdout_alone(capsys):

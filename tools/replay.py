@@ -16,7 +16,10 @@ bit for bit exactly when `cmp` finds the files equal.  --compare reports how
 many requests and values differ, how many requests of each kind and of each
 model differ, and the largest relative difference, overall and under each
 name: a column of a CSV answer, a key of a JSON answer or a field of a library
-state (values of one name pooled over every request that gives them).
+state (values of one name pooled over every request that gives them).  It
+also gives the largest absolute difference under each name, since a value
+that moves off 0, such as an error of 0 that becomes 1e-16, is a relative
+difference of 1.
 
 --timing also writes to stderr, for each (kind, model, measure type) of the
 stream, the number of requests and the in-process seconds spent serving
@@ -161,12 +164,17 @@ def _columns(line):
     return {name: [row[i] for row in table] for i, name in enumerate(names)}
 
 
-def _rel(a, b):
+def _abs(a, b):
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+    return abs(a - b)
+
+
+def _rel(a, b):
+    d = _abs(a, b)
+    return d if d in (0.0, math.inf) else d / max(abs(a), abs(b))
 
 
 def compare(path_a, path_b, stream):
@@ -181,6 +189,7 @@ def compare(path_a, path_b, stream):
     by_kind = {}  # differing requests of each kind, over the lines that carry one
     by_model = {}  # the same for the model a request names
     by_column = {}  # largest relative difference under each name (`_columns`)
+    abs_by_column = {}  # largest absolute difference under each name
     for a, b in zip(lines_a, lines_b):
         if "kind" in a:
             by_kind[a["kind"]] = by_kind.get(a["kind"], 0) + (a != b)
@@ -191,6 +200,7 @@ def compare(path_a, path_b, stream):
             values += len(_values(a))
             for name in cols_a or ():
                 by_column.setdefault(name, 0.0)
+                abs_by_column.setdefault(name, 0.0)
             continue
         requests += 1
         va, vb = _values(a), _values(b)
@@ -209,12 +219,14 @@ def compare(path_a, path_b, stream):
             for name, col in cols_a.items():
                 r = max(map(_rel, col, cols_b[name]), default=0.0)
                 by_column[name] = max(by_column.get(name, 0.0), r)
+                d = max(map(_abs, col, cols_b[name]), default=0.0)
+                abs_by_column[name] = max(abs_by_column.get(name, 0.0), d)
     stream.write(json.dumps({
         "requests": len(lines_a), "values": values,
         "differing_requests": requests, "differing_values": differing,
         "differing_by_kind": by_kind, "differing_by_model": by_model,
         "max_rel_diff": worst, "worst_request": worst_id,
-        "max_rel_diff_by_column": by_column,
+        "max_rel_diff_by_column": by_column, "max_abs_diff_by_column": abs_by_column,
     }) + "\n")
     return 0 if requests == 0 else 1
 
