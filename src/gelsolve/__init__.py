@@ -36,7 +36,6 @@ from .models import (
     Smoluchowski,
     SmoluchowskiArms,
     make_model,
-    mass_right_derivative_at_gel,
 )
 from .series import (
     LimitingConcentrations,
@@ -82,7 +81,6 @@ __all__ = [
     "l_flory",
     "limiting_concentrations",
     "make_model",
-    "mass_right_derivative_at_gel",
     "ps_compose",
     "ps_exp",
     "ps_mul",

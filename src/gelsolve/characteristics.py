@@ -275,12 +275,13 @@ class ArmsFlow:
     t, with slope -k0''/D^2, inside the panel that brackets t, falling back
     to bisection when a step leaves the bracket.  Once u_k is no longer a
     normal double, past t of about 1e308 on laws with weights near 1, ell_t
-    is reported as c and alpha_t, then 1e307 or more, as inf.
+    is reported as c and alpha_t, then 1e307 or more, as inf.  t_gel is the
+    law's gel_time, which the model has solved.
     """
 
-    def __init__(self, measure: ArmMeasure):
+    def __init__(self, measure: ArmMeasure, t_gel: float):
         self.measure = measure
-        self.t_gel = gel_time(measure)
+        self.t_gel = t_gel
         self._c = None  # ell_inf, found by the first post-gel query or limit
         self._times = [self.t_gel]  # t(u_k), one per panel summed so far
 

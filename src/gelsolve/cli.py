@@ -29,8 +29,8 @@ from .models import MODEL_NAMES, make_model
 from .oracle import compare, initial_arms, initial_classic, integrate
 from .series import arms_concentrations, concentrations, limiting_concentrations
 
-#: Most oracle steps, t_end / dt, that `validate` takes.  A step took 0.03-0.11 ms
-#: on classic windows of 200-400 masses and 0.017-0.026 ms on arms windows of
+#: Most oracle steps, t_end / dt, that `validate` takes.  A step took 0.018-0.050 ms
+#: on classic windows of 200-400 masses and 0.013-0.018 ms on arms windows of
 #: 31-121 arm counts (min of 9 runs of 100 steps from t = 0, to 0.4 T_gel on
 #: monodisperse and 4-atom data or to 0.2 T_gel on arm data, one core of a
 #: shared 2-core x86-64 machine).

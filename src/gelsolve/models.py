@@ -249,7 +249,7 @@ class SmoluchowskiArms(_Arms):
 
     def __init__(self, measure: ArmMeasure):
         super().__init__(measure)
-        self.flow = ArmsFlow(measure)
+        self.flow = ArmsFlow(measure, self.t_gel)
 
     def limit(self) -> SolutionState:
         """ell_inf is c, the root of D, and beta_inf = 1/k0'(c): the flow at u = 0."""
@@ -336,32 +336,3 @@ def make_model(name: str, measure) -> Model:
     except KeyError:
         raise ModelError(f"unknown model {name!r}") from None
     return cls(measure)
-
-
-# ---------------------------------------------------------------------------
-# Gel-point derivative of the mass
-
-def mass_right_derivative_at_gel(measure) -> float:
-    """Right derivative of the mass at the gel time, by sequential limits.
-
-    Evaluates r(x) = -g0'(x)^3 / (g0'(x) + x g0''(x)) at x_k = 1 - 2^{-k},
-    k = 10..40.  Returns the limit if the tail stabilizes, a signed infinity
-    if |r| keeps growing, and nan when neither happens.
-    """
-    vals = []
-    for k in range(10, 41):
-        x = 1.0 - 2.0**-k
-        gp = measure.g0(x, 1)
-        gpp = measure.g0(x, 2)
-        denom = gp + x * gpp
-        vals.append(-(gp**3) / denom if denom != 0.0 else -INF)
-    for i in range(2, len(vals)):
-        a, b, c = vals[i - 2], vals[i - 1], vals[i]
-        tol = max(1e-5 * abs(c), 1e-7)
-        if abs(a - b) <= tol and abs(b - c) <= tol:
-            return c
-    mags = [abs(v) for v in vals]
-    if mags[-1] > 1e12 or all(m2 > m1 for m1, m2 in zip(mags, mags[1:])):
-        return -INF if vals[-1] < 0.0 else INF
-    return math.nan
-

@@ -17,10 +17,13 @@ clusters beyond a_max that a one-arm partner brings back into it.  Past the
 gel time the truncation follows Flory's models only.
 
 Both run RK4 on the doubled rate g = 2 dc/dt = (w * w)(k + shift) -
-2 w(k) total, with w(k) = k c(k), and write each stage input, as its w,
-straight into the window that np.correlate reads.  The loss rides in the
-kept sums of the classic window: its w(0) = 0 c(0) is always 0, so it holds
--M0 instead, and each kept sum k >= 1 then holds the gain less
+2 w(k) total, with w(k) = k c(k), and write each stage input straight into
+the window that np.correlate reads, as v(k) = D(k) w(k), where D(k) is 1
+below h = (n - 1 + shift)//2 + 1 and 2 from h on.  A pair j <= l that lands
+in the window has j < h, so the window correlated with v(0..h-1) = w(0..h-1)
+sums each unordered pair once, in n h products, not n^2.  The loss rides in
+the kept sums of the classic window: its w(0) = 0 c(0) is always 0, so it
+holds -M0 instead, and each kept sum k >= 1 then holds the gain less
 2 M0 w(k), which is the loss.  The sum at k = 0 holds M0^2 and is set to 0,
 so c(0) stays as it is.  On the arms window a shift of 2 would pair that
 entry with cell 2, a real cell, so there the loss is subtracted.
@@ -108,25 +111,27 @@ def _mass(c: np.ndarray) -> float:
 
 
 class _Window:
-    """w(k) = k y(k) of a stage input y on an n-cell window, laid out for np.correlate.
+    """v(k) = D(k) k y(k) of a stage input y on an n-cell window, laid out for np.correlate.
 
-    w sits behind n - 1 zeros and before shift zeros, which are never
-    written: window is w with them, reversed is w back to front.
+    v sits behind h - 1 zeros and before shift zeros, which are never
+    written: window is v with them, kernel is v(0..h-1) back to front.
     """
 
     def __init__(self, n: int, shift: int):
-        padded = np.zeros(2 * n - 1 + shift)
-        self.w = padded[n - 1 : 2 * n - 1]
-        self.reversed = self.w[::-1]
+        h = (n - 1 + shift) // 2 + 1
+        padded = np.zeros(h - 1 + n + shift)
+        self.v = padded[h - 1 : h - 1 + n]
+        self.kernel = self.v[h - 1 :: -1]
         self.window = padded[shift:]
 
 
 class _Work:
     """The work arrays of one n-cell window, and the conserved total of its initial state.
 
-    integrate holds one for the whole call: start holds the w of each step's
-    start, the first stage input, and stage the w of the other three; each
-    evaluation returns one fresh array.
+    integrate holds one for the whole call: start holds the v of each step's
+    start, the first stage input, and stage the v of the other three; each
+    evaluation returns one fresh array.  doubled holds D(k) k, and the arms
+    loss reads w back from v through 2 A_t / D(k), made once per time t.
     """
 
     def __init__(self, n: int, arms: bool, total: float):
@@ -136,27 +141,33 @@ class _Work:
         self.start = _Window(n, shift)
         self.stage = _Window(n, shift)
         self.loss = np.empty(n)
+        self.doubling = np.where(_indices(n) < self.start.kernel.size, 1.0, 2.0)
+        self.doubled = _indices(n) * self.doubling
+        self.loss_weight, self.loss_t = np.empty(n), math.nan
 
 
 def _rhs(t, work, y):
     """g = 2 dc/dt = (w * w)(k + shift) - 2 w(k) total(t) for k < n, at the stage input y.
 
-    y is one of work's windows, holding w(k) = k y(k).  Classic: k is the
-    mass, shift 0 and total(t) = M0, since the gel keeps interacting and the
-    total partner mass is conserved; w(0) = 0 y(0) holds -M0 instead, so the
-    kept sums carry the loss (see the module docstring) and g(0), their M0^2,
-    is set to 0.  Arms: k is the number of free arms of the marginal, shift 2
-    (a merger joins two arms) and total(t) = A0 / (1 + A0 t), the exact arm
-    count, gel included; the loss is subtracted from the kept sums.
+    y is one of work's windows, holding v = D w of w(k) = k y(k).  Classic:
+    k is the mass, shift 0 and total(t) = M0, since the gel keeps interacting
+    and the total partner mass is conserved; w(0) = 0 y(0) holds -M0 instead,
+    so the kept sums carry the loss (see the module docstring) and g(0),
+    their M0^2, is set to 0.  Arms: k is the number of free arms of the
+    marginal, shift 2 (a merger joins two arms) and total(t) = A0 / (1 + A0
+    t), the exact arm count, gel included; the loss is subtracted from the
+    kept sums.
     """
-    # the n kept sums of the self-convolution, sum_j w(j) w(k + shift - j):
-    # the window of w behind its zeros, correlated with w reversed.  The full
-    # convolution's other outputs are tail-by-tail products, which underflow
-    # to the slow subnormal path while c(m) ~ t^(m-1) is small.
-    g = np.correlate(y.window, y.reversed, "valid")
+    # the n kept sums, sum_(j < h) w(j) v(k + shift - j), each unordered pair
+    # once.  The full convolution's other outputs are tail-by-tail products,
+    # which underflow to the slow subnormal path while c(m) ~ t^(m-1) is small.
+    g = np.correlate(y.window, y.kernel, "valid")
     if work.arms:
         A0 = work.total
-        g -= np.multiply(y.w, 2.0 * A0 / (1.0 + t * A0), out=work.loss)
+        if t != work.loss_t:
+            work.loss_t = t
+            np.divide(2.0 * A0 / (1.0 + t * A0), work.doubling, out=work.loss_weight)
+        g -= np.multiply(y.v, work.loss_weight, out=work.loss)
     else:
         g[0] = 0.0
     return g
@@ -184,10 +195,10 @@ def integrate(initial: OracleState, t_grid, dt: float) -> list[OracleState]:
         raise UsageError("t_grid starts before the initial state")
     arms = initial.arms
     total = _mass(initial.c)
-    indices = _indices(initial.c.size)
     work = _Work(initial.c.size, arms, total)
+    doubled = work.doubled
     start, stage = work.start, work.stage
-    start_w, stage_w = start.w, stage.w
+    start_v, stage_v = start.v, stage.v
 
     t = initial.t
     c = initial.c.copy()
@@ -195,20 +206,20 @@ def integrate(initial: OracleState, t_grid, dt: float) -> list[OracleState]:
 
     def step(t, c, h, quarter, half):
         # RK4 on g = 2 dc/dt: the stage inputs y = c + (h/4) g1, c + (h/4) g2
-        # and c + (h/2) g3 go into the stage window as k y(k), that is
-        # k c(k) + ((h/4) k) g(k), with k c(k) made once per step
-        np.multiply(indices, c, out=start_w)
+        # and c + (h/2) g3 go into the stage window as D(k) k y(k), that is
+        # D(k) k c(k) + ((h/4) D(k) k) g(k), with D(k) k c(k) made once per step
+        np.multiply(doubled, c, out=start_v)
         if not arms:
-            start_w[0] = -total
+            start_v[0] = -total
         g1 = _rhs(t, work, start)
-        np.multiply(quarter, g1, out=stage_w)
-        np.add(stage_w, start_w, out=stage_w)
+        np.multiply(quarter, g1, out=stage_v)
+        np.add(stage_v, start_v, out=stage_v)
         g2 = _rhs(t + 0.5 * h, work, stage)
-        np.multiply(quarter, g2, out=stage_w)
-        np.add(stage_w, start_w, out=stage_w)
+        np.multiply(quarter, g2, out=stage_v)
+        np.add(stage_v, start_v, out=stage_v)
         g3 = _rhs(t + 0.5 * h, work, stage)
-        np.multiply(half, g3, out=stage_w)
-        np.add(stage_w, start_w, out=stage_w)
+        np.multiply(half, g3, out=stage_v)
+        np.add(stage_v, start_v, out=stage_v)
         g4 = _rhs(t + h, work, stage)
         # c + (h/12) ((2 (g2 + g3) + g1) + g4), summed in place in g2
         g2 += g3
@@ -227,7 +238,7 @@ def integrate(initial: OracleState, t_grid, dt: float) -> list[OracleState]:
             while t < target - 1e-12:
                 h = min(dt, target - t)
                 if h != weights_h:  # h changes only at grid times
-                    weights_h, quarter, half = h, indices * (0.25 * h), indices * (0.5 * h)
+                    weights_h, quarter, half = h, doubled * (0.25 * h), doubled * (0.5 * h)
                 c = step(t, c, h, quarter, half)
                 t += h
                 # a NaN entry makes both NaN

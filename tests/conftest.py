@@ -1,4 +1,6 @@
 """Fixtures shared by the test modules."""
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,37 @@ def _mass_square_integral(model, lo, hi):
 def mass_square_integral():
     """The small-time cross-check of infinite initial mass: M_t is square-integrable near 0."""
     return _mass_square_integral
+
+
+def _mass_right_derivative_at_gel(measure):
+    """Right derivative of the mass at the gel time, by sequential limits.
+
+    Evaluates r(x) = -g0'(x)^3 / (g0'(x) + x g0''(x)) at x_k = 1 - 2^{-k},
+    k = 10..40.  Returns the limit if the tail stabilizes, a signed infinity
+    if |r| keeps growing, and nan when neither happens.
+    """
+    vals = []
+    for k in range(10, 41):
+        x = 1.0 - 2.0**-k
+        gp = measure.g0(x, 1)
+        gpp = measure.g0(x, 2)
+        denom = gp + x * gpp
+        vals.append(-(gp**3) / denom if denom != 0.0 else -math.inf)
+    for i in range(2, len(vals)):
+        a, b, c = vals[i - 2], vals[i - 1], vals[i]
+        tol = max(1e-5 * abs(c), 1e-7)
+        if abs(a - b) <= tol and abs(b - c) <= tol:
+            return c
+    mags = [abs(v) for v in vals]
+    if mags[-1] > 1e12 or all(m2 > m1 for m1, m2 in zip(mags, mags[1:])):
+        return -math.inf if vals[-1] < 0.0 else math.inf
+    return math.nan
+
+
+@pytest.fixture
+def mass_right_derivative_at_gel():
+    """The right derivative of the mass at the gel time, read from g0 alone."""
+    return _mass_right_derivative_at_gel
 
 
 def _direct_arms_rhs(t, c, A0):

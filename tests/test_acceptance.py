@@ -22,7 +22,6 @@ from gelsolve.models import (
     FloryArms,
     Smoluchowski,
     SmoluchowskiArms,
-    mass_right_derivative_at_gel,
 )
 from gelsolve.oracle import initial_arms, initial_classic, integrate
 from gelsolve.series import (
@@ -150,7 +149,7 @@ class _G0:
         return self._f[order](x)
 
 
-def test_criterion_09_gel_derivative_families(report):
+def test_criterion_09_gel_derivative_families(report, mass_right_derivative_at_gel):
     flat = _G0(
         lambda x: (1 - x) * math.log1p(-x) + x,
         lambda x: -math.log1p(-x),

@@ -35,6 +35,11 @@ MU = {0: 0.5, 1: 0.25, 3: 0.25}
 ARM = ArmMeasure.monodisperse(MU)
 
 
+def _flow(measure):
+    """The gel-inert arms flow of a law, at the gel time its model would pass."""
+    return ArmsFlow(measure, gel_time(measure))
+
+
 # An independent route to alpha_t of the gel-inert arms model: the G/H pair
 # and a Gamma quadrature.  The library takes alpha_t = 1/G(ell_t) in closed
 # form instead; these are the reference it is checked against.
@@ -290,23 +295,23 @@ class TestGH:
 
 class TestArmsFlow:
     def test_initial_state(self):
-        st = ArmsFlow(ARM).state(0.0)
+        st = _flow(ARM).state(0.0)
         assert (st.alpha, st.beta, st.ell) == (1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_non_finite_time_rejected(self, t):
         with pytest.raises(DomainError):
-            ArmsFlow(ARM).state(t)
+            _flow(ARM).state(t)
 
     def test_pre_gel_closed_form(self):
-        flow = ArmsFlow(ARM)
+        flow = _flow(ARM)
         for t in (0.5, 1.0, 1.7, 2.0):
             st = flow.state(t)
             assert st.alpha == pytest.approx(1.0 + t, abs=1e-12)
             assert st.beta == pytest.approx(t / (1.0 + t), abs=1e-12)
 
     def test_alpha_beta_monotone(self):
-        flow = ArmsFlow(ARM)
+        flow = _flow(ARM)
         states = [flow.state(t) for t in np.linspace(0.0, 6.0, 101)]
         alphas = [s.alpha for s in states]
         betas = [s.beta for s in states]
@@ -315,7 +320,7 @@ class TestArmsFlow:
 
     def test_alpha_ode_slope(self):
         # d(alpha)/dt should equal k0(ell_t, 1)
-        flow = ArmsFlow(ARM)
+        flow = _flow(ARM)
         h = 1e-3
         for t in (2.5, 3.0, 4.0):
             fd = (flow.state(t + h).alpha - flow.state(t - h).alpha) / (2 * h)
@@ -324,14 +329,14 @@ class TestArmsFlow:
 
     def test_arm_count_bound(self):
         # k0(ell_t, 1)/alpha_t <= A0/(1 + t A0)
-        flow = ArmsFlow(ARM)
+        flow = _flow(ARM)
         for t in np.linspace(0.0, 6.0, 25):
             st = flow.state(t)
             a_t = ARM.k0(st.ell, 1.0) / st.alpha
             assert a_t <= 1.0 / (1.0 + t) + 1e-9
 
     def test_continuity_at_gel_time(self):
-        flow = ArmsFlow(ARM)
+        flow = _flow(ARM)
         below = flow.state(2.0)
         above = flow.state(2.0 + 1e-6)
         assert above.alpha == pytest.approx(below.alpha, abs=1e-5)
@@ -350,17 +355,17 @@ class TestArmsFlow:
             FloryArms(ARM).state(3.0)  # the name patched is the one in use
 
     def test_out_of_order_queries_consistent(self):
-        a = ArmsFlow(ARM)
+        a = _flow(ARM)
         v1 = a.state(4.0).alpha
         v2 = a.state(3.0).alpha
-        b = ArmsFlow(ARM)
+        b = _flow(ARM)
         assert b.state(3.0).alpha == v2
         assert b.state(4.0).alpha == v1
 
 
 @pytest.mark.parametrize("t", [2.5, 4.0, 6.0, 50.0, 200.0])
 def test_closed_form_alpha_matches_gamma_quadrature(t):
-    assert ArmsFlow(ARM).state(t).alpha == pytest.approx(
+    assert _flow(ARM).state(t).alpha == pytest.approx(
         alpha_via_gamma(ARM, t), rel=1e-10
     )
 
@@ -415,7 +420,7 @@ MPMATH_LAWS = pytest.mark.parametrize("measure", [
 
 @MPMATH_LAWS
 def test_flow_matches_mpmath_inversion(measure, mp_arms_flow):
-    flow = ArmsFlow(measure)
+    flow = _flow(measure)
     for dt in (1e-4, 0.03, 1.0, 50.0, 1e4):
         t = flow.t_gel + dt
         c, u, _, _ = mp_arms_flow(measure, t)
@@ -509,7 +514,7 @@ FLOW_DTS = (1e-4, 0.03, 1.0, 50.0, 1e9, 1e12, 1e16, 1e17, 1e100, 1e300)
 @MPMATH_LAWS
 def test_alpha_and_arm_count_match_mpmath(measure, mp_arms_flow):
     # alpha = k0'/D and A = k0/alpha at the 40-digit u_t = ell_t - c
-    flow = ArmsFlow(measure)
+    flow = _flow(measure)
     for dt in FLOW_DTS:
         t = flow.t_gel + dt
         state = flow.state(t)
@@ -521,7 +526,7 @@ def test_alpha_and_arm_count_match_mpmath(measure, mp_arms_flow):
 @pytest.mark.parametrize("mu", FAR_LAWS, ids=["c-0.774", "c-0.501"])
 def test_far_times_where_a_panel_point_rounds_onto_c(mu):
     law = ArmMeasure.monodisperse(mu)
-    flow = ArmsFlow(law)
+    flow = _flow(law)
     c = SmoluchowskiArms(law).limit().ell
     for t in (1e16, 3.915041124593764e16, 4.83178284091214e19, 1e300):
         st = flow.state(t)
@@ -531,7 +536,7 @@ def test_far_times_where_a_panel_point_rounds_onto_c(mu):
 
 @pytest.mark.parametrize("mu", [MU, *FAR_LAWS], ids=["readme", "c-0.774", "c-0.501"])
 def test_panels_are_summed_only_as_far_as_a_query_needs(mu):
-    flow = ArmsFlow(ArmMeasure.monodisperse(mu))
+    flow = _flow(ArmMeasure.monodisperse(mu))
     flow.state(flow.t_gel + 1e-4)
     assert len(flow._times) == 2  # t(u_0) = T_gel and t(u_1): one panel summed
 
@@ -540,8 +545,8 @@ def test_panels_are_summed_only_as_far_as_a_query_needs(mu):
 def test_flow_is_scale_free(scale):
     # weights scale * mu give D and k0'' times scale, so t(u) over scale:
     # alpha(t) = alpha_1(scale t) and A(t) = scale A_1(scale t)
-    unit = ArmsFlow(ARM)
-    flow = ArmsFlow(ArmMeasure.monodisperse({a: scale * w for a, w in MU.items()}))
+    unit = _flow(ARM)
+    flow = _flow(ArmMeasure.monodisperse({a: scale * w for a, w in MU.items()}))
     for ratio in (1.001, 1e3):
         t = ratio * flow.t_gel
         state, ref = flow.state(t), unit.state(scale * t)
@@ -554,7 +559,7 @@ def test_arm_count_and_sol_mass_where_a_power_of_ell_underflows(mp_arms_flow):
     # must take the weight before ell^5 underflows (A_t was 3.5e-5 off at
     # t = 1e100 and 0 at 1e300)
     law = ArmMeasure.monodisperse({0: 2.8e-12, 6: 8.4e281})
-    flow = ArmsFlow(law)
+    flow = _flow(law)
     for dt in FLOW_DTS:
         t = flow.t_gel + dt
         state = flow.state(t)
@@ -618,7 +623,7 @@ def test_alpha_where_a_power_of_ell_underflows(mp_arms_flow):
     # ell^4 underflows, and k0'(ell) = 30 mu(6) ell^4 must not take it first
     law = ArmMeasure.monodisperse({0: 2.8e-12, 6: 8.4e281})
     for t in (1e100, 1e300):
-        state = ArmsFlow(law).state(t)
+        state = _flow(law).state(t)
         _, _, alpha, _ = mp_arms_flow(law, t)
         assert state.alpha == pytest.approx(float(alpha), rel=1e-13, abs=0.0)
 

@@ -19,7 +19,6 @@ from gelsolve.models import (
     Smoluchowski,
     SmoluchowskiArms,
     make_model,
-    mass_right_derivative_at_gel,
 )
 from gelsolve.series import arms_concentrations, concentrations
 
@@ -165,6 +164,16 @@ class TestSolveOnce:
             model.mass(t)
             assert sum(map(len, checks)) == misses
             assert sum(map(len, states)) == misses
+
+    def test_smoluchowski_arms_solves_its_gel_time_once(self, monkeypatch):
+        # the flow takes the model's T_gel, so a model solves it once
+        import gelsolve.characteristics
+
+        calls = [self._count(monkeypatch, module, "gel_time")
+                 for module in (gelsolve.characteristics, gelsolve.models)]
+        model = SmoluchowskiArms(ARM)
+        assert sum(map(len, calls)) == 1
+        assert model.flow.t_gel == model.t_gel == 2.0
 
     def test_flory_trajectory_row_solves_ell_once(self, monkeypatch):
         # a trajectory row asks state(t), then second_moment(t), past T_gel
@@ -586,17 +595,17 @@ def _family_sqrt():
 
 
 class TestGelDerivative:
-    def test_vanishing_limit(self):
+    def test_vanishing_limit(self, mass_right_derivative_at_gel):
         assert abs(mass_right_derivative_at_gel(_family_log())) <= 1e-6
 
-    def test_divergent_limit(self):
+    def test_divergent_limit(self, mass_right_derivative_at_gel):
         assert mass_right_derivative_at_gel(_family_sqrt_log()) == -math.inf
 
-    def test_finite_limit(self):
+    def test_finite_limit(self, mass_right_derivative_at_gel):
         val = mass_right_derivative_at_gel(_family_sqrt())
         assert val == pytest.approx(-0.5, abs=1e-4)
 
-    def test_monodisperse(self):
+    def test_monodisperse(self, mass_right_derivative_at_gel):
         # M = 1/t after gelation, so the slope at the gel time is -1
         assert mass_right_derivative_at_gel(Monodisperse()) == pytest.approx(
             -1.0, abs=1e-9

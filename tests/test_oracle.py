@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,16 +23,33 @@ MU = {0: 0.5, 1: 0.25, 3: 0.25}
 ARM = ArmMeasure.monodisperse(MU)
 
 
-def _rhs_at(t, w, *, arms, total, work=None):
-    """The doubled rate g = 2 dc/dt that oracle._rhs gives at the window w(k) = k y(k).
+def _half(n, arms):
+    """h = (n - 1 + shift)//2 + 1: a pair j <= l that lands in an n-cell window has j < h."""
+    return (n - 1 + (2 if arms else 0)) // 2 + 1
 
-    w is written into the window of a step's start, of a fresh work unless
-    one is given.
+
+def _doubling(n, arms):
+    """D(k) of an n-cell window: 1 below its half h, 2 from h on."""
+    d = np.ones(n)
+    d[_half(n, arms) :] = 2.0
+    return d
+
+
+def _rhs_of(t, v, *, arms, total, work=None):
+    """The doubled rate g = 2 dc/dt that oracle._rhs gives at the stored window v.
+
+    v is written as it is into the window of a step's start, of a fresh
+    work unless one is given.
     """
     if work is None:
-        work = _Work(w.size, arms, total)
-    work.start.w[:] = w
+        work = _Work(v.size, arms, total)
+    work.start.v[:] = v
     return _rhs(t, work, work.start)
+
+
+def _rhs_at(t, w, *, arms, total, work=None):
+    """The doubled rate at the window w(k) = k y(k), stored doubled: v = D w."""
+    return _rhs_of(t, _doubling(w.size, arms) * w, arms=arms, total=total, work=work)
 
 
 def _dcdt(t, c, *, arms, total, work=None):
@@ -48,12 +66,19 @@ def _dcdt(t, c, *, arms, total, work=None):
 
 def _work_arrays(work):
     """Every array a work holds."""
-    return [work.loss, *vars(work.start).values(), *vars(work.stage).values()]
+    return [
+        work.loss,
+        work.loss_weight,
+        work.doubling,
+        work.doubled,
+        *vars(work.start).values(),
+        *vars(work.stage).values(),
+    ]
 
 
 def _doubled(value):
     """A stand-in for oracle._rhs whose doubled rate is 2 value in every cell: dc/dt = value."""
-    return lambda t, work, y: np.full(y.w.size, 2.0 * value)
+    return lambda t, work, y: np.full(y.v.size, 2.0 * value)
 
 
 class TestInitialStates:
@@ -198,24 +223,24 @@ class TestIntegrate:
     @pytest.mark.parametrize("arms", [False, True])
     def test_one_step_is_the_rk4_combination(self, arms):
         # each step runs on the doubled rate g = 2 dc/dt: the stage inputs
-        # enter the window as k c(k) + ((h/4) k) g(k), and the step sums
-        # (2 (g2 + g3) + g1) + g4 in place, bit for bit, with the steps
+        # enter the window as D(k) k c(k) + ((h/4) D(k) k) g(k), and the step
+        # sums (2 (g2 + g3) + g1) + g4 in place, bit for bit, with the steps
         # evaluating into integrate's work arrays
         init = initial_arms(ARM, 6) if arms else initial_classic(Monodisperse(), 30)
         h, total = 0.3, (init.arm_count if arms else init.mass)
-        k = np.arange(init.c.size, dtype=float)
+        dk = _doubling(init.c.size, arms) * np.arange(init.c.size)
 
-        def g(t, w):
-            return _rhs_at(t, w, arms=arms, total=total)
+        def g(t, v):
+            return _rhs_of(t, v, arms=arms, total=total)
 
         def step(t, c):
-            w = k * c
+            v = dk * c
             if not arms:
-                w[0] = -total
-            g1 = g(t, w)
-            g2 = g(t + 0.5 * h, (0.25 * h * k) * g1 + w)
-            g3 = g(t + 0.5 * h, (0.25 * h * k) * g2 + w)
-            g4 = g(t + h, (0.5 * h * k) * g3 + w)
+                v[0] = -total
+            g1 = g(t, v)
+            g2 = g(t + 0.5 * h, (0.25 * h * dk) * g1 + v)
+            g3 = g(t + 0.5 * h, (0.25 * h * dk) * g2 + v)
+            g4 = g(t + h, (0.5 * h * dk) * g3 + v)
             return np.clip(c + (h / 12.0) * (2.0 * (g2 + g3) + g1 + g4), 0.0, None)
 
         first = step(0.0, init.c)
@@ -359,18 +384,46 @@ def _convolved_rhs_classic(c, M0):
     return gain, loss, out
 
 
+def _exact_check(out, w, shift, loss):
+    """Every cell of out within n eps sum|terms| + n tiny of its exact Fraction sum.
+
+    The exact sum of cell k runs over the ordered pairs j + l = k + shift of
+    the window w, less loss w(k); each double is a whole multiple of 2^-1074,
+    so the sums are kept as integers in units of 2^-2148.
+    """
+    n = w.size
+    unit = 2**1074
+    ints = [int(Fraction(float(x)) * unit) for x in w]
+    eps, tiny = Fraction(np.finfo(float).eps), Fraction(np.finfo(float).tiny)
+    for k in range(n):
+        pairs = range(max(0, k + shift - n + 1), min(n, k + shift + 1))
+        terms = [ints[j] * ints[k + shift - j] for j in pairs]
+        terms.append(-loss * ints[k] * unit)
+        exact = Fraction(sum(terms), unit * unit)
+        size = Fraction(sum(abs(x) for x in terms), unit * unit)
+        err = abs(Fraction(float(out[k])) - exact)
+        assert err <= n * eps * size + n * tiny, (k, float(err), float(size))
+
+
+def _log_uniform_window(n, seed):
+    """n cells drawn log-uniform over 1e-300..1."""
+    return 10.0 ** np.random.default_rng(seed).uniform(-300.0, 0.0, n)
+
+
 def _allocating_rhs_classic(c, M0):
     """The classic right-hand side with fresh arrays, no work arrays.
 
     The loss rides in the kept sums: w(0) holds -M0, so each sum k >= 1 is
-    the gain less 2 M0 w(k); the doubled rate is halved.
+    the gain less 2 M0 w(k); the window holds v = D w, and the kernel its
+    first h cells back to front; the doubled rate is halved.
     """
-    n = c.size
+    n, h = c.size, _half(c.size, False)
     w = np.arange(n) * c
     w[0] = -M0
-    padded = np.zeros(2 * n - 1)
-    padded[n - 1 :] = w
-    out = np.correlate(padded, w[::-1], "valid")
+    v = _doubling(n, False) * w
+    padded = np.zeros(h - 1 + n)
+    padded[h - 1 :] = v
+    out = np.correlate(padded, v[:h][::-1], "valid")
     out[0] = 0.0
     return 0.5 * out
 
@@ -412,6 +465,21 @@ class TestClassicRhs:
         # c(m) ~ t^(m-1): the discarded outputs of the full convolution underflow
         assert (np.convolve(w, w)[c.size :] < np.finfo(float).tiny).mean() > 0.5
         assert self._check(c, 1.0) > 100
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 31, 46, 47, 400, 401])
+    def test_every_cell_within_the_bound_of_the_exact_sum(self, n):
+        # each unordered pair is summed once, against the kernel of the
+        # window's first h cells: every cell keeps the error bound of a sum
+        # of its terms, and g(0), which holds M0^2, is 0
+        M0 = 0.75
+        w = _log_uniform_window(n, n)
+        w[0] = -M0
+        work = _Work(n, False, M0)
+        assert work.start.kernel.size == work.stage.kernel.size == (n - 1) // 2 + 1
+        out = _rhs_at(0.0, w, arms=False, total=M0, work=work)
+        assert out[0] == 0.0
+        out[0] = M0 * M0
+        _exact_check(out, w, 0, Fraction(0))
 
     @pytest.mark.parametrize("n", [2, 3, 31, 401])
     def test_matches_the_allocating_form_bit_for_bit(self, n):
@@ -468,6 +536,17 @@ class TestArmsRhs:
         loss = np.arange(n) * u * (1.3 / (1.0 + 0.7 * 1.3))
         out = _dcdt(0.7, u, arms=True, total=1.3)
         assert (np.abs(out - expected) <= n * np.finfo(float).eps * (gain + loss)).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 31, 46, 47, 400, 401])
+    def test_every_cell_within_the_bound_of_the_exact_sum(self, n):
+        # shift 2: the kernel holds h = (n + 1)//2 + 1 cells; at A0 = 3 and
+        # t = 1 the loss weight 2 A_t = 3/2 is exact, so the bound checks the
+        # sums and the loss product alone
+        w = _log_uniform_window(n, n)
+        work = _Work(n, True, 3.0)
+        assert work.start.kernel.size == work.stage.kernel.size == (n + 1) // 2 + 1
+        out = _rhs_at(1.0, w, arms=True, total=3.0, work=work)
+        _exact_check(out, w, 2, Fraction(3, 2))
 
     def test_two_arm_merger_lands_two_rows_down(self):
         # w = a u = (0, 1, 1): (1) + (1) -> (0), (2) + (1) -> (1) and
