@@ -26,7 +26,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import DomainError, ModelError, SolverError
-from .measures import ArmMeasure, MassMeasure
+from .measures import ArmMeasure, MassMeasure, derivative, horner
 
 INF = math.inf
 _TINY = sys.float_info.min  # the smallest normal double
@@ -164,11 +164,6 @@ def l_flory(t, measure: MassMeasure):
 # ---------------------------------------------------------------------------
 # Arms model: the characteristic flow
 
-def derivative(p: tuple, k: int) -> tuple:
-    """The Horner tuple of the k-th derivative of the polynomial with Horner tuple p."""
-    return tuple(math.perm(len(p) - 1 - i, k) * b for i, b in enumerate(p[: len(p) - k]))
-
-
 def arms_polynomials(p: tuple, c: float = 0.0):
     """Horner tuples in u of D = x k0' - k0 and of k0'' at c + u, from that of K0(c + u).
 
@@ -199,14 +194,6 @@ def flory_polynomials(p: tuple):
             q[-1] += b
     q = tuple(reversed(q))
     return q, derivative(q, 1)
-
-
-def horner(coeffs: tuple, x: float) -> float:
-    """The polynomial with `coeffs`, highest power first, at x."""
-    total = 0.0
-    for a in coeffs:
-        total = total * x + a
-    return total
 
 
 #: 12-point Gauss-Legendre rule for each panel of t(u), moved to [0, 1]:

@@ -2,16 +2,13 @@
 
 The mass measures expose g0(x) = <mu0, m x^m> and its first two derivatives;
 the parametric families carry hand-derived closed forms so no quadrature is
-needed when evaluating them.  Arm measures expose the bivariate generating
-function k0(x, y) = sum_a,m a c0(a,m) x^(a-1) y^m and its first two
-x-derivatives.
-
-Discrete and ArmMeasure evaluate from coefficient tables built at the first
-evaluation: per order, each atom's coefficient and exponents.  A call forms
-each term as the formula's product, left to right, and adds the terms from
-the int 0 in atom order; in Discrete.g0 a term whose x^e overflows or
-divides by zero, x = 0 included, is its limit.  Outside this module only the
-oracle, kept independent, reads a law's atoms or weights.
+needed when evaluating them.  Discrete.g0 sums per-order tables (coefficient,
+exponent) built at the first evaluation, term by term in atom order from the
+int 0; a term whose x^e overflows or divides by zero, x = 0 included, is its
+limit.  An arm measure is one polynomial, K0(x, y) = sum c0(a, m) x^a y^m,
+read as the Horner tuple in x of K0(., y) (`polynomial`); k0 = d/dx K0 and
+its first two x-derivatives are Horner sums of its `derivative`s.  Outside
+this module only the oracle, kept independent, reads a law's atoms or weights.
 
 This module owns the package's one numpy binding, `np`, which every other
 module imports from here.  If numpy is already imported, `np` is numpy.
@@ -248,11 +245,24 @@ class PowerLawDensity(MassMeasure):
         raise DomainError(f"order must be 0, 1 or 2, got {order}")
 
 
+def horner(coeffs: tuple, x: float) -> float:
+    """The polynomial with `coeffs`, highest power first, at x."""
+    total = 0.0
+    for a in coeffs:
+        total = total * x + a
+    return total
+
+
+def derivative(p: tuple, k: int) -> tuple:
+    """The Horner tuple of the k-th derivative of the polynomial with Horner tuple p."""
+    return tuple(math.perm(len(p) - 1 - i, k) * b for i, b in enumerate(p[: len(p) - k]))
+
+
 class ArmMeasure:
     """Finite-support initial concentrations c0(a, m) on arms x mass.
 
-    At y = 1 the law is one polynomial, K0 (`polynomial`), with K0' = k0(., 1);
-    on monodisperse data K0(ell_t) is the arms models' sol mass (`sol_mass`).
+    The law is one polynomial, K0(x, y) (`polynomial`), with k0 = d/dx K0;
+    on monodisperse data K0(ell_t, 1) is the arms models' sol mass (`sol_mass`).
     """
 
     def __init__(self, weights: Mapping[tuple[int, int], float]):
@@ -285,7 +295,6 @@ class ArmMeasure:
             raise DomainError(f"the arm data's sums overflow a double: A0={self.A0}, "
                               f"K={self.K}, M0={self.M0}, total={self.total}")
         self.is_monodisperse = all(m == 1 for _, m in clean)
-        self._terms = None
         self._k0_poly = None
 
     def __repr__(self):
@@ -296,40 +305,27 @@ class ArmMeasure:
         """All particles of mass 1, arms distributed by the law mu."""
         return cls({(a, 1): w for a, w in mu.items()})
 
-    def _tables(self):
-        # per order o, (a (a-1) ... (a-o) c0(a, m), a-1-o, m) for the atoms
-        # with a > o.  Built at the first evaluation.
-        if self._terms is None:
-            items = self.weights.items()
-            self._terms = tuple(
-                tuple((math.perm(a, o + 1) * w, a - 1 - o, m) for (a, m), w in items if a > o)
-                for o in range(3)
-            )
-        return self._terms
-
     def k0(self, x: float, y: float = 1.0, order: int = 0) -> float:
-        """k0 or its first or second x-derivative at (x, y)."""
+        """k0 or its first or second x-derivative at (x, y): K0(., y)'s (order + 1)-th derivative."""
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
             _check_unit_interval(x, "x")
             _check_unit_interval(y, "y")
         if order not in (0, 1, 2):
             raise DomainError(f"order must be 0, 1 or 2, got {order}")
-        # a (a-1) ... (a-order) c0(a, m) x^(a-1-order) y^m; k0'' vanishes
-        # identically iff every particle has <= 2 arms, and is then the int 0
-        total = 0
-        for c, e, m in self._tables()[order]:
-            total += c * x**e * y**m
-        return total
+        return horner(derivative(self.polynomial(y), order + 1), x)
 
-    def polynomial(self) -> tuple:
-        """The Horner tuple of K0(x) = sum_(a,m) c0(a, m) x^a, built at the first call."""
-        if self._k0_poly is None:
-            coeffs = [0.0] * (max(self.weights)[0] + 1)  # the largest key has the most arms
-            for (a, _), w in self.weights.items():
-                coeffs[a] += w
-            coeffs.reverse()
-            self._k0_poly = tuple(coeffs)
-        return self._k0_poly
+    def polynomial(self, y: float = 1.0) -> tuple:
+        """The Horner tuple in x of K0(., y), each c0(a, m) y^m added from 0.0; kept at y = 1."""
+        if y == 1.0 and self._k0_poly is not None:
+            return self._k0_poly
+        _check_unit_interval(y, "y")
+        coeffs = [0.0] * (max(self.weights)[0] + 1)  # the largest key has the most arms
+        for (a, m), w in self.weights.items():
+            coeffs[a] += w * y**m  # w itself at y = 1
+        p = tuple(reversed(coeffs))
+        if y == 1.0:
+            self._k0_poly = p
+        return p
 
     def sol_mass(self, p: tuple) -> tuple:
         """p, a Horner tuple of K0, as the sol mass's; (nan,) on general data: no closed form."""
@@ -359,8 +355,9 @@ def conv_power(nu, m: int, max_index: int):
     row = np.zeros(max_index + 1)
     row[: base.size] = base
     yield row
+    law = base[::-1].copy()  # np.convolve(row, base) bit for bit: row is never the shorter
     for _ in range(1, m):
-        row = np.convolve(row, base)[: max_index + 1]
+        row = np.correlate(row, law, "full")[: max_index + 1]
         yield row
 
 

@@ -14,17 +14,15 @@ from .characteristics import (
     SolutionState,
     bisect_increasing,
     check_time,
-    derivative,
     ell_smolu,
     flory_polynomials,
     gel_time,
-    horner,
     l_flory,
     polynomial_root,
     pre_gel_state,
 )
 from .errors import DomainError, ModelError
-from .measures import ArmMeasure, MassMeasure
+from .measures import ArmMeasure, MassMeasure, derivative, horner
 
 INF = math.inf
 
@@ -179,8 +177,8 @@ class _Arms(Model):
     Both variants have the characteristic map phi_t(x, y) = alpha_t (x -
     beta_t k0(x, y)); a subclass states how alpha_t, beta_t and ell_t follow
     from t (`state`), and their limits as t -> inf (`limit`), all read from
-    the law's polynomial K0 at y = 1 (`ArmMeasure.polynomial`); `k0` serves
-    the map at general y.  Every query reads alpha_t and beta_t from `state`.
+    the law's polynomial K0 at y = 1 (`ArmMeasure.polynomial`), the map at y
+    from K0(., y)'s, kept for the last y.  Every query reads alpha_t and beta_t from `state`.
     h_t(x, y) lies in [0, ell_t]: phi_t(., 1) rises there to 1 (the gel-inert
     map peaks at ell_t, the Flory map past it), and for y <= 1 phi_t(., y) >=
     phi_t(., 1) rises at least as fast, as k0 and k0' grow with y.  The
@@ -194,39 +192,53 @@ class _Arms(Model):
         if not isinstance(measure, ArmMeasure):
             raise ModelError(f"{type(self).__name__} needs an ArmMeasure")
         super().__init__(measure)
+        self._tuples = (math.nan,)  # y, then k0(., y) and k0'(., y), for the last y
 
     def limit(self) -> SolutionState:
         """The long-time state: ell_inf, beta_inf and the sol mass K0(ell_inf)."""
         raise NotImplementedError
 
-    def _branch(self, alpha: float, beta: float, y: float = 1.0):
-        """x -> (phi, d/dx phi) for the map phi(x) = alpha (x - beta k0(x, y))."""
-        k0 = self.measure.k0
+    def _polys(self, y: float):
+        """The Horner tuples in x of k0(., y) and k0'(., y), the derivatives of K0(., y)."""
+        if self._tuples[0] != y:  # nan never matches
+            p = self.measure.polynomial(y)
+            self._tuples = (y, derivative(p, 1), derivative(p, 2))
+        return self._tuples[1:]
 
+    @staticmethod
+    def _branch(alpha: float, beta: float, k0: tuple, kp: tuple):
+        """x -> (phi, d/dx phi) for the map phi(x) = alpha (x - beta k0(x)), k0' = kp."""
         def branch(x):
-            return alpha * (x - beta * k0(x, y)), alpha * (1.0 - beta * k0(x, y, 1))
+            return alpha * (x - beta * horner(k0, x)), alpha * (1.0 - beta * horner(kp, x))
 
         return branch
 
     def phi(self, t: float, x: float, y: float = 1.0) -> float:
         st = self.state(t)
-        return self._branch(st.alpha, st.beta, y)(x)[0]
+        if not 0.0 <= x <= 1.0:
+            raise DomainError(f"x={x!r} outside [0, 1]")
+        return self._branch(st.alpha, st.beta, *self._polys(y))(x)[0]
 
-    def h_inverse(self, t: float, x: float, y: float = 1.0) -> float:
+    def _solve(self, t: float, x: float, y: float):
+        """(state(t), the Horner tuple of k0(., y), h_t(x, y)), the tuples built once."""
         if not 0.0 <= x <= 1.0:
             raise DomainError(f"x={x} outside [0, 1]")
         st = self.state(t)
+        k0, kp = self._polys(y)
         if x == 1.0 and y == 1.0:
-            # h_t(1) = ell_t by definition; past the gel time of the gel-inert
-            # model 1 is the flat peak of phi, where bisection would lose half
-            # the digits to rounding
-            return st.ell
-        if x == 0.0 and self.measure.k0(0.0, y) == 0.0:
-            return 0.0  # phi_t(0, y) = 0: the root is the end of the bracket
-        return bisect_increasing(self._branch(st.alpha, st.beta, y), 0.0, st.ell, x)
+            # h_t(1) = ell_t by definition; past T_gel of the gel-inert model 1 is
+            # the flat peak of phi, where bisection would lose half the digits
+            return st, k0, st.ell
+        if x == 0.0 and horner(k0, 0.0) == 0.0:
+            return st, k0, 0.0  # phi_t(0, y) = 0: the root is the end of the bracket
+        return st, k0, bisect_increasing(self._branch(st.alpha, st.beta, k0, kp), 0.0, st.ell, x)
+
+    def h_inverse(self, t: float, x: float, y: float = 1.0) -> float:
+        return self._solve(t, x, y)[2]
 
     def gen_fun(self, t: float, x: float, y: float = 1.0) -> float:
-        return self.measure.k0(self.h_inverse(t, x, y), y) / self.state(t).alpha
+        st, k0, h = self._solve(t, x, y)
+        return horner(k0, h) / st.alpha
 
     def arms_count(self, t: float) -> float:
         return self.state(t).A
@@ -276,10 +288,9 @@ class FloryArms(_Arms):
 
     @functools.cached_property
     def _q(self):
-        """Horner tuples in x of Q (A0 x - k0(x, 1) = (1 - x) Q), Q', the sol mass, k0', k0."""
-        k0 = self.measure.polynomial()
-        return (*flory_polynomials(k0), self.measure.sol_mass(k0),
-                derivative(k0, 2), derivative(k0, 1))
+        """Horner tuples in x of Q (A0 x - k0(x, 1) = (1 - x) Q), Q', the sol mass, k0, k0'."""
+        p = self.measure.polynomial()
+        return (*flory_polynomials(p), self.measure.sol_mass(p), *self._polys(1.0))
 
     def limit(self) -> SolutionState:
         """ell_inf is the root of Q (`_q`); beta_inf = lim t/alpha_t = 1/A0.
@@ -300,7 +311,7 @@ class FloryArms(_Arms):
         check_time(t)
         if t <= self.t_gel:
             return pre_gel_state(self.measure, t)
-        q, dq, mass, _, k0 = self._q
+        q, dq, mass, k0, _ = self._q
         ell = polynomial_root(q, dq, 1.0 / t)
         alpha = 1.0 + self.measure.A0 * t
         return SolutionState(t, ell, alpha, t / alpha, M=horner(mass, ell),
@@ -317,7 +328,7 @@ class FloryArms(_Arms):
         if t < self.t_gel:
             return self._second_moment(self.state(t), self.measure.K)  # k0'(1) = K
         st = self.state(t)
-        _, dq, _, kp, _ = self._q
+        _, dq, _, _, kp = self._q
         return self._second_moment(st, horner(kp, st.ell),
                                    st.beta * (1.0 - st.ell) * horner(dq, st.ell))
 

@@ -17,9 +17,8 @@ from typing import NamedTuple
 
 # bound here only for perfbench/tracing.py:TARGETS, which wraps these names
 from .characteristics import bisect_increasing, ell_smolu  # noqa: F401
-from .characteristics import horner
 from .errors import DomainError
-from .measures import conv_power, np
+from .measures import conv_power, horner, np
 
 
 class PowerSeries:
@@ -192,7 +191,8 @@ def concentrations(model, t: float, n: int) -> np.ndarray:
     S = model.measure.g0(s)
     j = np.arange(n + 1)
     # normalised by S, not by the truncated sum, when atoms lie beyond n
-    q = np.trim_zeros(mu0 * j * s**j / S, "b")[1:]  # q(1), q(2), ...
+    q = mu0 * j * s**j / S
+    q = q[1 : np.flatnonzero(q)[-1] + 1 if q.any() else 1]  # q(1), q(2), ... to the last atom
     c = np.zeros(n + 1)
     # Pois(k <= n; lam) underflows once lam > 2^50, so the cap changes no
     # weight; a subnormal lam overflows diff/lam, zeroing subnormal weights
@@ -202,16 +202,20 @@ def concentrations(model, t: float, n: int) -> np.ndarray:
             _add_block(c, lam, 1, np.multiply.accumulate(np.full(n, q[0])),
                        np.ones(n, dtype=int))
         elif q.size > 1:  # else no atom up to n: c = 0
-            row = np.ones(1)  # q^{*k}(k + i) at i: q^{*k} vanishes below k
-            rows, cells = [], 0  # the rows k1 .. k of the open block
-            for k in range(1, n + 1):
-                row = np.convolve(row, q)[: n + 1 - k]
-                rows.append(row)
-                cells += row.size
+            # row k, q^{*k}(k + i) at i (q^{*k} vanishes below k), cut at m = n
+            sizes = np.minimum(1 + np.arange(1, n + 1) * (q.size - 1), np.arange(n, 0, -1))
+            law = q[::-1].copy()
+            block = np.empty(_BLOCK + n)  # the rows k1 .. k of the open block
+            row, k1, cells = np.ones(1), 1, 0
+            for k, size in enumerate(sizes.tolist(), 1):
+                # np.convolve(row, q) bit for bit: it swaps the two when row is the shorter
+                row = (np.correlate(row, law, "full") if row.size >= q.size
+                       else np.convolve(row, q))[:size]
+                block[cells : cells + size] = row
+                cells += size
                 if cells >= _BLOCK or k == n:
-                    sizes = np.array([r.size for r in rows])
-                    _add_block(c, lam, k + 1 - len(rows), np.concatenate(rows), sizes)
-                    rows, cells = [], 0
+                    _add_block(c, lam, k1, block[:cells], sizes[k1 - 1 : k])
+                    k1, cells = k + 1, 0
     c[1:] *= S / j[1:]
     c[c < np.finfo(float).tiny] = 0.0
     return c

@@ -15,7 +15,6 @@ from gelsolve.characteristics import (
     _taylor_shift,
     arms_polynomials,
     bisect_increasing,
-    derivative,
     ell_smolu,
     flory_polynomials,
     gel_time,
@@ -28,6 +27,7 @@ from gelsolve.measures import (
     ExponentialDensity,
     Monodisperse,
     PowerLawDensity,
+    derivative,
 )
 from gelsolve.models import FloryArms, SmoluchowskiArms
 
@@ -727,15 +727,22 @@ def test_flory_arms_second_moment_just_past_the_gel_time():
     assert FloryArms(law).second_moment(t) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
+def _mp_k0_at(measure, y):
+    """z -> k0(z, y) = sum a c0(a, m) z^(a-1) y^m, to the working precision."""
+    terms = [(a, m, mp.mpf(w)) for (a, m), w in measure.weights.items() if a > 0]
+    y = mp.mpf(y)
+    return lambda z: sum(a * w * z ** (a - 1) * y**m for a, m, w in terms)
+
+
 def _mp_h_inverse(measure, state, x, y):
     """h_t(x, y) to 50 digits: phi_t(., y) = x bisected on [0, ell_t], from the state's floats."""
     with mp.workdps(50):
         alpha, beta, ell = (mp.mpf(v) for v in (state.alpha, state.beta, state.ell))
-        terms = [(a, m, mp.mpf(w)) for (a, m), w in measure.weights.items() if a > 0]
-        x, y = mp.mpf(x), mp.mpf(y)
+        k0 = _mp_k0_at(measure, y)
+        x = mp.mpf(x)
 
         def f(z):
-            return alpha * (z - beta * sum(a * w * z ** (a - 1) * y**m for a, m, w in terms)) - x
+            return alpha * (z - beta * k0(z)) - x
 
         if f(mp.mpf(0)) >= 0:
             return mp.mpf(0)
@@ -755,6 +762,33 @@ def test_arms_h_inverse_matches_its_definition(measure, ratio, x, y):
         t = ratio * model.t_gel
         expected = float(_mp_h_inverse(measure, model.state(t), x, y))
         assert model.h_inverse(t, x, y) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    measure=gelling_arm_data(),
+    ratio=st.floats(0.1, 1e3),
+    x=st.one_of(st.just(0.0), st.floats(1e-3, 0.98)),
+    y=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+)
+def test_arms_phi_and_gen_fun_at_y_below_one_match_their_definition(measure, ratio, x, y):
+    # phi_t(x, y) = alpha (x - beta k0(x, y)) within a few eps per Horner step
+    # and atom of the magnitudes it subtracts; gen_fun = k0(h_t, y) / alpha,
+    # whose k0 has degree <= 7 in h_t, itself within 1e-12
+    for model in (SmoluchowskiArms(measure), FloryArms(measure)):
+        t = ratio * model.t_gel
+        state = model.state(t)
+        with mp.workdps(50):
+            alpha, beta = mp.mpf(state.alpha), mp.mpf(state.beta)
+            k0 = _mp_k0_at(measure, y)
+            k0_x = k0(mp.mpf(x))
+            phi = alpha * (x - beta * k0_x)
+            size = alpha * (x + beta * k0_x)
+            gen_fun = k0(_mp_h_inverse(measure, state, x, y)) / alpha
+        degree = len(measure.polynomial()) - 1
+        bound = 8 * (degree + len(measure.weights)) * sys.float_info.epsilon * size
+        assert abs(model.phi(t, x, y) - phi) <= bound + sys.float_info.min
+        assert model.gen_fun(t, x, y) == pytest.approx(float(gen_fun), rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("t", [1e17, 1e300])

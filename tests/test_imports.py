@@ -296,3 +296,20 @@ def test_only_measures_reads_whether_arm_data_is_monodisperse():
     readers = [p.name for p in sorted(src.glob("*.py"))
                if _reads_an_attribute(p, {"is_monodisperse"})]
     assert [name for name in readers if name != "measures.py"] == []
+
+
+def test_the_arm_law_has_one_evaluator():
+    # K0(x, y)'s Horner tuple: inside ArmMeasure only the builder reads the
+    # weights, and the models read k0 from the tuple, never through `k0`
+    src = Path(gelsolve.__file__).resolve().parent
+    tree = ast.parse((src / "measures.py").read_text())
+    (arm,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "ArmMeasure"]
+    readers = sorted(
+        method.name for method in arm.body if isinstance(method, ast.FunctionDef)
+        and any(isinstance(node, ast.Attribute) and node.attr == "weights"
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+                for node in ast.walk(method))
+    )
+    assert readers == ["__init__", "__repr__", "polynomial"]
+    assert ".k0(" not in (src / "models.py").read_text()

@@ -1,12 +1,12 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gelsolve.characteristics import horner
 from gelsolve.errors import DomainError
 from gelsolve.measures import (
     ArmMeasure,
@@ -16,10 +16,13 @@ from gelsolve.measures import (
     PowerLawDensity,
     arm_measure_from_config,
     conv_power,
+    horner,
     mass_measure_from_config,
 )
 
 MU = {0: 0.5, 1: 0.25, 3: 0.25}
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min  # the smallest normal double: below it, terms underflow
 
 
 class TestMoments:
@@ -397,16 +400,24 @@ def _written_powerlaw_g0(p, x, order):
     raise DomainError(f"order must be 0, 1 or 2, got {order}")
 
 
-def _written_k0(weights, x, y, order):
+def _exact_k0(weights, x, y, order):
+    """The written sum of k0's order-th x-derivative as an exact Fraction, after its checks."""
     _check(x, "x")
     _check(y, "y")
     if order not in (0, 1, 2):
         raise DomainError(f"order must be 0, 1 or 2, got {order}")
-    return _left_to_right(
-        math.perm(a, order + 1) * w * x ** (a - 1 - order) * y**m
-        for (a, m), w in weights.items()
-        if a > order
-    )
+    x, y = Fraction(x), Fraction(y)
+    return sum((math.perm(a, order + 1) * Fraction(w) * x ** (a - 1 - order) * y**m
+                for (a, m), w in weights.items() if a > order), Fraction(0))
+
+
+def _univariate_polynomial(weights):
+    """K0(., 1)'s Horner tuple as the univariate build sums it: each w from 0.0."""
+    coeffs = [0.0] * (max(weights)[0] + 1)
+    for (a, _), w in weights.items():
+        coeffs[a] += w
+    coeffs.reverse()
+    return tuple(coeffs)
 
 
 def _written_k0_mass(weights, x):
@@ -470,7 +481,18 @@ class TestKernelsMatchTheWrittenSums:
         assume(any(a > 0 for a, _, _ in triples))
         measure = ArmMeasure({(a, 1 if monodisperse else m): w for a, m, w in triples})
         weights = measure.weights
-        assert _outcome(measure.k0, x, y, order) == _outcome(_written_k0, weights, x, y, order)
+        try:
+            exact = _exact_k0(weights, x, y, order)
+        except DomainError as exc:
+            assert _outcome(measure.k0, x, y, order) == (type(exc).__name__, str(exc))
+        else:
+            # on [0, 1]^2 every term is nonnegative: a relative bound of a few
+            # eps per Horner step and per atom, and an absolute one for underflow
+            value = measure.k0(x, y, order)
+            assert type(value) is float
+            degree = len(measure.polynomial()) - 1
+            bound = 4 * (degree + len(weights)) * Fraction(_EPS) * exact + Fraction(_TINY)
+            assert abs(Fraction(value) - exact) <= bound
         if 0.0 <= x <= 1.0:
             # K0 = sum c0(a, m) x^a summed by Horner, against the written sum
             # over the arm law that sums c0(a, m) over m
@@ -487,9 +509,19 @@ class TestKernelsMatchTheWrittenSums:
             )
             assert math.isnan(sol_mass) == (not measure.is_monodisperse)
 
-    def test_an_empty_sum_stays_the_int_zero(self):
-        # k0'' of a law with at most two arms per particle
-        assert repr(ArmMeasure.monodisperse({1: 0.5, 2: 0.5}).k0(0.5, 1.0, 2)) == "0"
+    def test_an_empty_sum_is_the_float_zero(self):
+        # k0'' of a law with at most two arms per particle: Horner on the empty tuple
+        assert repr(ArmMeasure.monodisperse({1: 0.5, 2: 0.5}).k0(0.5, 1.0, 2)) == "0.0"
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(triples=TRIPLES, monodisperse=st.booleans())
+    def test_polynomial_at_one_is_the_single_variable_tuple(self, triples, monodisperse):
+        # every served arms quantity at y = 1 reads this tuple: bit for bit, and built once
+        assume(any(a > 0 for a, _, _ in triples))
+        measure = ArmMeasure({(a, 1 if monodisperse else m): w for a, m, w in triples})
+        p = measure.polynomial()
+        assert [c.hex() for c in p] == [c.hex() for c in _univariate_polynomial(measure.weights)]
+        assert measure.polynomial(1.0) is p
 
 
 # x = 0, the subnormals, and normal doubles up to 1e-300, where x^e with e < 0

@@ -340,21 +340,33 @@ class TestRootEvaluations:
         assert max(counts) <= 60
 
     @staticmethod
-    def _count_k0(monkeypatch):
-        real = ArmMeasure.k0
+    def _count_evaluations(monkeypatch, newton):
+        """The root solver's evaluations of f, through both its bindings.
+
+        Without newton, each f reports a nan slope, so the solver only bisects.
+        """
+        import gelsolve.characteristics
+
+        real = gelsolve.characteristics.bisect_increasing
         n = [0]
 
-        def counted(self, *args, **kwargs):
-            n[0] += 1
-            return real(self, *args, **kwargs)
+        def counted(f, *args):
+            def g(x):
+                n[0] += 1
+                value, slope = f(x)
+                return value, slope if newton else math.nan
 
-        monkeypatch.setattr(ArmMeasure, "k0", counted)
+            return real(g, *args)
+
+        for module in (gelsolve.characteristics, gelsolve.models):
+            monkeypatch.setattr(module, "bisect_increasing", counted)
         return n
 
+    @pytest.mark.parametrize("newton", [True, False], ids=["newton", "bisection-only"])
     @pytest.mark.parametrize("t", [2.5, 4.0, 20.0])
-    def test_post_gel_arms_roots_take_newton_steps(self, monkeypatch, t):
+    def test_post_gel_arms_roots_take_newton_steps(self, monkeypatch, t, newton):
         # ell_t (a root of Q = 1/t for FloryArms) and h_t, bracketed by [0, ell_t]
-        n = self._count_k0(monkeypatch)
+        n = self._count_evaluations(monkeypatch, newton)
         for solve in (
             lambda: FloryArms(ARM).state(t),
             lambda: FloryArms(ARM).h_inverse(t, 0.4),
@@ -362,12 +374,13 @@ class TestRootEvaluations:
         ):
             n[0] = 0
             solve()
-            assert n[0] <= 30  # k0 evaluations of any order
+            assert (n[0] <= 30) == newton
 
-    def test_flory_arms_limit_takes_newton_steps(self, monkeypatch):
-        n = self._count_k0(monkeypatch)
+    @pytest.mark.parametrize("newton", [True, False], ids=["newton", "bisection-only"])
+    def test_flory_arms_limit_takes_newton_steps(self, monkeypatch, newton):
+        n = self._count_evaluations(monkeypatch, newton)
         FloryArms(ARM).limit()
-        assert n[0] <= 15
+        assert (n[0] <= 15) == newton
 
 
 class TestSecondMoment:
@@ -529,7 +542,7 @@ class TestArmsModels:
         st = model.state(t)
         ell = st.ell
         assert abs(model.phi(t, ell, 1.0) - 1.0) <= 1e-12
-        _, slope = model._branch(st.alpha, st.beta)(ell)
+        _, slope = model._branch(st.alpha, st.beta, *model._polys(1.0))(ell)
         assert abs(slope) <= 1e-12
 
 

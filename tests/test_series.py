@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gelsolve import series
 from gelsolve.errors import DomainError
-from gelsolve.measures import ArmMeasure, Discrete, ExponentialDensity, Monodisperse
+from gelsolve.measures import ArmMeasure, Discrete, ExponentialDensity, Monodisperse, conv_power
 from gelsolve.models import Flory, FloryArms, Smoluchowski, SmoluchowskiArms
 from gelsolve.series import (
     PowerSeries,
@@ -296,6 +296,35 @@ LATTICE_LAWS = st.builds(
 )
 
 
+def _listed_blocks(model, t, n):
+    """c_t by the engine's loop with each row a list entry, joined per block by np.concatenate."""
+    mu0 = model.measure.lattice_weights(n)
+    s = model.anchor(t)
+    S = model.measure.g0(s)
+    j = np.arange(n + 1)
+    q = np.trim_zeros(mu0 * j * s**j / S, "b")[1:]
+    c = np.zeros(n + 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lam = np.minimum(j * (t * S), 2.0**50)
+        if q.size == 1:
+            series._add_block(c, lam, 1, np.multiply.accumulate(np.full(n, q[0])),
+                              np.ones(n, dtype=int))
+        elif q.size > 1:
+            row = np.ones(1)
+            rows, cells = [], 0
+            for k in range(1, n + 1):
+                row = np.convolve(row, q)[: n + 1 - k]
+                rows.append(row)
+                cells += row.size
+                if cells >= series._BLOCK or k == n:
+                    sizes = np.array([r.size for r in rows])
+                    series._add_block(c, lam, k + 1 - len(rows), np.concatenate(rows), sizes)
+                    rows, cells = [], 0
+    c[1:] *= S / j[1:]
+    c[c < np.finfo(float).tiny] = 0.0
+    return c
+
+
 class TestBlockedWeights:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(
@@ -341,6 +370,46 @@ class TestBlockedWeights:
         assert np.array_equal(
             concentrations(model, t, n), _per_k_concentrations(model, t, n)
         )
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        atoms=st.lists(st.tuples(st.integers(1, 9), st.floats(1e-3, 10.0)),
+                       min_size=1, max_size=5),
+        gel=st.booleans(),
+        n=st.one_of(st.integers(1, 12), st.integers(13, 600)),
+        ratio=st.floats(0.3, 3.0),
+    )
+    def test_matches_the_list_and_concatenate_loop_bit_for_bit(self, atoms, gel, n, ratio):
+        # orders below the top mass too, and the last rows, shorter than q:
+        # every block's cells as well as the result, as a last row's rounding
+        # can vanish in the weighted sum
+        model = _classic(gel, Discrete(atoms))
+        t = ratio * model.t_gel
+        real = series._add_block
+        blocks = []
+
+        def recorded(c, lam, k1, cells, sizes):
+            blocks[-1].append((k1, cells.tobytes(), sizes.tolist()))
+            real(c, lam, k1, cells, sizes)
+
+        results = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series, "_add_block", recorded)
+            for solve in (concentrations, _listed_blocks):
+                blocks.append([])
+                results.append(solve(model, t, n).tobytes())
+        assert blocks[0] == blocks[1]
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("m, max_index", [(1, 0), (5, 3), (12, 40)])
+    def test_conv_power_rows_are_np_convolve_rows(self, m, max_index):
+        nu = np.random.default_rng(m).random(9)
+        rows = list(conv_power(nu, m, max_index))
+        row = np.zeros(max_index + 1)
+        row[: min(nu.size, max_index + 1)] = nu[: max_index + 1]
+        for got in rows:
+            assert got.tobytes() == row.tobytes()
+            row = np.convolve(row, nu[: max_index + 1])[: max_index + 1]
 
     def test_one_atom_window_convolves_nothing(self, monkeypatch):
         def refuse(*args, **kwargs):
