@@ -355,9 +355,8 @@ def conv_power(nu, m: int, max_index: int):
     row = np.zeros(max_index + 1)
     row[: base.size] = base
     yield row
-    law = base[::-1].copy()  # np.convolve(row, base) bit for bit: row is never the shorter
     for _ in range(1, m):
-        row = np.correlate(row, law, "full")[: max_index + 1]
+        row = np.convolve(row, base)[: max_index + 1]
         yield row
 
 

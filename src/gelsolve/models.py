@@ -288,9 +288,10 @@ class FloryArms(_Arms):
 
     @functools.cached_property
     def _q(self):
-        """Horner tuples in x of Q (A0 x - k0(x, 1) = (1 - x) Q), Q', the sol mass, k0, k0'."""
-        p = self.measure.polynomial()
-        return (*flory_polynomials(p), self.measure.sol_mass(p), *self._polys(1.0))
+        """Horner tuples in x of Q (A0 x - k0(x, 1) = (1 - x) Q), Q', the sol mass, k0', k0."""
+        k0 = self.measure.polynomial()
+        return (*flory_polynomials(k0), self.measure.sol_mass(k0),
+                derivative(k0, 2), derivative(k0, 1))
 
     def limit(self) -> SolutionState:
         """ell_inf is the root of Q (`_q`); beta_inf = lim t/alpha_t = 1/A0.
@@ -311,7 +312,7 @@ class FloryArms(_Arms):
         check_time(t)
         if t <= self.t_gel:
             return pre_gel_state(self.measure, t)
-        q, dq, mass, k0, _ = self._q
+        q, dq, mass, _, k0 = self._q
         ell = polynomial_root(q, dq, 1.0 / t)
         alpha = 1.0 + self.measure.A0 * t
         return SolutionState(t, ell, alpha, t / alpha, M=horner(mass, ell),
@@ -328,7 +329,7 @@ class FloryArms(_Arms):
         if t < self.t_gel:
             return self._second_moment(self.state(t), self.measure.K)  # k0'(1) = K
         st = self.state(t)
-        _, dq, _, _, kp = self._q
+        _, dq, _, kp, _ = self._q
         return self._second_moment(st, horner(kp, st.ell),
                                    st.beta * (1.0 - st.ell) * horner(dq, st.ell))
 

@@ -204,13 +204,10 @@ def concentrations(model, t: float, n: int) -> np.ndarray:
         elif q.size > 1:  # else no atom up to n: c = 0
             # row k, q^{*k}(k + i) at i (q^{*k} vanishes below k), cut at m = n
             sizes = np.minimum(1 + np.arange(1, n + 1) * (q.size - 1), np.arange(n, 0, -1))
-            law = q[::-1].copy()
             block = np.empty(_BLOCK + n)  # the rows k1 .. k of the open block
             row, k1, cells = np.ones(1), 1, 0
             for k, size in enumerate(sizes.tolist(), 1):
-                # np.convolve(row, q) bit for bit: it swaps the two when row is the shorter
-                row = (np.correlate(row, law, "full") if row.size >= q.size
-                       else np.convolve(row, q))[:size]
+                row = np.convolve(row, q)[:size]
                 block[cells : cells + size] = row
                 cells += size
                 if cells >= _BLOCK or k == n:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gelsolve import series
 from gelsolve.errors import DomainError
-from gelsolve.measures import ArmMeasure, Discrete, ExponentialDensity, Monodisperse, conv_power
+from gelsolve.measures import ArmMeasure, Discrete, ExponentialDensity, Monodisperse
 from gelsolve.models import Flory, FloryArms, Smoluchowski, SmoluchowskiArms
 from gelsolve.series import (
     PowerSeries,
@@ -400,16 +400,6 @@ class TestBlockedWeights:
                 results.append(solve(model, t, n).tobytes())
         assert blocks[0] == blocks[1]
         assert results[0] == results[1]
-
-    @pytest.mark.parametrize("m, max_index", [(1, 0), (5, 3), (12, 40)])
-    def test_conv_power_rows_are_np_convolve_rows(self, m, max_index):
-        nu = np.random.default_rng(m).random(9)
-        rows = list(conv_power(nu, m, max_index))
-        row = np.zeros(max_index + 1)
-        row[: min(nu.size, max_index + 1)] = nu[: max_index + 1]
-        for got in rows:
-            assert got.tobytes() == row.tobytes()
-            row = np.convolve(row, nu[: max_index + 1])[: max_index + 1]
 
     def test_one_atom_window_convolves_nothing(self, monkeypatch):
         def refuse(*args, **kwargs):
