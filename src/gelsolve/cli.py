@@ -288,11 +288,16 @@ OPTIONS = {flag: (flag[2:].replace("-", "_"), *spec) for flag, *spec in (
     ("--model", str, tuple(sorted(MODEL_NAMES)), None),
     ("--measure", str, None, "initial measure as inline JSON"),
     ("--output", str, None, "write to this file instead of stdout"),
-    ("--t-start", float, None, None), ("--t-end", float, None, None),
-    ("--count", int, None, None), ("--spacing", str, ("linear", "geometric"), None),
-    ("--t", float, None, None), ("--order", int, None, "series order (classic models)"),
-    ("--amax", int, None, None), ("--mmax", int, None, None),
-    ("--dt", float, None, None), ("--tol", float, None, None),
+    ("--t-start", float, None, "first time of the grid (default 0)"),
+    ("--t-end", float, None, "last time: of the grid (required), or of validate (default 1)"),
+    ("--count", int, None, "times on the grid, at least 2 (default 81)"),
+    ("--spacing", str, ("linear", "geometric"), None),
+    ("--t", float, None, "the time t >= 0"),
+    ("--order", int, None, "largest mass m (classic models; default 64)"),
+    ("--amax", int, None, "largest arm count a (arms models; validate's only arms window)"),
+    ("--mmax", int, None, "largest mass m (arms models; validate: classic only, arms ignore it)"),
+    ("--dt", float, None, "oracle step (default 1e-3)"),
+    ("--tol", float, None, "largest absolute error that passes (default 1e-3)"),
 )}
 #: name -> (handler, one-line help, {flag: OPTIONS entry}); "-h" and "--help" map to None.
 COMMANDS = {name: (run, text, dict.fromkeys(("-h", "--help")) | {

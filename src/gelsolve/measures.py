@@ -344,19 +344,20 @@ class ArmMeasure:
 
 
 def conv_power(nu, m: int, max_index: int):
-    """Yield the rows nu^{*1}, ..., nu^{*m} on 0..max_index of the weights nu.
+    """Yield the rows nu^{*1}, ..., nu^{*m} of a law on 1, 2, ... (nu[j] weighs j + 1).
 
-    nu is truncated to the window first, and each row is one convolution of
-    the row before it with nu; only the current row is held.
+    Row k holds nu^{*k}(k + i) at i, unpadded: from k, below which nu^{*k}
+    vanishes, to max_index or the end of its support, whichever comes first
+    (empty past max_index).  Each row is one convolution of the row before
+    it with nu cut to the window; only the current row is held.
     """
-    if m < 1:
-        raise DomainError(f"convolution power m={m} must be >= 1")
-    base = np.asarray(nu, dtype=float)[: max_index + 1]
-    row = np.zeros(max_index + 1)
-    row[: base.size] = base
+    if m < 1 or max_index < 1:
+        raise DomainError(f"need m >= 1 and max_index >= 1, got m={m}, max_index={max_index}")
+    row = base = np.asarray(nu, dtype=float)[:max_index]  # nu^{*1}, a view of nu
     yield row
-    for _ in range(1, m):
-        row = np.convolve(row, base)[: max_index + 1]
+    for k in range(2, m + 1):
+        if row.size:
+            row = np.convolve(row, base)[: max_index + 1 - k]
         yield row
 
 

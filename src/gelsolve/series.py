@@ -133,12 +133,13 @@ def _log_weight(k: int) -> float:
 
 
 @functools.cache
-def _log_weights(size: int) -> np.ndarray:
-    """_log_weight(k) at index k - 1 for k <= size, read-only (shared by every caller).
+def _table(fn, size: int) -> np.ndarray:
+    """fn(j) at index j - 1 for j = 1..size, read-only (shared by every caller).
 
-    Sizes are powers of two, as for _log_factorials.
+    Sizes are powers of two, so the tables held of one fn take at most twice
+    the largest.
     """
-    table = np.array([_log_weight(k) for k in range(1, size + 1)])
+    table = np.array([fn(j) for j in range(1, size + 1)])
     table.flags.writeable = False
     return table
 
@@ -152,7 +153,7 @@ def _add_block(c: np.ndarray, lam: np.ndarray, k1: int, cells: np.ndarray,
     order, so each c[m] takes its terms in increasing k.
     """
     n = c.size - 1  # the largest k
-    log_weights = _log_weights(1 << (n - 1).bit_length())
+    log_weights = _table(_log_weight, 1 << (n - 1).bit_length())
     ks = np.arange(k1, k1 + sizes.size)
     m = np.arange(cells.size) + np.repeat(ks - (np.cumsum(sizes) - sizes), sizes)
     i = np.repeat(ks - 1.0, sizes)
@@ -179,8 +180,8 @@ def concentrations(model, t: float, n: int) -> np.ndarray:
     (1/(m^2 t)) sum_k Pois(k; m t S) q^{*k}(m) = (S/m) sum_k Pois(k-1; m t S)
     q^{*k}(m)/k.  When the window's only atom is at 1, row k is the single
     cell q(1)^k at m = k: the n rows are weighed in one pass, in O(n) time,
-    with no convolution.  Otherwise each k convolves its row once more with
-    q.  No term is negative; values below 2^-1022 come back as 0.
+    with no convolution.  Otherwise the rows are conv_power(q, n, n).  No
+    term is negative; values below 2^-1022 come back as 0.
     """
     if n < 1:
         raise DomainError("series order must be >= 1")
@@ -205,11 +206,10 @@ def concentrations(model, t: float, n: int) -> np.ndarray:
             # row k, q^{*k}(k + i) at i (q^{*k} vanishes below k), cut at m = n
             sizes = np.minimum(1 + np.arange(1, n + 1) * (q.size - 1), np.arange(n, 0, -1))
             block = np.empty(_BLOCK + n)  # the rows k1 .. k of the open block
-            row, k1, cells = np.ones(1), 1, 0
-            for k, size in enumerate(sizes.tolist(), 1):
-                row = np.convolve(row, q)[:size]
-                block[cells : cells + size] = row
-                cells += size
+            k1, cells = 1, 0
+            for k, row in enumerate(conv_power(q, n, n), 1):
+                block[cells : cells + row.size] = row
+                cells += row.size
                 if cells >= _BLOCK or k == n:
                     _add_block(c, lam, k1, block[:cells], sizes[k1 - 1 : k])
                     k1, cells = k + 1, 0
@@ -246,13 +246,18 @@ def _closed_form(nu, state, a_max, m_max) -> np.ndarray:
     a = np.arange(a_max + 1)[:, None]
     m = np.arange(2, m_max + 1)
     k = a + m - 2
-    # nu_x^{*m}(k) for k = m - 2 .. m - 2 + a_max, one power at a time
-    powers = np.empty((a_max + 1, m_max - 1))
-    rows = conv_power(tilted / k0x, m_max, a_max + m_max - 2)
+    # nu_x^{*m}(k) for k = m - 2 .. m - 2 + a_max, one power at a time: with
+    # nu_x a law on the arm counts k + 1, row m of conv_power holds it at
+    # index k (total m + k), cut at the largest total a_max + 2 (m_max - 1)
+    powers = np.zeros((a_max + 1, m_max - 1))
+    rows = conv_power(tilted / k0x, m_max, a_max + 2 * m_max - 2)
     next(rows)  # nu_x^{*1} would be column 1
     for j, row in enumerate(rows):
-        powers[:, j] = row[j : j + a_max + 1]
-    log_fact = _log_factorials(1 << (a_max + m_max).bit_length())  # j <= a_max + m_max
+        cells = row[j : j + a_max + 1]  # shorter where the support ends
+        powers[: cells.size, j] = cells
+    # log j! = lgamma(j + 1) for j <= a_max + m_max; a cumulative sum of log j
+    # drifts to 5e-12 at j = 600, the relative error of every product
+    log_fact = _table(math.lgamma, 1 << (a_max + m_max).bit_length())
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf
         per_arm = a * np.log(1.0 / (state.alpha * x))
         per_arm[0] = 0.0
@@ -266,19 +271,6 @@ def _closed_form(nu, state, a_max, m_max) -> np.ndarray:
     # mu(1) = mu(2) = 0) would make its log nan
     out[:, 2:] = np.where(powers > 0.0, np.exp(log_c), 0.0)
     return out
-
-
-@functools.cache
-def _log_factorials(size: int) -> np.ndarray:
-    """log j! for j < size by lgamma, read-only (shared by every caller).
-
-    A cumulative sum of log j drifts to 5e-12 at j = 600: the relative error
-    of every product.  Sizes are powers of two, so the tables held take at
-    most twice the largest.
-    """
-    table = np.array([math.lgamma(j + 1) for j in range(size)])
-    table.flags.writeable = False
-    return table
 
 
 def arms_concentrations(model, t: float, a_max: int, m_max: int) -> np.ndarray:

@@ -633,8 +633,15 @@ def test_alpha_where_a_power_of_ell_underflows(mp_arms_flow):
 # concave phi_t, and ell_inf the smallest root of A0 x - k0(x) = 0.
 
 def _mp_increasing_root(f, lo, hi):
-    """The root of f, increasing on (lo, hi), by 210 halvings: 60 digits on [0, 1]."""
-    for _ in range(210):
+    """The root of f, increasing on [lo, hi], to the working precision less 16 bits.
+
+    The bracket halves until its width is 2^(16 - prec) of its top, so a
+    root far below hi, such as 1e-300, keeps its relative digits; a root
+    at lo, where f(lo) >= 0, is lo.
+    """
+    if f(lo) >= 0:
+        return lo
+    while hi - lo > hi * mp.mpf(2) ** (16 - mp.mp.prec):
         mid = (lo + hi) / 2
         if f(mid) < 0:
             lo = mid
@@ -744,8 +751,6 @@ def _mp_h_inverse(measure, state, x, y):
         def f(z):
             return alpha * (z - beta * k0(z)) - x
 
-        if f(mp.mpf(0)) >= 0:
-            return mp.mpf(0)
         return _mp_increasing_root(f, mp.mpf(0), ell)
 
 
@@ -756,6 +761,10 @@ def _mp_h_inverse(measure, state, x, y):
     x=st.one_of(st.just(0.0), st.floats(1e-3, 0.98)),
     y=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
 )
+# h_t(x, y) far below 1e-63 (law {(3, 1): 1} at T_gel), which a reference
+# stopping at a fixed absolute width of [0, ell_t] cannot resolve
+@example(measure=ArmMeasure({(3, 1): 1.0}), ratio=1.0, x=1e-300, y=0.5)
+@example(measure=ArmMeasure({(3, 1): 1.0}), ratio=1.0, x=2.6e-178, y=0.5)
 def test_arms_h_inverse_matches_its_definition(measure, ratio, x, y):
     # h_t(x, y) on the bracket [0, ell_t], for y < 1 as well as y = 1
     for model in (SmoluchowskiArms(measure), FloryArms(measure)):
@@ -771,6 +780,9 @@ def test_arms_h_inverse_matches_its_definition(measure, ratio, x, y):
     x=st.one_of(st.just(0.0), st.floats(1e-3, 0.98)),
     y=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
 )
+# as for h_inverse; there the model's gen_fun of 0.0 is the correctly rounded value
+@example(measure=ArmMeasure({(3, 1): 1.0}), ratio=1.0, x=1e-300, y=0.5)
+@example(measure=ArmMeasure({(3, 1): 1.0}), ratio=1.0, x=2.6e-178, y=0.5)
 def test_arms_phi_and_gen_fun_at_y_below_one_match_their_definition(measure, ratio, x, y):
     # phi_t(x, y) = alpha (x - beta k0(x, y)) within a few eps per Horner step
     # and atom of the magnitudes it subtracts; gen_fun = k0(h_t, y) / alpha,

@@ -313,3 +313,16 @@ def test_the_arm_law_has_one_evaluator():
     )
     assert readers == ["__init__", "__repr__", "polynomial"]
     assert ".k0(" not in (src / "models.py").read_text()
+
+
+def test_the_concentration_tables_take_their_powers_from_conv_power():
+    # one convolution-power recurrence: outside the PowerSeries toolkit no
+    # function of series convolves, so both tables read measures.conv_power
+    src = Path(gelsolve.__file__).resolve().parent
+    tree = ast.parse((src / "series.py").read_text())
+    callers = sorted(
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "convolve" for node in ast.walk(fn))
+    )
+    assert callers == ["ps_mul", "ps_revert"]

@@ -246,19 +246,35 @@ class TestNu:
         assert ArmMeasure.monodisperse({2: 1.0}).nu()[0] == 0.0
 
     def test_conv_power_hand_values(self):
-        nu = ArmMeasure.monodisperse(MU).nu()  # {0: 1/4, 2: 3/4}
-        sq = list(conv_power(nu, 2, 4))[1]
+        # as a law on arm counts 1, 2, ...: {1: 1/4, 3: 3/4}; its square lives
+        # on 2, 4, 6, held from 2 on
+        nu = ArmMeasure.monodisperse(MU).nu()
+        sq = list(conv_power(nu, 2, 6))[1]
         assert sq[0] == pytest.approx(1 / 16)
         assert sq[2] == pytest.approx(3 / 8)
         assert sq[4] == pytest.approx(9 / 16)
 
     def test_conv_power_identity_cases(self):
         nu = ArmMeasure.monodisperse(MU).nu()
-        assert np.allclose(next(conv_power(nu, 1, 2)), nu)
-        delta0 = np.array([1.0])
+        assert np.array_equal(next(conv_power(nu, 1, 3)), nu)
+        delta1 = np.array([1.0])  # the law all at 1: its m-th power is all at m
         for m in (1, 3, 7):
-            out = list(conv_power(delta0, m, 3))[m - 1]
+            out = list(conv_power(delta1, m, 9))[m - 1]
             assert out[0] == 1.0 and not out[1:].any()
+
+    def test_conv_power_row_k_starts_at_k(self):
+        # nu = {1: 1/2, 2: 1/2}: row k is Binomial(k, 1/2) shifted to k, k + 1, ...,
+        # cut at 5, and empty once k passes the window
+        rows = list(conv_power([0.5, 0.5], 7, 5))
+        for k, row in enumerate(rows[:5], 1):
+            full = [math.comb(k, i) / 2**k for i in range(k + 1)]
+            assert row.tolist() == full[: 6 - k]
+        assert [row.size for row in rows[5:]] == [0, 0]
+
+    @pytest.mark.parametrize("m, max_index", [(0, 5), (-1, 5), (2, 0), (2, -1), (1, -3)])
+    def test_conv_power_rejects_an_empty_power_or_window(self, m, max_index):
+        with pytest.raises(DomainError, match="need m >= 1 and max_index >= 1"):
+            next(conv_power([0.5, 0.5], m, max_index))
 
     def test_conv_power_mass_multiplicative(self):
         nu = ArmMeasure.monodisperse({0: 0.3, 1: 0.2, 2: 0.4, 4: 0.35}).nu()
@@ -268,11 +284,13 @@ class TestNu:
             assert rows[m - 1].sum() == pytest.approx(total**m, rel=1e-12)
 
     def test_conv_power_truncates_to_the_window(self):
-        # a 20000-long nu is cut to the 6 entries the window can see
+        # a 20000-long nu, {1: 1/2, 20000: 2e-5}, is cut to the 5 weights of
+        # 1..5 the window can see, and row k holds k..5
         nu = ArmMeasure.monodisperse({0: 0.5, 1: 0.5, 20000: 1e-9}).nu()
-        rows = np.array(list(conv_power(nu, 3, 5)))
-        assert rows.shape == (3, 6)
-        assert rows[2, 0] == pytest.approx(0.125) and not rows[2, 1:].any()
+        assert nu.size == 20000
+        rows = list(conv_power(nu, 3, 5))
+        assert [row.size for row in rows] == [5, 4, 3]
+        assert rows[2][0] == pytest.approx(0.125) and not rows[2][1:].any()
 
 class TestConfigLoading:
     def test_mass_measures(self):
